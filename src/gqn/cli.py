@@ -26,8 +26,8 @@ Schema (all keys optional)::
 "signature": [d floats]} with the signature optional (a seeded one is drawn).
 
 Artifacts are plain CSV/JSON, rewritten from scratch each run and digested in
-meta.json. Exit codes: 0 success, 2 config error, 3 numeric error, 4 training
-divergence.
+meta.json. Exit codes: 0 success, 2 config or output error, 3 numeric error,
+4 training divergence.
 """
 
 from __future__ import annotations
@@ -81,15 +81,23 @@ def _check_keys(section: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(f"unknown config key(s) under {path}: {unknown}")
 
 
+def _int(value, path: str) -> int:
+    """A JSON integer. Integral floats such as 16.0 pass; bools, strings and 2.7 do not."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_sets(raw, path: str) -> tuple[QuerySetSpec, ...]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{path} must be a non-empty list of set objects")
     sets = []
     for i, entry in enumerate(raw):
         _check_keys(entry, {"queries", "ratio", "k"}, f"{path}[{i}]")
-        sets.append(QuerySetSpec(int(entry.get("queries", 1)),
+        sets.append(QuerySetSpec(_int(entry.get("queries", 1), f"{path}[{i}].queries"),
                                  float(entry.get("ratio", 0.1)),
-                                 int(entry.get("k", 1))))
+                                 _int(entry.get("k", 1), f"{path}[{i}].k")))
     return tuple(sets)
 
 
@@ -106,8 +114,8 @@ def _parse_boxes(raw, d: int, seed: int, path: str) -> tuple[ObjectBox, ...]:
         else:
             rng = np.random.Generator(np.random.Philox(key=(seed << 8) ^ (i + 1)))
             signature = tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=d))
-        boxes.append(ObjectBox(tuple(int(v) for v in entry["center"]),
-                               tuple(int(v) for v in entry["extent"]),
+        boxes.append(ObjectBox(tuple(_int(v, f"{path}[{i}].center") for v in entry["center"]),
+                               tuple(_int(v, f"{path}[{i}].extent") for v in entry["extent"]),
                                signature))
     return tuple(boxes)
 
@@ -120,17 +128,19 @@ def load_settings(config_path: str | None, seed_flag: int | None, out_flag: str 
             doc = json.load(fh)
     _check_keys(doc, {"seed", "out_dir", "scene", "gqn", "cost", "train"}, "config")
 
-    seed = seed_flag if seed_flag is not None else int(doc.get("seed", 0))
+    seed = seed_flag if seed_flag is not None else _int(doc.get("seed", 0), "config.seed")
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
     out_dir = Path(out_flag if out_flag is not None else doc.get("out_dir", "out"))
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"output path {out_dir} exists and is not a directory")
 
     gqn_sec = doc.get("gqn", {})
     _check_keys(gqn_sec, {"d", "context_steps", "freq_base", "sets"}, "config.gqn")
-    d = int(gqn_sec.get("d", 8))
+    d = _int(gqn_sec.get("d", 8), "config.gqn.d")
     gqn = GqnConfig(
         d=d,
-        context_steps=int(gqn_sec.get("context_steps", 2)),
+        context_steps=_int(gqn_sec.get("context_steps", 2), "config.gqn.context_steps"),
         sets=_parse_sets(gqn_sec.get("sets", list(_TOY_SETS)), "config.gqn.sets"),
         freq_base=float(gqn_sec.get("freq_base", 100.0)),
         seed=seed,
@@ -139,12 +149,14 @@ def load_settings(config_path: str | None, seed_flag: int | None, out_flag: str 
     scene_sec = doc.get("scene", {})
     _check_keys(scene_sec, {"height", "width", "d", "boxes", "clutter_density",
                             "noise_amplitude", "cell_size", "seed"}, "config.scene")
-    height = int(scene_sec.get("height", 16))
-    width = int(scene_sec.get("width", 16))
-    scene_d = int(scene_sec.get("d", d))
+    height = _int(scene_sec.get("height", 16), "config.scene.height")
+    width = _int(scene_sec.get("width", 16), "config.scene.width")
+    if height < 1 or width < 1:
+        raise ConfigError(f"config.scene grid must be at least 1x1, got {height}x{width}")
+    scene_d = _int(scene_sec.get("d", d), "config.scene.d")
     if scene_d != d:
         raise ConfigError(f"scene d={scene_d} != gqn d={d}")
-    scene_seed = int(scene_sec.get("seed", seed))
+    scene_seed = _int(scene_sec.get("seed", seed), "config.scene.seed")
     if not 0 <= scene_seed < 2 ** 64:
         raise ConfigError(f"scene seed must be an unsigned 64-bit integer, got {scene_seed}")
     if "boxes" in scene_sec:
@@ -166,19 +178,20 @@ def load_settings(config_path: str | None, seed_flag: int | None, out_flag: str 
     _check_keys(cost_sec, {"m_bev_sweep", "modes", "full_k", "d", "context_steps", "sets"},
                 "config.cost")
     cost_config = GqnConfig(
-        d=int(cost_sec.get("d", 64)),
-        context_steps=int(cost_sec.get("context_steps", 6)),
+        d=_int(cost_sec.get("d", 64), "config.cost.d"),
+        context_steps=_int(cost_sec.get("context_steps", 6), "config.cost.context_steps"),
         sets=(_parse_sets(cost_sec["sets"], "config.cost.sets")
               if "sets" in cost_sec else GqnConfig().sets),
         seed=seed,
     )
-    sweep = [int(m) for m in cost_sec.get("m_bev_sweep", [1024, 16384])]
+    sweep = [_int(m, "config.cost.m_bev_sweep")
+             for m in cost_sec.get("m_bev_sweep", [1024, 16384])]
     modes = [str(m) for m in cost_sec.get("modes", ["naive", "indexed"])]
-    full_k = int(cost_sec.get("full_k", FULL_GRAPH_K))
+    full_k = _int(cost_sec.get("full_k", FULL_GRAPH_K), "config.cost.full_k")
 
     train_sec = doc.get("train", {})
     _check_keys(train_sec, {"steps", "learning_rate"}, "config.train")
-    train_steps = int(train_sec.get("steps", 200))
+    train_steps = _int(train_sec.get("steps", 200), "config.train.steps")
     learning_rate = float(train_sec.get("learning_rate", 0.01))
 
     echo = {
@@ -409,6 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     except GqnError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -233,9 +233,12 @@ def run_benchmark(config: GqnConfig, m_bev_sweep: list[int], modes: list[str] | 
                   seed: int = 0) -> list[dict]:
     """Analytic counts per (m_bev, mode) row, plus measured kNN wall time.
 
-    Wall times execute the actual exact-pairwise kNN on random features and are
-    reported only in naive mode for graphs of at most ``exec_node_cap`` nodes
-    (the indexed build is counted, not implemented); skipped timings are None.
+    Wall times run the library's exact kNN, ``build_knn_edges`` (a Gram-matrix
+    candidate pass, then an explicit-difference re-rank of the candidates), on
+    random features. They are reported only in naive mode, whose count is the
+    all-pairs distance work that pass still does, for graphs of at most
+    ``exec_node_cap`` nodes (the indexed build is counted, not implemented);
+    skipped timings are None.
     """
     modes = list(_MODES) if modes is None else modes
     for mode in modes:

@@ -27,6 +27,10 @@ from .scene import FlatPairs
 
 Array = np.ndarray
 
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
+_NORM_LIMIT = float(np.finfo(np.float64).max) / 8  # largest squared norm kNN accepts
+
 
 @dataclass(frozen=True)
 class QuerySetSpec:
@@ -107,29 +111,98 @@ def select_nodes(alpha: Tensor, states: Tensor, flat: FlatPairs, n: int) -> Sele
 def build_knn_edges(features: Array, k: int) -> tuple[Array, Array]:
     """Directed edges from each node to its k nearest neighbors (self excluded).
 
-    Distances are exact pairwise Euclidean in feature space, computed from
-    explicit differences so duplicate vectors tie at exactly zero; ties break
-    to the lower node slot. Returns (src, dst) arrays grouped by source slot,
-    nearest neighbor first.
+    The result is defined by exact pairwise squared Euclidean distances
+    computed from explicit differences, d2_ij = sum((f_i - f_j)**2), so
+    duplicate vectors tie at exactly zero; ties break to the lower node slot.
+    Returns (src, dst) arrays grouped by source slot, nearest neighbor first.
+
+    It is computed in two passes over blocks of rows, sized so that even the
+    worst-case candidate tile, (block, n, d) when every distance ties,
+    stays near 64 MB:
+
+    1. Candidate pass. Squared norms s_i and a Gram block F F^T give
+       g_ij = s_i + s_j - 2 f_i.f_j, one GEMM instead of a (block, n, d)
+       difference tensor. With the diagonal at +inf, g_i(k) is the k-th
+       smallest value of row i; every slot with g_ij <= g_i(k) + margin_i
+       is a candidate. If the most candidates any row of the block has is
+       w, each row keeps its w smallest g_ij: all of its candidates, plus
+       a few extra slots where it has fewer than w.
+    2. Re-rank pass. The kept slots alone get d2_ij from explicit
+       differences (the same subtraction and einsum reduction as a full
+       pass) and are ordered by (d2, slot); the first k of each row are
+       the edges. Without near-ties w = k, and the pass touches n k
+       differences instead of n^2.
+
+    Why the candidates hold every true edge. Let u = eps/2, t_ij the exact
+    squared distance and gamma_m = m u / (1 - m u), the bound on the relative error
+    of an m-term floating-point dot product or sum of non-negative terms in
+    any summation order (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1), which covers blocked and FMA GEMM kernels. With
+    S_i = s_i + max_j s_j:
+
+    - Gram form: each norm is off by at most gamma_d s, the dot product by
+      gamma_d |f_i| |f_j| <= gamma_d S_i / 2 (doubled by the factor 2), and
+      the two additions round values of size at most 2 S_i, so
+      |g_ij - t_ij| <= (2 gamma_d + 4u) S_i.
+    - Explicit form: a rounded difference, a rounded square and a d-term
+      non-negative sum give |d2_ij - t_ij| <= gamma_(d+2) t_ij, and
+      t_ij <= (|f_i| + |f_j|)^2 <= 2 S_i.
+
+    So |g_ij - d2_ij| <= D_i = (2 gamma_d + 2 gamma_(d+2) + 4u) S_i, about
+    (2d + 4) eps S_i. Shifting every entry of a row by at most D_i moves its
+    k-th order statistic by at most D_i, so each of the k edges satisfies
+    g_ij <= d2_ij + D_i <= d2_i(k) + D_i <= g_i(k) + 2 D_i. The margin used,
+    4 (d + 4) eps S_i, exceeds 2 D_i by 8 eps S_i, which absorbs the rounding
+    of the threshold itself, the second-order terms of gamma and the use of
+    computed norms. Underflow adds at most eta/2 (eta the smallest subnormal)
+    per rounded product: 2d products in the two norms, d in the dot product
+    (counted twice, as it is doubled) and d squares in the explicit form.
+    So |g_ij - d2_ij| gains at most 5d eta/2, and the margin's absolute term,
+    8 (d + 4) eta, exceeds twice that. The slots
+    kept for a row are a superset of its k edges, so re-ranking them in the
+    same total order (d2, slot) returns exactly the edges a full explicit
+    pass returns.
+
+    Raises InvalidInputError on NaN or inf features, and on features so large
+    that squared distances would overflow float64.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ShapeError(f"features must be (n, d), got {features.shape}")
-    n = features.shape[0]
+    n, d = features.shape
     if not 1 <= k < n:
         raise ConfigError(f"k={k} must satisfy 1 <= k < n={n}")
+    sq = np.einsum("nd,nd->n", features, features)
+    sq_max = float(sq.max())  # NaN or inf if any feature is
+    if not sq_max <= _NORM_LIMIT:
+        if not np.isfinite(features).all():
+            raise InvalidInputError("kNN features contain NaN or inf")
+        raise InvalidInputError(
+            f"kNN feature norms too large (max squared norm {sq_max:.3g}): "
+            "squared distances would overflow float64")
+    margin = 4.0 * (d + 4) * (_EPS * (sq + sq_max) + 2.0 * _TINY)
     dst = np.empty((n, k), dtype=np.intp)
-    slots = np.arange(n, dtype=np.intp)
-    d = features.shape[1]
-    block = max(1, min(n, int(2 ** 23 // max(1, n * d))))  # ~64MB (block, n, d) diff tile
+    block = max(1, min(n, int(2 ** 23 // max(1, n * d))))  # ~64MB worst-case candidate tile
     for r0 in range(0, n, block):
         r1 = min(n, r0 + block)
-        diff = features[r0:r1, None, :] - features[None, :, :]
+        rows = np.arange(r1 - r0)
+        approx = features[r0:r1] @ features.T
+        approx *= -2.0
+        approx += sq[None, :]
+        approx += sq[r0:r1, None]
+        approx[rows, rows + r0] = np.inf  # no self-edges
+        near = np.argpartition(approx, k - 1, axis=1)
+        kth = approx[rows, near[:, k - 1]]
+        width = int((approx <= (kth + margin[r0:r1])[:, None]).sum(axis=1).max())
+        if width > k:
+            near = np.argpartition(approx, width - 1, axis=1)
+        cand = near[:, :width]
+        diff = features[cand]
+        np.subtract(features[r0:r1, None, :], diff, out=diff)
         d2 = np.einsum("bnd,bnd->bn", diff, diff)
-        d2[np.arange(r1 - r0), np.arange(r0, r1)] = np.inf  # no self-edges
-        order = np.lexsort((np.broadcast_to(slots, d2.shape), d2), axis=1)
-        dst[r0:r1] = order[:, :k]
-    src = np.repeat(slots, k)
+        order = np.lexsort((cand, d2), axis=1)[:, :k]
+        dst[r0:r1] = cand[rows[:, None], order]
+    src = np.repeat(np.arange(n, dtype=np.intp), k)
     return src, dst.reshape(-1)
 
 

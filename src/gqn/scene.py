@@ -157,8 +157,9 @@ def demo_boxes(height: int, width: int, d: int, n_objects: int = 2, seed: int = 
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x5CE9E))
     boxes = []
     for i in range(n_objects):
-        h = int(rng.integers(2, max(3, height // 3) + 1))
-        w = int(rng.integers(2, max(3, width // 3) + 1))
+        # a draw of 2 or 3 cells can exceed a grid narrower than 3 cells
+        h = min(int(rng.integers(2, max(3, height // 3) + 1)), height)
+        w = min(int(rng.integers(2, max(3, width // 3) + 1)), width)
         cr = int(rng.integers(h // 2, height - (h - h // 2) + 1))
         cc = int(rng.integers(w // 2, width - (w - w // 2) + 1))
         sig = rng.uniform(-1.0, 1.0, size=d)

@@ -77,6 +77,50 @@ def test_negative_seed_exits_2(tmp_path):
     assert main(["run", "--config", cfg, "--seed", "-3"]) == 2
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("gqn", "context_steps", True),
+    ("scene", "height", 2.7),
+    ("scene", "width", "8"),
+    ("train", "steps", False),
+])
+def test_non_integer_where_int_expected_exits_2(tmp_path, capsys, section, key, value):
+    doc = json.loads(json.dumps(TOY_8x8))
+    doc.setdefault(section, {})[key] = value
+    cfg = _write(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"config.{section}.{key} must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_accepted_as_int(tmp_path):
+    doc = json.loads(json.dumps(TOY_8x8))
+    doc["scene"]["height"] = 8.0
+    cfg = _write(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("height,width", [(0, 8), (8, -1)])
+def test_empty_grid_exits_2_before_building_boxes(tmp_path, capsys, height, width):
+    cfg = _write(tmp_path, {"scene": {"height": height, "width": width}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "grid must be at least 1x1" in capsys.readouterr().err
+
+
+def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, TOY_8x8)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    assert main(["run", "--config", cfg, "--out", str(taken)]) == 2
+    assert "exists and is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep me"
+
+
+def test_out_under_a_file_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, TOY_8x8)
+    (tmp_path / "taken").write_text("")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "taken" / "out")]) == 2
+    assert "output error" in capsys.readouterr().err
+
+
 def test_run_threads_do_not_change_digest(tmp_path):
     cfg = _write(tmp_path, TOY_8x8)
     a, b = tmp_path / "a", tmp_path / "b"

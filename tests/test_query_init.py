@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gqn.autodiff import Tensor, sum_all
 from gqn.errors import ConfigError, InvalidInputError
+from gqn.pipeline import GqnConfig, init_params, run_gqn
 from gqn.query_init import (QuerySetSpec, attention_scores, build_knn_edges, init_graph_query,
                             select_nodes)
 from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
@@ -162,6 +165,115 @@ def test_knn_blocked_path_matches_single_block():
     d2[np.arange(n), np.arange(n)] = np.inf
     order = np.lexsort((np.broadcast_to(np.arange(n), d2.shape), d2), axis=1)
     assert np.array_equal(dst_a, order[:, :3].reshape(-1))
+
+
+# ----------------------------------------------------------------------------
+# kNN oracle: the single-pass explicit-difference algorithm the edges must match
+
+
+def _knn_reference(features, k):
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    dst = np.empty((n, k), dtype=np.intp)
+    slots = np.arange(n, dtype=np.intp)
+    d = features.shape[1]
+    block = max(1, min(n, int(2 ** 23 // max(1, n * d))))
+    for r0 in range(0, n, block):
+        r1 = min(n, r0 + block)
+        diff = features[r0:r1, None, :] - features[None, :, :]
+        d2 = np.einsum("bnd,bnd->bn", diff, diff)
+        d2[np.arange(r1 - r0), np.arange(r0, r1)] = np.inf
+        order = np.lexsort((np.broadcast_to(slots, d2.shape), d2), axis=1)
+        dst[r0:r1] = order[:, :k]
+    src = np.repeat(slots, k)
+    return src, dst.reshape(-1)
+
+
+def _gram_only_dst(features, k):
+    """kNN ordered by Gram-form distances alone: fast, but not tie-exact."""
+    n = features.shape[0]
+    sq = np.einsum("nd,nd->n", features, features)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (features @ features.T)
+    d2[np.arange(n), np.arange(n)] = np.inf
+    order = np.lexsort((np.broadcast_to(np.arange(n), d2.shape), d2), axis=1)
+    return order[:, :k].reshape(-1)
+
+
+def _assert_matches_reference(features, k):
+    src, dst = build_knn_edges(features, k)
+    ref_src, ref_dst = _knn_reference(features, k)
+    assert np.array_equal(src, ref_src)
+    assert np.array_equal(dst, ref_dst)
+
+
+@pytest.mark.parametrize("n,d,k", [(30, 2, 5), (64, 3, 12), (120, 8, 20), (200, 1, 7)])
+def test_knn_matches_reference_on_integer_lattice(n, d, k):
+    feats = np.random.default_rng(n + d).integers(-2, 3, (n, d)).astype(np.float64)
+    _assert_matches_reference(feats, k)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_knn_matches_reference_on_near_duplicates(seed):
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal((6, 16))
+    feats = centres[rng.integers(0, 6, 90)] + 1e-15 * rng.standard_normal((90, 16))
+    _assert_matches_reference(feats, 9)
+
+
+@pytest.mark.parametrize("offset,spread", [(1e4, 1e-2), (1e3, 1e-4)])
+def test_knn_matches_reference_where_gram_ordering_is_wrong(offset, spread):
+    feats = offset + spread * np.random.default_rng(0).standard_normal((200, 64))
+    assert not np.array_equal(_gram_only_dst(feats, 8), _knn_reference(feats, 8)[1])
+    _assert_matches_reference(feats, 8)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17])
+def test_knn_matches_reference_at_k_n_minus_1_and_d_1(n):
+    rng = np.random.default_rng(n)
+    _assert_matches_reference(rng.standard_normal((n, 1)), n - 1)
+    _assert_matches_reference(rng.integers(0, 3, (n, 1)).astype(np.float64), n - 1)
+    _assert_matches_reference(rng.standard_normal((n, 5)), n - 1)
+
+
+def test_knn_matches_reference_on_reference_forward_states():
+    h = w = 16
+    config = GqnConfig()  # three sets of 32 queries, k=4/8/12, d=64
+    spec = SceneSpec(h, w, config.d, boxes=demo_boxes(h, w, config.d, 2, 0),
+                     clutter_density=0.05, noise_amplitude=0.05, seed=0)
+    grid, _ = generate_scene(spec)
+    flat = flatten_grid(grid, sinusoidal_encoding(h, w, config.d))
+    out = run_gqn(flat, config, init_params(config, flat.m_bev))
+    assert len(out.queries) == config.tau
+    for query in out.queries:
+        ref_src, ref_dst = _knn_reference(query.states_raw, query.k)
+        assert np.array_equal(query.edge_src, ref_src)
+        assert np.array_equal(query.edge_dst, ref_dst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 48), d=st.integers(1, 12), data=st.data(),
+       scale=st.sampled_from([1e-170, 1e-8, 1.0, 1e8, 1e100]),
+       offset=st.sampled_from([0.0, 1.0, -1e3, 1e6]),
+       lattice=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_knn_matches_reference_property(n, d, data, scale, offset, lattice, seed):
+    k = data.draw(st.integers(1, n - 1), label="k")
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-2, 3, (n, d)) if lattice else rng.standard_normal((n, d))
+    _assert_matches_reference(offset + scale * base, k)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knn_rejects_non_finite_features(bad):
+    feats = np.random.default_rng(0).standard_normal((10, 3))
+    feats[4, 1] = bad
+    with pytest.raises(InvalidInputError):
+        build_knn_edges(feats, 3)
+
+
+def test_knn_rejects_features_whose_distances_overflow():
+    feats = np.random.default_rng(0).standard_normal((10, 3)) * 1e160
+    with pytest.raises(InvalidInputError):
+        build_knn_edges(feats, 3)
 
 
 # ----------------------------------------------------------------------------

@@ -73,6 +73,13 @@ def test_scene_determinism():
     assert np.array_equal(ga.features, gb.features)
 
 
+@pytest.mark.parametrize("height,width", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 9)])
+def test_demo_boxes_fit_grids_under_three_cells(height, width):
+    for seed in range(8):
+        boxes = demo_boxes(height, width, 4, 2, seed)
+        SceneSpec(height, width, 4, boxes=boxes)  # validates every box against the grid
+
+
 def test_3x3_box_marks_exactly_nine_cells():
     spec = SceneSpec(8, 8, 4, boxes=(_box((4, 4), (3, 3), 4),))
     _, truth = generate_scene(spec)
