@@ -1,6 +1,6 @@
 """Inside one refinement round: edge attention, node updates, context pooling.
 
-Stage by stage over two small queries:
+Stage by stage over two small queries, run together as one stacked chunk:
   1. every directed edge gets a feature from (relative position || neighbor state),
   2. the K edges leaving a node compete through a softmax over edge scores,
   3. each node absorbs its attention-weighted edge sum through an MLP,
@@ -12,7 +12,7 @@ import numpy as np
 
 from gqn import GqnConfig, QuerySetSpec, SceneSpec, demo_boxes, flatten_grid, generate_scene
 from gqn import init_graph_query, init_params, sinusoidal_encoding
-from gqn.autodiff import Tensor, stack_rows, take_row
+from gqn.autodiff import Tensor, concat_rows
 from gqn.deep_context import context_exchange, infuse_context, pool_query
 from gqn.edge_focus import edge_attention, edge_features, update_nodes
 
@@ -25,38 +25,37 @@ flat = flatten_grid(grid, sinusoidal_encoding(10, 10, 8))
 params = init_params(cfg, flat.m_bev)
 states = Tensor(flat.states)
 
-queries = [init_graph_query(params[f"query_global/{q}"], states, flat, 0, q, cfg.sets[0])
-           for q in range(2)]
-q0 = queries[0]
-print(f"two queries, {q0.n_nodes} nodes each, k={q0.k}")
+# Both queries run as one chunk: their nodes stack query-major, and each
+# query's edges stay inside its own rows.
+u = concat_rows([params[f"query_global/{q}"] for q in range(2)])
+chunk = init_graph_query(u, states, flat, 0, 0, cfg.sets[0])
+n = chunk.n_nodes // chunk.queries
+print(f"{chunk.queries} queries, {n} nodes each, k={chunk.k}, stacked into {chunk.n_nodes} rows")
 
 # 1) edge features: one vector per directed edge
-feats = edge_features(q0, params, cfg.edge_mlp_spec)
-print(f"edge features: {feats.data.shape} (n*k rows, d columns)")
+feats = edge_features(chunk, params, cfg.edge_mlp_spec)
+print(f"edge features: {feats.data.shape} (Q*n*k rows, d columns)")
 
 # 2) attention over each node's edges; the K weights of a node sum to one
-beta = edge_attention(feats, q0.n_nodes, q0.k, params, cfg.edge_q_spec, cfg.edge_k_spec)
-per_node = beta.data.reshape(q0.n_nodes, q0.k)
+beta = edge_attention(feats, chunk.n_nodes, chunk.k, params, cfg.edge_q_spec, cfg.edge_k_spec)
+per_node = beta.data.reshape(chunk.n_nodes, chunk.k)
 print(f"edge attention row sums: min {per_node.sum(1).min():.12f}, max {per_node.sum(1).max():.12f}")
 print(f"sharpest node weighting: {per_node.max(1).max():.3f} on one edge "
-      f"(uniform would be {1 / q0.k})")
+      f"(uniform would be {1 / chunk.k})")
 
 # 3) node update from the weighted edge sum plus the node's own state
-updated = [update_nodes(q, edge_features(q, params, cfg.edge_mlp_spec),
-                        edge_attention(edge_features(q, params, cfg.edge_mlp_spec),
-                                       q.n_nodes, q.k, params,
-                                       cfg.edge_q_spec, cfg.edge_k_spec),
-           params, cfg.node_mlp_spec) for q in queries]
-print(f"updated node states: {updated[0].data.shape}")
+updated = update_nodes(chunk, feats, beta, params, cfg.node_mlp_spec)
+print(f"updated node states: {updated.data.shape}")
 
 # 4) pool each query and let the summaries exchange context
-pooled = stack_rows([pool_query(v) for v in updated])
+pooled = pool_query(updated, chunk.queries)
 print(f"summaries before exchange, first two dims: {pooled.data[:, :2].round(3).tolist()}")
 mixed = context_exchange(pooled, cfg.context_steps, params)
 print(f"summaries after  exchange, first two dims: {mixed.data[:, :2].round(3).tolist()}")
 print("zero steps is the exact identity:", context_exchange(pooled, 0, params) is pooled)
 
-# 5) infuse the exchanged summary back into the nodes of its query
-final0 = infuse_context(updated[0], take_row(mixed, 0), params, cfg.context_mlp_spec)
-print(f"context-aware nodes: {final0.data.shape}, "
-      f"mean |shift| vs pre-context: {np.abs(final0.data - updated[0].data).mean():.3f}")
+# 5) infuse each exchanged summary back into the nodes of its query
+final = infuse_context(updated, mixed, params, cfg.context_mlp_spec)
+print(f"context-aware nodes: {final.data.shape}, "
+      f"mean |shift| of query 0 vs pre-context: "
+      f"{np.abs(final.data[:n] - updated.data[:n]).mean():.3f}")

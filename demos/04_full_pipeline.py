@@ -23,8 +23,9 @@ grid, truth = generate_scene(spec)
 flat = flatten_grid(grid, sinusoidal_encoding(16, 16, 8))
 params = init_params(cfg, flat.m_bev)
 
-out = run_gqn(flat, cfg, params, global_map=flat.states, threads=4)
-print(f"{cfg.tau} queries in {cfg.num_sets} sets over {flat.m_bev} cells")
+out = run_gqn(flat, cfg, params, global_map=flat.states)
+print(f"{cfg.tau} queries in {cfg.num_sets} sets over {flat.m_bev} cells, "
+      f"run as {len(out.queries)} stacked query chunks")
 print(f"per-set maps: {[tuple(m.data.shape) for m in out.set_maps]}")
 print(f"concatenated: {out.concat_map.data.shape}  (channels = sets x d, set order)")
 print(f"skip-fused:   {out.skip_map.data.shape}")
@@ -37,10 +38,10 @@ for i, m in enumerate(out.set_maps):
     touched = int(np.any(m.data != 0.0, axis=1).sum())
     print(f"  set {i} (ratio {cfg.sets[i].ratio:.2f}): {touched}/{flat.m_bev} cells covered")
 
-# Determinism: rerunning with a different thread count changes nothing,
-# and shuffling the input pairs only permutes the output rows.
-again = run_gqn(flat, cfg, params, global_map=flat.states, threads=1)
-print("threads 4 vs 1 bit-identical:", np.array_equal(out.fused_map.data, again.fused_map.data))
+# Determinism: rerunning changes nothing, and shuffling the input pairs only
+# permutes the output rows.
+again = run_gqn(flat, cfg, params, global_map=flat.states)
+print("rerun bit-identical:", np.array_equal(out.fused_map.data, again.fused_map.data))
 
 perm = np.random.default_rng(0).permutation(flat.m_bev)
 shuffled = run_gqn(flat.reordered(perm), cfg, params, global_map=flat.states[perm])

@@ -216,6 +216,26 @@ def matvec(a: Tensor, x: Tensor) -> Tensor:
     return _make(a.data @ x.data, (a, x), backprop)
 
 
+def matvec_rows(a: Tensor, xs: Tensor) -> Tensor:
+    """Row q of the (Q, m) result is ``a @ xs[q]`` for an (m, d) matrix and (Q, d) rows.
+
+    Each row is its own matrix-vector product, so it carries the bits ``matvec``
+    gives for that vector alone; one GEMM would round differently.
+    """
+    if a.data.ndim != 2 or xs.data.ndim != 2 or a.data.shape[1] != xs.data.shape[1]:
+        raise ShapeError(f"matvec_rows mismatch {a.data.shape} @ {xs.data.shape}^T")
+    out = np.empty((xs.data.shape[0], a.data.shape[0]))
+    for q, x in enumerate(xs.data):
+        out[q] = a.data @ x
+
+    def backprop(g):
+        ga = g.T @ xs.data if a.requires_grad else None
+        gx = g @ a.data if xs.requires_grad else None
+        return ga, gx
+
+    return _make(out, (a, xs), backprop)
+
+
 def dot(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape or a.data.ndim != 1:
         raise ShapeError(f"dot mismatch {a.data.shape} . {b.data.shape}")
@@ -311,18 +331,6 @@ def gather_rows(t: Tensor, idx) -> Tensor:
     return _make(t.data[idx], (t,), backprop)
 
 
-def take_row(t: Tensor, i: int) -> Tensor:
-    """Row i of a matrix as a vector."""
-    i = int(i)
-
-    def backprop(g):
-        z = np.zeros_like(t.data)
-        z[i] = g
-        return (z,)
-
-    return _make(t.data[i].copy(), (t,), backprop)
-
-
 def column(t: Tensor, j: int) -> Tensor:
     """Column j of a matrix as a vector."""
     j = int(j)
@@ -379,39 +387,42 @@ def segment_mix(t: Tensor, w: Tensor, k: int) -> Tensor:
     return _make(out, (t, w), backprop)
 
 
-def max_rows(t: Tensor) -> Tensor:
-    """Columnwise maximum of a non-empty matrix; gradient routes to the first argmax."""
-    if t.data.ndim != 2 or t.data.shape[0] == 0:
-        raise ContractError(f"max_rows needs at least one row, got shape {t.data.shape}")
-    idx = t.data.argmax(axis=0)
-    cols = np.arange(t.data.shape[1])
+def max_rows(t: Tensor, groups: int = 1) -> Tensor:
+    """Columnwise maximum of each of ``groups`` equal blocks of consecutive rows.
+
+    A (groups * r, c) matrix gives (groups, c); within a block the gradient
+    routes to the first argmax.
+    """
+    if t.data.ndim != 2 or groups < 1 or t.data.shape[0] == 0 or t.data.shape[0] % groups:
+        raise ContractError(f"max_rows needs {groups} non-empty equal row blocks, "
+                            f"got shape {t.data.shape}")
+    blocks = t.data.reshape(groups, -1, t.data.shape[1])
+    idx = blocks.argmax(axis=1)[:, None, :]
 
     def backprop(g):
-        z = np.zeros_like(t.data)
-        z[idx, cols] = g
-        return (z,)
+        z = np.zeros_like(blocks)
+        np.put_along_axis(z, idx, g[:, None, :], axis=1)
+        return (z.reshape(t.data.shape),)
 
-    return _make(t.data.max(axis=0), (t,), backprop)
+    return _make(blocks.max(axis=1), (t,), backprop)
 
 
-def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a matrix, one per row."""
-    vectors = [as_tensor(v) for v in vectors]
-    if not vectors or any(v.data.ndim != 1 for v in vectors):
-        raise ShapeError("stack_rows needs a non-empty list of vectors")
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Concatenate matrices along rows, in order; a vector counts as one row."""
+    parts = [as_tensor(p) for p in parts]
+    if not parts or any(p.data.ndim not in (1, 2) for p in parts):
+        raise ShapeError("concat_rows needs a non-empty list of vectors or matrices")
+    blocks = [p.data.reshape(-1, p.data.shape[-1]) for p in parts]
+    if len({b.shape[1] for b in blocks}) != 1:
+        raise ShapeError(f"concat_rows needs equal widths, got {[p.data.shape for p in parts]}")
+    splits = np.cumsum([len(b) for b in blocks])[:-1]
 
     def backprop(g):
-        return tuple(g[i] if v.requires_grad else None for i, v in enumerate(vectors))
+        pieces = np.split(g, splits, axis=0)
+        return tuple(piece.reshape(p.data.shape) if p.requires_grad else None
+                     for piece, p in zip(pieces, parts))
 
-    return _make(np.stack([v.data for v in vectors]), tuple(vectors), backprop)
-
-
-def broadcast_row(v: Tensor, n: int) -> Tensor:
-    """Tile a vector into n identical rows."""
-    if v.data.ndim != 1:
-        raise ShapeError(f"broadcast_row needs a vector, got shape {v.data.shape}")
-    out = np.broadcast_to(v.data, (n, v.data.shape[0])).copy()
-    return _make(out, (v,), lambda g: (g.sum(axis=0),))
+    return _make(np.concatenate(blocks, axis=0), tuple(parts), backprop)
 
 
 def attn_mix(weights: Tensor, values: Tensor) -> Tensor:

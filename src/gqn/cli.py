@@ -36,6 +36,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,7 +62,6 @@ _TOY_SETS = ({"queries": 4, "ratio": 0.10, "k": 2}, {"queries": 4, "ratio": 0.20
 class Settings:
     seed: int
     out_dir: Path
-    threads: int
     scene: SceneSpec
     gqn: GqnConfig
     cost_config: GqnConfig
@@ -89,6 +89,18 @@ def _int(value, path: str) -> int:
     return int(value)
 
 
+def _float(value, path: str) -> float:
+    """A finite JSON number. Integers pass; bools, strings, NaN and infinities do not."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{path} must be a finite number, got {value!r}")
+
+
 def _parse_sets(raw, path: str) -> tuple[QuerySetSpec, ...]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{path} must be a non-empty list of set objects")
@@ -96,7 +108,7 @@ def _parse_sets(raw, path: str) -> tuple[QuerySetSpec, ...]:
     for i, entry in enumerate(raw):
         _check_keys(entry, {"queries", "ratio", "k"}, f"{path}[{i}]")
         sets.append(QuerySetSpec(_int(entry.get("queries", 1), f"{path}[{i}].queries"),
-                                 float(entry.get("ratio", 0.1)),
+                                 _float(entry.get("ratio", 0.1), f"{path}[{i}].ratio"),
                                  _int(entry.get("k", 1), f"{path}[{i}].k")))
     return tuple(sets)
 
@@ -110,7 +122,7 @@ def _parse_boxes(raw, d: int, seed: int, path: str) -> tuple[ObjectBox, ...]:
         if "center" not in entry or "extent" not in entry:
             raise ConfigError(f"{path}[{i}] needs 'center' and 'extent'")
         if "signature" in entry:
-            signature = tuple(float(v) for v in entry["signature"])
+            signature = tuple(_float(v, f"{path}[{i}].signature") for v in entry["signature"])
         else:
             rng = np.random.Generator(np.random.Philox(key=(seed << 8) ^ (i + 1)))
             signature = tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=d))
@@ -120,8 +132,8 @@ def _parse_boxes(raw, d: int, seed: int, path: str) -> tuple[ObjectBox, ...]:
     return tuple(boxes)
 
 
-def load_settings(config_path: str | None, seed_flag: int | None, out_flag: str | None,
-                  threads: int) -> Settings:
+def load_settings(config_path: str | None, seed_flag: int | None,
+                  out_flag: str | None) -> Settings:
     doc = {}
     if config_path is not None:
         with open(config_path) as fh:
@@ -142,7 +154,7 @@ def load_settings(config_path: str | None, seed_flag: int | None, out_flag: str 
         d=d,
         context_steps=_int(gqn_sec.get("context_steps", 2), "config.gqn.context_steps"),
         sets=_parse_sets(gqn_sec.get("sets", list(_TOY_SETS)), "config.gqn.sets"),
-        freq_base=float(gqn_sec.get("freq_base", 100.0)),
+        freq_base=_float(gqn_sec.get("freq_base", 100.0), "config.gqn.freq_base"),
         seed=seed,
     )
 
@@ -168,9 +180,11 @@ def load_settings(config_path: str | None, seed_flag: int | None, out_flag: str 
         width=width,
         d=scene_d,
         boxes=boxes,
-        clutter_density=float(scene_sec.get("clutter_density", 0.05)),
-        noise_amplitude=float(scene_sec.get("noise_amplitude", 0.05)),
-        cell_size=float(scene_sec.get("cell_size", 0.5)),
+        clutter_density=_float(scene_sec.get("clutter_density", 0.05),
+                               "config.scene.clutter_density"),
+        noise_amplitude=_float(scene_sec.get("noise_amplitude", 0.05),
+                               "config.scene.noise_amplitude"),
+        cell_size=_float(scene_sec.get("cell_size", 0.5), "config.scene.cell_size"),
         seed=scene_seed,
     )
 
@@ -192,7 +206,7 @@ def load_settings(config_path: str | None, seed_flag: int | None, out_flag: str 
     train_sec = doc.get("train", {})
     _check_keys(train_sec, {"steps", "learning_rate"}, "config.train")
     train_steps = _int(train_sec.get("steps", 200), "config.train.steps")
-    learning_rate = float(train_sec.get("learning_rate", 0.01))
+    learning_rate = _float(train_sec.get("learning_rate", 0.01), "config.train.learning_rate")
 
     echo = {
         "seed": seed,
@@ -218,7 +232,7 @@ def load_settings(config_path: str | None, seed_flag: int | None, out_flag: str 
         },
         "train": {"steps": train_steps, "learning_rate": learning_rate},
     }
-    return Settings(seed, out_dir, threads, scene, gqn, cost_config, sweep, modes, full_k,
+    return Settings(seed, out_dir, scene, gqn, cost_config, sweep, modes, full_k,
                     train_steps, learning_rate, echo)
 
 
@@ -271,8 +285,7 @@ def cmd_run(settings: Settings) -> int:
     flat, _ = _build_inputs(settings)
     params = init_params(settings.gqn, flat.m_bev)
     # Stand-in for the global reasoning pathway: the raw input features.
-    out = run_gqn(flat, settings.gqn, params, global_map=flat.states,
-                  threads=settings.threads)
+    out = run_gqn(flat, settings.gqn, params, global_map=flat.states)
     maps = [("skip", out.skip_map.data), ("fused", out.fused_map.data)]
     maps += [(f"set{i}", m.data) for i, m in enumerate(out.set_maps)]
     if not all(np.isfinite(arr).all() for _, arr in maps):
@@ -402,7 +415,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config path (defaults apply if omitted)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for the per-query stage")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect (the pipeline is one thread)")
         p.set_defaults(handler=fn)
     return parser
 
@@ -410,7 +424,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ns = _parser().parse_args(argv)
     try:
-        settings = load_settings(ns.config, ns.seed, ns.out, max(1, ns.threads))
+        settings = load_settings(ns.config, ns.seed, ns.out)
     except (ConfigError, OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,8 @@
 """Inter-query context pooling.
 
 Each query is condensed to a graph-level summary by elementwise max over its
-updated node states; summaries of all queries exchange information through
+updated node states (a chunk of Q queries, stacked query-major, pools to Q
+summaries in one op); summaries of all queries exchange information through
 repeated residual self-attention (shared weights across steps, zero steps is
 the identity); the updated summary is then concatenated onto every node of
 its query and mixed back in by an MLP.
@@ -9,16 +10,18 @@ its query and mixed back in by an MLP.
 
 from __future__ import annotations
 
-from .autodiff import (MlpSpec, ParamStore, Tensor, broadcast_row, concat_cols, max_rows,
-                       mlp_forward, self_attention_layer)
-from .errors import ConfigError, ContractError, ShapeError
+from typing import Sequence
+
+import numpy as np
+
+from .autodiff import (MlpSpec, ParamStore, Tensor, concat_cols, gather_rows, max_rows,
+                       mlp_forward, reshape, self_attention_layer)
+from .errors import ConfigError, ShapeError
 
 
-def pool_query(nodes: Tensor) -> Tensor:
-    """Elementwise max over a query's (n, d) node states -> (d,) summary."""
-    if nodes.data.ndim != 2 or nodes.data.shape[0] == 0:
-        raise ContractError(f"pool_query needs at least one node, got shape {nodes.data.shape}")
-    return max_rows(nodes)
+def pool_query(nodes: Tensor, queries: int = 1) -> Tensor:
+    """Elementwise max over each query's node states: (queries * n, d) -> (queries, d)."""
+    return max_rows(nodes, queries)
 
 
 def context_exchange(summaries: Tensor, steps: int, params: ParamStore,
@@ -32,12 +35,24 @@ def context_exchange(summaries: Tensor, steps: int, params: ParamStore,
     return out
 
 
-def infuse_context(nodes: Tensor, summary: Tensor, params: ParamStore, spec: MlpSpec,
-                   name: str = "context_mlp") -> Tensor:
-    """Mix one query's updated summary into each of its nodes: MLP(node || summary)."""
-    if nodes.data.ndim != 2 or summary.data.shape != (nodes.data.shape[1],):
-        raise ShapeError(f"nodes {nodes.data.shape} vs summary {summary.data.shape}")
-    if spec.widths[0] != 2 * nodes.data.shape[1]:
+def infuse_context(nodes: Tensor, summaries: Tensor, params: ParamStore, spec: MlpSpec,
+                   name: str = "context_mlp", rows: Sequence[int] | None = None) -> Tensor:
+    """Mix each query's updated summary into each of its nodes: MLP(node || summary).
+
+    ``nodes`` stacks Q queries of n nodes each, query-major. Query q's summary
+    is row ``rows[q]`` of the (tau, d) ``summaries``; without ``rows``,
+    ``summaries`` holds the Q summaries in order, or is one (d,) vector.
+    """
+    if (nodes.data.ndim != 2 or summaries.data.ndim not in (1, 2)
+            or summaries.data.shape[-1] != nodes.data.shape[1]):
+        raise ShapeError(f"nodes {nodes.data.shape} vs summaries {summaries.data.shape}")
+    d = nodes.data.shape[1]
+    if spec.widths[0] != 2 * d:
         raise ShapeError(f"context MLP expects input width {spec.widths[0]}")
-    tiled = broadcast_row(summary, nodes.data.shape[0])
+    if summaries.data.ndim == 1:
+        summaries = reshape(summaries, (1, d))
+    rows = np.arange(summaries.data.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
+    if nodes.data.shape[0] % len(rows):
+        raise ShapeError(f"{nodes.data.shape[0]} nodes do not split into {len(rows)} queries")
+    tiled = gather_rows(summaries, np.repeat(rows, nodes.data.shape[0] // len(rows)))
     return mlp_forward(spec, params, name, concat_cols([nodes, tiled]))

@@ -24,7 +24,7 @@ from .query_init import GraphQuery
 
 def edge_features(query: GraphQuery, params: ParamStore, spec: MlpSpec,
                   name: str = "edge_mlp") -> Tensor:
-    """Per-edge features: MLP(relative position || neighbor state), shape (n*k, d)."""
+    """Per-edge features: MLP(relative position || neighbor state), shape (n_nodes*k, d)."""
     d = query.positions.shape[1]
     if spec.widths[0] != 2 * d:
         raise ShapeError(f"edge MLP expects input width {spec.widths[0]}, node width is {d}")
@@ -48,7 +48,7 @@ def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore,
 
 def update_nodes(query: GraphQuery, feats: Tensor, beta: Tensor, params: ParamStore,
                  spec: MlpSpec, name: str = "node_mlp") -> Tensor:
-    """Updated node states: MLP(attention-weighted edge sum || node state), shape (n, d)."""
+    """Updated node states: MLP(attention-weighted edge sum || node state), shape (n_nodes, d)."""
     d = query.positions.shape[1]
     if spec.widths[0] != 2 * d:
         raise ShapeError(f"node MLP expects input width {spec.widths[0]}, node width is {d}")
@@ -58,7 +58,11 @@ def update_nodes(query: GraphQuery, feats: Tensor, beta: Tensor, params: ParamSt
 
 def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,
                       node_spec: MlpSpec, q_spec: MlpSpec, k_spec: MlpSpec) -> Tensor:
-    """The full edge-attention update for one query: features, weights, aggregation."""
+    """The full edge-attention update for one query chunk: features, weights, aggregation.
+
+    Every step is per edge or per node, so a chunk of stacked queries gives
+    each query the rows it would get alone.
+    """
     feats = edge_features(query, params, edge_spec)
     beta = edge_attention(feats, query.n_nodes, query.k, params, q_spec, k_spec)
     return update_nodes(query, feats, beta, params, node_spec)

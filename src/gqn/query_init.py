@@ -17,11 +17,11 @@ the flattened grid changes nothing, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor, gather_rows, matvec, scale_rows, softmax
+from .autodiff import Tensor, gather_rows, matvec_rows, reshape, row_softmax, scale_rows
 from .errors import ConfigError, InvalidInputError, ShapeError
 from .scene import FlatPairs
 
@@ -54,57 +54,78 @@ class QuerySetSpec:
 
 
 @dataclass
-class SelectedNodes:
-    bev_indices: Array  # (n,) distinct cell indices
-    positions: Array    # (n, d) positional encodings, fixed
-    states_raw: Array   # (n, d) unscaled features, used for kNN
-    alpha: Tensor       # (n,) selection weights of the chosen cells
-    states: Tensor      # (n, d) features scaled by m_bev * alpha
-
-
-@dataclass
 class GraphQuery:
-    """One instantiated query: global-vector scores, sampled nodes, kNN edges."""
+    """A chunk of Q >= 1 queries of one set: sampled nodes and their kNN edges.
+
+    The Q queries are stacked query-major: rows q*n .. (q+1)*n - 1 of every
+    per-node field belong to query ``query_index + q``, and edge slots are
+    chunk-wide, so query q's edges stay inside its own rows. ``n_nodes`` counts
+    the nodes of the whole chunk, Q*n. With Q = 1 it is a single query.
+    """
 
     set_index: int
-    query_index: int
-    n_nodes: int
+    query_index: int   # the chunk's first query
+    n_nodes: int       # Q * n
     k: int
-    bev_indices: Array
-    positions: Array
-    states_raw: Array
-    alpha: Tensor
-    states: Tensor
-    edge_src: Array  # (n*k,) source slots, grouped by source
-    edge_dst: Array  # (n*k,) target slots, nearest first within a group
+    bev_indices: Array  # (Q*n,) cell indices, distinct within each query
+    positions: Array    # (Q*n, d) positional encodings, fixed
+    states_raw: Array   # (Q*n, d) unscaled features, used for kNN
+    alpha: Tensor       # (Q*n,) selection weights of the chosen cells
+    states: Tensor      # (Q*n, d) features scaled by m_bev * alpha
+    edge_src: Array  # (Q*n*k,) source slots, grouped by source
+    edge_dst: Array  # (Q*n*k,) target slots, nearest first within a group
+    queries: int = 1
 
 
 def attention_scores(u: Tensor, states: Tensor) -> Tensor:
-    """Softmax-normalized compatibility of the global vector with every cell."""
+    """Softmax-normalized compatibility of global vectors with every cell.
+
+    A (d,) vector gives (m,) scores; (Q, d) rows give (Q, m), row q exactly
+    the scores of ``u[q]`` alone.
+    """
     if states.data.ndim != 2 or states.data.shape[0] == 0:
         raise InvalidInputError("attention_scores needs a non-empty (m, d) grid")
-    if u.data.shape != (states.data.shape[1],):
-        raise ShapeError(f"global vector shape {u.data.shape} vs feature width {states.data.shape[1]}")
-    return softmax(matvec(states, u))
+    m, d = states.data.shape
+    if u.data.ndim not in (1, 2) or u.data.shape[-1] != d:
+        raise ShapeError(f"global vector shape {u.data.shape} vs feature width {d}")
+    alpha = row_softmax(matvec_rows(states, reshape(u, (-1, d))))
+    return alpha if u.data.ndim == 2 else reshape(alpha, (m,))
 
 
-def select_nodes(alpha: Tensor, states: Tensor, flat: FlatPairs, n: int) -> SelectedNodes:
-    """Pick the n highest-weight cells; ties go to the lower BEV index."""
-    m = alpha.data.shape[0]
+def select_nodes(alpha: Tensor, states: Tensor, flat: FlatPairs, n: int) -> GraphQuery:
+    """Pick the n highest-weight cells of each row of alpha; ties go to the lower BEV index.
+
+    ``alpha`` is (m,) for one query or (Q, m) for Q. Returns the chunk's nodes
+    as a query without edges (k = 0); ``init_graph_query`` numbers it and
+    adds the kNN edges.
+    """
+    m = alpha.data.shape[-1]
     if not 1 <= n <= m:
         raise ConfigError(f"node count {n} outside [1, {m}]")
     if states.data.shape[0] != m or len(flat.bev_indices) != m:
         raise ShapeError("alpha, states and flattened pairs disagree on cell count")
-    order = np.lexsort((flat.bev_indices, -alpha.data))
-    pick = order[:n]
-    alpha_sel = gather_rows(alpha, pick)
-    scaled = scale_rows(gather_rows(states, pick), alpha_sel * float(m))
-    return SelectedNodes(
-        bev_indices=flat.bev_indices[pick].copy(),
-        positions=flat.positions[pick].copy(),
-        states_raw=flat.states[pick].copy(),
+    scores = alpha.data.reshape(-1, m)
+    queries = scores.shape[0]
+    pick = np.lexsort((np.broadcast_to(flat.bev_indices, scores.shape), -scores),
+                      axis=-1)[:, :n]
+    alpha_sel = gather_rows(reshape(alpha, (queries * m,)),
+                            (pick + m * np.arange(queries)[:, None]).reshape(-1))
+    rows = pick.reshape(-1)
+    scaled = scale_rows(gather_rows(states, rows), alpha_sel * float(m))
+    empty = np.empty(0, dtype=np.intp)
+    return GraphQuery(
+        set_index=0,
+        query_index=0,
+        n_nodes=queries * n,
+        k=0,
+        bev_indices=flat.bev_indices[rows],
+        positions=flat.positions[rows],
+        states_raw=flat.states[rows],
         alpha=alpha_sel,
         states=scaled,
+        edge_src=empty,
+        edge_dst=empty,
+        queries=queries,
     )
 
 
@@ -208,24 +229,23 @@ def build_knn_edges(features: Array, k: int) -> tuple[Array, Array]:
 
 def init_graph_query(u: Tensor, states: Tensor, flat: FlatPairs,
                      set_index: int, query_index: int, spec: QuerySetSpec) -> GraphQuery:
-    """Full query initialization: scores, top-N sampling, kNN edge construction."""
+    """Initialize a chunk of queries: scores, top-N sampling, kNN edges per query.
+
+    ``u`` is one global vector (d,) or the chunk's Q vectors (Q, d); query q
+    of the chunk is query ``query_index + q``. Returns the stacked chunk.
+    """
     n = spec.n_nodes(flat.m_bev)
     if spec.k >= n:
         raise ConfigError(
             f"set {set_index}: k={spec.k} >= n={n} sampled nodes (ratio {spec.ratio} of {flat.m_bev})")
-    alpha = attention_scores(u, states)
-    sel = select_nodes(alpha, states, flat, n)
-    src, dst = build_knn_edges(sel.states_raw, spec.k)
-    return GraphQuery(
+    nodes = select_nodes(attention_scores(u, states), states, flat, n)
+    edges = [build_knn_edges(f, spec.k) for f in nodes.states_raw.reshape(nodes.queries, n, -1)]
+    offsets = np.repeat(n * np.arange(nodes.queries, dtype=np.intp), n * spec.k)
+    return replace(
+        nodes,
         set_index=set_index,
         query_index=query_index,
-        n_nodes=n,
         k=spec.k,
-        bev_indices=sel.bev_indices,
-        positions=sel.positions,
-        states_raw=sel.states_raw,
-        alpha=sel.alpha,
-        states=sel.states,
-        edge_src=src,
-        edge_dst=dst,
+        edge_src=np.concatenate([src for src, _ in edges]) + offsets,
+        edge_dst=np.concatenate([dst for _, dst in edges]) + offsets,
     )

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqn.autodiff import (MlpSpec, ParamStore, Tensor, attn_mix, backward, dot, grad_check,
-                          grad_check_groups, matvec, max_rows, mlp_forward, register_attention,
-                          row_softmax, scatter_mean, segment_mix, self_attention_layer, softmax,
-                          sum_all)
+from gqn.autodiff import (MlpSpec, ParamStore, Tensor, attn_mix, backward, concat_rows, dot,
+                          grad_check, grad_check_groups, matvec, matvec_rows, max_rows,
+                          mlp_forward, register_attention, row_softmax, scatter_mean, segment_mix,
+                          self_attention_layer, softmax, sum_all)
 from gqn.errors import ConfigError, ContractError, InvalidInputError, ShapeError
 
 
@@ -291,6 +291,44 @@ def test_max_rows_routes_gradient_to_first_argmax():
     t = Tensor(np.array([[1.0, 2.0], [1.0, 2.0]]), requires_grad=True)
     sum_all(max_rows(t)).backward()
     np.testing.assert_array_equal(t.grad, [[1.0, 1.0], [0.0, 0.0]])
+
+
+def test_max_rows_pools_each_row_block():
+    t = Tensor(np.array([[1.0, 4.0], [3.0, 4.0], [0.0, -1.0], [-2.0, -1.0]]), requires_grad=True)
+    out = max_rows(t, 2)
+    np.testing.assert_array_equal(out.data, [[3.0, 4.0], [0.0, -1.0]])
+    sum_all(out * Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))).backward()
+    np.testing.assert_array_equal(t.grad, [[0.0, 2.0], [1.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
+    with pytest.raises(ContractError):
+        max_rows(t, 3)
+
+
+def test_matvec_rows_rows_are_matvec_bits():
+    rng = np.random.default_rng(12)
+    a, xs = rng.standard_normal((37, 9)), rng.standard_normal((5, 9))
+    out = matvec_rows(Tensor(a), Tensor(xs)).data
+    for q in range(5):
+        assert np.array_equal(out[q], matvec(Tensor(a), Tensor(xs[q])).data)
+    with pytest.raises(ShapeError):
+        matvec_rows(Tensor(a), Tensor(np.ones((2, 8))))
+
+
+def test_matvec_rows_and_concat_rows_gradients_match_finite_differences():
+    rng = np.random.default_rng(13)
+    params = ParamStore(seed=13)
+    params.register("p/A", (6, 3))
+    params.register("p/x", (3,))
+    params.register("p/X", (2, 3))
+    w = rng.standard_normal((3, 6))
+
+    def fn(p):
+        xs = concat_rows([p["p/x"], p["p/X"]])
+        return sum_all(matvec_rows(p["p/A"], xs) * Tensor(w))
+
+    assert grad_check(fn, params, eps=1e-5) <= 1e-8
+    assert concat_rows([params["p/x"], params["p/X"]]).data.shape == (3, 3)
+    with pytest.raises(ShapeError):
+        concat_rows([Tensor(np.ones(3)), Tensor(np.ones((2, 4)))])
 
 
 def test_scatter_mean_averages_by_contributor_count():

@@ -91,6 +91,34 @@ def test_non_integer_where_int_expected_exits_2(tmp_path, capsys, section, key, 
     assert f"config.{section}.{key} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path,value", [
+    (("gqn", "sets", 0, "ratio"), True),
+    (("gqn", "sets", 0, "ratio"), "0.3"),
+    (("scene", "noise_amplitude"), "nan"),
+    (("scene", "noise_amplitude"), float("nan")),  # written as the NaN token, which json reads
+    (("train", "learning_rate"), float("inf")),
+    (("scene", "clutter_density"), 10 ** 400),
+    (("gqn", "freq_base"), None),
+], ids=["ratio-bool", "ratio-string", "noise-nan-string", "noise-nan", "rate-inf",
+        "clutter-huge-int", "freq-null"])
+def test_non_number_or_non_finite_where_float_expected_exits_2(tmp_path, capsys, path, value):
+    doc = json.loads(json.dumps(TOY_8x8))
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+    node[path[-1]] = value
+    cfg = _write(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+
+
+def test_integer_accepted_where_float_expected(tmp_path):
+    doc = json.loads(json.dumps(TOY_8x8))
+    doc["scene"]["noise_amplitude"] = 0
+    cfg = _write(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_integral_float_accepted_as_int(tmp_path):
     doc = json.loads(json.dumps(TOY_8x8))
     doc["scene"]["height"] = 8.0

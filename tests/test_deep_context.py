@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gqn.autodiff import (MlpSpec, ParamStore, Tensor, grad_check, register_attention,
-                          stack_rows, sum_all)
+from gqn.autodiff import (MlpSpec, ParamStore, Tensor, concat_rows, grad_check,
+                          register_attention, sum_all)
 from gqn.deep_context import context_exchange, infuse_context, pool_query
 from gqn.errors import ConfigError, ContractError, ShapeError
 
@@ -21,18 +21,18 @@ def _ctx_params(d, seed=0):
 
 def test_pool_single_node_is_that_node():
     v = np.array([[0.3, -2.0, 5.0]])
-    np.testing.assert_array_equal(pool_query(Tensor(v)).data, v[0])
+    np.testing.assert_array_equal(pool_query(Tensor(v)).data, v)
 
 
 def test_pool_elementwise_max():
     v = Tensor(np.array([[1.0, 5.0], [3.0, 2.0]]))
-    np.testing.assert_array_equal(pool_query(v).data, [3.0, 5.0])
+    np.testing.assert_array_equal(pool_query(v).data, [[3.0, 5.0]])
 
 
 def test_pool_identical_nodes():
     row = np.array([0.1, 0.2, 0.3])
     v = Tensor(np.tile(row, (7, 1)))
-    np.testing.assert_array_equal(pool_query(v).data, row)
+    np.testing.assert_array_equal(pool_query(v).data, [row])
 
 
 def test_pool_rejects_empty():
@@ -56,7 +56,7 @@ def test_pool_monotone_under_extra_node(n, seed):
 
 def test_zero_steps_is_exact_identity():
     params = _ctx_params(4)
-    g = stack_rows([Tensor(np.arange(4.0)), Tensor(np.ones(4))])
+    g = concat_rows([Tensor(np.arange(4.0)), Tensor(np.ones(4))])
     out = context_exchange(g, 0, params)
     assert out is g
 
@@ -149,12 +149,11 @@ def test_module_gradients_match_finite_differences():
     node_sets = [rng.standard_normal((3, d)), rng.standard_normal((5, d))]
 
     def fn(p):
-        pooled = stack_rows([pool_query(Tensor(v)) for v in node_sets])
+        pooled = concat_rows([pool_query(Tensor(v)) for v in node_sets])
         mixed = context_exchange(pooled, 2, p)
         total = None
         for i, v in enumerate(node_sets):
-            from gqn.autodiff import take_row
-            part = sum_all(infuse_context(Tensor(v), take_row(mixed, i), p, spec))
+            part = sum_all(infuse_context(Tensor(v), mixed, p, spec, rows=[i]))
             total = part if total is None else total + part
         return total
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from gqn.autodiff import ParamStore, Tensor, backward, sum_all
+from gqn.autodiff import (ParamStore, Tensor, _toposort, as_tensor, backward, concat_rows,
+                          gather_rows, scatter_mean, sum_all)
+from gqn.deep_context import context_exchange, infuse_context, pool_query
+from gqn.edge_focus import edge_focus_update
 from gqn.errors import ConfigError, ShapeError
 from gqn.pipeline import (GqnConfig, concat_sets, fusion_weights, init_params, mask_loss,
-                          project_to_bev, run_gqn, skip_fuse, soft_fusion, toy_train)
-from gqn.query_init import QuerySetSpec
+                          run_gqn, skip_fuse, soft_fusion, toy_train)
+from gqn.query_init import QuerySetSpec, init_graph_query
 from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
 
 TOY_SETS = (QuerySetSpec(4, 0.1, 2), QuerySetSpec(4, 0.2, 3))
@@ -75,7 +78,7 @@ def test_init_params_rejects_k_not_below_n():
 
 def test_projection_single_node_writes_single_cell():
     v = Tensor(np.array([[1.0, 2.0, 3.0]]))
-    out = project_to_bev([(np.array([2 * 4 + 3]), v)], 16).data  # cell (2,3) of 4x4
+    out = scatter_mean([(np.array([2 * 4 + 3]), v)], 16).data  # cell (2,3) of 4x4
     assert np.array_equal(out[11], [1.0, 2.0, 3.0])
     assert np.count_nonzero(out) == 3
 
@@ -83,12 +86,12 @@ def test_projection_single_node_writes_single_cell():
 def test_projection_averages_contributors():
     a = Tensor(np.array([[2.0, 4.0]]))
     b = Tensor(np.array([[6.0, 0.0]]))
-    out = project_to_bev([(np.array([5]), a), (np.array([5]), b)], 9).data
+    out = scatter_mean([(np.array([5]), a), (np.array([5]), b)], 9).data
     np.testing.assert_array_equal(out[5], [4.0, 2.0])
 
 
 def test_projection_untouched_cells_zero():
-    out = project_to_bev([(np.array([0]), Tensor(np.ones((1, 2))))], 4).data
+    out = scatter_mean([(np.array([0]), Tensor(np.ones((1, 2))))], 4).data
     assert np.array_equal(out[1:], np.zeros((3, 2)))
 
 
@@ -195,7 +198,7 @@ def test_run_gqn_output_shapes():
     assert out.skip_map.data.shape == (64, 8)
     assert out.fused_map.data.shape == (64, 8)
     assert out.global_vectors.data.shape == (8, 8)
-    assert len(out.set_maps) == 2 and len(out.queries) == 8
+    assert len(out.set_maps) == 2 and sum(q.queries for q in out.queries) == 8
 
 
 def test_run_gqn_without_global_map_has_no_fused_map():
@@ -219,14 +222,85 @@ def test_run_gqn_flatten_order_invariance_bitexact():
     assert np.array_equal(out.global_vectors.data, base.global_vectors.data)
 
 
-def test_run_gqn_thread_count_does_not_change_bits():
+def test_run_gqn_two_calls_identical_bits():
     cfg = toy_config()
     _, flat, _ = toy_inputs(seed=2)
     params = init_params(cfg, flat.m_bev)
-    a = run_gqn(flat, cfg, params, global_map=flat.states, threads=1)
-    b = run_gqn(flat, cfg, params, global_map=flat.states, threads=8)
+    a = run_gqn(flat, cfg, params, global_map=flat.states)
+    b = run_gqn(flat, cfg, params, global_map=flat.states)
     assert np.array_equal(a.fused_map.data, b.fused_map.data)
     assert np.array_equal(a.global_vectors.data, b.global_vectors.data)
+
+
+def _per_query_reference(flat, config, params, global_map):
+    """The pipeline one query at a time, composed from single-query layer calls."""
+    states, enc = Tensor(flat.states), Tensor(flat.positions)
+    staged = []
+    for q, (set_index, spec) in enumerate((i, s) for i, s in enumerate(config.sets)
+                                          for _ in range(s.queries)):
+        query = init_graph_query(params[f"query_global/{q}"], states, flat, set_index, q, spec)
+        nodes = edge_focus_update(query, params, config.edge_mlp_spec, config.node_mlp_spec,
+                                  config.edge_q_spec, config.edge_k_spec)
+        staged.append((query, nodes))
+    summaries = context_exchange(concat_rows([pool_query(nodes) for _, nodes in staged]),
+                                 config.context_steps, params)
+    set_maps = []
+    for set_index in range(config.num_sets):
+        contributions = [(query.bev_indices,
+                          infuse_context(nodes, summaries, params, config.context_mlp_spec,
+                                         rows=[query.query_index]))
+                         for query, nodes in staged if query.set_index == set_index]
+        set_maps.append(gather_rows(scatter_mean(contributions, flat.m_bev), flat.bev_indices))
+    concat_map = concat_sets(set_maps)
+    skip_map = skip_fuse(states, concat_map, enc, params, config.mlp1_spec)
+    fused = soft_fusion(skip_map, as_tensor(global_map), params, config.mlp2_spec)
+    return set_maps, concat_map, skip_map, fused, summaries
+
+
+@pytest.mark.parametrize("side,config", [(16, toy_config()), (16, GqnConfig())],
+                         ids=["toy", "reference"])
+def test_run_gqn_matches_per_query_reference(side, config):
+    scene_spec = SceneSpec(side, side, config.d, boxes=demo_boxes(side, side, config.d, 2, 0),
+                           clutter_density=0.05, noise_amplitude=0.05, seed=0)
+    grid, _ = generate_scene(scene_spec)
+    flat = flatten_grid(grid, sinusoidal_encoding(side, side, config.d))
+    params = init_params(config, flat.m_bev)
+    out = run_gqn(flat, config, params, global_map=flat.states)
+    set_maps, concat_map, skip_map, fused, summaries = _per_query_reference(
+        flat, config, params, flat.states)
+
+    for a, b in zip(out.set_maps, set_maps, strict=True):
+        assert np.array_equal(a.data, b.data)
+    assert np.array_equal(out.concat_map.data, concat_map.data)
+    assert np.array_equal(out.skip_map.data, skip_map.data)
+    assert np.array_equal(out.fused_map.data, fused.data)
+    assert np.array_equal(out.global_vectors.data, summaries.data)
+
+    grads = backward(sum_all(out.fused_map), params)
+    ref_grads = backward(sum_all(fused), params)
+    for name, ref in ref_grads.items():
+        scale = np.abs(ref).max()
+        assert np.abs(grads[name] - ref).max() <= 1e-12 * scale, name
+
+    chunks = np.bincount([chunk.set_index for chunk in out.queries], minlength=config.num_sets)
+    assert sum(chunk.queries for chunk in out.queries) == config.tau
+    if config.tau == GqnConfig().tau:
+        assert chunks.max() > 1  # the reference config is split across several chunks
+
+
+def _tape_ops(root):
+    return sum(1 for t in _toposort(root) if t._backprop is not None)
+
+
+def test_tape_size_does_not_grow_with_queries_per_chunk():
+    _, flat, _ = toy_inputs(h=16, w=16, seed=0)
+    counts = []
+    for queries in (4, 8):
+        cfg = toy_config(sets=(QuerySetSpec(queries, 0.1, 2), QuerySetSpec(queries, 0.2, 3)))
+        out = run_gqn(flat, cfg, init_params(cfg, flat.m_bev), global_map=flat.states)
+        assert len(out.queries) == 2  # one chunk per set
+        counts.append(_tape_ops(sum_all(out.fused_map)))
+    assert counts[0] == counts[1]
 
 
 def test_every_global_vector_receives_gradient():

@@ -243,11 +243,14 @@ def test_knn_matches_reference_on_reference_forward_states():
     grid, _ = generate_scene(spec)
     flat = flatten_grid(grid, sinusoidal_encoding(h, w, config.d))
     out = run_gqn(flat, config, init_params(config, flat.m_bev))
-    assert len(out.queries) == config.tau
-    for query in out.queries:
-        ref_src, ref_dst = _knn_reference(query.states_raw, query.k)
-        assert np.array_equal(query.edge_src, ref_src)
-        assert np.array_equal(query.edge_dst, ref_dst)
+    assert sum(chunk.queries for chunk in out.queries) == config.tau
+    for chunk in out.queries:
+        n = chunk.n_nodes // chunk.queries
+        edges = n * chunk.k
+        for q in range(chunk.queries):
+            ref_src, ref_dst = _knn_reference(chunk.states_raw[q * n:(q + 1) * n], chunk.k)
+            assert np.array_equal(chunk.edge_src[q * edges:(q + 1) * edges] - q * n, ref_src)
+            assert np.array_equal(chunk.edge_dst[q * edges:(q + 1) * edges] - q * n, ref_dst)
 
 
 @settings(max_examples=150, deadline=None)
@@ -289,6 +292,26 @@ def test_init_graph_query_counts_and_guards():
     assert len(set(q.bev_indices.tolist())) == q.n_nodes
     with pytest.raises(ConfigError):
         init_graph_query(u, Tensor(flat.states), flat, 0, 0, QuerySetSpec(1, 0.05, 5))
+
+
+def test_init_graph_query_chunk_stacks_single_queries():
+    flat = _flat(h=8, w=8, d=4, seed=6)
+    us = np.random.default_rng(5).standard_normal((3, 4))
+    spec = QuerySetSpec(3, 0.3, 4)
+    chunk = init_graph_query(Tensor(us), Tensor(flat.states), flat, 1, 7, spec)
+    singles = [init_graph_query(Tensor(u), Tensor(flat.states), flat, 1, 7 + q, spec)
+               for q, u in enumerate(us)]
+    n, k = singles[0].n_nodes, spec.k
+    assert (chunk.queries, chunk.n_nodes, chunk.k) == (3, 3 * n, k)
+    assert (chunk.set_index, chunk.query_index) == (1, 7)
+    for q, single in enumerate(singles):
+        rows, edges = slice(q * n, (q + 1) * n), slice(q * n * k, (q + 1) * n * k)
+        for field in ("bev_indices", "positions", "states_raw"):
+            assert np.array_equal(getattr(chunk, field)[rows], getattr(single, field))
+        assert np.array_equal(chunk.alpha.data[rows], single.alpha.data)
+        assert np.array_equal(chunk.states.data[rows], single.states.data)
+        assert np.array_equal(chunk.edge_src[edges], single.edge_src + q * n)
+        assert np.array_equal(chunk.edge_dst[edges], single.edge_dst + q * n)
 
 
 def test_set_spec_validation():
