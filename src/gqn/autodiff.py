@@ -9,11 +9,15 @@ feature axes keep numpy's fixed evaluation order, which is already
 deterministic for a fixed operand layout.
 
 A ``Tensor`` wraps an ndarray together with the closure that maps its output
-gradient back onto its parents; graphs are built define-by-run and freed with
-the tensors. Tensors are treated as immutable once created; the sanctioned
-exceptions are leaf parameters, whose ``data`` may be updated *between*
-forward passes (SGD steps, finite-difference probes). Independent forward
-passes may run concurrently; a backward pass owns its graph.
+gradient back onto its parents; graphs are built define-by-run. One MLP layer
+is one tape node: ``linear`` fuses the product, the bias and the ReLU and keeps
+only its output. ``backward`` frees the graph as it goes: once a node has
+propagated, its gradient, parents and closure are dropped, so a graph can be
+swept once and only leaves keep a ``.grad``. Tensors are treated as immutable
+once created; the sanctioned exceptions are leaf parameters, whose ``data``
+may be updated *between* forward passes (SGD steps, finite-difference
+probes). Independent forward passes may run concurrently; a backward pass
+owns its graph.
 """
 
 from __future__ import annotations
@@ -57,11 +61,19 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def backward(self) -> None:
-        """Reverse sweep from a scalar; accumulates into ``.grad`` of reachable tensors."""
+        """Reverse sweep from a scalar; accumulates into ``.grad`` of the reachable leaves.
+
+        Each interior node is released once it has propagated: its ``grad``
+        becomes None and it drops its parents and closure, so the sweep frees
+        the graph as it runs.
+        """
         if self.data.size != 1:
             raise InvalidInputError(f"backward() needs a scalar loss, got shape {self.data.shape}")
         self.grad = np.ones_like(self.data)
-        for node in _toposort(self):
+        pending = _toposort(self)
+        pending.reverse()  # pop() yields the root first and drops the list's reference
+        while pending:
+            node = pending.pop()
             if node._backprop is None:
                 continue
             for parent, contrib in zip(node._parents, node._backprop(node.grad)):
@@ -70,6 +82,7 @@ class Tensor:
                 if parent.grad is None:
                     parent.grad = np.zeros_like(parent.data)
                 parent.grad = parent.grad + contrib
+            node.grad, node._parents, node._backprop = None, (), None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -242,9 +255,33 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
-def relu(t: Tensor) -> Tensor:
-    mask = t.data > 0.0
-    return _make(np.where(mask, t.data, 0.0), (t,), lambda g: (g * mask,))
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
+    """One MLP layer as one tape node: ``x @ w``, plus ``b``, then ReLU if asked.
+
+    The bias and the ReLU act in place on the product, so the layer keeps only
+    its output. ReLU maps every entry that is not > 0 (-0.0 and NaN included)
+    to 0.0; its backward rebuilds the mask from ``out > 0``.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"linear mismatch {x.data.shape} @ {w.data.shape}")
+    if b is not None and b.data.shape != (w.data.shape[1],):
+        raise ShapeError(f"linear bias {b.data.shape} vs {w.data.shape[1]} outputs")
+    out = x.data @ w.data
+    if b is not None:
+        out += b.data
+    if relu:
+        np.copyto(out, 0.0, where=~(out > 0.0))
+
+    def backprop(g):
+        if relu:
+            g = np.where(out > 0.0, g, 0.0)
+        gx = g @ w.data.T if x.requires_grad else None
+        gw = x.data.T @ g if w.requires_grad else None
+        if b is None:
+            return gx, gw
+        return gx, gw, g.sum(axis=0) if b.requires_grad else None
+
+    return _make(out, (x, w) if b is None else (x, w, b), backprop)
 
 
 # ----------------------------------------------------------------------------
@@ -260,12 +297,17 @@ def mean_all(t: Tensor) -> Tensor:
     return _make(t.data.mean(), (t,), lambda g: (np.broadcast_to(g / n, t.data.shape).copy(),))
 
 
-def rowsum(t: Tensor) -> Tensor:
-    """Sum a (rows, cols) tensor along its columns -> (rows,)."""
-    if t.data.ndim != 2:
-        raise ShapeError(f"rowsum needs a matrix, got shape {t.data.shape}")
-    cols = t.data.shape[1]
-    return _make(t.data.sum(axis=1), (t,), lambda g: (np.repeat(g[:, None], cols, axis=1),))
+def rowdot(a: Tensor, b: Tensor) -> Tensor:
+    """Row-wise dot products of two (rows, cols) tensors -> (rows,), as one tape node."""
+    if a.data.ndim != 2 or a.data.shape != b.data.shape:
+        raise ShapeError(f"rowdot needs equal-shape matrices, got {a.data.shape} . {b.data.shape}")
+
+    def backprop(g):
+        ga = g[:, None] * b.data if a.requires_grad else None
+        gb = g[:, None] * a.data if b.requires_grad else None
+        return ga, gb
+
+    return _make((a.data * b.data).sum(axis=1), (a, b), backprop)
 
 
 def softmax(scores) -> Tensor:
@@ -591,11 +633,8 @@ def mlp_forward(spec: MlpSpec, params: ParamStore, name: str, x: Tensor) -> Tens
         raise ShapeError(f"MLP {name!r} expects width {spec.widths[0]}, got input shape {x.data.shape}")
     h = x
     for i in range(spec.n_layers):
-        h = matmul(h, params[f"{name}/W{i}"])
-        if spec.biases[i]:
-            h = add(h, params[f"{name}/b{i}"])
-        if spec.activations[i] == "relu":
-            h = relu(h)
+        b = params[f"{name}/b{i}"] if spec.biases[i] else None
+        h = linear(h, params[f"{name}/W{i}"], b, relu=spec.activations[i] == "relu")
     return h
 
 
@@ -618,9 +657,9 @@ def self_attention_layer(x: Tensor, params: ParamStore, name: str) -> Tensor:
     d = x.data.shape[1]
     if params[f"{name}/Wq"].data.shape != (d, d):
         raise ShapeError(f"attention projections of {name!r} do not match input width {d}")
-    q = add(matmul(x, params[f"{name}/Wq"]), params[f"{name}/bq"])
-    k = add(matmul(x, params[f"{name}/Wk"]), params[f"{name}/bk"])
-    v = add(matmul(x, params[f"{name}/Wv"]), params[f"{name}/bv"])
+    q = linear(x, params[f"{name}/Wq"], params[f"{name}/bq"])
+    k = linear(x, params[f"{name}/Wk"], params[f"{name}/bk"])
+    v = linear(x, params[f"{name}/Wv"], params[f"{name}/bv"])
     scores = matmul_nt(q, k) * (1.0 / math.sqrt(d))
     return add(x, attn_mix(row_softmax(scores), v))
 

@@ -113,6 +113,13 @@ def _parse_sets(raw, path: str) -> tuple[QuerySetSpec, ...]:
     return tuple(sets)
 
 
+def _int_pair(value, path: str) -> tuple[int, int]:
+    """A JSON list of exactly two integers."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path} must be a list of two integers, got {value!r}")
+    return _int(value[0], path), _int(value[1], path)
+
+
 def _parse_boxes(raw, d: int, seed: int, path: str) -> tuple[ObjectBox, ...]:
     if not isinstance(raw, list):
         raise ConfigError(f"{path} must be a list of box objects")
@@ -126,8 +133,8 @@ def _parse_boxes(raw, d: int, seed: int, path: str) -> tuple[ObjectBox, ...]:
         else:
             rng = np.random.Generator(np.random.Philox(key=(seed << 8) ^ (i + 1)))
             signature = tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=d))
-        boxes.append(ObjectBox(tuple(_int(v, f"{path}[{i}].center") for v in entry["center"]),
-                               tuple(_int(v, f"{path}[{i}].extent") for v in entry["extent"]),
+        boxes.append(ObjectBox(_int_pair(entry["center"], f"{path}[{i}].center"),
+                               _int_pair(entry["extent"], f"{path}[{i}].extent"),
                                signature))
     return tuple(boxes)
 

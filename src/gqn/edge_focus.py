@@ -17,7 +17,7 @@ in at ``edge_attention`` without touching the rest of the operator.
 from __future__ import annotations
 
 from .autodiff import (MlpSpec, ParamStore, Tensor, concat_cols, gather_rows, mlp_forward,
-                       mul, reshape, row_softmax, rowsum, segment_mix)
+                       reshape, row_softmax, rowdot, segment_mix)
 from .errors import ContractError, ShapeError
 from .query_init import GraphQuery
 
@@ -41,7 +41,7 @@ def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore,
         raise ContractError(f"need k >= 1 edges per node, got {feats.data.shape[0]} for {n_nodes}x{k}")
     q = mlp_forward(q_spec, params, q_name, feats)
     key = mlp_forward(k_spec, params, k_name, feats)
-    scores = rowsum(mul(q, key))
+    scores = rowdot(q, key)
     beta = row_softmax(reshape(scores, (n_nodes, k)))
     return reshape(beta, (n_nodes * k,))
 

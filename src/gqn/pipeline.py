@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import (MlpSpec, ParamStore, Tensor, add, as_tensor, backward, column,
-                       concat_cols, concat_rows, gather_rows, matmul, mean_all, mlp_forward,
+                       concat_cols, concat_rows, gather_rows, linear, mean_all, mlp_forward,
                        mul, register_attention, reshape, row_softmax, scale_rows, scatter_mean,
                        sub)
 from .deep_context import context_exchange, infuse_context, pool_query
@@ -266,8 +266,7 @@ def register_readout(params: ParamStore, d: int) -> None:
 def mask_loss(flat: FlatPairs, config: GqnConfig, params: ParamStore, mask: Array) -> Tensor:
     """Mean squared error of the skip-map readout against a per-pair 0/1 mask."""
     out = run_gqn(flat, config, params)
-    pred = add(reshape(matmul(out.skip_map, params["readout/W"]), (flat.m_bev,)),
-               params["readout/b"])
+    pred = reshape(linear(out.skip_map, params["readout/W"], params["readout/b"]), (flat.m_bev,))
     err = sub(pred, Tensor(mask))
     return mean_all(mul(err, err))
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqn.autodiff import (MlpSpec, ParamStore, Tensor, attn_mix, backward, concat_rows, dot,
-                          grad_check, grad_check_groups, matvec, matvec_rows, max_rows,
-                          mlp_forward, register_attention, row_softmax, scatter_mean, segment_mix,
-                          self_attention_layer, softmax, sum_all)
+from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _make, _toposort, add, attn_mix, backward,
+                          concat_rows, dot, grad_check, grad_check_groups, linear, matmul, matvec,
+                          matvec_rows, max_rows, mlp_forward, mul, register_attention, row_softmax,
+                          rowdot, scatter_mean, segment_mix, self_attention_layer, softmax,
+                          sum_all)
 from gqn.errors import ConfigError, ContractError, InvalidInputError, ShapeError
 
 
@@ -132,6 +133,173 @@ def test_mlp_gradients_match_finite_differences(seed):
         return sum_all(mlp_forward(spec, p, "net", Tensor(x)))
 
     assert grad_check(fn, params, eps=1e-5) <= 1e-6
+
+
+# ----------------------------------------------------------------------------
+# fused ops: linear and rowdot against the unfused chains they replace
+
+
+def _relu_node(t):
+    """ReLU as its own tape node, the layout ``linear`` replaces."""
+    mask = t.data > 0.0
+    return _make(np.where(mask, t.data, 0.0), (t,), lambda g: (g * mask,))
+
+
+def _rowsum_node(t):
+    cols = t.data.shape[1]
+    return _make(t.data.sum(axis=1), (t,), lambda g: (np.repeat(g[:, None], cols, axis=1),))
+
+
+def _unfused_linear(x, w, b, relu):
+    h = matmul(x, w)
+    if b is not None:
+        h = add(h, b)
+    return _relu_node(h) if relu else h
+
+
+def _special_rows(rng, rows, cols):
+    """Random rows plus an all-zero row, an all -0.0 row and a row holding a NaN.
+
+    They give exact-zero and NaN pre-activations. A product never yields -0.0
+    (BLAS accumulates from +0.0), so -0.0 enters through the inputs and the bias.
+    """
+    x = rng.standard_normal((rows, cols))
+    x[0] = 0.0
+    x[1] = -0.0
+    x[2, 0] = np.nan
+    return x
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("relu", [False, True])
+def test_linear_matches_unfused_chain_bit_for_bit(bias, relu):
+    rng = np.random.default_rng(21)
+    x_data = _special_rows(rng, 9, 5)
+    w_data = rng.standard_normal((5, 4))
+    b_data = rng.standard_normal(4)
+    b_data[0] = -0.0
+    upstream = rng.standard_normal((9, 4))  # negative entries meet masked ones
+    results = []
+    for layer in (linear, _unfused_linear):
+        x = Tensor(x_data.copy(), requires_grad=True)
+        w = Tensor(w_data.copy(), requires_grad=True)
+        b = Tensor(b_data.copy(), requires_grad=True) if bias else None
+        out = layer(x, w, b, relu)
+        with np.errstate(invalid="ignore"):
+            sum_all(mul(out, Tensor(upstream))).backward()
+        results.append([out.data, x.grad, w.grad] + ([b.grad] if bias else []))
+    pre = x_data @ w_data + (b_data if bias else 0.0)
+    assert (pre == 0.0).any() and np.isnan(pre).any()
+    if relu:
+        out = results[0][0]
+        assert not np.isnan(out).any() and not np.signbit(out).any()  # all masked to +0.0
+    for fused, unfused in zip(*results, strict=True):
+        assert _bits(fused) == _bits(unfused)
+
+
+def test_linear_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError):
+        linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+    with pytest.raises(ShapeError):
+        linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+
+
+def test_rowdot_matches_unfused_chain_bit_for_bit():
+    rng = np.random.default_rng(22)
+    a_data, b_data = _special_rows(rng, 7, 6), rng.standard_normal((7, 6))
+    upstream = rng.standard_normal(7)
+    results = []
+    for op in (rowdot, lambda a, b: _rowsum_node(mul(a, b))):
+        a = Tensor(a_data.copy(), requires_grad=True)
+        b = Tensor(b_data.copy(), requires_grad=True)
+        out = op(a, b)
+        sum_all(mul(out, Tensor(upstream))).backward()
+        results.append((out.data, a.grad, b.grad))
+    for fused, unfused in zip(*results, strict=True):
+        assert _bits(fused) == _bits(unfused)
+    with pytest.raises(ShapeError):
+        rowdot(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+
+
+@pytest.mark.parametrize("bias,relu", [(True, True), (False, True), (True, False)])
+def test_linear_gradients_match_finite_differences(bias, relu):
+    rng = np.random.default_rng(23)
+    params = ParamStore(seed=23)
+    params.register("p/X", (6, 4))
+    params.register("p/W", (4, 3))
+    params.register("p/b", (3,), init="uniform")
+    weights = rng.standard_normal((6, 3))
+
+    def fn(p):
+        out = linear(p["p/X"], p["p/W"], p["p/b"] if bias else None, relu=relu)
+        return sum_all(mul(out, Tensor(weights)))
+
+    assert grad_check(fn, params, eps=1e-6) <= 1e-8
+
+
+def test_rowdot_gradients_match_finite_differences():
+    rng = np.random.default_rng(24)
+    params = ParamStore(seed=24)
+    params.register("p/A", (5, 3))
+    params.register("p/B", (5, 3))
+    weights = rng.standard_normal(5)
+
+    def fn(p):
+        return sum_all(mul(rowdot(p["p/A"], p["p/B"]), Tensor(weights)))
+
+    assert grad_check(fn, params, eps=1e-6) <= 1e-8
+
+
+def test_mlp_records_one_tape_node_per_layer():
+    spec = MlpSpec((3, 5, 4, 2), ("relu", "relu", "none"), (True, False, True))
+    params = ParamStore(seed=0)
+    params.register_mlp("net", spec)
+    out = mlp_forward(spec, params, "net", Tensor(np.ones((7, 3))))
+    assert sum(1 for t in _toposort(out) if t._backprop is not None) == spec.n_layers
+
+
+def _sweep_keeping_graph(root):
+    """The reverse sweep without freeing, for comparison."""
+    root.grad = np.ones_like(root.data)
+    for node in _toposort(root):
+        if node._backprop is None:
+            continue
+        for parent, contrib in zip(node._parents, node._backprop(node.grad)):
+            if contrib is None or not parent.requires_grad:
+                continue
+            if parent.grad is None:
+                parent.grad = np.zeros_like(parent.data)
+            parent.grad = parent.grad + contrib
+
+
+def test_backward_frees_interior_nodes_and_keeps_leaf_gradients():
+    spec = MlpSpec.relu_stack((4, 6, 4))
+    params = ParamStore(seed=5)
+    params.register_mlp("net", spec)
+    register_attention(params, "attn", 4)
+    x = np.random.default_rng(5).standard_normal((5, 4))
+
+    def loss():
+        h = self_attention_layer(mlp_forward(spec, params, "net", Tensor(x)), params, "attn")
+        return sum_all(rowdot(h, h))
+
+    params.zero_grad()
+    _sweep_keeping_graph(loss())
+    expected = {name: t.grad.copy() for name, t in params.items()}
+
+    params.zero_grad()
+    root = loss()
+    interior = [t for t in _toposort(root) if t._backprop is not None]
+    root.backward()
+    assert interior
+    for t in interior:
+        assert t.grad is None and t._parents == () and t._backprop is None
+    for name, t in params.items():
+        assert _bits(t.grad) == _bits(expected[name]), name
 
 
 # ----------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gqn.cli import main
 
@@ -133,6 +137,27 @@ def test_empty_grid_exits_2_before_building_boxes(tmp_path, capsys, height, widt
     assert "grid must be at least 1x1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("key,value", [
+    ("center", [1]),
+    ("center", [1, 1, 1]),
+    ("center", 3),
+    ("extent", []),
+    ("extent", [1, 1, 1]),
+    ("extent", "11"),
+    ("extent", {"h": 1, "w": 1}),
+], ids=["center-short", "center-long", "center-int", "extent-empty", "extent-long",
+        "extent-string", "extent-object"])
+def test_box_center_or_extent_not_two_integers_exits_2(tmp_path, capsys, command, key, value):
+    box = {"center": [3, 3], "extent": [1, 1]}
+    box[key] = value
+    doc = json.loads(json.dumps(TOY_8x8))
+    doc["scene"]["boxes"] = [box]
+    cfg = _write(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"config.scene.boxes[0].{key} must be a list of two integers" in capsys.readouterr().err
+
+
 def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, TOY_8x8)
     taken = tmp_path / "taken"
@@ -244,3 +269,111 @@ def test_training_divergence_exits_4(tmp_path):
     lines = (out / "loss_curve.csv").read_text().strip().splitlines()
     assert len(lines) >= 2  # last finite losses recorded
     assert all(np.isfinite(float(line.split(",")[1])) for line in lines[1:])
+
+
+# ----------------------------------------------------------------------------
+# fuzzing main()
+
+# Documents are drawn well-typed (values may still be out of range), then at
+# most one entry is replaced by junk: a wrong type or a non-finite number. Junk
+# never holds a large integral float, which ``_int`` would accept (1e6 passes
+# as an integer), nor an empty object, which would restore the 16x16 default
+# grid: every example stays at 8x8 or smaller.
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.floats(-3.0, 3.0), st.sampled_from([float("nan"), float("inf"), -1e300]),
+                  st.lists(st.integers(-2, 3), max_size=3))
+
+
+def _pair_or_not(values):
+    return st.one_of(st.tuples(values, values).map(list), st.lists(values, max_size=3))
+
+
+# Hypothesis favors small integers and the first branch of one_of, so the
+# strategies below draw mostly in-range values and sometimes out-of-range ones.
+_SMALL = st.integers(0, 9).map(lambda v: 8 - v)
+_SETS = st.lists(st.fixed_dictionaries({}, optional={
+    "queries": st.integers(0, 4),
+    "ratio": st.sampled_from([0.5, 0.3, 0.2, 0.0, 1.1]) | st.floats(0.0, 1.1),
+    "k": st.integers(-1, 5),
+}), min_size=0, max_size=3).map(lambda sets: sorted(sets, key=lambda s: s.get("ratio", 0.1)))
+_BOX = st.fixed_dictionaries({"center": _pair_or_not(_SMALL),
+                              "extent": _pair_or_not(st.integers(-1, 4))},
+                             optional={"signature": st.lists(st.floats(-2.0, 2.0), max_size=9)})
+_DOC = st.fixed_dictionaries({
+    # always set: the default of 200 steps would dominate the run time
+    "train": st.fixed_dictionaries({"steps": st.one_of(st.integers(0, 3), st.just(-1))},
+                                   optional={"learning_rate": st.floats(-1.0, 1e12)}),
+    # always set: the default grid is 16x16
+    "scene": st.fixed_dictionaries({"height": _SMALL, "width": _SMALL}, optional={
+        "d": st.integers(0, 8),
+        "boxes": st.lists(_BOX, max_size=2),
+        "clutter_density": st.floats(0.0, 1.0) | st.floats(-0.5, 1.5),
+        "noise_amplitude": st.floats(0.0, 1e300),
+        "cell_size": st.floats(-1.0, 2.0),
+        "seed": st.integers(-1, 2 ** 64),
+    }),
+}, optional={
+    "seed": st.integers(-1, 2 ** 64),
+    "gqn": st.fixed_dictionaries({}, optional={
+        "d": st.integers(0, 8),
+        "context_steps": st.integers(-1, 3),
+        "freq_base": st.floats(-10.0, 1e4),
+        "sets": _SETS,
+    }),
+    "cost": st.fixed_dictionaries({}, optional={
+        "m_bev_sweep": st.lists(st.integers(-4, 64), max_size=3),
+        "modes": st.lists(st.sampled_from(["naive", "indexed", "bogus"]), max_size=3),
+        "full_k": st.integers(-1, 8),
+        "d": st.integers(0, 8),
+        "context_steps": st.integers(-1, 3),
+        "sets": _SETS,
+    }),
+})
+
+
+def _paths(node, prefix=()):
+    """Every key or index path into a JSON document, outermost first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _documents(draw):
+    doc = draw(_DOC)
+    if "d" in doc["scene"] and draw(st.integers(0, 3)) < 3:
+        doc["scene"]["d"] = doc.get("gqn", {}).get("d", 8)  # mostly consistent widths
+    paths = list(_paths(doc))
+    if draw(st.integers(0, 2)) == 2:  # Hypothesis favors small integers: mostly no junk
+        path = draw(st.sampled_from(paths))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(_JUNK)
+    if draw(st.integers(0, 7)) == 7:
+        doc[draw(st.sampled_from(["bogus", "gqn"]))] = {"bogus": 1}  # an unknown key
+    return doc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["run", "bench", "train-demo"]), doc=_documents(),
+       seed=st.none() | st.integers(-2, 2 ** 64), threads=st.none() | st.integers(-1, 4))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # huge noise amplitudes overflow
+def test_main_fuzzed_configs_exit_with_a_documented_code(command, doc, seed, threads):
+    """Any config document and flags end in exit 0, 2, 3 or 4, never in an exception.
+
+    ``scene.height`` and ``scene.width`` are always given, so grids stay at 8x8
+    or smaller. ``gradcheck`` shares the config parsing of the other commands
+    but runs hundreds of forwards per config, so it is left out.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--config", str(path), "--out", str(Path(tmp) / "out")]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        if threads is not None:
+            argv += ["--threads", str(threads)]
+        assert main(argv) in (0, 2, 3, 4)

@@ -303,6 +303,34 @@ def test_tape_size_does_not_grow_with_queries_per_chunk():
     assert counts[0] == counts[1]
 
 
+def _unfused_extra_bytes(spec, rows):
+    """Bytes a layer-by-layer MLP keeps beyond its layer outputs: the product before
+    the bias and, under ReLU, the pre-activation."""
+    return sum(rows * width * 8 * (spec.biases[i] + (spec.activations[i] == "relu"))
+               for i, width in enumerate(spec.widths[1:]))
+
+
+def test_tape_keeps_at_most_70_percent_of_the_unfused_layout():
+    config = GqnConfig()
+    _, flat, _ = toy_inputs(h=16, w=16, d=config.d, seed=0)
+    out = run_gqn(flat, config, init_params(config, flat.m_bev), global_map=flat.states)
+    kept = sum(t.data.nbytes for t in _toposort(out.fused_map))
+
+    extra = 0
+    for chunk in out.queries:
+        edges = chunk.n_nodes * chunk.k
+        extra += (_unfused_extra_bytes(config.edge_mlp_spec, edges)
+                  + _unfused_extra_bytes(config.edge_q_spec, edges)
+                  + _unfused_extra_bytes(config.edge_k_spec, edges)
+                  + edges * config.d * 8  # the elementwise product the edge scores sum
+                  + _unfused_extra_bytes(config.node_mlp_spec, chunk.n_nodes)
+                  + _unfused_extra_bytes(config.context_mlp_spec, chunk.n_nodes))
+    extra += config.context_steps * 3 * config.tau * config.d * 8  # q, k, v before their bias
+    extra += (_unfused_extra_bytes(config.mlp1_spec, flat.m_bev)
+              + _unfused_extra_bytes(config.mlp2_spec, flat.m_bev))
+    assert kept <= 0.7 * (kept + extra)
+
+
 def test_every_global_vector_receives_gradient():
     cfg = toy_config()
     scene, flat, truth = toy_inputs(seed=3)
