@@ -55,7 +55,8 @@ print(f"summaries after  exchange, first two dims: {mixed.data[:, :2].round(3).t
 print("zero steps is the exact identity:", context_exchange(pooled, 0, params) is pooled)
 
 # 5) infuse each exchanged summary back into the nodes of its query
-final = infuse_context(updated, mixed, params, cfg.context_mlp_spec)
+final = infuse_context(updated, mixed, params, cfg.context_mlp_spec,
+                       rows=range(chunk.query_index, chunk.query_index + chunk.queries))
 print(f"context-aware nodes: {final.data.shape}, "
       f"mean |shift| of query 0 vs pre-context: "
       f"{np.abs(final.data[:n] - updated.data[:n]).mean():.3f}")

@@ -10,7 +10,7 @@ differentiable end to end.
 """
 
 from .autodiff import (MlpSpec, ParamStore, Tensor, backward, grad_check, grad_check_groups,
-                       mlp_forward, self_attention_layer, softmax)
+                       mlp_forward, self_attention_layer)
 from .cost_model import (CostReport, compare_full_vs_queries, construction_cost, flop_estimate,
                          processing_cost, run_benchmark)
 from .deep_context import context_exchange, infuse_context, pool_query

@@ -13,9 +13,11 @@ gradient back onto its parents; graphs are built define-by-run. One MLP layer
 is one tape node: ``linear`` fuses the product, the bias and the ReLU and keeps
 only its output. ``backward`` frees the graph as it goes: once a node has
 propagated, its gradient, parents and closure are dropped, so a graph can be
-swept once and only leaves keep a ``.grad``. Tensors are treated as immutable
-once created; the sanctioned exceptions are leaf parameters, whose ``data``
-may be updated *between* forward passes (SGD steps, finite-difference
+swept once and only leaves keep a ``.grad``. Ops take exact shapes and never
+broadcast: ``add``, ``sub`` and ``mul`` need two equal shapes, and any shape
+that does not fit raises ``ShapeError``. Tensors are treated as immutable once
+created; the sanctioned exceptions are leaf parameters, whose ``data`` may be
+updated *between* forward passes (SGD steps, finite-difference
 probes). Independent forward passes may run concurrently; a backward pass
 owns its graph.
 """
@@ -51,10 +53,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backprop: BackpropFn | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def item(self) -> float:
         if self.data.size != 1:
             raise InvalidInputError(f"item() needs a scalar, got shape {self.data.shape}")
@@ -87,33 +85,13 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; everything routes through the module-level ops.
-    def __add__(self, other) -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other) -> "Tensor":
-        return sub(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return _make(-self.data, (self,), lambda g: (-g,))
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            c = float(other)
-            return _make(self.data * c, (self,), lambda g: (g * c,))
-        return mul(self, other)
+    def __mul__(self, c) -> "Tensor":
+        if not isinstance(c, (int, float)):
+            raise TypeError(f"a Tensor scales only by a number, got {type(c).__name__}; use mul()")
+        c = float(c)
+        return _make(self.data * c, (self,), lambda g: (g * c,))
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        if self.data.ndim == 2 and other.data.ndim == 2:
-            return matmul(self, other)
-        if self.data.ndim == 2 and other.data.ndim == 1:
-            return matvec(self, other)
-        if self.data.ndim == 1 and other.data.ndim == 1:
-            return dot(self, other)
-        raise ShapeError(f"unsupported matmul ranks {self.data.ndim} @ {other.data.ndim}")
 
 
 def as_tensor(x) -> Tensor:
@@ -151,57 +129,36 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Sum a broadcast gradient back down to ``shape`` (numpy trailing rules)."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 # ----------------------------------------------------------------------------
 # elementwise / linear ops
 
 
-def add(a, b) -> Tensor:
+def _equal_shapes(op: str, a, b) -> tuple[Tensor, Tensor]:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"{op} needs equal shapes, got {a.data.shape} and {b.data.shape}")
+    return a, b
+
+
+def add(a, b) -> Tensor:
+    a, b = _equal_shapes("add", a, b)
+    return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+    a, b = _equal_shapes("sub", a, b)
+    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
+    a, b = _equal_shapes("mul", a, b)
 
     def backprop(g):
-        ga = _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None
+        ga = g * b.data if a.requires_grad else None
+        gb = g * a.data if b.requires_grad else None
         return ga, gb
 
-    return _make(out, (a, b), backprop)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul mismatch {a.data.shape} @ {b.data.shape}")
-
-    def backprop(g):
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
-        return ga, gb
-
-    return _make(a.data @ b.data, (a, b), backprop)
+    return _make(a.data * b.data, (a, b), backprop)
 
 
 def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
@@ -217,23 +174,11 @@ def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data.T, (a, b), backprop)
 
 
-def matvec(a: Tensor, x: Tensor) -> Tensor:
-    if a.data.ndim != 2 or x.data.ndim != 1 or a.data.shape[1] != x.data.shape[0]:
-        raise ShapeError(f"matvec mismatch {a.data.shape} @ {x.data.shape}")
-
-    def backprop(g):
-        ga = np.outer(g, x.data) if a.requires_grad else None
-        gx = a.data.T @ g if x.requires_grad else None
-        return ga, gx
-
-    return _make(a.data @ x.data, (a, x), backprop)
-
-
 def matvec_rows(a: Tensor, xs: Tensor) -> Tensor:
     """Row q of the (Q, m) result is ``a @ xs[q]`` for an (m, d) matrix and (Q, d) rows.
 
-    Each row is its own matrix-vector product, so it carries the bits ``matvec``
-    gives for that vector alone; one GEMM would round differently.
+    Each row is its own matrix-vector product, so it carries the bits of
+    ``a @ xs[q]`` for that vector alone; one GEMM would round differently.
     """
     if a.data.ndim != 2 or xs.data.ndim != 2 or a.data.shape[1] != xs.data.shape[1]:
         raise ShapeError(f"matvec_rows mismatch {a.data.shape} @ {xs.data.shape}^T")
@@ -249,13 +194,7 @@ def matvec_rows(a: Tensor, xs: Tensor) -> Tensor:
     return _make(out, (a, xs), backprop)
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape or a.data.ndim != 1:
-        raise ShapeError(f"dot mismatch {a.data.shape} . {b.data.shape}")
-    return _make(a.data @ b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """One MLP layer as one tape node: ``x @ w``, plus ``b``, then ReLU if asked.
 
     The bias and the ReLU act in place on the product, so the layer keeps only
@@ -264,11 +203,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) ->
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"linear mismatch {x.data.shape} @ {w.data.shape}")
-    if b is not None and b.data.shape != (w.data.shape[1],):
+    if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"linear bias {b.data.shape} vs {w.data.shape[1]} outputs")
     out = x.data @ w.data
-    if b is not None:
-        out += b.data
+    out += b.data
     if relu:
         np.copyto(out, 0.0, where=~(out > 0.0))
 
@@ -277,11 +215,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) ->
             g = np.where(out > 0.0, g, 0.0)
         gx = g @ w.data.T if x.requires_grad else None
         gw = x.data.T @ g if w.requires_grad else None
-        if b is None:
-            return gx, gw
         return gx, gw, g.sum(axis=0) if b.requires_grad else None
 
-    return _make(out, (x, w) if b is None else (x, w, b), backprop)
+    return _make(out, (x, w, b), backprop)
 
 
 # ----------------------------------------------------------------------------
@@ -308,27 +244,6 @@ def rowdot(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _make((a.data * b.data).sum(axis=1), (a, b), backprop)
-
-
-def softmax(scores) -> Tensor:
-    """Stable softmax of a non-empty finite vector.
-
-    The normalizer sums exp-terms in value-sorted order, so the output is
-    bit-identical under any permutation of the input entries.
-    """
-    t = as_tensor(scores)
-    v = t.data
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidInputError(f"softmax needs a non-empty vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise InvalidInputError("softmax input contains non-finite entries")
-    e = np.exp(v - v.max())
-    p = e / np.sort(e).sum()
-
-    def backprop(g):
-        return (p * (g - (g * p).sum()),)
-
-    return _make(p, (t,), backprop)
 
 
 def row_softmax(t: Tensor) -> Tensor:
@@ -386,19 +301,19 @@ def column(t: Tensor, j: int) -> Tensor:
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate matrices with equal row counts along the channel axis."""
+    """Concatenate equal-row matrices along channels; only parts needing a gradient are parents."""
     parts = [as_tensor(p) for p in parts]
     rows = {p.data.shape[0] for p in parts}
     if len(rows) != 1 or any(p.data.ndim != 2 for p in parts):
         raise ShapeError(f"concat_cols needs matrices with equal rows, got {[p.data.shape for p in parts]}")
-    widths = [p.data.shape[1] for p in parts]
-    splits = np.cumsum(widths)[:-1]
+    bounds = np.cumsum([0] + [p.data.shape[1] for p in parts])
+    live = [i for i, p in enumerate(parts) if p.requires_grad]
 
     def backprop(g):
-        pieces = np.split(g, splits, axis=1)
-        return tuple(piece if p.requires_grad else None for piece, p in zip(pieces, parts))
+        return tuple(g[:, bounds[i]:bounds[i + 1]] for i in live)
 
-    return _make(np.concatenate([p.data for p in parts], axis=1), tuple(parts), backprop)
+    return _make(np.concatenate([p.data for p in parts], axis=1),
+                 tuple(parts[i] for i in live), backprop)
 
 
 def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -520,22 +435,13 @@ def scatter_mean(contributions: Sequence[tuple[Array, Tensor]], num_cells: int) 
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Layer widths (input first), per-layer activation, per-layer bias flag."""
+    """Layer widths, input first. Every layer has a bias; every hidden layer applies ReLU."""
 
     widths: tuple[int, ...]
-    activations: tuple[str, ...]
-    biases: tuple[bool, ...]
 
     def __post_init__(self):
-        n = len(self.widths) - 1
-        if n < 1 or any(w < 1 for w in self.widths):
+        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise ConfigError(f"bad MLP widths {self.widths}")
-        if len(self.activations) != n or len(self.biases) != n:
-            raise ConfigError("activations/biases must have one entry per layer")
-        if any(a not in ("relu", "none") for a in self.activations):
-            raise ConfigError(f"unknown activation in {self.activations}")
-        if self.activations[-1] != "none":
-            raise ConfigError("final layer activation must be 'none'")
 
     @property
     def n_layers(self) -> int:
@@ -543,13 +449,12 @@ class MlpSpec:
 
     @classmethod
     def relu_stack(cls, widths: Sequence[int]) -> "MlpSpec":
-        """ReLU on hidden layers, linear output, biases everywhere."""
-        n = len(widths) - 1
-        return cls(tuple(widths), ("relu",) * (n - 1) + ("none",), (True,) * n)
+        """ReLU on hidden layers, linear output."""
+        return cls(tuple(widths))
 
     @classmethod
-    def linear(cls, w_in: int, w_out: int, bias: bool = True) -> "MlpSpec":
-        return cls((w_in, w_out), ("none",), (bias,))
+    def linear(cls, w_in: int, w_out: int) -> "MlpSpec":
+        return cls((w_in, w_out))
 
 
 def _param_rng(seed: int, name: str) -> np.random.Generator:
@@ -594,17 +499,10 @@ class ParamStore:
         for i in range(spec.n_layers):
             w_in, w_out = spec.widths[i], spec.widths[i + 1]
             self.register(f"{name}/W{i}", (w_in, w_out), fans=(w_in, w_out))
-            if spec.biases[i]:
-                self.register(f"{name}/b{i}", (w_out,), init="zeros")
+            self.register(f"{name}/b{i}", (w_out,), init="zeros")
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return sorted(self._params)
@@ -625,16 +523,12 @@ class ParamStore:
 
 
 def mlp_forward(spec: MlpSpec, params: ParamStore, name: str, x: Tensor) -> Tensor:
-    """Apply the named MLP to (rows, w_in) or a single (w_in,) vector."""
-    if x.data.ndim == 1:
-        out = mlp_forward(spec, params, name, reshape(x, (1, x.data.shape[0])))
-        return reshape(out, (out.data.shape[1],))
+    """Apply the named MLP to a (rows, w_in) matrix."""
     if x.data.ndim != 2 or x.data.shape[1] != spec.widths[0]:
         raise ShapeError(f"MLP {name!r} expects width {spec.widths[0]}, got input shape {x.data.shape}")
     h = x
     for i in range(spec.n_layers):
-        b = params[f"{name}/b{i}"] if spec.biases[i] else None
-        h = linear(h, params[f"{name}/W{i}"], b, relu=spec.activations[i] == "relu")
+        h = linear(h, params[f"{name}/W{i}"], params[f"{name}/b{i}"], relu=i < spec.n_layers - 1)
     return h
 
 

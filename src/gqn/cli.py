@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ParamStore, Tensor, backward, grad_check_groups, sum_all
-from .cost_model import FULL_GRAPH_K, compare_full_vs_queries, run_benchmark
+from .cost_model import FULL_GRAPH_K, MODES, compare_full_vs_queries, run_benchmark
 from .errors import ConfigError, GqnError
 from .pipeline import GqnConfig, init_params, run_gqn, toy_train
 from .query_init import QuerySetSpec
@@ -101,6 +101,12 @@ def _float(value, path: str) -> float:
     raise ConfigError(f"{path} must be a finite number, got {value!r}")
 
 
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path} must be a list, got {value!r}")
+    return value
+
+
 def _parse_sets(raw, path: str) -> tuple[QuerySetSpec, ...]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{path} must be a non-empty list of set objects")
@@ -129,7 +135,8 @@ def _parse_boxes(raw, d: int, seed: int, path: str) -> tuple[ObjectBox, ...]:
         if "center" not in entry or "extent" not in entry:
             raise ConfigError(f"{path}[{i}] needs 'center' and 'extent'")
         if "signature" in entry:
-            signature = tuple(_float(v, f"{path}[{i}].signature") for v in entry["signature"])
+            signature = tuple(_float(v, f"{path}[{i}].signature")
+                              for v in _list(entry["signature"], f"{path}[{i}].signature"))
         else:
             rng = np.random.Generator(np.random.Philox(key=(seed << 8) ^ (i + 1)))
             signature = tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=d))
@@ -206,8 +213,11 @@ def load_settings(config_path: str | None, seed_flag: int | None,
         seed=seed,
     )
     sweep = [_int(m, "config.cost.m_bev_sweep")
-             for m in cost_sec.get("m_bev_sweep", [1024, 16384])]
-    modes = [str(m) for m in cost_sec.get("modes", ["naive", "indexed"])]
+             for m in _list(cost_sec.get("m_bev_sweep", [1024, 16384]), "config.cost.m_bev_sweep")]
+    modes = _list(cost_sec.get("modes", list(MODES)), "config.cost.modes")
+    for mode in modes:
+        if mode not in MODES:
+            raise ConfigError(f"config.cost.modes: unknown mode {mode!r}, expected one of {MODES}")
     full_k = _int(cost_sec.get("full_k", FULL_GRAPH_K), "config.cost.full_k")
 
     train_sec = doc.get("train", {})

@@ -40,7 +40,7 @@ FULL_GRAPH_K = 20
 
 Count = int | Fraction
 
-_MODES = ("naive", "indexed")
+MODES = ("naive", "indexed")
 
 
 def exact_nodes(ratio: float, m_bev: int) -> Fraction:
@@ -60,8 +60,8 @@ def construction_cost(n: Count, k: int, mode: str) -> Count | float:
 
     naive: n*(n-1)/2 exact pairwise; indexed: n*log2(n) + n*k.
     """
-    if mode not in _MODES:
-        raise ConfigError(f"construction mode {mode!r} not in {_MODES}")
+    if mode not in MODES:
+        raise ConfigError(f"construction mode {mode!r} not in {MODES}")
     if k < 1 or n <= k:
         raise ConfigError(f"construction_cost needs n > k >= 1, got n={n}, k={k}")
     if mode == "naive":
@@ -175,17 +175,14 @@ def compare_full_vs_queries(config: GqnConfig, m_bev: int, full_k: int = FULL_GR
     )
 
 
-def _linear_flops(rows: int, w_in: int, w_out: int, bias: bool = True) -> int:
-    return rows * (2 * w_in * w_out + (w_out if bias else 0))
+def _linear_flops(rows: int, w_in: int, w_out: int) -> int:
+    return rows * (2 * w_in * w_out + w_out)
 
 
 def _mlp_flops(rows: int, spec: MlpSpec) -> int:
-    total = 0
-    for i in range(spec.n_layers):
-        total += _linear_flops(rows, spec.widths[i], spec.widths[i + 1], spec.biases[i])
-        if spec.activations[i] == "relu":
-            total += rows * spec.widths[i + 1]
-    return total
+    total = sum(_linear_flops(rows, spec.widths[i], spec.widths[i + 1])
+                for i in range(spec.n_layers))
+    return total + rows * sum(spec.widths[1:-1])  # ReLU on the hidden layers
 
 
 def flop_estimate(config: GqnConfig, m_bev: int, d: int | None = None) -> int:
@@ -240,9 +237,9 @@ def run_benchmark(config: GqnConfig, m_bev_sweep: list[int], modes: list[str] | 
     ``exec_node_cap`` nodes (the indexed build is counted, not implemented);
     skipped timings are None.
     """
-    modes = list(_MODES) if modes is None else modes
+    modes = list(MODES) if modes is None else modes
     for mode in modes:
-        if mode not in _MODES:
+        if mode not in MODES:
             raise ConfigError(f"unknown benchmark mode {mode!r}")
     if not m_bev_sweep:
         raise ConfigError("empty m_bev sweep")

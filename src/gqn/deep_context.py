@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import (MlpSpec, ParamStore, Tensor, concat_cols, gather_rows, max_rows,
-                       mlp_forward, reshape, self_attention_layer)
+                       mlp_forward, self_attention_layer)
 from .errors import ConfigError, ShapeError
 
 
@@ -24,35 +24,30 @@ def pool_query(nodes: Tensor, queries: int = 1) -> Tensor:
     return max_rows(nodes, queries)
 
 
-def context_exchange(summaries: Tensor, steps: int, params: ParamStore,
-                     name: str = "ctx_attn") -> Tensor:
+def context_exchange(summaries: Tensor, steps: int, params: ParamStore) -> Tensor:
     """Apply ``steps`` shared-weight self-attention layers over (tau, d) summaries."""
     if steps < 0:
         raise ConfigError(f"context steps must be >= 0, got {steps}")
     out = summaries
     for _ in range(steps):
-        out = self_attention_layer(out, params, name)
+        out = self_attention_layer(out, params, "ctx_attn")
     return out
 
 
 def infuse_context(nodes: Tensor, summaries: Tensor, params: ParamStore, spec: MlpSpec,
-                   name: str = "context_mlp", rows: Sequence[int] | None = None) -> Tensor:
+                   rows: Sequence[int]) -> Tensor:
     """Mix each query's updated summary into each of its nodes: MLP(node || summary).
 
     ``nodes`` stacks Q queries of n nodes each, query-major. Query q's summary
-    is row ``rows[q]`` of the (tau, d) ``summaries``; without ``rows``,
-    ``summaries`` holds the Q summaries in order, or is one (d,) vector.
+    is row ``rows[q]`` of the (tau, d) ``summaries``.
     """
-    if (nodes.data.ndim != 2 or summaries.data.ndim not in (1, 2)
-            or summaries.data.shape[-1] != nodes.data.shape[1]):
+    if (nodes.data.ndim != 2 or summaries.data.ndim != 2
+            or summaries.data.shape[1] != nodes.data.shape[1]):
         raise ShapeError(f"nodes {nodes.data.shape} vs summaries {summaries.data.shape}")
-    d = nodes.data.shape[1]
-    if spec.widths[0] != 2 * d:
+    if spec.widths[0] != 2 * nodes.data.shape[1]:
         raise ShapeError(f"context MLP expects input width {spec.widths[0]}")
-    if summaries.data.ndim == 1:
-        summaries = reshape(summaries, (1, d))
-    rows = np.arange(summaries.data.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
+    rows = np.asarray(rows, dtype=np.intp)
     if nodes.data.shape[0] % len(rows):
         raise ShapeError(f"{nodes.data.shape[0]} nodes do not split into {len(rows)} queries")
     tiled = gather_rows(summaries, np.repeat(rows, nodes.data.shape[0] // len(rows)))
-    return mlp_forward(spec, params, name, concat_cols([nodes, tiled]))
+    return mlp_forward(spec, params, "context_mlp", concat_cols([nodes, tiled]))

@@ -22,38 +22,36 @@ from .errors import ContractError, ShapeError
 from .query_init import GraphQuery
 
 
-def edge_features(query: GraphQuery, params: ParamStore, spec: MlpSpec,
-                  name: str = "edge_mlp") -> Tensor:
+def edge_features(query: GraphQuery, params: ParamStore, spec: MlpSpec) -> Tensor:
     """Per-edge features: MLP(relative position || neighbor state), shape (n_nodes*k, d)."""
     d = query.positions.shape[1]
     if spec.widths[0] != 2 * d:
         raise ShapeError(f"edge MLP expects input width {spec.widths[0]}, node width is {d}")
     rel = Tensor(query.positions[query.edge_dst] - query.positions[query.edge_src])
     neighbor = gather_rows(query.states, query.edge_dst)
-    return mlp_forward(spec, params, name, concat_cols([rel, neighbor]))
+    return mlp_forward(spec, params, "edge_mlp", concat_cols([rel, neighbor]))
 
 
 def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore,
-                   q_spec: MlpSpec, k_spec: MlpSpec,
-                   q_name: str = "edge_q", k_name: str = "edge_k") -> Tensor:
+                   q_spec: MlpSpec, k_spec: MlpSpec) -> Tensor:
     """Per-edge weights, normalized over each node's k edges; shape (n*k,)."""
     if k < 1 or feats.data.shape[0] != n_nodes * k:
         raise ContractError(f"need k >= 1 edges per node, got {feats.data.shape[0]} for {n_nodes}x{k}")
-    q = mlp_forward(q_spec, params, q_name, feats)
-    key = mlp_forward(k_spec, params, k_name, feats)
+    q = mlp_forward(q_spec, params, "edge_q", feats)
+    key = mlp_forward(k_spec, params, "edge_k", feats)
     scores = rowdot(q, key)
     beta = row_softmax(reshape(scores, (n_nodes, k)))
     return reshape(beta, (n_nodes * k,))
 
 
 def update_nodes(query: GraphQuery, feats: Tensor, beta: Tensor, params: ParamStore,
-                 spec: MlpSpec, name: str = "node_mlp") -> Tensor:
+                 spec: MlpSpec) -> Tensor:
     """Updated node states: MLP(attention-weighted edge sum || node state), shape (n_nodes, d)."""
     d = query.positions.shape[1]
     if spec.widths[0] != 2 * d:
         raise ShapeError(f"node MLP expects input width {spec.widths[0]}, node width is {d}")
     message = segment_mix(feats, beta, query.k)
-    return mlp_forward(spec, params, name, concat_cols([message, query.states]))
+    return mlp_forward(spec, params, "node_mlp", concat_cols([message, query.states]))
 
 
 def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,

@@ -59,6 +59,8 @@ class SceneSpec:
         for box in self.boxes:
             if len(box.signature) != self.d:
                 raise ConfigError(f"box signature length {len(box.signature)} != d={self.d}")
+            if min(box.extent) < 1:
+                raise ConfigError(f"box extent {box.extent} must be at least 1x1")
             r0, c0, r1, c1 = box.bounds()
             if r0 < 0 or c0 < 0 or r1 > self.height or c1 > self.width:
                 raise ConfigError(f"box {box.center}/{box.extent} exceeds grid bounds")

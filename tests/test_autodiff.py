@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,71 +7,106 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _make, _toposort, add, attn_mix, backward,
-                          concat_rows, dot, grad_check, grad_check_groups, linear, matmul, matvec,
-                          matvec_rows, max_rows, mlp_forward, mul, register_attention, row_softmax,
-                          rowdot, scatter_mean, segment_mix, self_attention_layer, softmax,
-                          sum_all)
+                          concat_cols, concat_rows, gather_rows, grad_check, grad_check_groups,
+                          linear, matmul_nt, matvec_rows, max_rows, mlp_forward, mul,
+                          register_attention, row_softmax, rowdot, scale_rows, scatter_mean,
+                          segment_mix, self_attention_layer, sub, sum_all)
 from gqn.errors import ConfigError, ContractError, InvalidInputError, ShapeError
 
 
 # ----------------------------------------------------------------------------
-# softmax
+# softmax, on one row of row_softmax
+
+
+def _softmax_row(values):
+    return row_softmax(Tensor(np.asarray(values, dtype=np.float64)[None, :])).data[0]
 
 
 def test_softmax_symmetry():
-    np.testing.assert_allclose(softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(_softmax_row([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
 
 
 def test_softmax_shift_and_symmetry():
-    np.testing.assert_allclose(softmax(Tensor([5.0, 5.0, 5.0])).data, [1 / 3] * 3, atol=1e-15)
+    np.testing.assert_allclose(_softmax_row([5.0, 5.0, 5.0]), [1 / 3] * 3, atol=1e-15)
 
 
 def test_softmax_direct_evaluation():
     # exp(ln 2) = 2, exp(0) = 1 -> [2/3, 1/3]
-    out = softmax(Tensor([math.log(2.0), 0.0])).data
-    np.testing.assert_allclose(out, [2 / 3, 1 / 3], atol=1e-12)
+    np.testing.assert_allclose(_softmax_row([math.log(2.0), 0.0]), [2 / 3, 1 / 3], atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [[], [1.0, float("nan")], [float("inf"), 0.0]])
 def test_softmax_rejects_bad_input(bad):
-    with pytest.raises(InvalidInputError):
-        softmax(Tensor(np.asarray(bad, dtype=np.float64)))
+    with pytest.raises(ShapeError if not bad else InvalidInputError):
+        _softmax_row(bad)
 
 
 @given(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=64))
 def test_softmax_sums_to_one(values):
-    p = softmax(Tensor(values)).data
+    p = _softmax_row(values)
     assert p.min() >= 0.0
     assert abs(p.sum() - 1.0) <= 1e-9
 
 
 def test_softmax_sums_to_one_at_length_1e6():
     rng = np.random.default_rng(0)
-    p = softmax(Tensor(rng.uniform(-50.0, 50.0, size=10 ** 6))).data
+    p = _softmax_row(rng.uniform(-50.0, 50.0, size=10 ** 6))
     assert abs(p.sum() - 1.0) <= 1e-9
 
 
 @given(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=32),
        st.floats(-100.0, 100.0))
 def test_softmax_shift_invariance(values, c):
-    base = softmax(Tensor(values)).data
-    shifted = softmax(Tensor(np.asarray(values) + c)).data
+    base = _softmax_row(values)
+    shifted = _softmax_row(np.asarray(values) + c)
     np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
 def test_softmax_bitexact_under_permutation():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(257)
-    base = softmax(Tensor(v)).data
+    base = _softmax_row(v)
     for _ in range(10):
         perm = rng.permutation(257)
-        assert np.array_equal(softmax(Tensor(v[perm])).data, base[perm])
+        assert np.array_equal(_softmax_row(v[perm]), base[perm])
 
 
 def test_softmax_gradient_of_sum_is_zero():
-    s = Tensor(np.array([0.3, -1.2, 2.0]), requires_grad=True)
-    sum_all(softmax(s)).backward()
+    s = Tensor(np.array([[0.3, -1.2, 2.0]]), requires_grad=True)
+    sum_all(row_softmax(s)).backward()
     assert np.abs(s.grad).max() <= 1e-12
+
+
+# ----------------------------------------------------------------------------
+# elementwise ops and scaling
+
+
+@pytest.mark.parametrize("op", [add, sub, mul], ids=["add", "sub", "mul"])
+def test_elementwise_ops_reject_unequal_shapes(op):
+    a = Tensor(np.ones((3, 2)), requires_grad=True)
+    for other in (np.ones(2), np.ones((1, 2)), np.ones((2, 3)), 1.0):
+        with pytest.raises(ShapeError):
+            op(a, other)
+        with pytest.raises(ShapeError):
+            op(other, a)
+
+
+def test_elementwise_op_gradients():
+    a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    b = Tensor(np.array([[3.0, -4.0]]), requires_grad=True)
+    sum_all(add(sub(a, b), mul(a, b))).backward()
+    np.testing.assert_array_equal(a.grad, [[4.0, -3.0]])  # 1 + b
+    np.testing.assert_array_equal(b.grad, [[0.0, 1.0]])   # -1 + a
+
+
+def test_tensor_scales_only_by_a_number():
+    t = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    with pytest.raises(TypeError):
+        t * t
+    with pytest.raises(TypeError):
+        t * np.ones(2)
+    sum_all(0.5 * t).backward()
+    np.testing.assert_array_equal(t.grad, [0.5, 0.5])
 
 
 # ----------------------------------------------------------------------------
@@ -111,14 +147,16 @@ def test_mlp_hand_computed_forward():
     params["net/b0"].data[...] = [0.05, -0.05]
     params["net/W1"].data[...] = [[0.7], [-0.6]]
     params["net/b1"].data[...] = [0.1]
-    out = mlp_forward(spec, params, "net", Tensor([1.0, 2.0]))
-    np.testing.assert_allclose(out.data, [0.295], atol=1e-12)
+    out = mlp_forward(spec, params, "net", Tensor([[1.0, 2.0]]))
+    np.testing.assert_allclose(out.data, [[0.295]], atol=1e-12)
 
 
 def test_mlp_width_mismatch_raises():
     spec, params = _mlp_220_params()
     with pytest.raises(ShapeError):
         mlp_forward(spec, params, "net", Tensor([[1.0, 2.0, 3.0]]))
+    with pytest.raises(ShapeError):  # one row is a (1, w_in) matrix, not a vector
+        mlp_forward(spec, params, "net", Tensor([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -151,9 +189,9 @@ def _rowsum_node(t):
 
 
 def _unfused_linear(x, w, b, relu):
-    h = matmul(x, w)
-    if b is not None:
-        h = add(h, b)
+    """The product, the bias and the ReLU as three tape nodes."""
+    h = _make(x.data @ w.data, (x, w), lambda g: (g @ w.data.T, x.data.T @ g))
+    h = _make(h.data + b.data, (h, b), lambda g: (g, g.sum(axis=0)))
     return _relu_node(h) if relu else h
 
 
@@ -174,9 +212,10 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-@pytest.mark.parametrize("bias", [False, True])
+# ``train_bias`` False gives a constant bias, which gets no gradient.
+@pytest.mark.parametrize("train_bias", [False, True])
 @pytest.mark.parametrize("relu", [False, True])
-def test_linear_matches_unfused_chain_bit_for_bit(bias, relu):
+def test_linear_matches_unfused_chain_bit_for_bit(train_bias, relu):
     rng = np.random.default_rng(21)
     x_data = _special_rows(rng, 9, 5)
     w_data = rng.standard_normal((5, 4))
@@ -187,12 +226,13 @@ def test_linear_matches_unfused_chain_bit_for_bit(bias, relu):
     for layer in (linear, _unfused_linear):
         x = Tensor(x_data.copy(), requires_grad=True)
         w = Tensor(w_data.copy(), requires_grad=True)
-        b = Tensor(b_data.copy(), requires_grad=True) if bias else None
+        b = Tensor(b_data.copy(), requires_grad=train_bias)
         out = layer(x, w, b, relu)
         with np.errstate(invalid="ignore"):
             sum_all(mul(out, Tensor(upstream))).backward()
-        results.append([out.data, x.grad, w.grad] + ([b.grad] if bias else []))
-    pre = x_data @ w_data + (b_data if bias else 0.0)
+        assert (b.grad is not None) == train_bias
+        results.append([out.data, x.grad, w.grad] + ([b.grad] if train_bias else []))
+    pre = x_data @ w_data + b_data
     assert (pre == 0.0).any() and np.isnan(pre).any()
     if relu:
         out = results[0][0]
@@ -203,7 +243,7 @@ def test_linear_matches_unfused_chain_bit_for_bit(bias, relu):
 
 def test_linear_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
-        linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+        linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(np.ones(4)))
     with pytest.raises(ShapeError):
         linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
 
@@ -225,17 +265,19 @@ def test_rowdot_matches_unfused_chain_bit_for_bit():
         rowdot(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
 
 
-@pytest.mark.parametrize("bias,relu", [(True, True), (False, True), (True, False)])
-def test_linear_gradients_match_finite_differences(bias, relu):
+# ``train_bias`` False gives a constant bias, which gets no gradient.
+@pytest.mark.parametrize("train_bias,relu", [(True, True), (False, True), (True, False)])
+def test_linear_gradients_match_finite_differences(train_bias, relu):
     rng = np.random.default_rng(23)
     params = ParamStore(seed=23)
     params.register("p/X", (6, 4))
     params.register("p/W", (4, 3))
     params.register("p/b", (3,), init="uniform")
     weights = rng.standard_normal((6, 3))
+    fixed_b = Tensor(params["p/b"].data.copy())
 
     def fn(p):
-        out = linear(p["p/X"], p["p/W"], p["p/b"] if bias else None, relu=relu)
+        out = linear(p["p/X"], p["p/W"], p["p/b"] if train_bias else fixed_b, relu=relu)
         return sum_all(mul(out, Tensor(weights)))
 
     assert grad_check(fn, params, eps=1e-6) <= 1e-8
@@ -255,7 +297,7 @@ def test_rowdot_gradients_match_finite_differences():
 
 
 def test_mlp_records_one_tape_node_per_layer():
-    spec = MlpSpec((3, 5, 4, 2), ("relu", "relu", "none"), (True, False, True))
+    spec = MlpSpec((3, 5, 4, 2))
     params = ParamStore(seed=0)
     params.register_mlp("net", spec)
     out = mlp_forward(spec, params, "net", Tensor(np.ones((7, 3))))
@@ -344,9 +386,9 @@ def test_attention_permutation_equivariance_bitexact():
 
 
 def test_backward_linear_gradient_is_exact():
-    x = np.array([1.5, -2.0, 0.25])
-    w = Tensor(np.zeros(3), requires_grad=True)
-    dot(w, Tensor(x)).backward()
+    x = np.array([[1.5, -2.0, 0.25]])
+    w = Tensor(np.zeros((1, 3)), requires_grad=True)
+    rowdot(w, Tensor(x)).backward()
     np.testing.assert_array_equal(w.grad, x)
 
 
@@ -371,18 +413,18 @@ def test_grad_check_quadratic_is_exact():
 
     def fn(p):
         w = p["w/a"]
-        return sum_all(w * w)
+        return sum_all(mul(w, w))
 
     assert grad_check(fn, params, eps=1e-5) <= 1e-9
 
 
 def test_grad_check_linear_is_exact():
     params = ParamStore(seed=2)
-    params.register("w/a", (4,))
-    c = np.array([1.0, -2.0, 3.0, 0.5])
+    params.register("w/a", (1, 4))
+    c = np.array([[1.0, -2.0, 3.0, 0.5]])
 
     def fn(p):
-        return dot(p["w/a"], Tensor(c))
+        return rowdot(p["w/a"], Tensor(c))
 
     # zero truncation error for a linear map, so probe at the large-eps end
     # where subtractive cancellation is negligible
@@ -465,7 +507,7 @@ def test_max_rows_pools_each_row_block():
     t = Tensor(np.array([[1.0, 4.0], [3.0, 4.0], [0.0, -1.0], [-2.0, -1.0]]), requires_grad=True)
     out = max_rows(t, 2)
     np.testing.assert_array_equal(out.data, [[3.0, 4.0], [0.0, -1.0]])
-    sum_all(out * Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))).backward()
+    sum_all(mul(out, Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])))).backward()
     np.testing.assert_array_equal(t.grad, [[0.0, 2.0], [1.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
     with pytest.raises(ContractError):
         max_rows(t, 3)
@@ -476,7 +518,7 @@ def test_matvec_rows_rows_are_matvec_bits():
     a, xs = rng.standard_normal((37, 9)), rng.standard_normal((5, 9))
     out = matvec_rows(Tensor(a), Tensor(xs)).data
     for q in range(5):
-        assert np.array_equal(out[q], matvec(Tensor(a), Tensor(xs[q])).data)
+        assert np.array_equal(out[q], a @ xs[q])
     with pytest.raises(ShapeError):
         matvec_rows(Tensor(a), Tensor(np.ones((2, 8))))
 
@@ -491,12 +533,26 @@ def test_matvec_rows_and_concat_rows_gradients_match_finite_differences():
 
     def fn(p):
         xs = concat_rows([p["p/x"], p["p/X"]])
-        return sum_all(matvec_rows(p["p/A"], xs) * Tensor(w))
+        return sum_all(mul(matvec_rows(p["p/A"], xs), Tensor(w)))
 
     assert grad_check(fn, params, eps=1e-5) <= 1e-8
     assert concat_rows([params["p/x"], params["p/X"]]).data.shape == (3, 3)
     with pytest.raises(ShapeError):
         concat_rows([Tensor(np.ones(3)), Tensor(np.ones((2, 4)))])
+
+
+def test_concat_cols_drops_constant_parts_from_the_tape():
+    const = np.arange(8.0).reshape(4, 2)
+    const_alive = weakref.ref(const)
+    left = Tensor(np.ones((4, 1)), requires_grad=True)
+    right = Tensor(np.ones((4, 3)), requires_grad=True)
+    out = concat_cols([left, Tensor(const), right])
+    del const
+    assert const_alive() is None  # the output copied it; nothing else holds it
+    upstream = np.arange(24.0).reshape(4, 6)
+    sum_all(mul(out, Tensor(upstream))).backward()
+    np.testing.assert_array_equal(left.grad, upstream[:, :1])
+    np.testing.assert_array_equal(right.grad, upstream[:, 3:])
 
 
 def test_scatter_mean_averages_by_contributor_count():
@@ -527,8 +583,8 @@ def test_attn_mix_matches_plain_matmul():
 
 
 def test_matvec_shape_error():
-    with pytest.raises(ShapeError):
-        matvec(Tensor(np.ones((2, 3))), Tensor(np.ones(2)))
+    with pytest.raises(ShapeError):  # one vector is a (1, d) matrix of rows
+        matvec_rows(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
 
 
 def test_composite_gradient_matches_finite_differences():
@@ -540,8 +596,7 @@ def test_composite_gradient_matches_finite_differences():
     mix_w = rng.random(4)
 
     def fn(p):
-        from gqn.autodiff import concat_cols, gather_rows, matmul, scale_rows
-        h = matmul(Tensor(x), p["p/W"])
+        h = matmul_nt(Tensor(x), p["p/W"])
         g = gather_rows(h, np.array([0, 2, 2, 5]))
         s = row_softmax(g)
         mixed = segment_mix(concat_cols([g, s]), Tensor(mix_w), 2)

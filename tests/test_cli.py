@@ -158,6 +158,37 @@ def test_box_center_or_extent_not_two_integers_exits_2(tmp_path, capsys, command
     assert f"config.scene.boxes[0].{key} must be a list of two integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "bench", "train-demo"])
+@pytest.mark.parametrize("extent", [[0, 1], [-2, 2]], ids=["zero", "negative"])
+def test_box_extent_below_one_exits_2(tmp_path, capsys, command, extent):
+    doc = json.loads(json.dumps(TOY_8x8))
+    doc["scene"]["boxes"] = [{"center": [3, 3], "extent": extent}]
+    doc["train"] = {"steps": 0}
+    cfg = _write(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "must be at least 1x1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "train-demo"])
+@pytest.mark.parametrize("path,value,message", [
+    (("cost", "modes"), "naive", "config.cost.modes must be a list"),
+    (("cost", "modes"), ["bogus"], "config.cost.modes: unknown mode 'bogus'"),
+    (("cost", "m_bev_sweep"), 5, "config.cost.m_bev_sweep must be a list"),
+    (("scene", "boxes", 0, "signature"), 5, "config.scene.boxes[0].signature must be a list"),
+], ids=["modes-string", "modes-unknown", "sweep-int", "signature-int"])
+def test_list_valued_key_of_wrong_type_exits_2(tmp_path, capsys, command, path, value, message):
+    doc = json.loads(json.dumps(TOY_8x8))
+    doc["scene"]["boxes"] = [{"center": [3, 3], "extent": [2, 2]}]
+    doc["train"] = {"steps": 0}
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+    node[path[-1]] = value
+    cfg = _write(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, TOY_8x8)
     taken = tmp_path / "taken"

@@ -103,14 +103,14 @@ def test_infuse_passthrough_of_node_half():
     w = np.vstack([np.eye(3), np.zeros((3, 3))])
     params, spec = _eta(w, 3)
     nodes = Tensor(np.random.default_rng(1).standard_normal((5, 3)))
-    out = infuse_context(nodes, Tensor(np.array([9.0, -9.0, 4.0])), params, spec)
+    out = infuse_context(nodes, Tensor(np.array([[9.0, -9.0, 4.0]])), params, spec, rows=[0])
     np.testing.assert_allclose(out.data, nodes.data, atol=1e-15)
 
 
 def test_infuse_zero_weights_bias_everywhere():
     params, spec = _eta(np.zeros((6, 3)), 3)
     params["context_mlp/b0"].data[...] = [1.0, 2.0, 3.0]
-    out = infuse_context(Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)), params, spec)
+    out = infuse_context(Tensor(np.zeros((4, 3))), Tensor(np.zeros((1, 3))), params, spec, rows=[0])
     np.testing.assert_array_equal(out.data, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
 
@@ -119,7 +119,7 @@ def test_infuse_identical_nodes_identical_outputs():
     spec = MlpSpec.relu_stack((6, 3, 3))
     params.register_mlp("context_mlp", spec)
     nodes = Tensor(np.tile([0.5, 0.5, -1.0], (3, 1)))
-    out = infuse_context(nodes, Tensor(np.ones(3)), params, spec).data
+    out = infuse_context(nodes, Tensor(np.ones((1, 3))), params, spec, rows=[0]).data
     assert np.array_equal(out[0], out[1]) and np.array_equal(out[1], out[2])
 
 
@@ -128,7 +128,13 @@ def test_infuse_width_mismatch():
     spec = MlpSpec.relu_stack((5, 3, 3))
     params.register_mlp("context_mlp", spec)
     with pytest.raises(ShapeError):
-        infuse_context(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), params, spec)
+        infuse_context(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))), params, spec, rows=[0])
+
+
+def test_infuse_rejects_a_summary_vector():
+    params, spec = _eta(np.zeros((6, 3)), 3)
+    with pytest.raises(ShapeError):  # one summary is a (1, d) matrix, picked by rows=[0]
+        infuse_context(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), params, spec, rows=[0])
 
 
 def test_output_width_matches_d_per_node():
@@ -136,7 +142,7 @@ def test_output_width_matches_d_per_node():
     spec = MlpSpec.relu_stack((8, 4, 4))
     params.register_mlp("context_mlp", spec)
     out = infuse_context(Tensor(np.random.default_rng(4).standard_normal((6, 4))),
-                         Tensor(np.zeros(4)), params, spec)
+                         Tensor(np.zeros((1, 4))), params, spec, rows=[0])
     assert out.data.shape == (6, 4)
 
 
@@ -151,10 +157,7 @@ def test_module_gradients_match_finite_differences():
     def fn(p):
         pooled = concat_rows([pool_query(Tensor(v)) for v in node_sets])
         mixed = context_exchange(pooled, 2, p)
-        total = None
-        for i, v in enumerate(node_sets):
-            part = sum_all(infuse_context(Tensor(v), mixed, p, spec, rows=[i]))
-            total = part if total is None else total + part
-        return total
+        return sum_all(concat_rows([infuse_context(Tensor(v), mixed, p, spec, rows=[i])
+                                    for i, v in enumerate(node_sets)]))
 
     assert grad_check(fn, params, eps=1e-5, max_coords_per_param=8, seed=1) <= 1e-4

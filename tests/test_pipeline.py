@@ -305,8 +305,8 @@ def test_tape_size_does_not_grow_with_queries_per_chunk():
 
 def _unfused_extra_bytes(spec, rows):
     """Bytes a layer-by-layer MLP keeps beyond its layer outputs: the product before
-    the bias and, under ReLU, the pre-activation."""
-    return sum(rows * width * 8 * (spec.biases[i] + (spec.activations[i] == "relu"))
+    the bias and, on hidden layers, the pre-activation of the ReLU."""
+    return sum(rows * width * 8 * (1 + (i < spec.n_layers - 1))
                for i, width in enumerate(spec.widths[1:]))
 
 

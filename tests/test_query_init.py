@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqn.autodiff import Tensor, sum_all
+from gqn.autodiff import Tensor, mul, sum_all
 from gqn.errors import ConfigError, InvalidInputError
 from gqn.pipeline import GqnConfig, init_params, run_gqn
 from gqn.query_init import (QuerySetSpec, attention_scores, build_knn_edges, init_graph_query,
@@ -50,7 +50,7 @@ def test_scores_sum_to_one_and_differentiable_wrt_u():
     alpha = attention_scores(u, Tensor(flat.states))
     assert abs(alpha.data.sum() - 1.0) <= 1e-9
     # gradient of a weighted score sum w.r.t. u is generically nonzero
-    sum_all(alpha * Tensor(np.arange(36.0))).backward()
+    sum_all(mul(alpha, Tensor(np.arange(36.0)))).backward()
     assert np.abs(u.grad).max() > 0.0
 
 

@@ -101,6 +101,13 @@ def test_box_outside_grid_rejected():
         SceneSpec(8, 8, 4, boxes=(_box((0, 0), (4, 4), 4),))
 
 
+@pytest.mark.parametrize("extent", [(0, 1), (1, 0), (-2, 2)])
+def test_box_extent_below_one_rejected(extent):
+    with pytest.raises(ConfigError, match="at least 1x1"):
+        SceneSpec(8, 8, 4, boxes=(_box((3, 3), extent, 4),))
+    SceneSpec(8, 8, 4, boxes=(_box((3, 3), (1, 1), 4),))  # a single cell is a box
+
+
 def test_signature_width_must_match_d():
     with pytest.raises(ConfigError):
         SceneSpec(8, 8, 4, boxes=(ObjectBox((4, 4), (2, 2), (1.0, 2.0)),))
