@@ -218,6 +218,8 @@ def load_settings(config_path: str | None, seed_flag: int | None,
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"config.cost.modes: unknown mode {mode!r}, expected one of {MODES}")
+    if not modes or len(set(modes)) != len(modes):
+        raise ConfigError(f"config.cost.modes must list distinct modes of {MODES}, got {modes!r}")
     full_k = _int(cost_sec.get("full_k", FULL_GRAPH_K), "config.cost.full_k")
 
     train_sec = doc.get("train", {})

@@ -20,7 +20,9 @@ only; the pipeline always runs the exact search at desk scale.
 FLOP estimates are closed-form integer sums over the pipeline's stages
 (scoring, edge features, edge attention, node updates, pooling, context
 attention, projection, skip/gate MLPs), counting 2 FLOPs per multiply-add.
-They depend only on the configuration and grid size, never on grid content.
+They count the layers the code runs, whose 2d-wide first layers are split
+per node, and depend only on the configuration and grid size, never on grid
+content.
 """
 
 from __future__ import annotations
@@ -185,44 +187,80 @@ def _mlp_flops(rows: int, spec: MlpSpec) -> int:
     return total + rows * sum(spec.widths[1:-1])  # ReLU on the hidden layers
 
 
-def flop_estimate(config: GqnConfig, m_bev: int, d: int | None = None) -> int:
-    """Closed-form FLOPs for one pipeline pass; a function of config and grid size only.
+def _split_mlp_flops(spec: MlpSpec, product_rows: int, adds: int, rows: int) -> int:
+    """An MLP whose first layer runs split per node, as ``autodiff.split_linear`` does.
 
-    Per query: scoring 2*m_bev*d plus a softmax, selection weighting, then
-    per-edge terms (relative positions, edge MLP, score projections and dots,
-    per-node softmax, weighted aggregation) that are all linear in n*k, then
-    per-node terms (node and context MLPs, pooling, projection adds). Shared:
-    context attention steps over all tau summaries, per-cell mean
-    normalization, and the skip and gate MLPs over every cell.
+    ``product_rows`` rows are multiplied by one (w_in/2, h) half of W0, ``adds``
+    rows of h sums combine the products (per node, or gathered per edge), and
+    each of the ``rows`` outputs gets the bias and, on a hidden layer, the
+    ReLU. Later layers are per output row, as in ``_mlp_flops``.
+    """
+    h = spec.widths[1]
+    total = product_rows * 2 * (spec.widths[0] // 2) * h + adds * h + rows * h
+    if spec.n_layers > 1:
+        total += rows * h + _mlp_flops(rows, MlpSpec(spec.widths[1:]))
+    return total
+
+
+def flop_stages(config: GqnConfig, m_bev: int, d: int | None = None) -> dict[str, int]:
+    """Closed-form FLOPs of one pipeline pass per stage; a function of config and grid size only.
+
+    The stages are named as the benchmark's spans. The estimate counts the
+    layers the code runs, not the concatenated layers of the paper: the
+    first layers of the edge, node and context MLPs are split per node
+    (``autodiff.split_linear``), so their products are per node, the edge
+    layer adds a per-edge gather-add, and the summaries are projected once
+    per pass (tau rows of a d x d product).
+
+    Per query: scoring 2*m_bev*d plus a softmax, selection weighting, the edge
+    MLP, score projections and dots, per-node softmax and weighted
+    aggregation (all linear in n*k), then the node and context MLPs, pooling
+    and projection adds per node. Shared: context attention steps over all tau
+    summaries, per-cell mean normalization, and the skip and gate MLPs over
+    every cell.
     """
     d = config.d if d is None else d
     tau = config.tau
-    total = 0
+    stages = dict.fromkeys(("query_init.score", "query_init.select", "edge_focus.features",
+                            "edge_focus.attention", "edge_focus.update", "deep_context.pool",
+                            "deep_context.exchange", "deep_context.infuse", "pipeline.project",
+                            "pipeline.skip", "pipeline.gate"), 0)
     for s in config.sets:
         n = s.n_nodes(m_bev)
         edges = n * s.k
-        per_query = 2 * m_bev * d + 4 * m_bev            # scores + softmax
-        per_query += 2 * n * d + n                       # selection weighting
-        per_query += edges * d                           # relative positions
-        per_query += _mlp_flops(edges, config.edge_mlp_spec)
-        per_query += _mlp_flops(edges, config.edge_q_spec)
-        per_query += _mlp_flops(edges, config.edge_k_spec)
-        per_query += 2 * edges * d + 4 * edges           # score dots + per-node softmax
-        per_query += 2 * edges * d                       # attention-weighted aggregation
-        per_query += _mlp_flops(n, config.node_mlp_spec)
-        per_query += n * d                               # max pooling
-        per_query += _mlp_flops(n, config.context_mlp_spec)
-        per_query += n * d                               # scatter adds
-        total += s.queries * per_query
-    per_step = (3 * _linear_flops(tau, d, d)             # q/k/v projections
-                + 2 * (2 * tau * tau * d)                # score and mixing matmuls
-                + 4 * tau * tau                          # row softmax
-                + tau * d)                               # residual add
-    total += config.context_steps * per_step
-    total += config.num_sets * m_bev * d                 # per-cell mean normalization
-    total += _mlp_flops(m_bev, config.mlp1_spec)
-    total += _mlp_flops(m_bev, config.mlp2_spec) + m_bev * (8 + 4 * d)  # gate softmax + blend
-    return total
+        per_query = {
+            "query_init.score": 2 * m_bev * d + 4 * m_bev,            # scores + softmax
+            "query_init.select": 2 * n * d + n,                       # selection weighting
+            # per-node products of both halves, their sum, then per edge the
+            # source term subtracted
+            "edge_focus.features": _split_mlp_flops(config.edge_mlp_spec, 2 * n, n + edges, edges),
+            "edge_focus.attention": (_mlp_flops(edges, config.edge_q_spec)
+                                     + _mlp_flops(edges, config.edge_k_spec)
+                                     + 2 * edges * d + 4 * edges),    # score dots + softmax
+            "edge_focus.update": (2 * edges * d                       # weighted aggregation
+                                  + _split_mlp_flops(config.node_mlp_spec, 2 * n, n, n)),
+            "deep_context.pool": n * d,                               # max pooling
+            # node half per node, plus the gathered summary half
+            "deep_context.infuse": _split_mlp_flops(config.context_mlp_spec, n, n, n),
+            "pipeline.project": n * d,                                # scatter adds
+        }
+        for stage, flops in per_query.items():
+            stages[stage] += s.queries * flops
+    stages["deep_context.infuse"] += 2 * tau * d * config.context_mlp_spec.widths[1]
+    stages["deep_context.exchange"] = config.context_steps * (
+        3 * _linear_flops(tau, d, d)                                  # q/k/v projections
+        + 2 * (2 * tau * tau * d)                                     # score and mixing matmuls
+        + 4 * tau * tau                                               # row softmax
+        + tau * d)                                                    # residual add
+    stages["pipeline.project"] += config.num_sets * m_bev * d         # per-cell mean normalization
+    stages["pipeline.skip"] = _mlp_flops(m_bev, config.mlp1_spec)
+    stages["pipeline.gate"] = _mlp_flops(m_bev, config.mlp2_spec) + m_bev * (8 + 4 * d)  # + blend
+    return stages
+
+
+def flop_estimate(config: GqnConfig, m_bev: int, d: int | None = None) -> int:
+    """Closed-form FLOPs for one pipeline pass: the sum of ``flop_stages``."""
+    return sum(flop_stages(config, m_bev, d).values())
 
 
 def run_benchmark(config: GqnConfig, m_bev_sweep: list[int], modes: list[str] | None = None,

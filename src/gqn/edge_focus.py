@@ -7,6 +7,16 @@ each edge is scored by the dot product of its own query/key projections,
 normalized across the K edges leaving the same node, and the node update is
 an MLP of the attention-weighted edge sum concatenated with the node's state.
 
+Per-node split: the first layer of the edge MLP is linear in
+``[p_j - p_i || s_j]``, so with W_p and W_s the top and bottom rows of its
+weight it equals ``(P W_p + S W_s)[j] - (P W_p)[i] + b``, the linearity
+DGCNN's EdgeConv uses to compute its ``theta (x_j - x_i) + phi x_i`` edge
+function per point (Wang et al., "Dynamic Graph CNN for Learning on Point
+Clouds", 2019, eq. 8). The products are per node, k times fewer than per
+edge, and neither the (n*k, 2d) input nor the gathered neighbor states is
+built (``autodiff.split_linear``). The node MLP's ``[message || state]``
+takes the same split without a gather.
+
 Scoring note: pairing the two projections of the same edge yields exactly one
 weight per edge, which is what the weighted aggregation consumes. The natural
 generalization, a full KxK score matrix between the edges of a neighborhood,
@@ -16,8 +26,10 @@ in at ``edge_attention`` without touching the rest of the operator.
 
 from __future__ import annotations
 
-from .autodiff import (MlpSpec, ParamStore, Tensor, concat_cols, gather_rows, mlp_forward,
-                       reshape, row_softmax, rowdot, segment_mix)
+import numpy as np
+
+from .autodiff import (MlpSpec, ParamStore, Tensor, mlp_forward, reshape, row_softmax, rowdot,
+                       segment_mix, split_mlp_forward)
 from .errors import ContractError, ShapeError
 from .query_init import GraphQuery
 
@@ -27,9 +39,10 @@ def edge_features(query: GraphQuery, params: ParamStore, spec: MlpSpec) -> Tenso
     d = query.positions.shape[1]
     if spec.widths[0] != 2 * d:
         raise ShapeError(f"edge MLP expects input width {spec.widths[0]}, node width is {d}")
-    rel = Tensor(query.positions[query.edge_dst] - query.positions[query.edge_src])
-    neighbor = gather_rows(query.states, query.edge_dst)
-    return mlp_forward(spec, params, "edge_mlp", concat_cols([rel, neighbor]))
+    if not np.array_equal(query.edge_src, np.repeat(np.arange(query.n_nodes), query.k)):
+        raise ContractError("edge features need edges grouped by source, k per node")
+    return split_mlp_forward(spec, params, "edge_mlp", Tensor(query.positions), query.states,
+                             rows=query.edge_dst, k=query.k)
 
 
 def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore,
@@ -51,7 +64,7 @@ def update_nodes(query: GraphQuery, feats: Tensor, beta: Tensor, params: ParamSt
     if spec.widths[0] != 2 * d:
         raise ShapeError(f"node MLP expects input width {spec.widths[0]}, node width is {d}")
     message = segment_mix(feats, beta, query.k)
-    return mlp_forward(spec, params, "node_mlp", concat_cols([message, query.states]))
+    return split_mlp_forward(spec, params, "node_mlp", message, query.states)
 
 
 def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,

@@ -18,12 +18,15 @@ runs on chunks of Q queries stacked query-major (see ``GraphQuery``). One
 chunk costs one tape op per layer whatever Q is; kNN still runs once per
 query. Every op of that stage is row-wise or per query, so a chunk's outputs
 and the set maps carry the same bits as one query at a time; only gradients
-summed over rows round differently. Q is capped so that a chunk's (n*k, 2d)
-edge-MLP input stays within ``CHUNK_BYTES``. Whole-set chunks at the
-reference config allocate arrays of up to 120 MB, which the allocator maps
-fresh for each forward: about 50k minor page faults and 0.45 s of system
-time per forward on a 32x32 grid, against about 4k faults and 0.01 s with
-chunks of at most 4 MiB. The toy configs fit one chunk per set.
+summed over rows round differently. The largest arrays a chunk builds are
+its (n*k, d) per-edge layer outputs (the first layers are split per node, so
+no (n*k, 2d) input exists), and Q is capped so that one of them stays within
+``CHUNK_BYTES``. Larger arrays are mapped fresh for each forward. Per
+forward on a 32x32 grid with one BLAS thread, whole-set chunks (arrays up to
+60 MB) cost about 20k minor page faults and 0.2 s of system time, a 16 MiB
+budget about 26k and 0.16 s, and 2 MiB about 5k and 0.01 s. Budgets of 1 to
+8 MiB ran the forward equally fast; 2 MiB is the largest that did not raise
+the fault count. The toy configs fit one chunk per set.
 
 The skip MLP's input is laid out as (state d) || (S set maps, S*d) || (encoding
 d); with the default three sets that is the 5*d-wide fusion input. The mean in
@@ -43,7 +46,7 @@ from .autodiff import (MlpSpec, ParamStore, Tensor, add, as_tensor, backward, co
                        concat_cols, concat_rows, gather_rows, linear, mean_all, mlp_forward,
                        mul, register_attention, reshape, row_softmax, scale_rows, scatter_mean,
                        sub)
-from .deep_context import context_exchange, infuse_context, pool_query
+from .deep_context import context_exchange, infuse_context, pool_query, project_summaries
 from .edge_focus import edge_focus_update
 from .errors import ConfigError, InvalidInputError, ShapeError
 from .query_init import GraphQuery, QuerySetSpec, init_graph_query
@@ -53,9 +56,9 @@ Array = np.ndarray
 
 DEFAULT_SETS = (QuerySetSpec(32, 0.10, 4), QuerySetSpec(32, 0.20, 8), QuerySetSpec(32, 0.30, 12))
 
-# Largest edge-MLP input, in bytes, that one query chunk may build; see the
-# module docstring for why it is this small.
-CHUNK_BYTES = 4 * 2 ** 20
+# Largest per-edge layer output, in bytes, that one query chunk may build; see
+# the module docstring for why it is this small.
+CHUNK_BYTES = 2 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -185,8 +188,8 @@ def soft_fusion(graph_map: Tensor, global_map: Tensor, params: ParamStore,
 
 
 def _chunk_size(spec: QuerySetSpec, m_bev: int, d: int) -> int:
-    """Queries of one set per chunk: as many as keep the (n*k, 2d) edge-MLP input in budget."""
-    return max(1, CHUNK_BYTES // (spec.n_nodes(m_bev) * spec.k * 2 * d * 8))
+    """Queries of one set per chunk: as many as keep an (n*k, d) per-edge output in budget."""
+    return max(1, CHUNK_BYTES // (spec.n_nodes(m_bev) * spec.k * d * 8))
 
 
 def run_gqn(flat: FlatPairs, config: GqnConfig, params: ParamStore,
@@ -218,13 +221,14 @@ def run_gqn(flat: FlatPairs, config: GqnConfig, params: ParamStore,
         concat_rows([pool_query(nodes, query.queries)
                      for set_chunks in chunks for query, nodes in set_chunks]),
         config.context_steps, params)
+    projected = project_summaries(summaries, params, config.context_mlp_spec)
 
     set_maps = []
     for set_chunks in chunks:
         contributions = []
         for query, nodes in set_chunks:
             rows = np.arange(query.query_index, query.query_index + query.queries)
-            mixed = infuse_context(nodes, summaries, params, config.context_mlp_spec, rows=rows)
+            mixed = infuse_context(nodes, projected, params, config.context_mlp_spec, rows=rows)
             contributions.append((query.bev_indices, mixed))
         # One mean per set over its chunks in query order: the per-cell sums
         # accumulate in the same order as one query at a time would.

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gqn import edge_focus, pipeline
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _make, _toposort, add, attn_mix, backward,
                           concat_cols, concat_rows, gather_rows, grad_check, grad_check_groups,
-                          linear, matmul_nt, matvec_rows, max_rows, mlp_forward, mul,
+                          linear, matmul_lower, matmul_nt, matvec_rows, max_rows, mlp_forward, mul,
                           register_attention, row_softmax, rowdot, scale_rows, scatter_mean,
-                          segment_mix, self_attention_layer, sub, sum_all)
+                          segment_mix, self_attention_layer, split_linear, sub, sum_all)
+from gqn.deep_context import ProjectedSummaries
 from gqn.errors import ConfigError, ContractError, InvalidInputError, ShapeError
+from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
 
 
 # ----------------------------------------------------------------------------
@@ -294,6 +297,166 @@ def test_rowdot_gradients_match_finite_differences():
         return sum_all(mul(rowdot(p["p/A"], p["p/B"]), Tensor(weights)))
 
     assert grad_check(fn, params, eps=1e-6) <= 1e-8
+
+
+# ----------------------------------------------------------------------------
+# split_linear against the concatenated first layer it replaces
+
+# Edges grouped by source, two per node; edge 0 -> 1 joins two zero rows.
+_SRC = np.repeat(np.arange(5), 2)
+_DST = np.array([1, 2, 0, 3, 4, 0, 1, 4, 2, 3])
+_GATHER = np.array([0, 0, 1, 2, 1, 2])
+_SPLIT_MODES = ["edge", "gathered", "projected", "identity"]
+
+
+def _split_inputs(mode, rng):
+    """Inputs of one mode whose pre-activations hold exact zeros and NaNs.
+
+    Row 0 of ``a`` is zero and row 1 is -0.0, the rows of ``b`` they meet are
+    zero, and the bias is zero in column 0; row 2 of ``a`` holds a NaN.
+    """
+    per_node = mode in ("edge", "identity")
+    a = _special_rows(rng, 5 if per_node else 6, 3)
+    b = rng.standard_normal((5 if per_node else 3, 4))
+    b[:2] = 0.0
+    rows = {"edge": _DST, "identity": None}.get(mode, _GATHER)
+    bias = rng.standard_normal(2)
+    bias[0] = 0.0
+    return a, b, rng.standard_normal((7, 2)), bias, rows
+
+
+def _concat_first_layer(mode, a, b, w, bias, rows, relu):
+    """The concatenated form: build ``[a || b[rows]]`` (edges: ``[a[dst] - a[src] || b[dst]]``)."""
+    if mode == "edge":
+        left = sub(gather_rows(a, rows), gather_rows(a, _SRC))
+    else:
+        left = a
+    right = b if rows is None else gather_rows(b, rows)
+    return linear(concat_cols([left, right]), w, bias, relu)
+
+
+def _split_first_layer(mode, a, b, w, bias, rows, relu):
+    if mode == "projected":
+        return split_linear(a, matmul_lower(b, w), w, bias, rows, relu=relu, projected=True)
+    return split_linear(a, b, w, bias, rows, k=2 if mode == "edge" else 0, relu=relu)
+
+
+def _assert_close(got, ref, rel):
+    """Equal NaN positions, and elsewhere within ``rel`` of the largest finite entry."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    finite = ~np.isnan(ref)
+    scale = np.abs(ref[finite]).max(initial=0.0)
+    assert np.abs(got[finite] - ref[finite]).max(initial=0.0) <= rel * scale
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("mode", _SPLIT_MODES)
+def test_split_linear_matches_the_concatenated_layer(mode, relu):
+    rng = np.random.default_rng(25)
+    a_data, b_data, w_data, bias_data, rows = _split_inputs(mode, rng)
+    results = []
+    for layer in (_split_first_layer, _concat_first_layer):
+        a, b, w, bias = (Tensor(x.copy(), requires_grad=True)
+                         for x in (a_data, b_data, w_data, bias_data))
+        out = layer(mode, a, b, w, bias, rows, relu)
+        upstream = np.random.default_rng(26).standard_normal(out.data.shape)
+        with np.errstate(invalid="ignore"):
+            sum_all(mul(out, Tensor(upstream))).backward()
+        results.append((out.data, a.grad, b.grad, w.grad, bias.grad))
+    with np.errstate(invalid="ignore"):
+        pre = _concat_first_layer(mode, *(Tensor(x) for x in (a_data, b_data, w_data, bias_data)),
+                                  rows, relu=False).data
+    assert (pre == 0.0).any() and np.isnan(pre).any()
+    if relu:
+        assert not np.isnan(results[0][0]).any()
+    for split, concat in zip(*results, strict=True):
+        _assert_close(split, concat, 1e-12)
+
+
+def test_split_linear_keeps_one_tape_node_and_rejects_mismatched_shapes():
+    a, b = Tensor(np.ones((5, 3)), requires_grad=True), Tensor(np.ones((5, 4)))
+    w, bias = Tensor(np.ones((7, 2)), requires_grad=True), Tensor(np.zeros(2))
+    out = split_linear(a, b, w, bias, _DST, k=2, relu=True)
+    assert out.data.shape == (10, 2) and _toposort(out)[0]._parents == (a, b, w, bias)
+    with pytest.raises(ShapeError):  # b's width does not fill w
+        split_linear(a, Tensor(np.ones((5, 3))), w, bias)
+    with pytest.raises(ShapeError):  # one edge index per edge
+        split_linear(a, b, w, bias, _DST[:-1], k=2)
+    with pytest.raises(ShapeError):  # identity rows need equal row counts
+        split_linear(a, Tensor(np.ones((4, 4))), w, bias)
+    with pytest.raises(ShapeError):  # a projected b has the output width
+        split_linear(a, b, w, bias, _GATHER[:5], projected=True)
+    with pytest.raises(ShapeError):
+        matmul_lower(Tensor(np.ones((2, 8))), w)
+
+
+@pytest.mark.parametrize("mode", _SPLIT_MODES)
+def test_split_linear_gradients_match_finite_differences(mode):
+    rng = np.random.default_rng(27)
+    a, b, w, bias, rows = _split_inputs(mode, rng)
+    params = ParamStore(seed=27)
+    a = rng.standard_normal(a.shape)  # no NaN: finite differences need finite values
+    for name, x in (("p/a", a), ("p/b", b), ("p/w", w), ("p/bias", bias)):
+        params.register(name, x.shape)
+        params[name].data[...] = x
+    weights = rng.standard_normal(({"edge": 10, "identity": 5}.get(mode, 6), 2))
+
+    def fn(p):
+        out = _split_first_layer(mode, p["p/a"], p["p/b"], p["p/w"], p["p/bias"], rows, relu=True)
+        return sum_all(mul(out, Tensor(weights)))
+
+    assert grad_check(fn, params, eps=1e-6) <= 1e-8
+
+
+def _concat_edge_features(query, params, spec):
+    rel = Tensor(query.positions[query.edge_dst] - query.positions[query.edge_src])
+    neighbor = gather_rows(query.states, query.edge_dst)
+    return mlp_forward(spec, params, "edge_mlp", concat_cols([rel, neighbor]))
+
+
+def _concat_update_nodes(query, feats, beta, params, spec):
+    message = segment_mix(feats, beta, query.k)
+    return mlp_forward(spec, params, "node_mlp", concat_cols([message, query.states]))
+
+
+def _concat_infuse_context(nodes, summaries, params, spec, rows):
+    tiled = gather_rows(summaries.table, np.repeat(rows, nodes.data.shape[0] // len(rows)))
+    return mlp_forward(spec, params, "context_mlp", concat_cols([nodes, tiled]))
+
+
+def test_run_gqn_matches_the_concatenated_first_layers(monkeypatch):
+    config = pipeline.GqnConfig()
+    scene_spec = SceneSpec(16, 16, config.d, boxes=demo_boxes(16, 16, config.d, 2, 0),
+                           clutter_density=0.05, noise_amplitude=0.05, seed=0)
+    grid, _ = generate_scene(scene_spec)
+    flat = flatten_grid(grid, sinusoidal_encoding(16, 16, config.d))
+    params = pipeline.init_params(config, flat.m_bev)
+
+    def maps_and_grads():
+        out = pipeline.run_gqn(flat, config, params, global_map=flat.states)
+        maps = [m.data for m in out.set_maps]
+        maps += [out.concat_map.data, out.skip_map.data, out.fused_map.data,
+                 out.global_vectors.data]
+        return maps, backward(sum_all(out.fused_map), params)
+
+    maps, grads = maps_and_grads()
+    with monkeypatch.context() as patch:
+        patch.setattr(edge_focus, "edge_features", _concat_edge_features)
+        patch.setattr(edge_focus, "update_nodes", _concat_update_nodes)
+        patch.setattr(pipeline, "project_summaries",
+                      lambda summaries, params, spec: ProjectedSummaries(summaries))
+        patch.setattr(pipeline, "infuse_context", _concat_infuse_context)
+        ref_maps, ref_grads = maps_and_grads()
+
+    for got, ref in zip(maps, ref_maps, strict=True):
+        _assert_close(got, ref, 1e-9)
+    # ctx_attn/bk has an analytically zero gradient (softmax ignores a per-row
+    # shift), so it is rounding noise either way: hold it to an absolute floor.
+    floor = 1e-12 * max(np.abs(g).max() for g in ref_grads.values())
+    for name, ref in ref_grads.items():
+        tol = max(1e-9 * np.abs(ref).max(), floor)
+        assert np.abs(grads[name] - ref).max() <= tol, name
 
 
 def test_mlp_records_one_tape_node_per_layer():

@@ -173,9 +173,12 @@ def test_box_extent_below_one_exits_2(tmp_path, capsys, command, extent):
 @pytest.mark.parametrize("path,value,message", [
     (("cost", "modes"), "naive", "config.cost.modes must be a list"),
     (("cost", "modes"), ["bogus"], "config.cost.modes: unknown mode 'bogus'"),
+    (("cost", "modes"), [], "config.cost.modes must list distinct modes"),
+    (("cost", "modes"), ["naive", "naive"], "config.cost.modes must list distinct modes"),
     (("cost", "m_bev_sweep"), 5, "config.cost.m_bev_sweep must be a list"),
     (("scene", "boxes", 0, "signature"), 5, "config.scene.boxes[0].signature must be a list"),
-], ids=["modes-string", "modes-unknown", "sweep-int", "signature-int"])
+], ids=["modes-string", "modes-unknown", "modes-empty", "modes-repeated", "sweep-int",
+        "signature-int"])
 def test_list_valued_key_of_wrong_type_exits_2(tmp_path, capsys, command, path, value, message):
     doc = json.loads(json.dumps(TOY_8x8))
     doc["scene"]["boxes"] = [{"center": [3, 3], "extent": [2, 2]}]

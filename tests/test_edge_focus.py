@@ -74,6 +74,16 @@ def test_edge_feature_width_mismatch():
         edge_features(q, params, bad)
 
 
+def test_edge_features_reject_edges_not_grouped_by_source():
+    rng = np.random.default_rng(0)
+    q = _manual_query(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)), 2)
+    params, spec = _linear_params("edge_mlp", np.ones((4, 2)), 2)
+    perm = np.array([2, 3, 0, 1, 4, 5, 6, 7])  # nodes 0 and 1 swap their edge groups
+    q.edge_src, q.edge_dst = q.edge_src[perm], q.edge_dst[perm]
+    with pytest.raises(ContractError):
+        edge_features(q, params, spec)
+
+
 # ----------------------------------------------------------------------------
 # edge attention
 

@@ -3,7 +3,7 @@ import pytest
 
 from gqn.autodiff import (ParamStore, Tensor, _toposort, as_tensor, backward, concat_rows,
                           gather_rows, scatter_mean, sum_all)
-from gqn.deep_context import context_exchange, infuse_context, pool_query
+from gqn.deep_context import context_exchange, infuse_context, pool_query, project_summaries
 from gqn.edge_focus import edge_focus_update
 from gqn.errors import ConfigError, ShapeError
 from gqn.pipeline import (GqnConfig, concat_sets, fusion_weights, init_params, mask_loss,
@@ -244,10 +244,11 @@ def _per_query_reference(flat, config, params, global_map):
         staged.append((query, nodes))
     summaries = context_exchange(concat_rows([pool_query(nodes) for _, nodes in staged]),
                                  config.context_steps, params)
+    projected = project_summaries(summaries, params, config.context_mlp_spec)
     set_maps = []
     for set_index in range(config.num_sets):
         contributions = [(query.bev_indices,
-                          infuse_context(nodes, summaries, params, config.context_mlp_spec,
+                          infuse_context(nodes, projected, params, config.context_mlp_spec,
                                          rows=[query.query_index]))
                          for query, nodes in staged if query.set_index == set_index]
         set_maps.append(gather_rows(scatter_mean(contributions, flat.m_bev), flat.bev_indices))
@@ -329,6 +330,16 @@ def test_tape_keeps_at_most_70_percent_of_the_unfused_layout():
     extra += (_unfused_extra_bytes(config.mlp1_spec, flat.m_bev)
               + _unfused_extra_bytes(config.mlp2_spec, flat.m_bev))
     assert kept <= 0.7 * (kept + extra)
+
+
+def test_tape_holds_no_concatenated_first_layer_input():
+    config = GqnConfig()
+    _, flat, _ = toy_inputs(h=16, w=16, d=config.d, seed=0)
+    out = run_gqn(flat, config, init_params(config, flat.m_bev), global_map=flat.states)
+    concat_shapes = {shape for chunk in out.queries
+                     for shape in ((chunk.n_nodes * chunk.k, 2 * config.d),
+                                   (chunk.n_nodes, 2 * config.d))}
+    assert not concat_shapes & {t.data.shape for t in _toposort(out.fused_map)}
 
 
 def test_every_global_vector_receives_gradient():
