@@ -13,7 +13,7 @@ import numpy as np
 from gqn import GqnConfig, QuerySetSpec, SceneSpec, demo_boxes, flatten_grid, generate_scene
 from gqn import init_graph_query, init_params, sinusoidal_encoding
 from gqn.autodiff import Tensor, concat_rows
-from gqn.deep_context import context_exchange, infuse_context, pool_query, project_summaries
+from gqn.deep_context import context_exchange, infuse_context, pool_query
 from gqn.edge_focus import edge_attention, edge_features, update_nodes
 
 cfg = GqnConfig(d=8, context_steps=2,
@@ -54,10 +54,8 @@ mixed = context_exchange(pooled, cfg.context_steps, params)
 print(f"summaries after  exchange, first two dims: {mixed.data[:, :2].round(3).tolist()}")
 print("zero steps is the exact identity:", context_exchange(pooled, 0, params) is pooled)
 
-# 5) infuse each exchanged summary back into the nodes of its query; the
-#    summary half of the context MLP's first layer is applied once to all summaries
-projected = project_summaries(mixed, params, cfg.context_mlp_spec)
-final = infuse_context(updated, projected, params, cfg.context_mlp_spec,
+# 5) infuse each exchanged summary back into the nodes of its query
+final = infuse_context(updated, mixed, params, cfg.context_mlp_spec,
                        rows=range(chunk.query_index, chunk.query_index + chunk.queries))
 print(f"context-aware nodes: {final.data.shape}, "
       f"mean |shift| of query 0 vs pre-context: "

@@ -12,8 +12,8 @@ differentiable end to end.
 from .autodiff import (MlpSpec, ParamStore, Tensor, backward, grad_check, grad_check_groups,
                        mlp_forward, self_attention_layer)
 from .cost_model import (CostReport, compare_full_vs_queries, construction_cost, flop_estimate,
-                         flop_stages, processing_cost, run_benchmark)
-from .deep_context import context_exchange, infuse_context, pool_query, project_summaries
+                         processing_cost, run_benchmark)
+from .deep_context import context_exchange, infuse_context, pool_query
 from .edge_focus import edge_attention, edge_features, edge_focus_update, update_nodes
 from .errors import ConfigError, ContractError, GqnError, InvalidInputError, ShapeError
 from .pipeline import (GqnConfig, GqnOutput, TrainResult, concat_sets, init_params, run_gqn,

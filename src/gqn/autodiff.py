@@ -221,7 +221,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
 
 def split_linear(a: Tensor, b: Tensor, w: Tensor, bias: Tensor, rows=None, k: int = 0,
-                 relu: bool = False, projected: bool = False) -> Tensor:
+                 relu: bool = False) -> Tensor:
     """A first MLP layer over the halves ``[a || b[rows]]`` as one tape node, without the concat.
 
     W_a, the top rows of ``w`` (as many as ``a`` has columns), multiplies ``a``;
@@ -229,8 +229,7 @@ def split_linear(a: Tensor, b: Tensor, w: Tensor, bias: Tensor, rows=None, k: in
     and only the sums are gathered:
 
     - ``k == 0``: ``a W_a + (b W_b)[rows] + bias``. ``rows`` None means b's own
-      rows, one per row of ``a``. With ``projected``, ``b`` already is the
-      product B W_b, computed once by the caller for all of its rows.
+      rows, one per row of ``a``.
     - ``k > 0``: the edge form ``[a[rows] - a[src] || b[rows]]`` for edges
       grouped by source, k per row of ``a`` (src = i // k), as
       ``(a W_a + b W_b)[rows] - (a W_a)[src] + bias``.
@@ -242,19 +241,18 @@ def split_linear(a: Tensor, b: Tensor, w: Tensor, bias: Tensor, rows=None, k: in
         raise ShapeError(f"split_linear needs matrices, got {a.data.shape}, {b.data.shape}, "
                          f"{w.data.shape}")
     (n, d_a), (m, d_b), (d_in, d_out) = a.data.shape, b.data.shape, w.data.shape
-    if (not 0 < d_a < d_in or d_b != (d_out if projected else d_in - d_a)
-            or bias.data.shape != (d_out,)):
+    if not 0 < d_a < d_in or d_b != d_in - d_a or bias.data.shape != (d_out,):
         raise ShapeError(f"split_linear mismatch [{a.data.shape} || {b.data.shape}] @ "
                          f"{w.data.shape} + {bias.data.shape}")
-    if k and (projected or m != n or rows is None):
-        raise ShapeError("split_linear's edge form needs raw halves of equal rows and edge targets")
+    if k and (m != n or rows is None):
+        raise ShapeError("split_linear's edge form needs halves of equal rows and edge targets")
     if (rows is None and m != n) or (rows is not None and rows.shape != (n * max(k, 1),)):
         raise ShapeError(f"split_linear: rows {None if rows is None else rows.shape} for {n} rows "
                          f"of a, {m} of b, k={k}")
     w_a, w_b = w.data[:d_a], w.data[d_a:]
 
     h = a.data @ w_a
-    c = b.data if projected else b.data @ w_b
+    c = b.data @ w_b
     if k:
         c += h
         out = c[rows]
@@ -277,39 +275,15 @@ def split_linear(a: Tensor, b: Tensor, w: Tensor, bias: Tensor, rows=None, k: in
             np.add.at(gc, rows, g)
         gh = gc - g.reshape(n, k, d_out).sum(axis=1) if k else g
         ga = gh @ w_a.T if a.requires_grad else None
-        gb = None
-        if b.requires_grad:
-            gb = gc if projected else gc @ w_b.T
+        gb = gc @ w_b.T if b.requires_grad else None
         gw = None
         if w.requires_grad:
-            gw = np.zeros_like(w.data)
+            gw = np.empty_like(w.data)
             gw[:d_a] = a.data.T @ gh
-            if not projected:
-                gw[d_a:] = b.data.T @ gc
+            gw[d_a:] = b.data.T @ gc
         return ga, gb, gw, g.sum(axis=0) if bias.requires_grad else None
 
     return _make(out, (a, b, w, bias), backprop)
-
-
-def matmul_lower(x: Tensor, w: Tensor) -> Tensor:
-    """``x @ w[-c:]`` for an (r, c) matrix: x times the bottom c rows of w, as one tape node.
-
-    It gives ``split_linear``'s ``projected`` mode its product B W_b; the
-    gradient reaches those rows of w only.
-    """
-    if x.data.ndim != 2 or w.data.ndim != 2 or not 0 < x.data.shape[1] <= w.data.shape[0]:
-        raise ShapeError(f"matmul_lower mismatch {x.data.shape} @ lower rows of {w.data.shape}")
-    lo = w.data.shape[0] - x.data.shape[1]
-
-    def backprop(g):
-        gx = g @ w.data[lo:].T if x.requires_grad else None
-        gw = None
-        if w.requires_grad:
-            gw = np.zeros_like(w.data)
-            gw[lo:] = x.data.T @ g
-        return gx, gw
-
-    return _make(x.data @ w.data[lo:], (x, w), backprop)
 
 
 # ----------------------------------------------------------------------------
@@ -622,10 +596,10 @@ def mlp_forward(spec: MlpSpec, params: ParamStore, name: str, x: Tensor) -> Tens
 
 
 def split_mlp_forward(spec: MlpSpec, params: ParamStore, name: str, a: Tensor, b: Tensor,
-                      rows=None, k: int = 0, projected: bool = False) -> Tensor:
+                      rows=None, k: int = 0) -> Tensor:
     """Apply the named MLP to ``[a || b[rows]]``; its first layer is ``split_linear``."""
     h = split_linear(a, b, params[f"{name}/W0"], params[f"{name}/b0"], rows, k,
-                     relu=spec.n_layers > 1, projected=projected)
+                     relu=spec.n_layers > 1)
     return _mlp_layers(spec, params, name, h, 1)
 
 

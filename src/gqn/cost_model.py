@@ -202,15 +202,18 @@ def _split_mlp_flops(spec: MlpSpec, product_rows: int, adds: int, rows: int) -> 
     return total
 
 
-def flop_stages(config: GqnConfig, m_bev: int, d: int | None = None) -> dict[str, int]:
+def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
     """Closed-form FLOPs of one pipeline pass per stage; a function of config and grid size only.
 
     The stages are named as the benchmark's spans. The estimate counts the
     layers the code runs, not the concatenated layers of the paper: the
     first layers of the edge, node and context MLPs are split per node
     (``autodiff.split_linear``), so their products are per node, the edge
-    layer adds a per-edge gather-add, and the summaries are projected once
-    per pass (tau rows of a d x d product).
+    layer adds a per-edge gather-add, and the summary half of the context
+    layer is one (tau, d) x (d, h) product. The pipeline repeats that product
+    for every query chunk (the chunk count follows ``pipeline.CHUNK_BYTES``,
+    not the model's inputs); the estimate counts it once per pass, which
+    leaves out about 0.7% at the 32x32 reference config.
 
     Per query: scoring 2*m_bev*d plus a softmax, selection weighting, the edge
     MLP, score projections and dots, per-node softmax and weighted
@@ -219,8 +222,7 @@ def flop_stages(config: GqnConfig, m_bev: int, d: int | None = None) -> dict[str
     summaries, per-cell mean normalization, and the skip and gate MLPs over
     every cell.
     """
-    d = config.d if d is None else d
-    tau = config.tau
+    d, tau = config.d, config.tau
     stages = dict.fromkeys(("query_init.score", "query_init.select", "edge_focus.features",
                             "edge_focus.attention", "edge_focus.update", "deep_context.pool",
                             "deep_context.exchange", "deep_context.infuse", "pipeline.project",
@@ -258,9 +260,9 @@ def flop_stages(config: GqnConfig, m_bev: int, d: int | None = None) -> dict[str
     return stages
 
 
-def flop_estimate(config: GqnConfig, m_bev: int, d: int | None = None) -> int:
-    """Closed-form FLOPs for one pipeline pass: the sum of ``flop_stages``."""
-    return sum(flop_stages(config, m_bev, d).values())
+def flop_estimate(config: GqnConfig, m_bev: int) -> int:
+    """Closed-form FLOPs for one pipeline pass: the sum of ``_flop_stages``."""
+    return sum(_flop_stages(config, m_bev).values())
 
 
 def run_benchmark(config: GqnConfig, m_bev_sweep: list[int], modes: list[str] | None = None,

@@ -11,24 +11,21 @@ Per-node split: the context MLP's first layer is linear in
 ``[node || summary]``, so with W_a and W_b the top and bottom rows of its
 weight it equals ``N W_a + (U W_b)[rows] + b``, the split DGCNN's EdgeConv
 makes (Wang et al., "Dynamic Graph CNN for Learning on Point Clouds", 2019,
-eq. 8). ``project_summaries`` forms U W_b once per forward for all tau
-summaries, and ``infuse_context`` gathers its rows per node
-(``autodiff.split_linear``), so the tiled (N, 2d) input is never built.
-Projecting all summaries and then gathering keeps each node's bits
-independent of how the queries are chunked; projecting only a chunk's
-gathered rows would not.
+eq. 8). ``infuse_context`` multiplies all tau summaries U by W_b and gathers
+the product's rows per node (``autodiff.split_linear``), so the tiled (N, 2d)
+input is never built. Every chunk forms the same (tau, d) x (d, h) product, so
+each node's bits do not depend on how the queries are chunked; projecting
+only a chunk's gathered summary rows would change them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (MlpSpec, ParamStore, Tensor, matmul_lower, max_rows, self_attention_layer,
-                       split_mlp_forward)
-from .errors import ConfigError, ContractError, ShapeError
+from .autodiff import MlpSpec, ParamStore, Tensor, max_rows, self_attention_layer, split_mlp_forward
+from .errors import ConfigError, ShapeError
 
 
 def pool_query(nodes: Tensor, queries: int = 1) -> Tensor:
@@ -46,43 +43,20 @@ def context_exchange(summaries: Tensor, steps: int, params: ParamStore) -> Tenso
     return out
 
 
-@dataclass(frozen=True)
-class ProjectedSummaries:
-    """U W_b, the summary half of the context MLP's first layer, for all tau summaries.
-
-    A type of its own: a raw (tau, d) summary matrix has the same shape and
-    must not be taken for it.
-    """
-
-    table: Tensor  # (tau, h), h the width of the context MLP's first layer
-
-
-def project_summaries(summaries: Tensor, params: ParamStore, spec: MlpSpec) -> ProjectedSummaries:
-    """The (tau, d) summaries times the summary rows of the context MLP's first weight."""
-    if summaries.data.ndim != 2 or spec.widths[0] != 2 * summaries.data.shape[1]:
-        raise ShapeError(f"context MLP expects input width {spec.widths[0]}, "
-                         f"summaries are {summaries.data.shape}")
-    return ProjectedSummaries(matmul_lower(summaries, params["context_mlp/W0"]))
-
-
-def infuse_context(nodes: Tensor, projected: ProjectedSummaries, params: ParamStore,
-                   spec: MlpSpec, rows: Sequence[int]) -> Tensor:
+def infuse_context(nodes: Tensor, summaries: Tensor, params: ParamStore, spec: MlpSpec,
+                   rows: Sequence[int]) -> Tensor:
     """Mix each query's updated summary into each of its nodes: MLP(node || summary).
 
-    ``nodes`` stacks Q queries of n nodes each, query-major. ``projected``
-    holds all summaries, from ``project_summaries``; query q's summary is row
-    ``rows[q]``.
+    ``nodes`` stacks Q queries of n nodes each, query-major. Query q's summary
+    is row ``rows[q]`` of the (tau, d) ``summaries``.
     """
-    if not isinstance(projected, ProjectedSummaries):
-        raise ContractError(f"infuse_context needs project_summaries(...) of the summaries, "
-                            f"got {type(projected).__name__}")
-    table = projected.table
-    if nodes.data.ndim != 2 or table.data.ndim != 2 or table.data.shape[1] != spec.widths[1]:
-        raise ShapeError(f"nodes {nodes.data.shape} vs projected summaries {table.data.shape}")
+    if (nodes.data.ndim != 2 or summaries.data.ndim != 2
+            or summaries.data.shape[1] != nodes.data.shape[1]):
+        raise ShapeError(f"nodes {nodes.data.shape} vs summaries {summaries.data.shape}")
     if spec.widths[0] != 2 * nodes.data.shape[1]:
         raise ShapeError(f"context MLP expects input width {spec.widths[0]}")
     rows = np.asarray(rows, dtype=np.intp)
-    if nodes.data.shape[0] % len(rows):
+    if not len(rows) or nodes.data.shape[0] % len(rows):
         raise ShapeError(f"{nodes.data.shape[0]} nodes do not split into {len(rows)} queries")
-    return split_mlp_forward(spec, params, "context_mlp", nodes, table,
-                             rows=np.repeat(rows, nodes.data.shape[0] // len(rows)), projected=True)
+    return split_mlp_forward(spec, params, "context_mlp", nodes, summaries,
+                             rows=np.repeat(rows, nodes.data.shape[0] // len(rows)))

@@ -46,7 +46,7 @@ from .autodiff import (MlpSpec, ParamStore, Tensor, add, as_tensor, backward, co
                        concat_cols, concat_rows, gather_rows, linear, mean_all, mlp_forward,
                        mul, register_attention, reshape, row_softmax, scale_rows, scatter_mean,
                        sub)
-from .deep_context import context_exchange, infuse_context, pool_query, project_summaries
+from .deep_context import context_exchange, infuse_context, pool_query
 from .edge_focus import edge_focus_update
 from .errors import ConfigError, InvalidInputError, ShapeError
 from .query_init import GraphQuery, QuerySetSpec, init_graph_query
@@ -221,14 +221,13 @@ def run_gqn(flat: FlatPairs, config: GqnConfig, params: ParamStore,
         concat_rows([pool_query(nodes, query.queries)
                      for set_chunks in chunks for query, nodes in set_chunks]),
         config.context_steps, params)
-    projected = project_summaries(summaries, params, config.context_mlp_spec)
 
     set_maps = []
     for set_chunks in chunks:
         contributions = []
         for query, nodes in set_chunks:
             rows = np.arange(query.query_index, query.query_index + query.queries)
-            mixed = infuse_context(nodes, projected, params, config.context_mlp_spec, rows=rows)
+            mixed = infuse_context(nodes, summaries, params, config.context_mlp_spec, rows=rows)
             contributions.append((query.bev_indices, mixed))
         # One mean per set over its chunks in query order: the per-cell sums
         # accumulate in the same order as one query at a time would.

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from gqn import edge_focus, pipeline
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _make, _toposort, add, attn_mix, backward,
                           concat_cols, concat_rows, gather_rows, grad_check, grad_check_groups,
-                          linear, matmul_lower, matmul_nt, matvec_rows, max_rows, mlp_forward, mul,
+                          linear, matmul_nt, matvec_rows, max_rows, mlp_forward, mul,
                           register_attention, row_softmax, rowdot, scale_rows, scatter_mean,
                           segment_mix, self_attention_layer, split_linear, sub, sum_all)
-from gqn.deep_context import ProjectedSummaries
 from gqn.errors import ConfigError, ContractError, InvalidInputError, ShapeError
 from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
 
@@ -306,7 +305,7 @@ def test_rowdot_gradients_match_finite_differences():
 _SRC = np.repeat(np.arange(5), 2)
 _DST = np.array([1, 2, 0, 3, 4, 0, 1, 4, 2, 3])
 _GATHER = np.array([0, 0, 1, 2, 1, 2])
-_SPLIT_MODES = ["edge", "gathered", "projected", "identity"]
+_SPLIT_MODES = ["edge", "gathered", "identity"]
 
 
 def _split_inputs(mode, rng):
@@ -336,8 +335,6 @@ def _concat_first_layer(mode, a, b, w, bias, rows, relu):
 
 
 def _split_first_layer(mode, a, b, w, bias, rows, relu):
-    if mode == "projected":
-        return split_linear(a, matmul_lower(b, w), w, bias, rows, relu=relu, projected=True)
     return split_linear(a, b, w, bias, rows, k=2 if mode == "edge" else 0, relu=relu)
 
 
@@ -385,10 +382,6 @@ def test_split_linear_keeps_one_tape_node_and_rejects_mismatched_shapes():
         split_linear(a, b, w, bias, _DST[:-1], k=2)
     with pytest.raises(ShapeError):  # identity rows need equal row counts
         split_linear(a, Tensor(np.ones((4, 4))), w, bias)
-    with pytest.raises(ShapeError):  # a projected b has the output width
-        split_linear(a, b, w, bias, _GATHER[:5], projected=True)
-    with pytest.raises(ShapeError):
-        matmul_lower(Tensor(np.ones((2, 8))), w)
 
 
 @pytest.mark.parametrize("mode", _SPLIT_MODES)
@@ -421,7 +414,7 @@ def _concat_update_nodes(query, feats, beta, params, spec):
 
 
 def _concat_infuse_context(nodes, summaries, params, spec, rows):
-    tiled = gather_rows(summaries.table, np.repeat(rows, nodes.data.shape[0] // len(rows)))
+    tiled = gather_rows(summaries, np.repeat(rows, nodes.data.shape[0] // len(rows)))
     return mlp_forward(spec, params, "context_mlp", concat_cols([nodes, tiled]))
 
 
@@ -444,8 +437,6 @@ def test_run_gqn_matches_the_concatenated_first_layers(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(edge_focus, "edge_features", _concat_edge_features)
         patch.setattr(edge_focus, "update_nodes", _concat_update_nodes)
-        patch.setattr(pipeline, "project_summaries",
-                      lambda summaries, params, spec: ProjectedSummaries(summaries))
         patch.setattr(pipeline, "infuse_context", _concat_infuse_context)
         ref_maps, ref_grads = maps_and_grads()
 

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, concat_rows, grad_check,
                           register_attention, sum_all)
-from gqn.deep_context import (ProjectedSummaries, context_exchange, infuse_context, pool_query,
-                              project_summaries)
+from gqn.deep_context import context_exchange, infuse_context, pool_query
 from gqn.errors import ConfigError, ContractError, ShapeError
 
 
@@ -104,16 +103,14 @@ def test_infuse_passthrough_of_node_half():
     w = np.vstack([np.eye(3), np.zeros((3, 3))])
     params, spec = _eta(w, 3)
     nodes = Tensor(np.random.default_rng(1).standard_normal((5, 3)))
-    summary = project_summaries(Tensor(np.array([[9.0, -9.0, 4.0]])), params, spec)
-    out = infuse_context(nodes, summary, params, spec, rows=[0])
+    out = infuse_context(nodes, Tensor(np.array([[9.0, -9.0, 4.0]])), params, spec, rows=[0])
     np.testing.assert_allclose(out.data, nodes.data, atol=1e-15)
 
 
 def test_infuse_zero_weights_bias_everywhere():
     params, spec = _eta(np.zeros((6, 3)), 3)
     params["context_mlp/b0"].data[...] = [1.0, 2.0, 3.0]
-    summary = project_summaries(Tensor(np.zeros((1, 3))), params, spec)
-    out = infuse_context(Tensor(np.zeros((4, 3))), summary, params, spec, rows=[0])
+    out = infuse_context(Tensor(np.zeros((4, 3))), Tensor(np.zeros((1, 3))), params, spec, rows=[0])
     np.testing.assert_array_equal(out.data, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
 
@@ -122,8 +119,7 @@ def test_infuse_identical_nodes_identical_outputs():
     spec = MlpSpec.relu_stack((6, 3, 3))
     params.register_mlp("context_mlp", spec)
     nodes = Tensor(np.tile([0.5, 0.5, -1.0], (3, 1)))
-    summary = project_summaries(Tensor(np.ones((1, 3))), params, spec)
-    out = infuse_context(nodes, summary, params, spec, rows=[0]).data
+    out = infuse_context(nodes, Tensor(np.ones((1, 3))), params, spec, rows=[0]).data
     assert np.array_equal(out[0], out[1]) and np.array_equal(out[1], out[2])
 
 
@@ -132,18 +128,19 @@ def test_infuse_width_mismatch():
     spec = MlpSpec.relu_stack((5, 3, 3))
     params.register_mlp("context_mlp", spec)
     with pytest.raises(ShapeError):
-        project_summaries(Tensor(np.zeros((1, 3))), params, spec)
-    with pytest.raises(ShapeError):
-        infuse_context(Tensor(np.zeros((2, 3))), ProjectedSummaries(Tensor(np.zeros((1, 3)))),
-                       params, spec, rows=[0])
+        infuse_context(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))), params, spec, rows=[0])
 
 
 def test_infuse_rejects_a_summary_vector():
     params, spec = _eta(np.zeros((6, 3)), 3)
     with pytest.raises(ShapeError):  # one summary is a (1, d) matrix, picked by rows=[0]
-        project_summaries(Tensor(np.zeros(3)), params, spec)
-    with pytest.raises(ContractError):  # summaries enter projected, never raw
-        infuse_context(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))), params, spec, rows=[0])
+        infuse_context(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), params, spec, rows=[0])
+
+
+def test_infuse_rejects_empty_rows():
+    params, spec = _eta(np.zeros((6, 3)), 3)
+    with pytest.raises(ShapeError):
+        infuse_context(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))), params, spec, rows=[])
 
 
 def test_output_width_matches_d_per_node():
@@ -151,8 +148,7 @@ def test_output_width_matches_d_per_node():
     spec = MlpSpec.relu_stack((8, 4, 4))
     params.register_mlp("context_mlp", spec)
     out = infuse_context(Tensor(np.random.default_rng(4).standard_normal((6, 4))),
-                         project_summaries(Tensor(np.zeros((1, 4))), params, spec), params, spec,
-                         rows=[0])
+                         Tensor(np.zeros((1, 4))), params, spec, rows=[0])
     assert out.data.shape == (6, 4)
 
 
@@ -166,7 +162,7 @@ def test_module_gradients_match_finite_differences():
 
     def fn(p):
         pooled = concat_rows([pool_query(Tensor(v)) for v in node_sets])
-        mixed = project_summaries(context_exchange(pooled, 2, p), p, spec)
+        mixed = context_exchange(pooled, 2, p)
         return sum_all(concat_rows([infuse_context(Tensor(v), mixed, p, spec, rows=[i])
                                     for i, v in enumerate(node_sets)]))
 

@@ -1,4 +1,4 @@
-from gqn.cost_model import flop_estimate, flop_stages
+from gqn.cost_model import _flop_stages, flop_estimate
 from gqn.pipeline import GqnConfig
 from gqn.query_init import QuerySetSpec
 
@@ -9,7 +9,7 @@ M_BEV = 6
 
 
 def test_split_edge_and_context_layers_match_a_hand_count():
-    stages = flop_stages(SMALL, M_BEV)
+    stages = _flop_stages(SMALL, M_BEV)
     n, edges, h = 3, 6, 2
     half_product = 2 * 2 * h                      # a row times a 2 x 2 half, 2 per multiply-add
     second_layer = 2 * 2 * h + h                  # 2 -> 2 product plus bias, per row
@@ -28,11 +28,11 @@ def test_split_edge_and_context_layers_match_a_hand_count():
                + n * h                            # plus the gathered row of U W_b
                + n * h + n * h                    # bias and ReLU
                + n * second_layer)
-    projection = 2 * half_product                 # U W_b, once for both summaries
+    projection = 2 * half_product                 # U W_b for both summaries, in one chunk
     assert (context, projection) == (72, 16)
     assert stages["deep_context.infuse"] == 2 * context + projection
 
 
 def test_flop_estimate_is_the_sum_of_the_stages():
     for config, m_bev in ((SMALL, M_BEV), (GqnConfig(), 1024)):
-        assert flop_estimate(config, m_bev) == sum(flop_stages(config, m_bev).values())
+        assert flop_estimate(config, m_bev) == sum(_flop_stages(config, m_bev).values())

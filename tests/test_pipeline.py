@@ -3,7 +3,7 @@ import pytest
 
 from gqn.autodiff import (ParamStore, Tensor, _toposort, as_tensor, backward, concat_rows,
                           gather_rows, scatter_mean, sum_all)
-from gqn.deep_context import context_exchange, infuse_context, pool_query, project_summaries
+from gqn.deep_context import context_exchange, infuse_context, pool_query
 from gqn.edge_focus import edge_focus_update
 from gqn.errors import ConfigError, ShapeError
 from gqn.pipeline import (GqnConfig, concat_sets, fusion_weights, init_params, mask_loss,
@@ -244,11 +244,10 @@ def _per_query_reference(flat, config, params, global_map):
         staged.append((query, nodes))
     summaries = context_exchange(concat_rows([pool_query(nodes) for _, nodes in staged]),
                                  config.context_steps, params)
-    projected = project_summaries(summaries, params, config.context_mlp_spec)
     set_maps = []
     for set_index in range(config.num_sets):
         contributions = [(query.bev_indices,
-                          infuse_context(nodes, projected, params, config.context_mlp_spec,
+                          infuse_context(nodes, summaries, params, config.context_mlp_spec,
                                          rows=[query.query_index]))
                          for query, nodes in staged if query.set_index == set_index]
         set_maps.append(gather_rows(scatter_mean(contributions, flat.m_bev), flat.bev_indices))
