@@ -11,21 +11,24 @@ deterministic for a fixed operand layout.
 A ``Tensor`` wraps an ndarray together with the closure that maps its output
 gradient back onto its parents; graphs are built define-by-run. One MLP layer
 is one tape node: ``linear`` fuses the product, the bias and the ReLU and keeps
-only its output. ``backward`` frees the graph as it goes: once a node has
-propagated, its gradient, parents and closure are dropped, so a graph can be
-swept once and only leaves keep a ``.grad``. Ops take exact shapes and never
-broadcast: ``add``, ``sub`` and ``mul`` need two equal shapes, and any shape
-that does not fit raises ``ShapeError``. Tensors are treated as immutable once
-created; the sanctioned exceptions are leaf parameters, whose ``data`` may be
-updated *between* forward passes (SGD steps, finite-difference
-probes). Independent forward passes may run concurrently; a backward pass
-owns its graph.
+only its output, and ``edge_scores`` keeps neither of its two projections.
+Inside ``no_grad()`` nothing is recorded. ``backward`` frees the graph as it
+goes: once a node has propagated, its gradient, parents and closure are
+dropped, so a graph can be swept once and only leaves keep a ``.grad``. Ops
+take exact shapes and never broadcast: ``add``, ``sub`` and ``mul`` need two
+equal shapes, and any shape that does not fit raises ``ShapeError``. Tensors
+are treated as immutable once created; the sanctioned exceptions are leaf
+parameters, whose ``data`` may be updated *between* forward passes (SGD steps,
+finite-difference probes). Independent forward passes may run concurrently; a
+backward pass owns its graph.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -99,9 +102,26 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_recording: ContextVar[bool] = ContextVar("gqn_autodiff_recording", default=True)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record nothing inside: every op returns a constant tensor and keeps no parents.
+
+    Forward values are unchanged; leaves keep their ``requires_grad``. The flag
+    is per thread (a context variable), so a forward pass elsewhere still records.
+    """
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _make(data: Array, parents: tuple[Tensor, ...], backprop: BackpropFn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents) and _recording.get():
         out.requires_grad = True
         out._parents = parents
         out._backprop = backprop
@@ -286,6 +306,46 @@ def split_linear(a: Tensor, b: Tensor, w: Tensor, bias: Tensor, rows=None, k: in
     return _make(out, (a, b, w, bias), backprop)
 
 
+def edge_scores(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor) -> Tensor:
+    """Row-wise dot products of ``x @ wq + bq`` and ``x @ wk + bk`` as one tape node.
+
+    The two projections are computed with the calls of ``linear`` and dropped
+    once their dot products are taken; the node keeps only its inputs, and its
+    backward recomputes the projections the same way. ``x`` is listed twice
+    among the parents, so it receives the q-path and the key-path gradients as
+    two contributions, q first, as two separate ``linear`` nodes would give them.
+    """
+    if x.data.ndim != 2 or wq.data.ndim != 2 or x.data.shape[1] != wq.data.shape[0]:
+        raise ShapeError(f"edge_scores mismatch {x.data.shape} @ {wq.data.shape}")
+    width = (wq.data.shape[1],)
+    if wk.data.shape != wq.data.shape or bq.data.shape != width or bk.data.shape != width:
+        raise ShapeError(f"edge_scores projections {wq.data.shape} + {bq.data.shape} and "
+                         f"{wk.data.shape} + {bk.data.shape} differ")
+
+    def projections():
+        q = x.data @ wq.data
+        q += bq.data
+        key = x.data @ wk.data
+        key += bk.data
+        return q, key
+
+    q, key = projections()
+    out = (q * key).sum(axis=1)
+
+    def backprop(g):
+        q, key = projections()
+        gq = g[:, None] * key
+        gk = g[:, None] * q
+        gxq = gq @ wq.data.T if x.requires_grad else None
+        gxk = gk @ wk.data.T if x.requires_grad else None
+        return (gxq, gxk, x.data.T @ gq if wq.requires_grad else None,
+                gq.sum(axis=0) if bq.requires_grad else None,
+                x.data.T @ gk if wk.requires_grad else None,
+                gk.sum(axis=0) if bk.requires_grad else None)
+
+    return _make(out, (x, x, wq, bq, wk, bk), backprop)
+
+
 # ----------------------------------------------------------------------------
 # reductions and structural ops
 
@@ -297,19 +357,6 @@ def sum_all(t: Tensor) -> Tensor:
 def mean_all(t: Tensor) -> Tensor:
     n = t.data.size
     return _make(t.data.mean(), (t,), lambda g: (np.broadcast_to(g / n, t.data.shape).copy(),))
-
-
-def rowdot(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise dot products of two (rows, cols) tensors -> (rows,), as one tape node."""
-    if a.data.ndim != 2 or a.data.shape != b.data.shape:
-        raise ShapeError(f"rowdot needs equal-shape matrices, got {a.data.shape} . {b.data.shape}")
-
-    def backprop(g):
-        ga = g[:, None] * b.data if a.requires_grad else None
-        gb = g[:, None] * a.data if b.requires_grad else None
-        return ga, gb
-
-    return _make((a.data * b.data).sum(axis=1), (a, b), backprop)
 
 
 def row_softmax(t: Tensor) -> Tensor:

@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ParamStore, Tensor, backward, grad_check_groups, sum_all
+from .autodiff import ParamStore, Tensor, backward, grad_check_groups, no_grad, sum_all
 from .cost_model import FULL_GRAPH_K, MODES, compare_full_vs_queries, run_benchmark
 from .errors import ConfigError, GqnError
 from .pipeline import GqnConfig, init_params, run_gqn, toy_train
@@ -303,8 +303,10 @@ def _build_inputs(settings: Settings):
 def cmd_run(settings: Settings) -> int:
     flat, _ = _build_inputs(settings)
     params = init_params(settings.gqn, flat.m_bev)
-    # Stand-in for the global reasoning pathway: the raw input features.
-    out = run_gqn(flat, settings.gqn, params, global_map=flat.states)
+    # Stand-in for the global reasoning pathway: the raw input features. Nothing
+    # here takes a gradient, so the forward keeps no tape.
+    with no_grad():
+        out = run_gqn(flat, settings.gqn, params, global_map=flat.states)
     maps = [("skip", out.skip_map.data), ("fused", out.fused_map.data)]
     maps += [(f"set{i}", m.data) for i, m in enumerate(out.set_maps)]
     if not all(np.isfinite(arr).all() for _, arr in maps):

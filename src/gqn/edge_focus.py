@@ -17,8 +17,13 @@ edge, and neither the (n*k, 2d) input nor the gathered neighbor states is
 built (``autodiff.split_linear``). The node MLP's ``[message || state]``
 takes the same split without a gather.
 
-Scoring note: pairing the two projections of the same edge yields exactly one
-weight per edge, which is what the weighted aggregation consumes. The natural
+Scoring: q and key are one (d, d) layer each, and ``autodiff.edge_scores``
+takes their per-edge dot products in one tape node that keeps only the edge
+features (already on the tape for the aggregation). The two (n*k, d)
+projections are recomputed in backward, not stored.
+
+Pairing the two projections of the same edge yields exactly one weight per
+edge, which is what the weighted aggregation consumes. The natural
 generalization, a full KxK score matrix between the edges of a neighborhood,
 would need a reduction back to one weight per edge; if ever wanted, it slots
 in at ``edge_attention`` without touching the rest of the operator.
@@ -28,8 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (MlpSpec, ParamStore, Tensor, mlp_forward, reshape, row_softmax, rowdot,
-                       segment_mix, split_mlp_forward)
+from .autodiff import (MlpSpec, ParamStore, Tensor, edge_scores, reshape, row_softmax, segment_mix,
+                       split_mlp_forward)
 from .errors import ContractError, ShapeError
 from .query_init import GraphQuery
 
@@ -50,9 +55,12 @@ def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore,
     """Per-edge weights, normalized over each node's k edges; shape (n*k,)."""
     if k < 1 or feats.data.shape[0] != n_nodes * k:
         raise ContractError(f"need k >= 1 edges per node, got {feats.data.shape[0]} for {n_nodes}x{k}")
-    q = mlp_forward(q_spec, params, "edge_q", feats)
-    key = mlp_forward(k_spec, params, "edge_k", feats)
-    scores = rowdot(q, key)
+    d = feats.data.shape[1]
+    if q_spec.widths != (d, d) or k_spec.widths != (d, d):
+        raise ShapeError(f"edge scoring needs one ({d}, {d}) layer each for q and key, got "
+                         f"widths {q_spec.widths} and {k_spec.widths}")
+    scores = edge_scores(feats, params["edge_q/W0"], params["edge_q/b0"],
+                         params["edge_k/W0"], params["edge_k/b0"])
     beta = row_softmax(reshape(scores, (n_nodes, k)))
     return reshape(beta, (n_nodes * k,))
 

@@ -1,4 +1,5 @@
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from gqn import edge_focus, pipeline
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _make, _toposort, add, attn_mix, backward,
-                          concat_cols, concat_rows, gather_rows, grad_check, grad_check_groups,
-                          linear, matmul_nt, matvec_rows, max_rows, mlp_forward, mul,
-                          register_attention, row_softmax, rowdot, scale_rows, scatter_mean,
-                          segment_mix, self_attention_layer, split_linear, sub, sum_all)
+                          concat_cols, concat_rows, edge_scores, gather_rows, grad_check,
+                          grad_check_groups, linear, matmul_nt, matvec_rows, max_rows, mlp_forward,
+                          mul, no_grad, register_attention, reshape, row_softmax, scale_rows,
+                          scatter_mean, segment_mix, self_attention_layer, split_linear, sub,
+                          sum_all)
 from gqn.errors import ConfigError, ContractError, InvalidInputError, ShapeError
 from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
 
@@ -176,7 +178,7 @@ def test_mlp_gradients_match_finite_differences(seed):
 
 
 # ----------------------------------------------------------------------------
-# fused ops: linear and rowdot against the unfused chains they replace
+# fused ops: linear and edge_scores against the unfused chains they replace
 
 
 def _relu_node(t):
@@ -185,9 +187,15 @@ def _relu_node(t):
     return _make(np.where(mask, t.data, 0.0), (t,), lambda g: (g * mask,))
 
 
-def _rowsum_node(t):
-    cols = t.data.shape[1]
-    return _make(t.data.sum(axis=1), (t,), lambda g: (np.repeat(g[:, None], cols, axis=1),))
+def _rowdot(a, b):
+    """Row-wise dot products of two (rows, cols) tensors as one tape node."""
+
+    def backprop(g):
+        ga = g[:, None] * b.data if a.requires_grad else None
+        gb = g[:, None] * a.data if b.requires_grad else None
+        return ga, gb
+
+    return _make((a.data * b.data).sum(axis=1), (a, b), backprop)
 
 
 def _unfused_linear(x, w, b, relu):
@@ -250,21 +258,40 @@ def test_linear_rejects_mismatched_shapes():
         linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
 
 
-def test_rowdot_matches_unfused_chain_bit_for_bit():
+def _scores_and_mix(score, x0, w0, b0, proj, k):
+    """The pipeline's use of edge features: scored per edge and mixed with the weights.
+
+    ``x`` feeds both the scores and ``segment_mix``, so the order in which its
+    three gradient contributions accumulate shows in every upstream gradient.
+    """
+    x = linear(x0, w0, b0, relu=True)
+    scores = score(x, *proj)
+    beta = reshape(row_softmax(reshape(scores, (x.data.shape[0] // k, k))), (x.data.shape[0],))
+    return scores, segment_mix(x, beta, k)
+
+
+def test_edge_scores_match_the_linear_and_rowdot_chain_bit_for_bit():
     rng = np.random.default_rng(22)
-    a_data, b_data = _special_rows(rng, 7, 6), rng.standard_normal((7, 6))
-    upstream = rng.standard_normal(7)
+    k = 3
+    x0_data = rng.standard_normal((12, 5))
+    w0_data, b0_data = rng.standard_normal((5, 6)), rng.standard_normal(6)
+    proj_data = [rng.standard_normal((6, 6)), rng.standard_normal(6),
+                 rng.standard_normal((6, 6)), rng.standard_normal(6)]
+    upstream = rng.standard_normal((4, 6))
+
+    def unfused(x, wq, bq, wk, bk):
+        return _rowdot(linear(x, wq, bq), linear(x, wk, bk))
+
     results = []
-    for op in (rowdot, lambda a, b: _rowsum_node(mul(a, b))):
-        a = Tensor(a_data.copy(), requires_grad=True)
-        b = Tensor(b_data.copy(), requires_grad=True)
-        out = op(a, b)
-        sum_all(mul(out, Tensor(upstream))).backward()
-        results.append((out.data, a.grad, b.grad))
-    for fused, unfused in zip(*results, strict=True):
-        assert _bits(fused) == _bits(unfused)
-    with pytest.raises(ShapeError):
-        rowdot(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+    for score in (edge_scores, unfused):
+        x0, w0, b0, *proj = [Tensor(a.copy(), requires_grad=True)
+                             for a in (x0_data, w0_data, b0_data, *proj_data)]
+        scores, mixed = _scores_and_mix(score, x0, w0, b0, proj, k)
+        sum_all(mul(mixed, Tensor(upstream))).backward()
+        results.append([scores.data, mixed.data, x0.grad, w0.grad, b0.grad]
+                       + [t.grad for t in proj])
+    for fused, chain in zip(*results, strict=True):
+        assert _bits(fused) == _bits(chain)
 
 
 # ``train_bias`` False gives a constant bias, which gets no gradient.
@@ -285,17 +312,43 @@ def test_linear_gradients_match_finite_differences(train_bias, relu):
     assert grad_check(fn, params, eps=1e-6) <= 1e-8
 
 
-def test_rowdot_gradients_match_finite_differences():
+def test_edge_scores_gradients_match_finite_differences():
     rng = np.random.default_rng(24)
     params = ParamStore(seed=24)
-    params.register("p/A", (5, 3))
-    params.register("p/B", (5, 3))
+    params.register("p/X", (5, 3))
+    params.register("p/Wq", (3, 3))
+    params.register("p/bq", (3,), init="uniform")
+    params.register("p/Wk", (3, 3))
+    params.register("p/bk", (3,), init="uniform")
     weights = rng.standard_normal(5)
 
     def fn(p):
-        return sum_all(mul(rowdot(p["p/A"], p["p/B"]), Tensor(weights)))
+        scores = edge_scores(p["p/X"], p["p/Wq"], p["p/bq"], p["p/Wk"], p["p/bk"])
+        return sum_all(mul(scores, Tensor(weights)))
 
     assert grad_check(fn, params, eps=1e-6) <= 1e-8
+
+
+def test_edge_scores_keep_only_their_inputs_and_reject_mismatched_shapes():
+    rng = np.random.default_rng(25)
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    proj = [Tensor(rng.standard_normal(shape), requires_grad=True)
+            for shape in ((3, 2), (2,), (3, 2), (2,))]
+    scores = edge_scores(x, *proj)
+    assert scores.data.shape == (4,)
+    assert [id(t) for t in _toposort(scores)] == [id(t) for t in (scores, x, *proj)]
+    # The backward holds tensors only: no projection array outlives the forward.
+    closure = [cell.cell_contents for cell in scores._backprop.__closure__]
+    assert not any(isinstance(c, np.ndarray) for c in closure)
+
+    w, b = Tensor(np.ones((3, 2))), Tensor(np.ones(2))
+    for args in ((Tensor(np.ones((4, 2))), w, b, w, b),        # x width vs W rows
+                 (Tensor(np.ones(3)), w, b, w, b),             # x not a matrix
+                 (x, w, b, Tensor(np.ones((3, 3))), b),         # key weight differs
+                 (x, w, Tensor(np.ones(3)), w, b),              # q bias width
+                 (x, w, b, w, Tensor(np.ones((1, 2))))):        # key bias shape
+        with pytest.raises(ShapeError):
+            edge_scores(*args)
 
 
 # ----------------------------------------------------------------------------
@@ -481,7 +534,7 @@ def test_backward_frees_interior_nodes_and_keeps_leaf_gradients():
 
     def loss():
         h = self_attention_layer(mlp_forward(spec, params, "net", Tensor(x)), params, "attn")
-        return sum_all(rowdot(h, h))
+        return sum_all(_rowdot(h, h))
 
     params.zero_grad()
     _sweep_keeping_graph(loss())
@@ -542,8 +595,36 @@ def test_attention_permutation_equivariance_bitexact():
 def test_backward_linear_gradient_is_exact():
     x = np.array([[1.5, -2.0, 0.25]])
     w = Tensor(np.zeros((1, 3)), requires_grad=True)
-    rowdot(w, Tensor(x)).backward()
+    _rowdot(w, Tensor(x)).backward()
     np.testing.assert_array_equal(w.grad, x)
+
+
+def test_no_grad_records_nothing_and_keeps_forward_values():
+    spec = MlpSpec.relu_stack((4, 6, 3))
+    params = ParamStore(seed=6)
+    params.register_mlp("net", spec)
+    x = Tensor(np.random.default_rng(6).standard_normal((5, 4)))
+
+    def forward():
+        return mlp_forward(spec, params, "net", x)
+
+    recorded = forward()
+    with no_grad():
+        with no_grad():
+            forward()
+        out = forward()
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(forward().requires_grad))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert not out.requires_grad and out._parents == () and out._backprop is None
+    assert _bits(out.data) == _bits(recorded.data)
+    assert recorded.requires_grad and seen == [True]  # another thread still records
+    assert all(t.requires_grad for _, t in params.items())
+    with pytest.raises(RuntimeError), no_grad():
+        raise RuntimeError
+    assert forward().requires_grad  # recording resumes on exit, also after an error
 
 
 def test_backward_rejects_non_scalar_loss():
@@ -578,7 +659,7 @@ def test_grad_check_linear_is_exact():
     c = np.array([[1.0, -2.0, 3.0, 0.5]])
 
     def fn(p):
-        return rowdot(p["w/a"], Tensor(c))
+        return _rowdot(p["w/a"], Tensor(c))
 
     # zero truncation error for a linear map, so probe at the large-eps end
     # where subtractive cancellation is negligible

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gqn import cli, pipeline
 from gqn.cli import main
 
 TOY_8x8 = {
@@ -51,6 +52,25 @@ def test_run_same_config_and_seed_identical_digests(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(b)]) == 0
     assert _sha(a / "maps.csv") == _sha(b / "maps.csv")
     assert _sha(a / "globals.csv") == _sha(b / "globals.csv")
+
+
+def test_run_forward_keeps_no_tape_and_matches_a_recording_forward(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        out = pipeline.run_gqn(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(cli, "run_gqn", spy)
+    assert main(["run", "--config", _write(tmp_path, TOY_8x8), "--out", str(tmp_path / "out")]) == 0
+    (args, kwargs, out), = calls
+    assert not out.fused_map.requires_grad and out.fused_map._parents == ()
+    recorded = pipeline.run_gqn(*args, **kwargs)
+    assert recorded.fused_map.requires_grad
+    for a, b in [(out.fused_map, recorded.fused_map), (out.skip_map, recorded.skip_map),
+                 (out.global_vectors, recorded.global_vectors)]:
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_run_seed_flag_overrides_file_seed(tmp_path):

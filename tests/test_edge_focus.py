@@ -111,6 +111,17 @@ def test_identical_edge_features_uniform_weights():
     np.testing.assert_allclose(beta.data, np.full(4, 0.25), atol=1e-15)
 
 
+@pytest.mark.parametrize("q_spec,k_spec", [
+    (MlpSpec.relu_stack((2, 2, 2)), MlpSpec.linear(2, 2)),  # q is two layers
+    (MlpSpec.linear(2, 2), MlpSpec.linear(2, 3)),           # key is not square
+    (MlpSpec.linear(3, 3), MlpSpec.linear(3, 3)),           # width is not the features'
+], ids=["two-layer-q", "wide-key", "other-width"])
+def test_edge_attention_scores_with_one_square_layer_each(q_spec, k_spec):
+    params, _ = _qk_identity_params(2)
+    with pytest.raises(ShapeError):
+        edge_attention(Tensor(np.ones((4, 2))), 2, 2, params, q_spec, k_spec)
+
+
 def test_edge_attention_direct_softmax():
     # identity q/k projections give scores |e|^2: [ln 3, 0] -> [0.75, 0.25]
     params, spec = _qk_identity_params(2)

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every public
+top-level function and class of the library is referenced somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,40 @@ def test_module_uses_every_import(module):
 def test_unused_import_is_reported():
     source = "from __future__ import annotations\nimport os\nfrom typing import Sequence\nx: Sequence\n"
     assert _unused_imports(source) == ["os (line 2)"]
+
+
+def _unreferenced(sources: dict[str, str]) -> list[str]:
+    """Public top-level functions and classes whose name no module of ``sources`` mentions.
+
+    A mention is a name, an attribute or an imported name (so a re-export from
+    ``__init__.py`` counts); the ``def`` or ``class`` statement itself is not one.
+    """
+    defined, mentioned = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                mentioned.update(alias.name for alias in node.names)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in mentioned)
+
+
+def test_every_public_function_and_class_is_referenced():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _unreferenced(sources) == []
+
+
+def test_unreferenced_function_is_reported():
+    sources = {
+        "ops": "def used():\n    pass\n\ndef dead():\n    pass\n\n"
+               "def _private():\n    pass\n\nclass Shape:\n    def method(self):\n        pass\n",
+        "user": "from .ops import used\nimport ops\n\ndef main():\n    return used, ops.Shape\n",
+        "__init__": "from .user import main\n",
+    }
+    assert _unreferenced(sources) == ["ops.dead"]

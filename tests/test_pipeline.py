@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -339,6 +341,18 @@ def test_tape_holds_no_concatenated_first_layer_input():
                      for shape in ((chunk.n_nodes * chunk.k, 2 * config.d),
                                    (chunk.n_nodes, 2 * config.d))}
     assert not concat_shapes & {t.data.shape for t in _toposort(out.fused_map)}
+
+
+def test_tape_holds_two_per_edge_arrays_per_chunk():
+    # The edge MLP's two layer outputs; the edge scores keep no q or key projection.
+    config = GqnConfig()
+    _, flat, _ = toy_inputs(h=16, w=16, d=config.d, seed=0)
+    out = run_gqn(flat, config, init_params(config, flat.m_bev), global_map=flat.states)
+    edge_shapes = Counter((chunk.n_nodes * chunk.k, config.d) for chunk in out.queries)
+    kept = Counter(t.data.shape for t in _toposort(out.fused_map))
+    assert len(out.queries) > config.num_sets  # several chunks per set
+    assert {shape: kept[shape] for shape in edge_shapes} == {
+        shape: 2 * chunks for shape, chunks in edge_shapes.items()}
 
 
 def test_every_global_vector_receives_gradient():
