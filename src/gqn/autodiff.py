@@ -3,15 +3,21 @@
 The pipeline needs exact, reproducible gradients more than it needs raw
 speed: everything is float64 and every reduction is deterministic. The few
 reductions that range over *set-valued* axes (softmax normalizers, the
-attention mixing step) sum their terms in value-sorted order, so results are
-bit-identical under any permutation of the set being reduced. Reductions over
-feature axes keep numpy's fixed evaluation order, which is already
-deterministic for a fixed operand layout.
+attention mixing step, the edge aggregation) sum their terms in value-sorted
+order, so results are bit-identical under any permutation of the set being
+reduced. The edge aggregation ``segment_mix`` sorts its k addends per group
+with a comparator network of ``np.minimum``/``np.maximum`` over whole (n, c)
+slices (Batcher's odd-even merge sort, cached per k) rather than one
+``np.sort`` call per k-long lane. Reductions over feature axes keep numpy's
+fixed evaluation order, which is already deterministic for a fixed operand
+layout.
 
 A ``Tensor`` wraps an ndarray together with the closure that maps its output
 gradient back onto its parents; graphs are built define-by-run. One MLP layer
 is one tape node: ``linear`` fuses the product, the bias and the ReLU and keeps
-only its output, and ``edge_scores`` keeps neither of its two projections.
+only its output, and ``edge_scores`` keeps neither of its two projections. The
+ReLU runs in place as ``np.fmax(out, 0.0)`` followed by ``out += 0.0``, which
+gives the bits of a masked copy (NaN and -0.0 become +0.0) in two plain passes.
 Inside ``no_grad()`` nothing is recorded. ``backward`` frees the graph as it
 goes: once a node has propagated, its gradient, parents and closure are
 dropped, so a graph can be swept once and only leaves keep a ``.grad``. Ops
@@ -30,6 +36,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -214,12 +221,22 @@ def matvec_rows(a: Tensor, xs: Tensor) -> Tensor:
     return _make(out, (a, xs), backprop)
 
 
+def _relu_inplace(out: Array) -> None:
+    """Map every entry of ``out`` that is not > 0 (-0.0 and NaN included) to +0.0, in place.
+
+    ``fmax`` returns the other operand for NaN; it may keep -0.0 against 0.0,
+    and adding 0.0 turns that -0.0 into +0.0 and leaves every other value as it is.
+    """
+    np.fmax(out, 0.0, out=out)
+    out += 0.0
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """One MLP layer as one tape node: ``x @ w``, plus ``b``, then ReLU if asked.
 
     The bias and the ReLU act in place on the product, so the layer keeps only
     its output. ReLU maps every entry that is not > 0 (-0.0 and NaN included)
-    to 0.0; its backward rebuilds the mask from ``out > 0``.
+    to +0.0; its backward rebuilds the mask from ``out > 0``.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"linear mismatch {x.data.shape} @ {w.data.shape}")
@@ -228,7 +245,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     out = x.data @ w.data
     out += b.data
     if relu:
-        np.copyto(out, 0.0, where=~(out > 0.0))
+        _relu_inplace(out)
 
     def backprop(g):
         if relu:
@@ -283,7 +300,7 @@ def split_linear(a: Tensor, b: Tensor, w: Tensor, bias: Tensor, rows=None, k: in
         out += c if rows is None else c[rows]
     out += bias.data
     if relu:
-        np.copyto(out, 0.0, where=~(out > 0.0))
+        _relu_inplace(out)
 
     def backprop(g):
         if relu:
@@ -434,19 +451,52 @@ def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _make(t.data.reshape(shape), (t,), lambda g: (g.reshape(orig),))
 
 
+@lru_cache(maxsize=32)
+def _sorting_network(k: int) -> tuple[tuple[int, int], ...]:
+    """Comparators ``(i, j)``, i < j, that sort k wires ascending (min to wire i).
+
+    Batcher's odd-even merge sort for the next power of two, keeping only the
+    comparators whose wires are both < k: the dropped wires would hold +inf and
+    never move. That leaves 5, 19 and 42 comparators at k = 4, 8 and 12.
+    """
+    width = 1 << max(k - 1, 0).bit_length()
+    pairs = []
+    p = 1
+    while p < width:
+        step = p
+        while step >= 1:
+            for j in range(step % p, width - step, 2 * step):
+                for i in range(j, j + min(step, width - j - step)):
+                    if i // (2 * p) == (i + step) // (2 * p) and i + step < k:
+                        pairs.append((i, i + step))
+            step //= 2
+        p *= 2
+    return tuple(pairs)
+
+
 def segment_mix(t: Tensor, w: Tensor, k: int) -> Tensor:
     """Weighted sum over consecutive groups of k rows: (n*k, c), (n*k,) -> (n, c).
 
     Group addends are summed in value-sorted order, so the result is
     bit-identical under any reordering of a group's rows (with their weights).
+    The sort is a comparator network of ``np.minimum``/``np.maximum`` over the
+    k (n, c) addend slices, and the sorted slices are added left to right from
+    +0.0, as numpy's ``sum`` over the group axis adds them when c > 1 (for one
+    channel and k >= 8 numpy would switch to pairwise summation). Equal addends
+    may trade places (0.0 and -0.0), which changes no partial sum after them.
     """
     if t.data.ndim != 2 or t.data.shape[0] % k != 0:
         raise ShapeError(f"segment_mix: {t.data.shape} not divisible into groups of {k}")
     if w.data.shape != (t.data.shape[0],):
         raise ShapeError(f"segment_mix weights {w.data.shape} vs rows {t.data.shape[0]}")
     n, c = t.data.shape[0] // k, t.data.shape[1]
-    terms = (t.data * w.data[:, None]).reshape(n, k, c)
-    out = np.sort(terms, axis=1).sum(axis=1)
+    rows, weights = t.data.reshape(n, k, c), w.data.reshape(n, k, 1)
+    lanes = [rows[:, i] * weights[:, i] for i in range(k)]
+    for i, j in _sorting_network(k):
+        lanes[i], lanes[j] = np.minimum(lanes[i], lanes[j]), np.maximum(lanes[i], lanes[j])
+    out = lanes[0] + 0.0
+    for lane in lanes[1:]:
+        out += lane
 
     def backprop(g):
         expanded = np.repeat(g, k, axis=0)

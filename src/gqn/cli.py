@@ -212,15 +212,22 @@ def load_settings(config_path: str | None, seed_flag: int | None,
               if "sets" in cost_sec else GqnConfig().sets),
         seed=seed,
     )
+    full_k = _int(cost_sec.get("full_k", FULL_GRAPH_K), "config.cost.full_k")
+    if full_k < 1:
+        raise ConfigError(f"config.cost.full_k must be at least 1, got {full_k}")
     sweep = [_int(m, "config.cost.m_bev_sweep")
              for m in _list(cost_sec.get("m_bev_sweep", [1024, 16384]), "config.cost.m_bev_sweep")]
+    if not sweep:
+        raise ConfigError("config.cost.m_bev_sweep must not be empty")
+    if min(sweep) <= full_k:
+        raise ConfigError(f"config.cost.m_bev_sweep entries must exceed config.cost.full_k="
+                          f"{full_k}, got {sweep}")
     modes = _list(cost_sec.get("modes", list(MODES)), "config.cost.modes")
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"config.cost.modes: unknown mode {mode!r}, expected one of {MODES}")
     if not modes or len(set(modes)) != len(modes):
         raise ConfigError(f"config.cost.modes must list distinct modes of {MODES}, got {modes!r}")
-    full_k = _int(cost_sec.get("full_k", FULL_GRAPH_K), "config.cost.full_k")
 
     train_sec = doc.get("train", {})
     _check_keys(train_sec, {"steps", "learning_rate"}, "config.train")
@@ -371,8 +378,6 @@ def cmd_gradcheck(settings: Settings) -> int:
 
 
 def cmd_bench(settings: Settings) -> int:
-    if not settings.m_bev_sweep:
-        raise ConfigError("cost.m_bev_sweep must not be empty")
     reports = [compare_full_vs_queries(settings.cost_config, m, settings.full_k)
                for m in settings.m_bev_sweep]
     rows = run_benchmark(settings.cost_config, settings.m_bev_sweep, settings.cost_modes,

@@ -37,6 +37,7 @@ diluted toward zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,6 +75,8 @@ class GqnConfig:
             raise ConfigError(f"feature width d={self.d} must be >= 1")
         if self.context_steps < 0:
             raise ConfigError(f"context_steps must be >= 0, got {self.context_steps}")
+        if not (math.isfinite(self.freq_base) and self.freq_base > 1.0):
+            raise ConfigError(f"freq_base must be a finite number above 1, got {self.freq_base}")
         if not self.sets:
             raise ConfigError("need at least one query set")
         ratios = [s.ratio for s in self.sets]

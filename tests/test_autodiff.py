@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqn import edge_focus, pipeline
-from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _make, _toposort, add, attn_mix, backward,
-                          concat_cols, concat_rows, edge_scores, gather_rows, grad_check,
-                          grad_check_groups, linear, matmul_nt, matvec_rows, max_rows, mlp_forward,
-                          mul, no_grad, register_attention, reshape, row_softmax, scale_rows,
-                          scatter_mean, segment_mix, self_attention_layer, split_linear, sub,
-                          sum_all)
+from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _make, _relu_inplace, _sorting_network,
+                          _toposort, add, attn_mix, backward, concat_cols, concat_rows,
+                          edge_scores, gather_rows, grad_check, grad_check_groups, linear,
+                          matmul_nt, matvec_rows, max_rows, mlp_forward, mul, no_grad,
+                          register_attention, reshape, row_softmax, scale_rows, scatter_mean,
+                          segment_mix, self_attention_layer, split_linear, sub, sum_all)
 from gqn.errors import ConfigError, ContractError, InvalidInputError, ShapeError
 from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
 
@@ -208,8 +208,9 @@ def _unfused_linear(x, w, b, relu):
 def _special_rows(rng, rows, cols):
     """Random rows plus an all-zero row, an all -0.0 row and a row holding a NaN.
 
-    They give exact-zero and NaN pre-activations. A product never yields -0.0
-    (BLAS accumulates from +0.0), so -0.0 enters through the inputs and the bias.
+    They give exact-zero and NaN pre-activations. A product of a zero row is
+    -0.0 only where every one of its terms is, which the random weights here
+    do not give, so -0.0 enters through the inputs and the bias.
     """
     x = rng.standard_normal((rows, cols))
     x[0] = 0.0
@@ -453,6 +454,83 @@ def test_split_linear_gradients_match_finite_differences(mode):
         return sum_all(mul(out, Tensor(weights)))
 
     assert grad_check(fn, params, eps=1e-6) <= 1e-8
+
+
+# ----------------------------------------------------------------------------
+# ReLU: the in-place fmax form against the masked copy it replaced
+
+_RELU_SPECIALS = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                           5e-324, -5e-324, 1e308, -1e308])
+
+
+def _masked_relu(pre):
+    """The layers' former ReLU: every entry that is not > 0 becomes 0.0."""
+    out = pre.copy()
+    np.copyto(out, 0.0, where=~(out > 0.0))
+    return out
+
+
+def _relu_layer(mode, rng, relu):
+    """One layer whose bias is ``_RELU_SPECIALS``, on inputs of +-1e-300 and a normal row.
+
+    A product of two +-1e-300 entries underflows to a zero of their sign, so
+    those rows carry the specials into the pre-activation, and the normal row
+    gives tiny values of either sign. Column 1 of the weights is -1e-300, input
+    row 0 is +1e-300 and row 1 is -1e-300, and every entry of ``b`` is +1e-300:
+    then row 0 (for the edge form, edge 1 -> 0) sums -0.0 products and the
+    -0.0 bias to a -0.0 pre-activation.
+    """
+    def tiny(rows, cols):
+        x = rng.choice([1e-300, -1e-300], size=(rows, cols))
+        x[:2] = [[1e-300], [-1e-300]][:rows]
+        return x
+
+    bias = Tensor(_RELU_SPECIALS.copy())
+    if mode == "linear":
+        x = np.concatenate([tiny(6, 5), rng.standard_normal((1, 5))])
+        w = tiny(5, 10)
+        w[:, 1] = -1e-300
+        return linear(Tensor(x), Tensor(w), bias, relu)
+    per_node = mode in ("edge", "identity")
+    a = np.concatenate([tiny(4 if per_node else 5, 3), rng.standard_normal((1, 3))])
+    b = np.full((5 if per_node else 3, 4), 1e-300)
+    w = tiny(7, 10)
+    w[:, 1] = -1e-300
+    rows = {"edge": _DST, "identity": None}.get(mode, _GATHER)
+    return split_linear(Tensor(a), Tensor(b), Tensor(w), bias, rows,
+                        k=2 if mode == "edge" else 0, relu=relu)
+
+
+def _holds_every_special(pre):
+    zero, nan, neg = pre == 0.0, np.isnan(pre), np.signbit(pre)
+    return ((zero & neg).any() and (zero & ~neg).any() and (nan & neg).any()
+            and (nan & ~neg).any() and (pre > 0.0).any() and (pre < 0.0).any()
+            and all((pre == v).any() for v in _RELU_SPECIALS[4:]))
+
+
+@pytest.mark.parametrize("mode", ["linear"] + _SPLIT_MODES)
+def test_relu_matches_the_masked_copy_byte_for_byte(mode):
+    """The output equals the masked copy of the layer's own pre-activation, sign bits included."""
+    with np.errstate(invalid="ignore"):
+        pre = _relu_layer(mode, np.random.default_rng(29), relu=False).data
+        out = _relu_layer(mode, np.random.default_rng(29), relu=True).data
+    assert _holds_every_special(pre)
+    assert _bits(out) == _bits(_masked_relu(pre))
+    assert not np.isnan(out).any() and not np.signbit(out).any()
+
+
+@pytest.mark.parametrize("length", range(1, 18))
+def test_relu_maps_every_special_value_like_the_masked_copy_in_every_position(length):
+    """Each special value meets each position of arrays of 1 to 17 entries.
+
+    Vectorized loops treat the tail of an array apart from its body, and
+    ``fmax`` keeps -0.0 in some positions but not in others.
+    """
+    for shift in range(len(_RELU_SPECIALS)):
+        pre = np.resize(np.roll(_RELU_SPECIALS, shift), length)
+        out = pre.copy()
+        _relu_inplace(out)
+        assert _bits(out) == _bits(_masked_relu(pre))
 
 
 def _concat_edge_features(query, params, spec):
@@ -808,6 +886,68 @@ def test_segment_mix_bitexact_under_group_permutation():
         perm = np.concatenate([rng.permutation(3), 3 + rng.permutation(3)])
         out = segment_mix(Tensor(feats[perm]), Tensor(w[perm]), 3).data
         assert np.array_equal(out, base)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_sorting_network_sorts_every_zero_one_input(k):
+    """By the 0-1 principle, sorting all 2^k zero-one inputs proves the network sorts any input."""
+    wires = list(((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).T)
+    for i, j in _sorting_network(k):
+        assert 0 <= i < j < k
+        wires[i], wires[j] = np.minimum(wires[i], wires[j]), np.maximum(wires[i], wires[j])
+    assert all((lo <= hi).all() for lo, hi in zip(wires, wires[1:]))
+
+
+def test_sorting_network_sizes():
+    assert [len(_sorting_network(k)) for k in (1, 2, 3, 4, 8, 12, 13)] == [0, 1, 3, 5, 19, 42, 48]
+
+
+def _sorted_sum_reference(t, w, k):
+    """The former ``segment_mix`` forward: numpy's sort along the group axis, then its sum."""
+    n, c = t.shape[0] // k, t.shape[1]
+    return np.sort((t * w[:, None]).reshape(n, k, c), axis=1).sum(axis=1)
+
+
+def _mix_inputs(kind, k, c, rng):
+    n = 9
+    if kind == "random":
+        t = rng.standard_normal((n * k, c)) * np.exp(rng.uniform(-30.0, 30.0, (n * k, c)))
+        return t, rng.uniform(0.0, 1.0, n * k)
+    if kind == "ties":
+        return rng.integers(-2, 3, (n * k, c)).astype(float), rng.integers(1, 3, n * k) / 2.0
+    # signed zeros and infinities, mostly; row 0 is all -0.0 and row 1 holds both zeros
+    t = rng.choice([0.0, -0.0, -0.0, np.inf, -np.inf, 1.5, -1.5], size=(n * k, c))
+    t[:k] = -0.0
+    t[k:2 * k] = np.where(np.arange(k) % 2, 0.0, -0.0)[:, None]
+    return t, np.ones(n * k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 12, 13])
+@pytest.mark.parametrize("kind", ["random", "ties", "zeros_and_infs"])
+@pytest.mark.parametrize("c", [2, 3, 16])
+def test_segment_mix_equals_the_sorted_sum_byte_for_byte(k, kind, c):
+    t, w = _mix_inputs(kind, k, c, np.random.default_rng(31 + k))
+    with np.errstate(invalid="ignore"):
+        out = segment_mix(Tensor(t), Tensor(w), k).data
+        ref = _sorted_sum_reference(t, w, k)
+    assert _bits(out) == _bits(ref)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 12, 13])
+def test_segment_mix_adds_one_channel_left_to_right(k):
+    """One channel sums the sorted addends left to right from +0.0, as wider inputs do.
+
+    numpy's own ``sum`` over a single channel switches to pairwise summation
+    at k >= 8, so there the old forward could round differently.
+    """
+    rng = np.random.default_rng(37)
+    t = rng.standard_normal((9 * k, 1)) * np.exp(rng.uniform(-30.0, 30.0, (9 * k, 1)))
+    t[:k] = -0.0
+    terms = np.sort(t.reshape(9, k), axis=1)
+    ref = np.zeros(9)
+    for j in range(k):
+        ref += terms[:, j]
+    assert _bits(segment_mix(Tensor(t), Tensor(np.ones(9 * k)), k).data) == _bits(ref[:, None])
 
 
 def test_attn_mix_matches_plain_matmul():

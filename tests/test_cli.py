@@ -212,6 +212,31 @@ def test_list_valued_key_of_wrong_type_exits_2(tmp_path, capsys, command, path, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "bench", "train-demo"])
+@pytest.mark.parametrize("path,value,message", [
+    (("gqn", "freq_base"), 0, "freq_base must be a finite number above 1, got 0"),
+    (("gqn", "freq_base"), 1.0, "freq_base must be a finite number above 1, got 1.0"),
+    (("gqn", "freq_base"), -3.5, "freq_base must be a finite number above 1, got -3.5"),
+    (("cost", "full_k"), 0, "config.cost.full_k must be at least 1, got 0"),
+    (("cost", "full_k"), -2, "config.cost.full_k must be at least 1, got -2"),
+    (("cost", "m_bev_sweep"), [], "config.cost.m_bev_sweep must not be empty"),
+    (("cost", "m_bev_sweep"), [1024, 20],
+     "config.cost.m_bev_sweep entries must exceed config.cost.full_k=20"),
+    (("cost", "m_bev_sweep"), [3],
+     "config.cost.m_bev_sweep entries must exceed config.cost.full_k"),
+], ids=["freq-zero", "freq-one", "freq-negative", "full-k-zero", "full-k-negative",
+        "sweep-empty", "sweep-at-full-k", "sweep-below-full-k"])
+def test_out_of_range_frequency_base_full_k_or_sweep_exits_2(tmp_path, capsys, command, path,
+                                                             value, message):
+    doc = json.loads(json.dumps(TOY_8x8))
+    doc["train"] = {"steps": 0}
+    doc.setdefault(path[0], {})[path[1]] = value
+    cfg = _write(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, TOY_8x8)
     taken = tmp_path / "taken"

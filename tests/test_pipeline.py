@@ -39,6 +39,16 @@ def test_config_requires_strictly_ascending_ratios():
         GqnConfig(d=8, sets=(QuerySetSpec(2, 0.2, 2), QuerySetSpec(2, 0.2, 3)))
 
 
+@pytest.mark.parametrize("base", [1.0, 0.5, 0.0, -2.0, float("inf"), float("nan")])
+def test_config_rejects_a_frequency_base_not_above_one_or_not_finite(base):
+    with pytest.raises(ConfigError, match="freq_base must be a finite number above 1"):
+        toy_config(freq_base=base)
+
+
+def test_config_accepts_a_frequency_base_just_above_one():
+    assert toy_config(freq_base=1.0 + 2 ** -52).freq_base > 1.0
+
+
 def test_default_config_matches_reference_dimensions():
     cfg = GqnConfig()
     assert cfg.tau == 96
