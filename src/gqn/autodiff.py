@@ -15,7 +15,11 @@ layout.
 A ``Tensor`` wraps an ndarray together with the closure that maps its output
 gradient back onto its parents; graphs are built define-by-run. One MLP layer
 is one tape node: ``linear`` fuses the product, the bias and the ReLU and keeps
-only its output, and ``edge_scores`` keeps neither of its two projections. The
+only its output, and ``edge_scores`` keeps neither of its two projections. An
+MLP whose first layer is split per node is one tape node for all its layers:
+``split_mlp_forward`` keeps its inputs and its output, and its backward
+recomputes the hidden layers (per-layer gradient checkpointing; Chen et al.,
+"Training Deep Nets with Sublinear Memory Cost", 2016). The
 ReLU runs in place as ``np.fmax(out, 0.0)`` followed by ``out += 0.0``, which
 gives the bits of a masked copy (NaN and -0.0 become +0.0) in two plain passes.
 Inside ``no_grad()`` nothing is recorded. ``backward`` frees the graph as it
@@ -231,6 +235,28 @@ def _relu_inplace(out: Array) -> None:
     out += 0.0
 
 
+def _dense(x: Array, w: Array, b: Array, relu: bool) -> Array:
+    """``x @ w``, plus ``b`` in place, then the in-place ReLU if asked."""
+    out = x @ w
+    out += b
+    if relu:
+        _relu_inplace(out)
+    return out
+
+
+def _dense_grads(g: Array, x: Array, w: Array, out: Array | None,
+                 need: tuple[bool, bool, bool]) -> tuple:
+    """Gradients of ``_dense`` for ``x``, ``w`` and ``b`` (None where ``need`` says so).
+
+    ``out`` is the layer's output when it applied ReLU, None otherwise; the
+    mask is rebuilt from ``out > 0``.
+    """
+    if out is not None:
+        g = np.where(out > 0.0, g, 0.0)
+    return (g @ w.T if need[0] else None, x.T @ g if need[1] else None,
+            g.sum(axis=0) if need[2] else None)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """One MLP layer as one tape node: ``x @ w``, plus ``b``, then ReLU if asked.
 
@@ -242,24 +268,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
         raise ShapeError(f"linear mismatch {x.data.shape} @ {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"linear bias {b.data.shape} vs {w.data.shape[1]} outputs")
-    out = x.data @ w.data
-    out += b.data
-    if relu:
-        _relu_inplace(out)
-
-    def backprop(g):
-        if relu:
-            g = np.where(out > 0.0, g, 0.0)
-        gx = g @ w.data.T if x.requires_grad else None
-        gw = x.data.T @ g if w.requires_grad else None
-        return gx, gw, g.sum(axis=0) if b.requires_grad else None
-
-    return _make(out, (x, w, b), backprop)
+    out = _dense(x.data, w.data, b.data, relu)
+    return _make(out, (x, w, b), lambda g: _dense_grads(
+        g, x.data, w.data, out if relu else None,
+        (x.requires_grad, w.requires_grad, b.requires_grad)))
 
 
-def split_linear(a: Tensor, b: Tensor, w: Tensor, bias: Tensor, rows=None, k: int = 0,
-                 relu: bool = False) -> Tensor:
-    """A first MLP layer over the halves ``[a || b[rows]]`` as one tape node, without the concat.
+def _split_linear(a: Array, b: Array, w: Array, bias: Array, rows: Array | None, k: int,
+                  relu: bool) -> Array:
+    """A first MLP layer over the halves ``[a || b[rows]]``, without the concat.
 
     W_a, the top rows of ``w`` (as many as ``a`` has columns), multiplies ``a``;
     W_b, the rest, multiplies ``b``. Both products are per row of their operand,
@@ -271,56 +288,44 @@ def split_linear(a: Tensor, b: Tensor, w: Tensor, bias: Tensor, rows=None, k: in
       grouped by source, k per row of ``a`` (src = i // k), as
       ``(a W_a + b W_b)[rows] - (a W_a)[src] + bias``.
 
-    The bias and the ReLU act as in ``linear``; the layer keeps only its output.
+    The bias and the ReLU act in place, as in ``_dense``.
     """
-    rows = None if rows is None else np.asarray(rows, dtype=np.intp)
-    if a.data.ndim != 2 or b.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError(f"split_linear needs matrices, got {a.data.shape}, {b.data.shape}, "
-                         f"{w.data.shape}")
-    (n, d_a), (m, d_b), (d_in, d_out) = a.data.shape, b.data.shape, w.data.shape
-    if not 0 < d_a < d_in or d_b != d_in - d_a or bias.data.shape != (d_out,):
-        raise ShapeError(f"split_linear mismatch [{a.data.shape} || {b.data.shape}] @ "
-                         f"{w.data.shape} + {bias.data.shape}")
-    if k and (m != n or rows is None):
-        raise ShapeError("split_linear's edge form needs halves of equal rows and edge targets")
-    if (rows is None and m != n) or (rows is not None and rows.shape != (n * max(k, 1),)):
-        raise ShapeError(f"split_linear: rows {None if rows is None else rows.shape} for {n} rows "
-                         f"of a, {m} of b, k={k}")
-    w_a, w_b = w.data[:d_a], w.data[d_a:]
-
-    h = a.data @ w_a
-    c = b.data @ w_b
+    d_a = a.shape[1]
+    h = a @ w[:d_a]
+    c = b @ w[d_a:]
     if k:
         c += h
         out = c[rows]
-        by_source = out.reshape(n, k, d_out)
+        by_source = out.reshape(a.shape[0], k, w.shape[1])
         by_source -= h[:, None, :]
     else:
         out = h
         out += c if rows is None else c[rows]
-    out += bias.data
+    out += bias
     if relu:
         _relu_inplace(out)
+    return out
 
-    def backprop(g):
-        if relu:
-            g = np.where(out > 0.0, g, 0.0)
-        if rows is None:
-            gc = g
-        else:
-            gc = np.zeros((m, d_out))
-            np.add.at(gc, rows, g)
-        gh = gc - g.reshape(n, k, d_out).sum(axis=1) if k else g
-        ga = gh @ w_a.T if a.requires_grad else None
-        gb = gc @ w_b.T if b.requires_grad else None
-        gw = None
-        if w.requires_grad:
-            gw = np.empty_like(w.data)
-            gw[:d_a] = a.data.T @ gh
-            gw[d_a:] = b.data.T @ gc
-        return ga, gb, gw, g.sum(axis=0) if bias.requires_grad else None
 
-    return _make(out, (a, b, w, bias), backprop)
+def _split_linear_grads(g: Array, a: Array, b: Array, w: Array, rows: Array | None, k: int,
+                        out: Array | None, need: tuple[bool, bool, bool, bool]) -> tuple:
+    """Gradients of ``_split_linear`` for ``a``, ``b``, ``w`` and ``bias``, as ``_dense_grads``."""
+    if out is not None:
+        g = np.where(out > 0.0, g, 0.0)
+    (n, d_a), d_out = a.shape, w.shape[1]
+    if rows is None:
+        gc = g
+    else:
+        gc = np.zeros((b.shape[0], d_out))
+        np.add.at(gc, rows, g)
+    gh = gc - g.reshape(n, k, d_out).sum(axis=1) if k else g
+    gw = None
+    if need[2]:
+        gw = np.empty_like(w)
+        gw[:d_a] = a.T @ gh
+        gw[d_a:] = b.T @ gc
+    return (gh @ w[:d_a].T if need[0] else None, gc @ w[d_a:].T if need[1] else None, gw,
+            g.sum(axis=0) if need[3] else None)
 
 
 def edge_scores(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor) -> Tensor:
@@ -347,7 +352,8 @@ def edge_scores(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor) -> Te
         return q, key
 
     q, key = projections()
-    out = (q * key).sum(axis=1)
+    q *= key  # the row products, in q's buffer
+    out = q.sum(axis=1)
 
     def backprop(g):
         q, key = projections()
@@ -689,19 +695,83 @@ def mlp_forward(spec: MlpSpec, params: ParamStore, name: str, x: Tensor) -> Tens
     """Apply the named MLP to a (rows, w_in) matrix."""
     if x.data.ndim != 2 or x.data.shape[1] != spec.widths[0]:
         raise ShapeError(f"MLP {name!r} expects width {spec.widths[0]}, got input shape {x.data.shape}")
-    return _mlp_layers(spec, params, name, x, 0)
+    return _mlp_layers(spec, params, name, x)
+
+
+def _check_split_mlp(name: str, a: Array, b: Array, layers: list[tuple[Array, Array]],
+                     rows: Array | None, k: int) -> None:
+    """Raise ``ShapeError`` unless ``split_mlp_forward`` can run these shapes."""
+    if a.ndim != 2 or b.ndim != 2 or any(w.ndim != 2 for w, _ in layers):
+        raise ShapeError(f"split MLP {name!r} needs matrices, got {a.shape}, {b.shape}, "
+                         f"{[w.shape for w, _ in layers]}")
+    (n, d_a), (m, d_b), (w0, b0) = a.shape, b.shape, layers[0]
+    if not 0 < d_a < w0.shape[0] or d_b != w0.shape[0] - d_a or b0.shape != (w0.shape[1],):
+        raise ShapeError(f"split MLP {name!r} mismatch [{a.shape} || {b.shape}] @ "
+                         f"{w0.shape} + {b0.shape}")
+    if k and (m != n or rows is None):
+        raise ShapeError("a split MLP's edge form needs halves of equal rows and edge targets")
+    if (rows is None and m != n) or (rows is not None and rows.shape != (n * max(k, 1),)):
+        raise ShapeError(f"split MLP {name!r}: rows {None if rows is None else rows.shape} for "
+                         f"{n} rows of a, {m} of b, k={k}")
+    for (w_prev, _), (w, bias) in zip(layers, layers[1:]):
+        if w.shape[0] != w_prev.shape[1] or bias.shape != (w.shape[1],):
+            raise ShapeError(f"split MLP {name!r} layers {w_prev.shape} then {w.shape} + {bias.shape}")
 
 
 def split_mlp_forward(spec: MlpSpec, params: ParamStore, name: str, a: Tensor, b: Tensor,
                       rows=None, k: int = 0) -> Tensor:
-    """Apply the named MLP to ``[a || b[rows]]``; its first layer is ``split_linear``."""
-    h = split_linear(a, b, params[f"{name}/W0"], params[f"{name}/b0"], rows, k,
-                     relu=spec.n_layers > 1)
-    return _mlp_layers(spec, params, name, h, 1)
+    """Apply the named MLP to ``[a || b[rows]]`` as one tape node; see ``_split_linear``.
+
+    The first layer runs split per node (``_split_linear``), each later layer
+    as ``_dense``. The node keeps only its inputs and its output, and its
+    parents are ``(a, b, W0, b0, W1, b1, ...)``. Its backward recomputes the
+    hidden layers with the forward's calls, so they carry the same bits, then
+    backprops through the layers in reverse with the expressions of
+    ``linear``. A hidden gradient goes on as it is, where a node per layer
+    added it to zeros first (mapping -0.0 to +0.0): the sign of a zero there
+    can only change the sign of a zero the backward returns, and every
+    contribution enters its parent as ``zeros + contribution``, so no
+    gradient bit depends on it.
+    """
+    rows = None if rows is None else np.asarray(rows, dtype=np.intp)
+    layers = [(params[f"{name}/W{i}"], params[f"{name}/b{i}"]) for i in range(spec.n_layers)]
+    _check_split_mlp(name, a.data, b.data, [(w.data, bias.data) for w, bias in layers], rows, k)
+    parents = (a, b) + tuple(t for layer in layers for t in layer)
+    last = spec.n_layers - 1
+
+    def layer(i: int, x: Array | None) -> Array:
+        """Layer i's output from layer i - 1's (x); every layer but the last applies ReLU."""
+        w, bias = layers[i]
+        if i == 0:
+            return _split_linear(a.data, b.data, w.data, bias.data, rows, k, relu=last > 0)
+        return _dense(x, w.data, bias.data, relu=i < last)
+
+    def backprop(g):
+        hidden = []
+        for i in range(last):
+            hidden.append(layer(i, hidden[-1] if hidden else None))
+        grads = [None] * len(parents)
+        for i in range(last, 0, -1):
+            w, bias = layers[i]
+            need = (any(p.requires_grad for p in parents[:2 * i + 2]),
+                    w.requires_grad, bias.requires_grad)
+            out = hidden.pop() if i < last else None
+            g, grads[2 * i + 2], grads[2 * i + 3] = _dense_grads(g, hidden[-1], w.data, out, need)
+            if g is None:
+                return tuple(grads)
+        need = tuple(p.requires_grad for p in parents[:4])
+        grads[:4] = _split_linear_grads(g, a.data, b.data, layers[0][0].data, rows, k,
+                                        hidden.pop() if last else None, need)
+        return tuple(grads)
+
+    out = None
+    for i in range(spec.n_layers):
+        out = layer(i, out)
+    return _make(out, parents, backprop)
 
 
-def _mlp_layers(spec: MlpSpec, params: ParamStore, name: str, h: Tensor, first: int) -> Tensor:
-    for i in range(first, spec.n_layers):
+def _mlp_layers(spec: MlpSpec, params: ParamStore, name: str, h: Tensor) -> Tensor:
+    for i in range(spec.n_layers):
         h = linear(h, params[f"{name}/W{i}"], params[f"{name}/b{i}"], relu=i < spec.n_layers - 1)
     return h
 

@@ -44,7 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ParamStore, Tensor, backward, grad_check_groups, no_grad, sum_all
-from .cost_model import FULL_GRAPH_K, MODES, compare_full_vs_queries, run_benchmark
+from .cost_model import (FULL_GRAPH_K, MODES, compare_full_vs_queries, exact_nodes,
+                         run_benchmark)
 from .errors import ConfigError, GqnError
 from .pipeline import GqnConfig, init_params, run_gqn, toy_train
 from .query_init import QuerySetSpec
@@ -222,6 +223,12 @@ def load_settings(config_path: str | None, seed_flag: int | None,
     if min(sweep) <= full_k:
         raise ConfigError(f"config.cost.m_bev_sweep entries must exceed config.cost.full_k="
                           f"{full_k}, got {sweep}")
+    smallest = min(sweep)  # a set's node count grows with m_bev
+    for i, spec in enumerate(cost_config.sets):
+        nodes = exact_nodes(spec.ratio, smallest)
+        if nodes <= spec.k:
+            raise ConfigError(f"config.cost.sets[{i}]: exact node count {float(nodes)} at "
+                              f"m_bev={smallest} is not above k={spec.k}")
     modes = _list(cost_sec.get("modes", list(MODES)), "config.cost.modes")
     for mode in modes:
         if mode not in MODES:

@@ -144,7 +144,7 @@ def compare_full_vs_queries(config: GqnConfig, m_bev: int, full_k: int = FULL_GR
     for i, s in enumerate(config.sets):
         n = exact_nodes(s.ratio, m_bev)
         if n <= s.k:
-            raise ConfigError(f"set {i}: exact n={n} <= k={s.k} at m_bev={m_bev}")
+            raise ConfigError(f"set {i}: exact n={float(n)} <= k={s.k} at m_bev={m_bev}")
         sets.append(SetCost(
             ratio=s.ratio,
             k=s.k,
@@ -188,7 +188,7 @@ def _mlp_flops(rows: int, spec: MlpSpec) -> int:
 
 
 def _split_mlp_flops(spec: MlpSpec, product_rows: int, adds: int, rows: int) -> int:
-    """An MLP whose first layer runs split per node, as ``autodiff.split_linear`` does.
+    """An MLP whose first layer runs split per node, as ``autodiff.split_mlp_forward`` runs it.
 
     ``product_rows`` rows are multiplied by one (w_in/2, h) half of W0, ``adds``
     rows of h sums combine the products (per node, or gathered per edge), and
@@ -208,7 +208,7 @@ def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
     The stages are named as the benchmark's spans. The estimate counts the
     layers the code runs, not the concatenated layers of the paper: the
     first layers of the edge, node and context MLPs are split per node
-    (``autodiff.split_linear``), so their products are per node, the edge
+    (``autodiff.split_mlp_forward``), so their products are per node, the edge
     layer adds a per-edge gather-add, and the summary half of the context
     layer is one (tau, d) x (d, h) product. The pipeline repeats that product
     for every query chunk (the chunk count follows ``pipeline.CHUNK_BYTES``,

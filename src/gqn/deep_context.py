@@ -12,8 +12,9 @@ Per-node split: the context MLP's first layer is linear in
 weight it equals ``N W_a + (U W_b)[rows] + b``, the split DGCNN's EdgeConv
 makes (Wang et al., "Dynamic Graph CNN for Learning on Point Clouds", 2019,
 eq. 8). ``infuse_context`` multiplies all tau summaries U by W_b and gathers
-the product's rows per node (``autodiff.split_linear``), so the tiled (N, 2d)
-input is never built. Every chunk forms the same (tau, d) x (d, h) product, so
+the product's rows per node (``autodiff.split_mlp_forward``, one tape node
+that recomputes its hidden layer in backward), so the tiled (N, 2d) input is
+never built. Every chunk forms the same (tau, d) x (d, h) product, so
 each node's bits do not depend on how the queries are chunked; projecting
 only a chunk's gathered summary rows would change them.
 """

@@ -14,8 +14,11 @@ DGCNN's EdgeConv uses to compute its ``theta (x_j - x_i) + phi x_i`` edge
 function per point (Wang et al., "Dynamic Graph CNN for Learning on Point
 Clouds", 2019, eq. 8). The products are per node, k times fewer than per
 edge, and neither the (n*k, 2d) input nor the gathered neighbor states is
-built (``autodiff.split_linear``). The node MLP's ``[message || state]``
-takes the same split without a gather.
+built. The node MLP's ``[message || state]`` takes the same split without a
+gather. Each MLP is one tape node (``autodiff.split_mlp_forward``) that keeps
+its output but not its (n*k, d) or (n, d) hidden layer; its backward
+recomputes the hidden layer from the per-node products and a gather, with no
+per-edge product.
 
 Scoring: q and key are one (d, d) layer each, and ``autodiff.edge_scores``
 takes their per-edge dot products in one tape node that keeps only the edge

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from gqn import edge_focus, pipeline
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _make, _relu_inplace, _sorting_network,
-                          _toposort, add, attn_mix, backward, concat_cols, concat_rows,
-                          edge_scores, gather_rows, grad_check, grad_check_groups, linear,
-                          matmul_nt, matvec_rows, max_rows, mlp_forward, mul, no_grad,
-                          register_attention, reshape, row_softmax, scale_rows, scatter_mean,
-                          segment_mix, self_attention_layer, split_linear, sub, sum_all)
+                          _split_linear, _split_linear_grads, _toposort, add, attn_mix, backward,
+                          concat_cols, concat_rows, edge_scores, gather_rows, grad_check,
+                          grad_check_groups, linear, matmul_nt, matvec_rows, max_rows,
+                          mlp_forward, mul, no_grad, register_attention, reshape, row_softmax,
+                          scale_rows, scatter_mean, segment_mix, self_attention_layer,
+                          split_mlp_forward, sub, sum_all)
 from gqn.errors import ConfigError, ContractError, InvalidInputError, ShapeError
 from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
 
@@ -353,7 +354,8 @@ def test_edge_scores_keep_only_their_inputs_and_reject_mismatched_shapes():
 
 
 # ----------------------------------------------------------------------------
-# split_linear against the concatenated first layer it replaces
+# the split first layer against the concatenated layer it replaces, and the
+# split MLP node against the layer-by-layer chain it fuses
 
 # Edges grouped by source, two per node; edge 0 -> 1 joins two zero rows.
 _SRC = np.repeat(np.arange(5), 2)
@@ -389,7 +391,12 @@ def _concat_first_layer(mode, a, b, w, bias, rows, relu):
 
 
 def _split_first_layer(mode, a, b, w, bias, rows, relu):
-    return split_linear(a, b, w, bias, rows, k=2 if mode == "edge" else 0, relu=relu)
+    """The split first layer as its own tape node, built from the private helpers."""
+    k = 2 if mode == "edge" else 0
+    out = _split_linear(a.data, b.data, w.data, bias.data, rows, k, relu)
+    need = tuple(t.requires_grad for t in (a, b, w, bias))
+    return _make(out, (a, b, w, bias), lambda g: _split_linear_grads(
+        g, a.data, b.data, w.data, rows, k, out if relu else None, need))
 
 
 def _assert_close(got, ref, rel):
@@ -425,17 +432,30 @@ def test_split_linear_matches_the_concatenated_layer(mode, relu):
         _assert_close(split, concat, 1e-12)
 
 
+def _mlp_params(widths, seed=0):
+    params = ParamStore(seed=seed)
+    params.register_mlp("net", MlpSpec(widths))
+    return params
+
+
 def test_split_linear_keeps_one_tape_node_and_rejects_mismatched_shapes():
     a, b = Tensor(np.ones((5, 3)), requires_grad=True), Tensor(np.ones((5, 4)))
-    w, bias = Tensor(np.ones((7, 2)), requires_grad=True), Tensor(np.zeros(2))
-    out = split_linear(a, b, w, bias, _DST, k=2, relu=True)
-    assert out.data.shape == (10, 2) and _toposort(out)[0]._parents == (a, b, w, bias)
+    spec, params = MlpSpec((7, 2)), _mlp_params((7, 2))
+    out = split_mlp_forward(spec, params, "net", a, b, _DST, k=2)
+    assert out.data.shape == (10, 2)
+    assert _toposort(out)[0]._parents == (a, b, params["net/W0"], params["net/b0"])
     with pytest.raises(ShapeError):  # b's width does not fill w
-        split_linear(a, Tensor(np.ones((5, 3))), w, bias)
+        split_mlp_forward(spec, params, "net", a, Tensor(np.ones((5, 3))))
     with pytest.raises(ShapeError):  # one edge index per edge
-        split_linear(a, b, w, bias, _DST[:-1], k=2)
+        split_mlp_forward(spec, params, "net", a, b, _DST[:-1], k=2)
     with pytest.raises(ShapeError):  # identity rows need equal row counts
-        split_linear(a, Tensor(np.ones((4, 4))), w, bias)
+        split_mlp_forward(spec, params, "net", a, Tensor(np.ones((4, 4))))
+    params.register("bad/W0", (7, 2))
+    params.register("bad/b0", (2,))
+    params.register("bad/W1", (3, 2))
+    params.register("bad/b1", (2,))
+    with pytest.raises(ShapeError):  # a later layer's rows do not match its input width
+        split_mlp_forward(MlpSpec((7, 2, 2)), params, "bad", a, b)
 
 
 @pytest.mark.parametrize("mode", _SPLIT_MODES)
@@ -451,6 +471,99 @@ def test_split_linear_gradients_match_finite_differences(mode):
 
     def fn(p):
         out = _split_first_layer(mode, p["p/a"], p["p/b"], p["p/w"], p["p/bias"], rows, relu=True)
+        return sum_all(mul(out, Tensor(weights)))
+
+    assert grad_check(fn, params, eps=1e-6) <= 1e-8
+
+
+_SPLIT_MLP_WIDTHS = [(7, 2), (7, 2, 3), (7, 4, 3, 2)]
+
+
+def _layer_by_layer(spec, params, name, a, b, rows, k):
+    """The split MLP as it ran before the fusion: the split first layer, then ``linear`` nodes."""
+    mode = "edge" if k else "identity" if rows is None else "gathered"
+    last = spec.n_layers - 1
+    h = _split_first_layer(mode, a, b, params[f"{name}/W0"], params[f"{name}/b0"], rows,
+                           relu=last > 0)
+    for i in range(1, spec.n_layers):
+        h = linear(h, params[f"{name}/W{i}"], params[f"{name}/b{i}"], relu=i < last)
+    return h
+
+
+def _signed_zero_upstream(params, spec, shape):
+    """An upstream gradient of tiny positive entries whose hidden gradient holds -0.0.
+
+    Row 0 of the last layer's weight is -1e-300, so every product of column 0
+    of the hidden gradient ``g @ W.T`` underflows to -0.0. The weight is stored
+    in Fortran order: OpenBLAS then reads ``W.T`` as a plain matrix and keeps
+    the sign of a sum of -0.0 products, which it does not for a transposed one.
+    """
+    w = params[f"net/W{spec.n_layers - 1}"]
+    w.data[0] = -1e-300
+    w.data = np.asfortranarray(w.data)
+    return np.random.default_rng(28).uniform(0.5, 1.0, shape) * 1e-300
+
+
+@pytest.mark.parametrize("upstream_kind", ["normal", "signed_zero"])
+@pytest.mark.parametrize("widths", _SPLIT_MLP_WIDTHS, ids=["1-layer", "2-layer", "3-layer"])
+@pytest.mark.parametrize("mode", _SPLIT_MODES)
+def test_split_mlp_matches_the_layer_by_layer_chain_bit_for_bit(mode, widths, upstream_kind):
+    """The fused node's output and every gradient equal the chain's, byte for byte.
+
+    With ``signed_zero`` the hidden gradient holds -0.0, which the chain's tape
+    adds to zeros (giving +0.0) and the fused node passes on as it is.
+    """
+    spec = MlpSpec(widths)
+    a_data, b_data, _, _, rows = _split_inputs(mode, np.random.default_rng(25))
+    k = 2 if mode == "edge" else 0
+    results = []
+    for mlp in (split_mlp_forward, _layer_by_layer):
+        params = _mlp_params(widths, seed=25)
+        a, b = Tensor(a_data.copy(), requires_grad=True), Tensor(b_data.copy(), requires_grad=True)
+        rows_out = {"edge": 10, "identity": 5}.get(mode, 6)
+        if upstream_kind == "normal":
+            upstream = np.random.default_rng(26).standard_normal((rows_out, widths[-1]))
+        else:
+            upstream = _signed_zero_upstream(params, spec, (rows_out, widths[-1]))
+        out = mlp(spec, params, "net", a, b, rows, k)
+        with np.errstate(invalid="ignore"):
+            sum_all(mul(out, Tensor(upstream))).backward()
+        results.append([out.data, a.grad, b.grad] + [t.grad for _, t in params.items()])
+    if upstream_kind == "signed_zero" and spec.n_layers > 1:
+        hidden_grad = upstream @ params[f"net/W{spec.n_layers - 1}"].data.T
+        assert ((hidden_grad == 0.0) & np.signbit(hidden_grad)).any()
+    for fused, chain in zip(*results, strict=True):
+        assert _bits(fused) == _bits(chain)
+
+
+def test_split_mlp_is_one_tape_node_that_keeps_only_its_inputs_and_output():
+    a, b = Tensor(np.ones((5, 3)), requires_grad=True), Tensor(np.ones((5, 4)), requires_grad=True)
+    spec, params = MlpSpec((7, 4, 3, 2)), _mlp_params((7, 4, 3, 2))
+    out = split_mlp_forward(spec, params, "net", a, b, _DST, k=2)
+    assert [t for t in _toposort(out) if t._backprop is not None] == [out]
+    assert out._parents == (a, b) + tuple(params[f"net/{p}{i}"] for i in range(3) for p in "Wb")
+    # Its backward and the layer function it recomputes with hold no array but the edge targets.
+    cells = [cell.cell_contents for cell in out._backprop.__closure__]
+    layer = next(c for c in cells if callable(c) and c.__name__ == "layer")
+    arrays = [c for c in cells + [cell.cell_contents for cell in layer.__closure__]
+              if isinstance(c, np.ndarray)]
+    assert arrays and all(x is arrays[0] for x in arrays) and np.array_equal(arrays[0], _DST)
+
+
+@pytest.mark.parametrize("widths", _SPLIT_MLP_WIDTHS[1:], ids=["2-layer", "3-layer"])
+@pytest.mark.parametrize("mode", _SPLIT_MODES)
+def test_split_mlp_gradients_match_finite_differences(mode, widths):
+    rng = np.random.default_rng(30)
+    a, b, _, _, rows = _split_inputs(mode, rng)
+    params = _mlp_params(widths, seed=30)
+    for name, x in (("in/a", rng.standard_normal(a.shape)), ("in/b", b)):
+        params.register(name, x.shape)
+        params[name].data[...] = x
+    weights = rng.standard_normal(({"edge": 10, "identity": 5}.get(mode, 6), widths[-1]))
+
+    def fn(p):
+        out = split_mlp_forward(MlpSpec(widths), p, "net", p["in/a"], p["in/b"], rows,
+                                k=2 if mode == "edge" else 0)
         return sum_all(mul(out, Tensor(weights)))
 
     assert grad_check(fn, params, eps=1e-6) <= 1e-8
@@ -497,8 +610,7 @@ def _relu_layer(mode, rng, relu):
     w = tiny(7, 10)
     w[:, 1] = -1e-300
     rows = {"edge": _DST, "identity": None}.get(mode, _GATHER)
-    return split_linear(Tensor(a), Tensor(b), Tensor(w), bias, rows,
-                        k=2 if mode == "edge" else 0, relu=relu)
+    return Tensor(_split_linear(a, b, w, bias.data, rows, 2 if mode == "edge" else 0, relu))
 
 
 def _holds_every_special(pre):

@@ -237,6 +237,23 @@ def test_out_of_range_frequency_base_full_k_or_sweep_exits_2(tmp_path, capsys, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "bench", "train-demo"])
+@pytest.mark.parametrize("sets,sweep,message", [
+    ([{"queries": 2, "ratio": 0.001, "k": 4}], [1024],
+     "config.cost.sets[0]: exact node count 1.024 at m_bev=1024 is not above k=4"),
+    ([{"queries": 2, "ratio": 0.1, "k": 4}, {"queries": 1, "ratio": 0.125, "k": 8}], [64, 4096],
+     "config.cost.sets[1]: exact node count 8.0 at m_bev=64 is not above k=8"),
+], ids=["below-k", "at-k-smallest-sweep"])
+def test_cost_set_not_above_its_k_exits_2(tmp_path, capsys, command, sets, sweep, message):
+    doc = json.loads(json.dumps(TOY_8x8))
+    doc["train"] = {"steps": 0}
+    doc["cost"] = {"sets": sets, "m_bev_sweep": sweep}
+    cfg = _write(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, TOY_8x8)
     taken = tmp_path / "taken"

@@ -104,8 +104,8 @@ def test_report_peak_is_single_most_expensive_graph():
 
 def test_compare_rejects_saturated_sets():
     cfg = GqnConfig(d=8, sets=(QuerySetSpec(2, 0.1, 8),))
-    with pytest.raises(ConfigError):
-        compare_full_vs_queries(cfg, 64)  # exact n = 6.4 <= k
+    with pytest.raises(ConfigError, match=r"exact n=6\.4 <= k=8 at m_bev=64"):
+        compare_full_vs_queries(cfg, 64)  # a decimal node count, not 32/5
 
 
 def test_report_serializes_to_plain_json_types():

@@ -353,16 +353,31 @@ def test_tape_holds_no_concatenated_first_layer_input():
     assert not concat_shapes & {t.data.shape for t in _toposort(out.fused_map)}
 
 
-def test_tape_holds_two_per_edge_arrays_per_chunk():
-    # The edge MLP's two layer outputs; the edge scores keep no q or key projection.
+def test_tape_holds_one_per_edge_array_per_chunk():
+    # The edge MLP's output; its hidden layer and the edge scores' q and key are
+    # recomputed in backward.
     config = GqnConfig()
     _, flat, _ = toy_inputs(h=16, w=16, d=config.d, seed=0)
     out = run_gqn(flat, config, init_params(config, flat.m_bev), global_map=flat.states)
     edge_shapes = Counter((chunk.n_nodes * chunk.k, config.d) for chunk in out.queries)
     kept = Counter(t.data.shape for t in _toposort(out.fused_map))
     assert len(out.queries) > config.num_sets  # several chunks per set
-    assert {shape: kept[shape] for shape in edge_shapes} == {
-        shape: 2 * chunks for shape, chunks in edge_shapes.items()}
+    assert {shape: kept[shape] for shape in edge_shapes} == edge_shapes
+
+
+def test_each_split_mlp_is_one_tape_node_per_chunk():
+    """No hidden layer of the edge, node or context MLP is on the tape: each MLP
+    is one node per chunk whose parents are its two inputs, then W0, b0, W1, b1."""
+    config = GqnConfig()
+    _, flat, _ = toy_inputs(h=16, w=16, d=config.d, seed=0)
+    params = init_params(config, flat.m_bev)
+    out = run_gqn(flat, config, params, global_map=flat.states)
+    tape = _toposort(out.fused_map)
+    for name in ("edge_mlp", "node_mlp", "context_mlp"):
+        weights = tuple(params[f"{name}/{p}{i}"] for i in range(2) for p in "Wb")
+        users = [t for t in tape if any(p in weights for p in t._parents)]
+        assert len(users) == len(out.queries), name
+        assert all(t._parents[2:] == weights for t in users), name
 
 
 def test_every_global_vector_receives_gradient():
