@@ -5,7 +5,7 @@ speed: everything is float64 and every reduction is deterministic. The few
 reductions that range over *set-valued* axes (softmax normalizers, the
 attention mixing step, the edge aggregation) sum their terms in value-sorted
 order, so results are bit-identical under any permutation of the set being
-reduced. The edge aggregation ``segment_mix`` sorts its k addends per group
+reduced. The edge aggregation ``_segment_mix`` sorts its k addends per group
 with a comparator network of ``np.minimum``/``np.maximum`` over whole (n, c)
 slices (Batcher's odd-even merge sort, cached per k) rather than one
 ``np.sort`` call per k-long lane. Reductions over feature axes keep numpy's
@@ -14,23 +14,29 @@ layout.
 
 A ``Tensor`` wraps an ndarray together with the closure that maps its output
 gradient back onto its parents; graphs are built define-by-run. One MLP layer
-is one tape node: ``linear`` fuses the product, the bias and the ReLU and keeps
-only its output, and ``edge_scores`` keeps neither of its two projections. An
-MLP whose first layer is split per node is one tape node for all its layers:
-``split_mlp_forward`` keeps its inputs and its output, and its backward
-recomputes the hidden layers (per-layer gradient checkpointing; Chen et al.,
-"Training Deep Nets with Sublinear Memory Cost", 2016). The
-ReLU runs in place as ``np.fmax(out, 0.0)`` followed by ``out += 0.0``, which
-gives the bits of a masked copy (NaN and -0.0 become +0.0) in two plain passes.
-Inside ``no_grad()`` nothing is recorded. ``backward`` frees the graph as it
-goes: once a node has propagated, its gradient, parents and closure are
-dropped, so a graph can be swept once and only leaves keep a ``.grad``. Ops
-take exact shapes and never broadcast: ``add``, ``sub`` and ``mul`` need two
-equal shapes, and any shape that does not fit raises ``ShapeError``. Tensors
-are treated as immutable once created; the sanctioned exceptions are leaf
-parameters, whose ``data`` may be updated *between* forward passes (SGD steps,
-finite-difference probes). Independent forward passes may run concurrently; a
-backward pass owns its graph.
+is one tape node: ``linear`` fuses the product, the bias and the ReLU and
+keeps only its output. An MLP whose first layer is split per node is one tape
+node for all its layers: ``split_mlp_forward`` keeps its inputs and its
+output, and its backward recomputes the hidden layers (per-layer gradient
+checkpointing; Chen et al., "Training Deep Nets with Sublinear Memory Cost",
+2016). The private array helpers (``_split_mlp_outputs`` and
+``_split_mlp_grads``, ``_bilinear_scores`` and its gradients,
+``_row_softmax``, ``_segment_mix``) are forward and backward pieces with no
+tape of their own; the edge stage (``edge_focus.edge_focus_update``) composes
+them into one node per query chunk. The ReLU runs in place as ``np.fmax(out,
+0.0)`` followed by ``out += 0.0``, which gives the bits of a masked copy (NaN
+and -0.0 become +0.0) in two plain passes. Inside ``no_grad()`` nothing is
+recorded. ``backward`` frees the graph as it goes: once a node has propagated,
+its gradient, parents and closure are dropped, so a graph can be swept once
+and only leaves keep a ``.grad``. A parent's first contribution enters its
+gradient as ``contribution + 0.0``, a fresh array, and later ones are added to
+it in the order the sweep reaches them. Ops take exact shapes and never
+broadcast: ``add``, ``sub`` and ``mul`` need two equal shapes, and any shape
+that does not fit raises ``ShapeError``. Tensors are treated as immutable once
+created; the sanctioned exceptions are leaf parameters, whose ``data`` may be
+updated *between* forward passes (SGD steps, finite-difference probes).
+Independent forward passes may run concurrently; a backward pass owns its
+graph.
 """
 
 from __future__ import annotations
@@ -91,9 +97,9 @@ class Tensor:
             for parent, contrib in zip(node._parents, node._backprop(node.grad)):
                 if contrib is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad = parent.grad + contrib
+                # contrib may be a view of node.grad, so the first one is copied
+                # (adding 0.0 also maps -0.0 to +0.0, as adding it to zeros did)
+                parent.grad = contrib + 0.0 if parent.grad is None else parent.grad + contrib
             node.grad, node._parents, node._backprop = None, (), None
 
     def __repr__(self) -> str:
@@ -328,45 +334,50 @@ def _split_linear_grads(g: Array, a: Array, b: Array, w: Array, rows: Array | No
             g.sum(axis=0) if need[3] else None)
 
 
-def edge_scores(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor) -> Tensor:
-    """Row-wise dot products of ``x @ wq + bq`` and ``x @ wk + bk`` as one tape node.
+def _bilinear_scores(x: Array, wq: Array, bq: Array, wk: Array, bk: Array) -> Array:
+    """Row-wise dot products of ``x @ wq + bq`` and ``x @ wk + bk``, as one bilinear form.
 
-    The two projections are computed with the calls of ``linear`` and dropped
-    once their dot products are taken; the node keeps only its inputs, and its
-    backward recomputes the projections the same way. ``x`` is listed twice
-    among the parents, so it receives the q-path and the key-path gradients as
-    two contributions, q first, as two separate ``linear`` nodes would give them.
+    ``(x Wq + bq)·(x Wk + bk) = x A xᵀ + x·c + bq·bk`` with ``A = Wq Wkᵀ`` and
+    ``c = Wq bk + Wk bq``, the key-query matrix of Cordonnier, Loukas & Jaggi
+    ("Multi-Head Attention: Collaborate Instead of Concatenate", 2020): one
+    (rows, d) x (d, d) product instead of two projections.
     """
-    if x.data.ndim != 2 or wq.data.ndim != 2 or x.data.shape[1] != wq.data.shape[0]:
-        raise ShapeError(f"edge_scores mismatch {x.data.shape} @ {wq.data.shape}")
-    width = (wq.data.shape[1],)
-    if wk.data.shape != wq.data.shape or bq.data.shape != width or bk.data.shape != width:
-        raise ShapeError(f"edge_scores projections {wq.data.shape} + {bq.data.shape} and "
-                         f"{wk.data.shape} + {bk.data.shape} differ")
+    c = wq @ bk
+    c += wk @ bq
+    y = x @ (wq @ wk.T)
+    y += c
+    y *= x
+    out = y.sum(axis=1)
+    out += bq @ bk
+    return out
 
-    def projections():
-        q = x.data @ wq.data
-        q += bq.data
-        key = x.data @ wk.data
-        key += bk.data
-        return q, key
 
-    q, key = projections()
-    q *= key  # the row products, in q's buffer
-    out = q.sum(axis=1)
+def _bilinear_score_grads(g: Array, x: Array, wq: Array, bq: Array, wk: Array, bk: Array,
+                          need: tuple[bool, ...]) -> tuple:
+    """Gradients of ``_bilinear_scores`` for ``x``, ``wq``, ``bq``, ``wk`` and ``bk``.
 
-    def backprop(g):
-        q, key = projections()
-        gq = g[:, None] * key
-        gk = g[:, None] * q
-        gxq = gq @ wq.data.T if x.requires_grad else None
-        gxk = gk @ wk.data.T if x.requires_grad else None
-        return (gxq, gxk, x.data.T @ gq if wq.requires_grad else None,
-                gq.sum(axis=0) if bq.requires_grad else None,
-                x.data.T @ gk if wk.requires_grad else None,
-                gk.sum(axis=0) if bk.requires_grad else None)
-
-    return _make(out, (x, x, wq, bq, wk, bk), backprop)
+    Two row-sized products: ``x (A + Aᵀ)`` for ``x`` and ``G = xᵀ diag(g) x``
+    for the weights, from which ``gWq = G Wk + s bkᵀ`` and ``gWk = Gᵀ Wq + s bqᵀ``
+    with ``s = xᵀ g``. ``A`` and ``c`` are formed again from the weights.
+    """
+    gx = None
+    if need[0]:
+        a = wq @ wk.T
+        c = wq @ bk
+        c += wk @ bq
+        gx = x @ (a + a.T)
+        gx += c
+        gx *= g[:, None]
+    if not any(need[1:]):
+        return gx, None, None, None, None
+    s = x.T @ g
+    gram = (x * g[:, None]).T @ x
+    total = g.sum()
+    return (gx,
+            gram @ wk + np.outer(s, bk) if need[1] else None,
+            wk.T @ s + total * bk if need[2] else None,
+            gram.T @ wq + np.outer(s, bq) if need[3] else None,
+            wq.T @ s + total * bq if need[4] else None)
 
 
 # ----------------------------------------------------------------------------
@@ -386,15 +397,19 @@ def row_softmax(t: Tensor) -> Tensor:
     """Per-row stable softmax of a matrix, with value-sorted row normalizers."""
     if t.data.ndim != 2 or t.data.shape[1] == 0:
         raise ShapeError(f"row_softmax needs a non-empty matrix, got shape {t.data.shape}")
-    if not np.isfinite(t.data).all():
+    p = _row_softmax(t.data)
+    return _make(p, (t,), lambda g: (_row_softmax_grad(g, p),))
+
+
+def _row_softmax(x: Array) -> Array:
+    if not np.isfinite(x).all():
         raise InvalidInputError("row_softmax input contains non-finite entries")
-    e = np.exp(t.data - t.data.max(axis=1, keepdims=True))
-    p = e / np.sort(e, axis=1).sum(axis=1, keepdims=True)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / np.sort(e, axis=1).sum(axis=1, keepdims=True)
 
-    def backprop(g):
-        return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
 
-    return _make(p, (t,), backprop)
+def _row_softmax_grad(g: Array, p: Array) -> Array:
+    return p * (g - (g * p).sum(axis=1, keepdims=True))
 
 
 def scale_rows(t: Tensor, s: Tensor) -> Tensor:
@@ -480,7 +495,7 @@ def _sorting_network(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def segment_mix(t: Tensor, w: Tensor, k: int) -> Tensor:
+def _segment_mix(t: Array, w: Array, k: int) -> Array:
     """Weighted sum over consecutive groups of k rows: (n*k, c), (n*k,) -> (n, c).
 
     Group addends are summed in value-sorted order, so the result is
@@ -491,26 +506,25 @@ def segment_mix(t: Tensor, w: Tensor, k: int) -> Tensor:
     channel and k >= 8 numpy would switch to pairwise summation). Equal addends
     may trade places (0.0 and -0.0), which changes no partial sum after them.
     """
-    if t.data.ndim != 2 or t.data.shape[0] % k != 0:
-        raise ShapeError(f"segment_mix: {t.data.shape} not divisible into groups of {k}")
-    if w.data.shape != (t.data.shape[0],):
-        raise ShapeError(f"segment_mix weights {w.data.shape} vs rows {t.data.shape[0]}")
-    n, c = t.data.shape[0] // k, t.data.shape[1]
-    rows, weights = t.data.reshape(n, k, c), w.data.reshape(n, k, 1)
+    if t.ndim != 2 or t.shape[0] % k != 0:
+        raise ShapeError(f"segment_mix: {t.shape} not divisible into groups of {k}")
+    if w.shape != (t.shape[0],):
+        raise ShapeError(f"segment_mix weights {w.shape} vs rows {t.shape[0]}")
+    n, c = t.shape[0] // k, t.shape[1]
+    rows, weights = t.reshape(n, k, c), w.reshape(n, k, 1)
     lanes = [rows[:, i] * weights[:, i] for i in range(k)]
     for i, j in _sorting_network(k):
         lanes[i], lanes[j] = np.minimum(lanes[i], lanes[j]), np.maximum(lanes[i], lanes[j])
     out = lanes[0] + 0.0
     for lane in lanes[1:]:
         out += lane
+    return out
 
-    def backprop(g):
-        expanded = np.repeat(g, k, axis=0)
-        gt = expanded * w.data[:, None] if t.requires_grad else None
-        gw = (expanded * t.data).sum(axis=1) if w.requires_grad else None
-        return gt, gw
 
-    return _make(out, (t, w), backprop)
+def _segment_mix_grads(g: Array, t: Array, w: Array, k: int) -> tuple[Array, Array]:
+    """Gradients of ``_segment_mix`` for ``t`` and ``w``."""
+    expanded = np.repeat(g, k, axis=0)
+    return expanded * w[:, None], (expanded * t).sum(axis=1)
 
 
 def max_rows(t: Tensor, groups: int = 1) -> Tensor:
@@ -718,6 +732,45 @@ def _check_split_mlp(name: str, a: Array, b: Array, layers: list[tuple[Array, Ar
             raise ShapeError(f"split MLP {name!r} layers {w_prev.shape} then {w.shape} + {bias.shape}")
 
 
+def _split_mlp_outputs(a: Array, b: Array, layers: list[tuple[Array, Array]], rows: Array | None,
+                       k: int, count: int) -> list[Array]:
+    """The outputs of the first ``count`` layers of a split MLP over ``[a || b[rows]]``.
+
+    The first layer runs split per node (``_split_linear``), each later layer
+    as ``_dense``; every layer but the last applies ReLU.
+    """
+    last = len(layers) - 1
+    outs = []
+    for i, (w, bias) in enumerate(layers[:count]):
+        if i == 0:
+            outs.append(_split_linear(a, b, w, bias, rows, k, relu=last > 0))
+        else:
+            outs.append(_dense(outs[-1], w, bias, relu=i < last))
+    return outs
+
+
+def _split_mlp_grads(g: Array, a: Array, b: Array, layers: list[tuple[Array, Array]],
+                     rows: Array | None, k: int, hidden: list[Array],
+                     need: tuple[bool, ...]) -> list:
+    """Gradients of a split MLP for ``(a, b, W0, b0, W1, b1, ...)``, None where ``need`` says so.
+
+    ``hidden`` holds the outputs of every layer but the last, as
+    ``_split_mlp_outputs`` gives them; it is emptied as the layers are
+    passed. Each layer backprops with the expressions of ``linear``.
+    """
+    last = len(layers) - 1
+    grads = [None] * len(need)
+    for i in range(last, 0, -1):
+        out = hidden.pop() if i < last else None
+        g, grads[2 * i + 2], grads[2 * i + 3] = _dense_grads(
+            g, hidden[-1], layers[i][0], out, (any(need[:2 * i + 2]),) + need[2 * i + 2:2 * i + 4])
+        if g is None:
+            return grads
+    grads[:4] = _split_linear_grads(g, a, b, layers[0][0], rows, k,
+                                    hidden.pop() if last else None, need[:4])
+    return grads
+
+
 def split_mlp_forward(spec: MlpSpec, params: ParamStore, name: str, a: Tensor, b: Tensor,
                       rows=None, k: int = 0) -> Tensor:
     """Apply the named MLP to ``[a || b[rows]]`` as one tape node; see ``_split_linear``.
@@ -728,45 +781,24 @@ def split_mlp_forward(spec: MlpSpec, params: ParamStore, name: str, a: Tensor, b
     hidden layers with the forward's calls, so they carry the same bits, then
     backprops through the layers in reverse with the expressions of
     ``linear``. A hidden gradient goes on as it is, where a node per layer
-    added it to zeros first (mapping -0.0 to +0.0): the sign of a zero there
+    added 0.0 to it first (mapping -0.0 to +0.0): the sign of a zero there
     can only change the sign of a zero the backward returns, and every
-    contribution enters its parent as ``zeros + contribution``, so no
-    gradient bit depends on it.
+    contribution enters its parent as ``contribution + 0.0``, so no gradient
+    bit depends on it.
     """
     rows = None if rows is None else np.asarray(rows, dtype=np.intp)
     layers = [(params[f"{name}/W{i}"], params[f"{name}/b{i}"]) for i in range(spec.n_layers)]
-    _check_split_mlp(name, a.data, b.data, [(w.data, bias.data) for w, bias in layers], rows, k)
+    arrays = [(w.data, bias.data) for w, bias in layers]
+    _check_split_mlp(name, a.data, b.data, arrays, rows, k)
     parents = (a, b) + tuple(t for layer in layers for t in layer)
-    last = spec.n_layers - 1
-
-    def layer(i: int, x: Array | None) -> Array:
-        """Layer i's output from layer i - 1's (x); every layer but the last applies ReLU."""
-        w, bias = layers[i]
-        if i == 0:
-            return _split_linear(a.data, b.data, w.data, bias.data, rows, k, relu=last > 0)
-        return _dense(x, w.data, bias.data, relu=i < last)
 
     def backprop(g):
-        hidden = []
-        for i in range(last):
-            hidden.append(layer(i, hidden[-1] if hidden else None))
-        grads = [None] * len(parents)
-        for i in range(last, 0, -1):
-            w, bias = layers[i]
-            need = (any(p.requires_grad for p in parents[:2 * i + 2]),
-                    w.requires_grad, bias.requires_grad)
-            out = hidden.pop() if i < last else None
-            g, grads[2 * i + 2], grads[2 * i + 3] = _dense_grads(g, hidden[-1], w.data, out, need)
-            if g is None:
-                return tuple(grads)
-        need = tuple(p.requires_grad for p in parents[:4])
-        grads[:4] = _split_linear_grads(g, a.data, b.data, layers[0][0].data, rows, k,
-                                        hidden.pop() if last else None, need)
-        return tuple(grads)
+        arrays = [(w.data, bias.data) for w, bias in layers]
+        hidden = _split_mlp_outputs(a.data, b.data, arrays, rows, k, len(arrays) - 1)
+        return tuple(_split_mlp_grads(g, a.data, b.data, arrays, rows, k, hidden,
+                                      tuple(p.requires_grad for p in parents)))
 
-    out = None
-    for i in range(spec.n_layers):
-        out = layer(i, out)
+    out = _split_mlp_outputs(a.data, b.data, arrays, rows, k, spec.n_layers)[-1]
     return _make(out, parents, backprop)
 
 

@@ -210,15 +210,20 @@ def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
     first layers of the edge, node and context MLPs are split per node
     (``autodiff.split_mlp_forward``), so their products are per node, the edge
     layer adds a per-edge gather-add, and the summary half of the context
-    layer is one (tau, d) x (d, h) product. The pipeline repeats that product
-    for every query chunk (the chunk count follows ``pipeline.CHUNK_BYTES``,
-    not the model's inputs); the estimate counts it once per pass, which
-    leaves out about 0.7% at the 32x32 reference config.
+    layer is one (tau, d) x (d, h) product. Edges are scored as the bilinear
+    form ``x A xᵀ + x·c + bq·bk`` (``autodiff._bilinear_scores``): one
+    (d, d) product per edge, after ``A = Wq Wkᵀ``, ``c`` and ``bq·bk`` are
+    formed from the weights. The pipeline repeats the summary product and the
+    forming of ``A``, ``c`` and ``bq·bk`` for every query chunk (the chunk
+    count follows ``pipeline.CHUNK_BYTES``, not the model's inputs); the
+    estimate counts each once per pass, so that it stays affine in k, which
+    leaves out about 1.5% at the 32x32 reference config (0.9% summary
+    products, 0.6% ``A``, ``c`` and ``bq·bk``).
 
     Per query: scoring 2*m_bev*d plus a softmax, selection weighting, the edge
-    MLP, score projections and dots, per-node softmax and weighted
-    aggregation (all linear in n*k), then the node and context MLPs, pooling
-    and projection adds per node. Shared: context attention steps over all tau
+    MLP, the bilinear edge scores, per-node softmax and weighted aggregation
+    (all linear in n*k), then the node and context MLPs, pooling and
+    projection adds per node. Shared: context attention steps over all tau
     summaries, per-cell mean normalization, and the skip and gate MLPs over
     every cell.
     """
@@ -236,9 +241,8 @@ def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
             # per-node products of both halves, their sum, then per edge the
             # source term subtracted
             "edge_focus.features": _split_mlp_flops(config.edge_mlp_spec, 2 * n, n + edges, edges),
-            "edge_focus.attention": (_mlp_flops(edges, config.edge_q_spec)
-                                     + _mlp_flops(edges, config.edge_k_spec)
-                                     + 2 * edges * d + 4 * edges),    # score dots + softmax
+            # x A, plus c, the row dot with x, plus bq·bk, then the softmax
+            "edge_focus.attention": edges * (2 * d * d + 3 * d + 1 + 4),
             "edge_focus.update": (2 * edges * d                       # weighted aggregation
                                   + _split_mlp_flops(config.node_mlp_spec, 2 * n, n, n)),
             "deep_context.pool": n * d,                               # max pooling
@@ -249,6 +253,7 @@ def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
         for stage, flops in per_query.items():
             stages[stage] += s.queries * flops
     stages["deep_context.infuse"] += 2 * tau * d * config.context_mlp_spec.widths[1]
+    stages["edge_focus.attention"] += 2 * d ** 3 + 4 * d * d + 3 * d  # A, c and bq·bk
     stages["deep_context.exchange"] = config.context_steps * (
         3 * _linear_flops(tau, d, d)                                  # q/k/v projections
         + 2 * (2 * tau * tau * d)                                     # score and mixing matmuls

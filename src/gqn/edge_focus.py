@@ -15,15 +15,21 @@ function per point (Wang et al., "Dynamic Graph CNN for Learning on Point
 Clouds", 2019, eq. 8). The products are per node, k times fewer than per
 edge, and neither the (n*k, 2d) input nor the gathered neighbor states is
 built. The node MLP's ``[message || state]`` takes the same split without a
-gather. Each MLP is one tape node (``autodiff.split_mlp_forward``) that keeps
-its output but not its (n*k, d) or (n, d) hidden layer; its backward
-recomputes the hidden layer from the per-node products and a gather, with no
-per-edge product.
+gather.
 
-Scoring: q and key are one (d, d) layer each, and ``autodiff.edge_scores``
-takes their per-edge dot products in one tape node that keeps only the edge
-features (already on the tape for the aggregation). The two (n*k, d)
-projections are recomputed in backward, not stored.
+Scoring: q and key are one (d, d) layer each, and their per-edge dot product
+is taken as the bilinear form ``x A xᵀ + x·c + bq·bk`` with ``A = Wq Wkᵀ``
+(``autodiff._bilinear_scores``): one (n*k, d) x (d, d) product, where two
+projections would take two.
+
+One tape node per chunk: ``edge_focus_update`` runs features, scores,
+softmax, weighted sum and node MLP as array code and records one node that
+keeps only its inputs (positions, states, edge targets, the parameters) and
+its (n, d) output. Its backward recomputes every per-edge array with the
+forward's calls, so they carry the same bits (Chen et al., "Training Deep
+Nets with Sublinear Memory Cost", 2016), then backprops through the stages
+in reverse. ``edge_features``, ``edge_attention`` and ``update_nodes`` are
+those forward calls; they return value-only tensors.
 
 Pairing the two projections of the same edge yields exactly one weight per
 edge, which is what the weighted aggregation consumes. The natural
@@ -36,10 +42,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (MlpSpec, ParamStore, Tensor, edge_scores, reshape, row_softmax, segment_mix,
-                       split_mlp_forward)
+from .autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
+                       _check_split_mlp, _make, _row_softmax, _row_softmax_grad, _segment_mix,
+                       _segment_mix_grads, _split_mlp_grads, _split_mlp_outputs)
 from .errors import ContractError, ShapeError
 from .query_init import GraphQuery
+
+Array = np.ndarray
+
+
+def _layers(params: ParamStore, name: str, spec: MlpSpec) -> list[tuple[Tensor, Tensor]]:
+    return [(params[f"{name}/W{i}"], params[f"{name}/b{i}"]) for i in range(spec.n_layers)]
+
+
+def _arrays(layers: list[tuple[Tensor, Tensor]]) -> list[tuple[Array, Array]]:
+    return [(w.data, b.data) for w, b in layers]
+
+
+def _scoring(params: ParamStore, q_spec: MlpSpec, k_spec: MlpSpec) -> list[Tensor]:
+    """q's and key's weight and bias: ``[Wq, bq, Wk, bk]``."""
+    return [t for name, spec in (("edge_q", q_spec), ("edge_k", k_spec))
+            for layer in _layers(params, name, spec) for t in layer]
+
+
+def _edge_weights(feats: Array, n_nodes: int, k: int, scoring: list[Array]) -> Array:
+    """The (n, k) softmax over each node's k bilinear edge scores."""
+    return _row_softmax(_bilinear_scores(feats, *scoring).reshape(n_nodes, k))
 
 
 def edge_features(query: GraphQuery, params: ParamStore, spec: MlpSpec) -> Tensor:
@@ -49,8 +77,10 @@ def edge_features(query: GraphQuery, params: ParamStore, spec: MlpSpec) -> Tenso
         raise ShapeError(f"edge MLP expects input width {spec.widths[0]}, node width is {d}")
     if not np.array_equal(query.edge_src, np.repeat(np.arange(query.n_nodes), query.k)):
         raise ContractError("edge features need edges grouped by source, k per node")
-    return split_mlp_forward(spec, params, "edge_mlp", Tensor(query.positions), query.states,
-                             rows=query.edge_dst, k=query.k)
+    layers, rows = _arrays(_layers(params, "edge_mlp", spec)), np.asarray(query.edge_dst, np.intp)
+    _check_split_mlp("edge_mlp", query.positions, query.states.data, layers, rows, query.k)
+    return Tensor(_split_mlp_outputs(query.positions, query.states.data, layers, rows, query.k,
+                                     len(layers))[-1])
 
 
 def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore,
@@ -62,10 +92,8 @@ def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore,
     if q_spec.widths != (d, d) or k_spec.widths != (d, d):
         raise ShapeError(f"edge scoring needs one ({d}, {d}) layer each for q and key, got "
                          f"widths {q_spec.widths} and {k_spec.widths}")
-    scores = edge_scores(feats, params["edge_q/W0"], params["edge_q/b0"],
-                         params["edge_k/W0"], params["edge_k/b0"])
-    beta = row_softmax(reshape(scores, (n_nodes, k)))
-    return reshape(beta, (n_nodes * k,))
+    scoring = [t.data for t in _scoring(params, q_spec, k_spec)]
+    return Tensor(_edge_weights(feats.data, n_nodes, k, scoring).reshape(n_nodes * k))
 
 
 def update_nodes(query: GraphQuery, feats: Tensor, beta: Tensor, params: ParamStore,
@@ -74,17 +102,61 @@ def update_nodes(query: GraphQuery, feats: Tensor, beta: Tensor, params: ParamSt
     d = query.positions.shape[1]
     if spec.widths[0] != 2 * d:
         raise ShapeError(f"node MLP expects input width {spec.widths[0]}, node width is {d}")
-    message = segment_mix(feats, beta, query.k)
-    return split_mlp_forward(spec, params, "node_mlp", message, query.states)
+    message = _segment_mix(feats.data, beta.data, query.k)
+    layers = _arrays(_layers(params, "node_mlp", spec))
+    _check_split_mlp("node_mlp", message, query.states.data, layers, None, 0)
+    return Tensor(_split_mlp_outputs(message, query.states.data, layers, None, 0, len(layers))[-1])
 
 
 def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,
                       node_spec: MlpSpec, q_spec: MlpSpec, k_spec: MlpSpec) -> Tensor:
-    """The full edge-attention update for one query chunk: features, weights, aggregation.
+    """The full edge-attention update for one query chunk, as one tape node.
 
     Every step is per edge or per node, so a chunk of stacked queries gives
-    each query the rows it would get alone.
+    each query the rows it would get alone. The node's parents are the
+    states twice (node MLP first, then edge MLP: the order in which a chain
+    of one node per stage would pass their gradients), then the edge MLP's,
+    q's, key's and node MLP's weights and biases.
     """
     feats = edge_features(query, params, edge_spec)
     beta = edge_attention(feats, query.n_nodes, query.k, params, q_spec, k_spec)
-    return update_nodes(query, feats, beta, params, node_spec)
+    out = update_nodes(query, feats, beta, params, node_spec).data
+
+    edge, node = _layers(params, "edge_mlp", edge_spec), _layers(params, "node_mlp", node_spec)
+    scoring = _scoring(params, q_spec, k_spec)
+    states, positions, n, k = query.states, query.positions, query.n_nodes, query.k
+    rows = np.asarray(query.edge_dst, np.intp)
+    parents = ((states, states) + tuple(t for layer in edge for t in layer) + tuple(scoring)
+               + tuple(t for layer in node for t in layer))
+    first_q, first_node = 2 + 2 * len(edge), 6 + 2 * len(edge)
+
+    def backprop(g):
+        need = tuple(p.requires_grad for p in parents)
+        edge_arrays, node_arrays = _arrays(edge), _arrays(node)
+        qk = [t.data for t in scoring]
+        hidden = _split_mlp_outputs(positions, states.data, edge_arrays, rows, k, len(edge))
+        feats = hidden.pop()
+        beta = _edge_weights(feats, n, k, qk)
+        message = _segment_mix(feats, beta.reshape(n * k), k)
+        grads = [None] * len(parents)
+        node_grads = _split_mlp_grads(
+            g, message, states.data, node_arrays, None, 0,
+            _split_mlp_outputs(message, states.data, node_arrays, None, 0, len(node) - 1),
+            (any(need[1:first_node]), need[0]) + need[first_node:])
+        grads[0], grads[first_node:] = node_grads[1], node_grads[2:]
+        if node_grads[0] is None:
+            return tuple(grads)
+        gfeats, gbeta = _segment_mix_grads(node_grads[0], feats, beta.reshape(n * k), k)
+        gscores = _row_softmax_grad(gbeta.reshape(n, k), beta).reshape(n * k)
+        need_feats = any(need[1:first_q])
+        gx, *grads[first_q:first_node] = _bilinear_score_grads(
+            gscores, feats, *qk, (need_feats,) + need[first_q:first_node])
+        if not need_feats:
+            return tuple(grads)
+        gfeats += gx
+        edge_grads = _split_mlp_grads(gfeats, positions, states.data, edge_arrays, rows, k, hidden,
+                                      (False,) + need[1:first_q])
+        grads[1:first_q] = edge_grads[1:]
+        return tuple(grads)
+
+    return _make(out, parents, backprop)

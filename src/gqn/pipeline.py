@@ -2,11 +2,12 @@
 
 Runs every query of every set through initialization, the edge-attention
 update and context pooling, projects each set's node states back onto the BEV
-grid by contributor-count mean, concatenates set maps along channels, and
-applies the skip MLP (mlp1) over [input state || set maps || positional
-encoding]. When a global-pathway map is supplied, the skip output is blended
-with it via per-pixel softmax weights from mlp2. Updated per-query summary vectors are
-exposed so an external detection head could consume them.
+grid by contributor-count mean (``project_to_bev``), concatenates set maps
+along channels, and applies the skip MLP (mlp1) over [input state || set maps
+|| positional encoding]. When a global-pathway map is supplied, the skip
+output is blended with it via per-pixel softmax weights from mlp2. Updated
+per-query summary vectors are exposed so an external detection head could
+consume them.
 
 Alignment contract: every map in ``GqnOutput`` has one row per *input pair*,
 in the caller's pair order. Because all internal reductions are functions of
@@ -15,13 +16,16 @@ list yields the same maps, permuted the same way, bit for bit.
 
 Chunk layout: the queries of one set share n and k, so the per-query stage
 runs on chunks of Q queries stacked query-major (see ``GraphQuery``). One
-chunk costs one tape op per layer whatever Q is; kNN still runs once per
-query. Every op of that stage is row-wise or per query, so a chunk's outputs
-and the set maps carry the same bits as one query at a time; only gradients
-summed over rows round differently. The largest arrays a chunk builds are
-its (n*k, d) per-edge layer outputs (the first layers are split per node, so
-no (n*k, 2d) input exists), and Q is capped so that one of them stays within
-``CHUNK_BYTES``. Larger arrays are mapped fresh for each forward. Per
+chunk costs the same tape ops whatever Q is, and its whole edge stage is one
+of them (``edge_focus_update``); kNN still runs once per query. Every op of
+that stage is row-wise or per query, so a chunk's outputs and the set maps
+carry the same bits as one query at a time; only gradients summed over rows
+round differently. The largest arrays a chunk builds are the (n*k, d)
+per-edge temporaries of the edge stage's op (the first layers are split per
+node, so no (n*k, 2d) input exists). None of them is kept on the tape: they
+live inside the op's forward and inside its backward's recompute. Q is capped
+so that one of them stays within ``CHUNK_BYTES``. Larger arrays are mapped
+fresh for each forward. Per
 forward on a 32x32 grid with one BLAS thread, whole-set chunks (arrays up to
 60 MB) cost about 20k minor page faults and 0.2 s of system time, a 16 MiB
 budget about 26k and 0.16 s, and 2 MiB about 5k and 0.01 s. Budgets of 1 to
@@ -57,8 +61,8 @@ Array = np.ndarray
 
 DEFAULT_SETS = (QuerySetSpec(32, 0.10, 4), QuerySetSpec(32, 0.20, 8), QuerySetSpec(32, 0.30, 12))
 
-# Largest per-edge layer output, in bytes, that one query chunk may build; see
-# the module docstring for why it is this small.
+# Largest per-edge temporary, in bytes, that the edge stage's op may build for
+# one query chunk; see the module docstring for why it is this small.
 CHUNK_BYTES = 2 * 2 ** 20
 
 
@@ -190,8 +194,18 @@ def soft_fusion(graph_map: Tensor, global_map: Tensor, params: ParamStore,
     return add(scale_rows(graph_map, column(w, 0)), scale_rows(global_map, column(w, 1)))
 
 
+def project_to_bev(contributions: Sequence[tuple[Array, Tensor]], flat: FlatPairs) -> Tensor:
+    """One set's map in pair order: the per-cell mean of its (cells, node rows) contributions.
+
+    One mean per set over its chunks in query order, so the per-cell sums
+    accumulate in the same order as one query at a time would; the cell map
+    is then gathered back to the caller's pair order.
+    """
+    return gather_rows(scatter_mean(contributions, flat.m_bev), flat.bev_indices)
+
+
 def _chunk_size(spec: QuerySetSpec, m_bev: int, d: int) -> int:
-    """Queries of one set per chunk: as many as keep an (n*k, d) per-edge output in budget."""
+    """Queries of one set per chunk: as many as keep an (n*k, d) per-edge temporary in budget."""
     return max(1, CHUNK_BYTES // (spec.n_nodes(m_bev) * spec.k * d * 8))
 
 
@@ -232,10 +246,7 @@ def run_gqn(flat: FlatPairs, config: GqnConfig, params: ParamStore,
             rows = np.arange(query.query_index, query.query_index + query.queries)
             mixed = infuse_context(nodes, summaries, params, config.context_mlp_spec, rows=rows)
             contributions.append((query.bev_indices, mixed))
-        # One mean per set over its chunks in query order: the per-cell sums
-        # accumulate in the same order as one query at a time would.
-        cell_map = scatter_mean(contributions, flat.m_bev)
-        set_maps.append(gather_rows(cell_map, flat.bev_indices))  # back to pair order
+        set_maps.append(project_to_bev(contributions, flat))
 
     concat_map = concat_sets(set_maps)
     skip_map = skip_fuse(states, concat_map, enc, params, config.mlp1_spec)

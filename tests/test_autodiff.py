@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqn import edge_focus, pipeline
-from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _make, _relu_inplace, _sorting_network,
-                          _split_linear, _split_linear_grads, _toposort, add, attn_mix, backward,
-                          concat_cols, concat_rows, edge_scores, gather_rows, grad_check,
+from gqn import pipeline
+from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
+                          _make, _relu_inplace, _segment_mix, _segment_mix_grads,
+                          _sorting_network, _split_linear, _split_linear_grads, _toposort, add,
+                          attn_mix, backward, concat_cols, concat_rows, gather_rows, grad_check,
                           grad_check_groups, linear, matmul_nt, matvec_rows, max_rows,
                           mlp_forward, mul, no_grad, register_attention, reshape, row_softmax,
-                          scale_rows, scatter_mean, segment_mix, self_attention_layer,
-                          split_mlp_forward, sub, sum_all)
+                          scale_rows, scatter_mean, self_attention_layer, split_mlp_forward, sub,
+                          sum_all)
 from gqn.errors import ConfigError, ContractError, InvalidInputError, ShapeError
 from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
 
@@ -179,7 +180,7 @@ def test_mlp_gradients_match_finite_differences(seed):
 
 
 # ----------------------------------------------------------------------------
-# fused ops: linear and edge_scores against the unfused chains they replace
+# fused ops: linear and the bilinear edge scores against the unfused chains they replace
 
 
 def _relu_node(t):
@@ -260,19 +261,35 @@ def test_linear_rejects_mismatched_shapes():
         linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
 
 
+def _score_node(x, wq, bq, wk, bk):
+    """The bilinear edge scores as one tape node, built from the private helpers."""
+    parents = (x, wq, bq, wk, bk)
+    return _make(_bilinear_scores(*(t.data for t in parents)), parents,
+                 lambda g: _bilinear_score_grads(g, *(t.data for t in parents),
+                                                 tuple(t.requires_grad for t in parents)))
+
+
+def _mix_node(t, w, k):
+    """The weighted edge sum as one tape node, built from the private helpers."""
+    return _make(_segment_mix(t.data, w.data, k), (t, w),
+                 lambda g: _segment_mix_grads(g, t.data, w.data, k))
+
+
 def _scores_and_mix(score, x0, w0, b0, proj, k):
     """The pipeline's use of edge features: scored per edge and mixed with the weights.
 
-    ``x`` feeds both the scores and ``segment_mix``, so the order in which its
-    three gradient contributions accumulate shows in every upstream gradient.
+    ``x`` feeds both the scores and the weighted sum, so the order in which its
+    gradient contributions accumulate shows in every upstream gradient.
     """
     x = linear(x0, w0, b0, relu=True)
     scores = score(x, *proj)
     beta = reshape(row_softmax(reshape(scores, (x.data.shape[0] // k, k))), (x.data.shape[0],))
-    return scores, segment_mix(x, beta, k)
+    return scores, _mix_node(x, beta, k)
 
 
-def test_edge_scores_match_the_linear_and_rowdot_chain_bit_for_bit():
+def test_bilinear_edge_scores_match_the_linear_and_rowdot_chain():
+    """``x A xᵀ + x·c + bq·bk`` rounds differently from the two projections it
+    replaces, so outputs and gradients agree to 1e-12 of their largest entry."""
     rng = np.random.default_rng(22)
     k = 3
     x0_data = rng.standard_normal((12, 5))
@@ -281,19 +298,19 @@ def test_edge_scores_match_the_linear_and_rowdot_chain_bit_for_bit():
                  rng.standard_normal((6, 6)), rng.standard_normal(6)]
     upstream = rng.standard_normal((4, 6))
 
-    def unfused(x, wq, bq, wk, bk):
+    def projections(x, wq, bq, wk, bk):
         return _rowdot(linear(x, wq, bq), linear(x, wk, bk))
 
     results = []
-    for score in (edge_scores, unfused):
+    for score in (_score_node, projections):
         x0, w0, b0, *proj = [Tensor(a.copy(), requires_grad=True)
                              for a in (x0_data, w0_data, b0_data, *proj_data)]
         scores, mixed = _scores_and_mix(score, x0, w0, b0, proj, k)
         sum_all(mul(mixed, Tensor(upstream))).backward()
         results.append([scores.data, mixed.data, x0.grad, w0.grad, b0.grad]
                        + [t.grad for t in proj])
-    for fused, chain in zip(*results, strict=True):
-        assert _bits(fused) == _bits(chain)
+    for bilinear, chain in zip(*results, strict=True):
+        _assert_close(bilinear, chain, 1e-12)
 
 
 # ``train_bias`` False gives a constant bias, which gets no gradient.
@@ -325,32 +342,10 @@ def test_edge_scores_gradients_match_finite_differences():
     weights = rng.standard_normal(5)
 
     def fn(p):
-        scores = edge_scores(p["p/X"], p["p/Wq"], p["p/bq"], p["p/Wk"], p["p/bk"])
+        scores = _score_node(p["p/X"], p["p/Wq"], p["p/bq"], p["p/Wk"], p["p/bk"])
         return sum_all(mul(scores, Tensor(weights)))
 
     assert grad_check(fn, params, eps=1e-6) <= 1e-8
-
-
-def test_edge_scores_keep_only_their_inputs_and_reject_mismatched_shapes():
-    rng = np.random.default_rng(25)
-    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    proj = [Tensor(rng.standard_normal(shape), requires_grad=True)
-            for shape in ((3, 2), (2,), (3, 2), (2,))]
-    scores = edge_scores(x, *proj)
-    assert scores.data.shape == (4,)
-    assert [id(t) for t in _toposort(scores)] == [id(t) for t in (scores, x, *proj)]
-    # The backward holds tensors only: no projection array outlives the forward.
-    closure = [cell.cell_contents for cell in scores._backprop.__closure__]
-    assert not any(isinstance(c, np.ndarray) for c in closure)
-
-    w, b = Tensor(np.ones((3, 2))), Tensor(np.ones(2))
-    for args in ((Tensor(np.ones((4, 2))), w, b, w, b),        # x width vs W rows
-                 (Tensor(np.ones(3)), w, b, w, b),             # x not a matrix
-                 (x, w, b, Tensor(np.ones((3, 3))), b),         # key weight differs
-                 (x, w, Tensor(np.ones(3)), w, b),              # q bias width
-                 (x, w, b, w, Tensor(np.ones((1, 2))))):        # key bias shape
-        with pytest.raises(ShapeError):
-            edge_scores(*args)
 
 
 # ----------------------------------------------------------------------------
@@ -542,12 +537,10 @@ def test_split_mlp_is_one_tape_node_that_keeps_only_its_inputs_and_output():
     out = split_mlp_forward(spec, params, "net", a, b, _DST, k=2)
     assert [t for t in _toposort(out) if t._backprop is not None] == [out]
     assert out._parents == (a, b) + tuple(params[f"net/{p}{i}"] for i in range(3) for p in "Wb")
-    # Its backward and the layer function it recomputes with hold no array but the edge targets.
-    cells = [cell.cell_contents for cell in out._backprop.__closure__]
-    layer = next(c for c in cells if callable(c) and c.__name__ == "layer")
-    arrays = [c for c in cells + [cell.cell_contents for cell in layer.__closure__]
+    # Its backward holds no array but the edge targets.
+    arrays = [c for c in (cell.cell_contents for cell in out._backprop.__closure__)
               if isinstance(c, np.ndarray)]
-    assert arrays and all(x is arrays[0] for x in arrays) and np.array_equal(arrays[0], _DST)
+    assert len(arrays) == 1 and np.array_equal(arrays[0], _DST)
 
 
 @pytest.mark.parametrize("widths", _SPLIT_MLP_WIDTHS[1:], ids=["2-layer", "3-layer"])
@@ -645,15 +638,18 @@ def test_relu_maps_every_special_value_like_the_masked_copy_in_every_position(le
         assert _bits(out) == _bits(_masked_relu(pre))
 
 
-def _concat_edge_features(query, params, spec):
+def _concat_edge_focus_update(query, params, edge_spec, node_spec, q_spec, k_spec):
+    """The edge stage as a chain of per-op nodes, with concatenated first layers and q and
+    key projected separately."""
     rel = Tensor(query.positions[query.edge_dst] - query.positions[query.edge_src])
     neighbor = gather_rows(query.states, query.edge_dst)
-    return mlp_forward(spec, params, "edge_mlp", concat_cols([rel, neighbor]))
-
-
-def _concat_update_nodes(query, feats, beta, params, spec):
-    message = segment_mix(feats, beta, query.k)
-    return mlp_forward(spec, params, "node_mlp", concat_cols([message, query.states]))
+    feats = mlp_forward(edge_spec, params, "edge_mlp", concat_cols([rel, neighbor]))
+    scores = _rowdot(mlp_forward(q_spec, params, "edge_q", feats),
+                     mlp_forward(k_spec, params, "edge_k", feats))
+    beta = reshape(row_softmax(reshape(scores, (query.n_nodes, query.k))),
+                   (query.n_nodes * query.k,))
+    message = _mix_node(feats, beta, query.k)
+    return mlp_forward(node_spec, params, "node_mlp", concat_cols([message, query.states]))
 
 
 def _concat_infuse_context(nodes, summaries, params, spec, rows):
@@ -678,8 +674,7 @@ def test_run_gqn_matches_the_concatenated_first_layers(monkeypatch):
 
     maps, grads = maps_and_grads()
     with monkeypatch.context() as patch:
-        patch.setattr(edge_focus, "edge_features", _concat_edge_features)
-        patch.setattr(edge_focus, "update_nodes", _concat_update_nodes)
+        patch.setattr(pipeline, "edge_focus_update", _concat_edge_focus_update)
         patch.setattr(pipeline, "infuse_context", _concat_infuse_context)
         ref_maps, ref_grads = maps_and_grads()
 
@@ -993,10 +988,10 @@ def test_segment_mix_bitexact_under_group_permutation():
     rng = np.random.default_rng(11)
     feats = rng.standard_normal((6, 4))
     w = rng.random(6)
-    base = segment_mix(Tensor(feats), Tensor(w), 3).data
+    base = _segment_mix(feats, w, 3)
     for _ in range(10):
         perm = np.concatenate([rng.permutation(3), 3 + rng.permutation(3)])
-        out = segment_mix(Tensor(feats[perm]), Tensor(w[perm]), 3).data
+        out = _segment_mix(feats[perm], w[perm], 3)
         assert np.array_equal(out, base)
 
 
@@ -1040,7 +1035,7 @@ def _mix_inputs(kind, k, c, rng):
 def test_segment_mix_equals_the_sorted_sum_byte_for_byte(k, kind, c):
     t, w = _mix_inputs(kind, k, c, np.random.default_rng(31 + k))
     with np.errstate(invalid="ignore"):
-        out = segment_mix(Tensor(t), Tensor(w), k).data
+        out = _segment_mix(t, w, k)
         ref = _sorted_sum_reference(t, w, k)
     assert _bits(out) == _bits(ref)
 
@@ -1059,7 +1054,7 @@ def test_segment_mix_adds_one_channel_left_to_right(k):
     ref = np.zeros(9)
     for j in range(k):
         ref += terms[:, j]
-    assert _bits(segment_mix(Tensor(t), Tensor(np.ones(9 * k)), k).data) == _bits(ref[:, None])
+    assert _bits(_segment_mix(t, np.ones(9 * k), k)) == _bits(ref[:, None])
 
 
 def test_attn_mix_matches_plain_matmul():
@@ -1086,7 +1081,7 @@ def test_composite_gradient_matches_finite_differences():
         h = matmul_nt(Tensor(x), p["p/W"])
         g = gather_rows(h, np.array([0, 2, 2, 5]))
         s = row_softmax(g)
-        mixed = segment_mix(concat_cols([g, s]), Tensor(mix_w), 2)
+        mixed = _mix_node(concat_cols([g, s]), Tensor(mix_w), 2)
         return sum_all(scale_rows(mixed, Tensor(np.array([0.5, 2.0]))))
 
     assert grad_check(fn, params, eps=1e-5) <= 1e-6

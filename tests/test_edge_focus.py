@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gqn.autodiff import MlpSpec, ParamStore, Tensor, grad_check, sum_all
+from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
+                          _make, _segment_mix, _segment_mix_grads, _toposort, grad_check, mul,
+                          reshape, row_softmax, split_mlp_forward, sum_all)
 from gqn.edge_focus import edge_attention, edge_features, edge_focus_update, update_nodes
 from gqn.errors import ContractError, ShapeError
 from gqn.query_init import GraphQuery, QuerySetSpec, build_knn_edges, init_graph_query
@@ -242,3 +244,83 @@ def test_edge_focus_gradients_match_finite_differences():
         return sum_all(edge_focus_update(query, p, edge_spec, node_spec, lin, lin))
 
     assert grad_check(fn, params, eps=1e-5, max_coords_per_param=8, seed=0) <= 1e-4
+
+
+# ----------------------------------------------------------------------------
+# the edge stage as one tape node, against the chain of per-stage nodes it fuses
+
+
+def _stage_params(d, seed):
+    params = ParamStore(seed=seed)
+    mlp, lin = MlpSpec.relu_stack((2 * d, d, d)), MlpSpec.linear(d, d)
+    specs = {"edge_mlp": mlp, "node_mlp": mlp, "edge_q": lin, "edge_k": lin}
+    for name, spec in specs.items():
+        params.register_mlp(name, spec)
+        for i in range(spec.n_layers):  # nonzero biases, so every bias term shows
+            params[f"{name}/b{i}"].data[...] = np.random.default_rng(seed + i).uniform(-0.5, 0.5, d)
+    return params, specs
+
+
+def _score_node(x, wq, bq, wk, bk):
+    parents = (x, wq, bq, wk, bk)
+    return _make(_bilinear_scores(*(t.data for t in parents)), parents,
+                 lambda g: _bilinear_score_grads(g, *(t.data for t in parents),
+                                                 tuple(t.requires_grad for t in parents)))
+
+
+def _mix_node(t, w, k):
+    return _make(_segment_mix(t.data, w.data, k), (t, w),
+                 lambda g: _segment_mix_grads(g, t.data, w.data, k))
+
+
+def _per_stage_chain(query, params, edge_spec, node_spec, q_spec, k_spec):
+    """One tape node per stage, built from the helpers the fused node runs."""
+    n, k = query.n_nodes, query.k
+    feats = split_mlp_forward(edge_spec, params, "edge_mlp", Tensor(query.positions), query.states,
+                              rows=query.edge_dst, k=k)
+    scores = _score_node(feats, params["edge_q/W0"], params["edge_q/b0"], params["edge_k/W0"],
+                         params["edge_k/b0"])
+    beta = reshape(row_softmax(reshape(scores, (n, k))), (n * k,))
+    return split_mlp_forward(node_spec, params, "node_mlp", _mix_node(feats, beta, k), query.states)
+
+
+@pytest.mark.parametrize("d,k", [(4, 3), (8, 2), (8, 5)])
+def test_edge_focus_update_matches_the_per_stage_chain_bit_for_bit(d, k):
+    """The output, every weight's gradient and the gradient reaching u through the
+    states (which both MLPs read) equal the chain's, byte for byte."""
+    results = []
+    for stage in (edge_focus_update, _per_stage_chain):
+        query, u = _toy_query(seed=d, d=d, k=k)
+        params, specs = _stage_params(d, seed=d)
+        out = stage(query, params, specs["edge_mlp"], specs["node_mlp"], specs["edge_q"],
+                    specs["edge_k"])
+        upstream = np.random.default_rng(k).standard_normal(out.data.shape)
+        sum_all(mul(out, Tensor(upstream))).backward()
+        results.append([out.data, u.grad] + [t.grad for _, t in params.items()])
+    assert all(g is not None and np.abs(g).max() > 0.0 for g in results[0][1:])
+    for fused, chain in zip(*results, strict=True):
+        assert fused.tobytes() == chain.tobytes()
+
+
+def test_edge_focus_update_is_one_tape_node_that_keeps_only_its_inputs():
+    query, _ = _toy_query(seed=7)
+    params, specs = _stage_params(4, seed=7)
+    spec_args = (specs["edge_mlp"], specs["node_mlp"], specs["edge_q"], specs["edge_k"])
+    out = edge_focus_update(query, params, *spec_args)
+    weights = tuple(params[f"{name}/{p}{i}"] for name, layers in
+                    (("edge_mlp", 2), ("edge_q", 1), ("edge_k", 1), ("node_mlp", 2))
+                    for i in range(layers) for p in "Wb")
+    assert out._parents == (query.states, query.states) + weights
+    # No per-edge array is on the tape or held by the backward: only the inputs.
+    edges = query.n_nodes * query.k
+    assert all(t.data.shape[:1] != (edges,) for t in _toposort(out))
+    arrays = [c for c in (cell.cell_contents for cell in out._backprop.__closure__)
+              if isinstance(c, np.ndarray)]
+    assert sorted(map(id, arrays)) == sorted(map(id, (query.positions, query.edge_dst)))
+    # The stage functions it runs give values only.
+    feats = edge_features(query, params, specs["edge_mlp"])
+    beta = edge_attention(feats, query.n_nodes, query.k, params, specs["edge_q"], specs["edge_k"])
+    nodes = update_nodes(query, feats, beta, params, specs["node_mlp"])
+    assert query.states.requires_grad
+    assert not any(t.requires_grad or t._parents for t in (feats, beta, nodes))
+    assert nodes.data.tobytes() == out.data.tobytes()

@@ -21,6 +21,18 @@ def test_split_edge_and_context_layers_match_a_hand_count():
     assert edge == 150
     assert stages["edge_focus.features"] == 2 * edge
 
+    d = 2
+    per_edge = (2 * d * d                         # x A, a row times the d x d key-query matrix
+                + d                               # plus c = Wq bk + Wk bq
+                + 2 * d                           # the row dot with x
+                + 1                               # plus bq·bk
+                + 4)                              # the per-node softmax, per edge
+    once = (2 * d * d * d                         # A = Wq Wk^T
+            + 2 * (2 * d * d) + d                 # c: two matrix-vector products and their sum
+            + 2 * d)                              # bq·bk
+    assert (per_edge, once) == (19, 38)
+    assert stages["edge_focus.attention"] == 2 * edges * per_edge + once  # A formed once per pass
+
     node = 2 * n * half_product + n * h + n * h + n * h + n * second_layer
     assert stages["edge_focus.update"] == 2 * (2 * edges * 2 + node)  # + weighted aggregation
 

@@ -354,30 +354,38 @@ def test_tape_holds_no_concatenated_first_layer_input():
 
 
 def test_tape_holds_one_per_edge_array_per_chunk():
-    # The edge MLP's output; its hidden layer and the edge scores' q and key are
-    # recomputed in backward.
+    # Now a pin of none: the edge stage is one node per chunk that recomputes
+    # its edge features, scores and weights in backward.
     config = GqnConfig()
     _, flat, _ = toy_inputs(h=16, w=16, d=config.d, seed=0)
     out = run_gqn(flat, config, init_params(config, flat.m_bev), global_map=flat.states)
-    edge_shapes = Counter((chunk.n_nodes * chunk.k, config.d) for chunk in out.queries)
-    kept = Counter(t.data.shape for t in _toposort(out.fused_map))
+    edge_rows = {chunk.n_nodes * chunk.k for chunk in out.queries}
     assert len(out.queries) > config.num_sets  # several chunks per set
-    assert {shape: kept[shape] for shape in edge_shapes} == edge_shapes
+    assert flat.m_bev not in edge_rows
+    assert not [t.data.shape for t in _toposort(out.fused_map)
+                if t.data.ndim and t.data.shape[0] in edge_rows]
 
 
 def test_each_split_mlp_is_one_tape_node_per_chunk():
-    """No hidden layer of the edge, node or context MLP is on the tape: each MLP
-    is one node per chunk whose parents are its two inputs, then W0, b0, W1, b1."""
+    """No hidden layer of the context MLP is on the tape: it is one node per chunk
+    whose parents are its two inputs, then W0, b0, W1, b1. The edge, node, q and
+    key weights each feed exactly one node per chunk, the edge stage's."""
     config = GqnConfig()
     _, flat, _ = toy_inputs(h=16, w=16, d=config.d, seed=0)
     params = init_params(config, flat.m_bev)
     out = run_gqn(flat, config, params, global_map=flat.states)
     tape = _toposort(out.fused_map)
-    for name in ("edge_mlp", "node_mlp", "context_mlp"):
-        weights = tuple(params[f"{name}/{p}{i}"] for i in range(2) for p in "Wb")
-        users = [t for t in tape if any(p in weights for p in t._parents)]
-        assert len(users) == len(out.queries), name
-        assert all(t._parents[2:] == weights for t in users), name
+    weights = tuple(params[f"context_mlp/{p}{i}"] for i in range(2) for p in "Wb")
+    users = [t for t in tape if any(p in weights for p in t._parents)]
+    assert len(users) == len(out.queries)
+    assert all(t._parents[2:] == weights for t in users)
+
+    stages = [t for t in tape if params["edge_q/W0"] in t._parents]
+    assert len(stages) == len(out.queries)
+    for name, layers in (("edge_mlp", 2), ("edge_q", 1), ("edge_k", 1), ("node_mlp", 2)):
+        for p in (f"{name}/{w}{i}" for i in range(layers) for w in "Wb"):
+            users = [t for t in tape if params[p] in t._parents]
+            assert users == stages and all(t._parents.count(params[p]) == 1 for t in users), p
 
 
 def test_every_global_vector_receives_gradient():
