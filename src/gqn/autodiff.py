@@ -1,16 +1,19 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 The pipeline needs exact, reproducible gradients more than it needs raw
-speed: everything is float64 and every reduction is deterministic. The few
-reductions that range over *set-valued* axes (softmax normalizers, the
-attention mixing step, the edge aggregation) sum their terms in value-sorted
-order, so results are bit-identical under any permutation of the set being
-reduced. The edge aggregation ``_segment_mix`` sorts its k addends per group
-with a comparator network of ``np.minimum``/``np.maximum`` over whole (n, c)
-slices (Batcher's odd-even merge sort, cached per k) rather than one
-``np.sort`` call per k-long lane. Reductions over feature axes keep numpy's
-fixed evaluation order, which is already deterministic for a fixed operand
-layout.
+speed: everything is float64 and every reduction is deterministic.
+Reproducibility comes from a fixed summation order, not from order-independent
+summation. The edge aggregation ``_segment_mix`` and the attention mixing step
+``attn_mix`` add their terms left to right from +0.0 in stored order: a
+node's k edges in the order ``query_init.build_knn_edges`` gives them
+(nearest first, ties to the lower slot), and the tau summaries in query
+order. Both orders are functions of the pair set, so the pipeline's outputs
+do not depend on how the grid was flattened. Softmax normalizers
+(``row_softmax``) still sum in value-sorted order: the same helper normalizes
+over grid cells, whose order is the caller's pair order. ``scatter_mean``
+adds each cell's rows in contribution order. Reductions over feature axes
+keep numpy's fixed evaluation order, which is already deterministic for a
+fixed operand layout.
 
 A ``Tensor`` wraps an ndarray together with the closure that maps its output
 gradient back onto its parents; graphs are built define-by-run. One MLP layer
@@ -46,7 +49,6 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -394,7 +396,12 @@ def mean_all(t: Tensor) -> Tensor:
 
 
 def row_softmax(t: Tensor) -> Tensor:
-    """Per-row stable softmax of a matrix, with value-sorted row normalizers."""
+    """Per-row stable softmax of a matrix, with value-sorted row normalizers.
+
+    The sort keeps each normalizer independent of the order of the row's
+    entries: query scoring normalizes over grid cells, which arrive in the
+    caller's pair order.
+    """
     if t.data.ndim != 2 or t.data.shape[1] == 0:
         raise ShapeError(f"row_softmax needs a non-empty matrix, got shape {t.data.shape}")
     p = _row_softmax(t.data)
@@ -472,39 +479,15 @@ def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _make(t.data.reshape(shape), (t,), lambda g: (g.reshape(orig),))
 
 
-@lru_cache(maxsize=32)
-def _sorting_network(k: int) -> tuple[tuple[int, int], ...]:
-    """Comparators ``(i, j)``, i < j, that sort k wires ascending (min to wire i).
-
-    Batcher's odd-even merge sort for the next power of two, keeping only the
-    comparators whose wires are both < k: the dropped wires would hold +inf and
-    never move. That leaves 5, 19 and 42 comparators at k = 4, 8 and 12.
-    """
-    width = 1 << max(k - 1, 0).bit_length()
-    pairs = []
-    p = 1
-    while p < width:
-        step = p
-        while step >= 1:
-            for j in range(step % p, width - step, 2 * step):
-                for i in range(j, j + min(step, width - j - step)):
-                    if i // (2 * p) == (i + step) // (2 * p) and i + step < k:
-                        pairs.append((i, i + step))
-            step //= 2
-        p *= 2
-    return tuple(pairs)
-
-
 def _segment_mix(t: Array, w: Array, k: int) -> Array:
     """Weighted sum over consecutive groups of k rows: (n*k, c), (n*k,) -> (n, c).
 
-    Group addends are summed in value-sorted order, so the result is
-    bit-identical under any reordering of a group's rows (with their weights).
-    The sort is a comparator network of ``np.minimum``/``np.maximum`` over the
-    k (n, c) addend slices, and the sorted slices are added left to right from
-    +0.0, as numpy's ``sum`` over the group axis adds them when c > 1 (for one
-    channel and k >= 8 numpy would switch to pairwise summation). Equal addends
-    may trade places (0.0 and -0.0), which changes no partial sum after them.
+    Each group adds its k weighted rows left to right from +0.0, in stored
+    order, one (n, c) lane at a time. So the bits of a group's sum follow its
+    row order; the edge stage stores each node's edges in the canonical order
+    ``query_init.build_knn_edges`` gives them. One lane at a time keeps that
+    order for one channel too, where numpy's reductions over a contiguous
+    axis would sum pairwise.
     """
     if t.ndim != 2 or t.shape[0] % k != 0:
         raise ShapeError(f"segment_mix: {t.shape} not divisible into groups of {k}")
@@ -512,12 +495,9 @@ def _segment_mix(t: Array, w: Array, k: int) -> Array:
         raise ShapeError(f"segment_mix weights {w.shape} vs rows {t.shape[0]}")
     n, c = t.shape[0] // k, t.shape[1]
     rows, weights = t.reshape(n, k, c), w.reshape(n, k, 1)
-    lanes = [rows[:, i] * weights[:, i] for i in range(k)]
-    for i, j in _sorting_network(k):
-        lanes[i], lanes[j] = np.minimum(lanes[i], lanes[j]), np.maximum(lanes[i], lanes[j])
-    out = lanes[0] + 0.0
-    for lane in lanes[1:]:
-        out += lane
+    out = np.zeros((n, c))
+    for i in range(k):
+        out += rows[:, i] * weights[:, i]
     return out
 
 
@@ -566,15 +546,18 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
 
 def attn_mix(weights: Tensor, values: Tensor) -> Tensor:
-    """Attention mixing ``weights @ values`` with permutation-stable summation.
+    """Attention mixing ``weights @ values``, each output row summed in row order of ``values``.
 
-    Each output element sums its tau addends in value-sorted order, making the
-    result bit-identical when rows of the set are permuted consistently.
+    Row i adds ``weights[i, j] * values[j]`` for j = 0, 1, ... left to right
+    from +0.0, one (rows, d) term at a time, so its bits are a fixed function
+    of the stored order of the set (for one channel too, where a matrix
+    product or numpy's contiguous reductions would sum in another order).
     """
     if weights.data.ndim != 2 or weights.data.shape[1] != values.data.shape[0]:
         raise ShapeError(f"attn_mix mismatch {weights.data.shape} @ {values.data.shape}")
-    terms = weights.data[:, :, None] * values.data[None, :, :]
-    out = np.sort(terms, axis=1).sum(axis=1)
+    out = np.zeros((weights.data.shape[0], values.data.shape[1]))
+    for w_j, v_j in zip(weights.data.T[:, :, None], values.data):
+        out += w_j * v_j
 
     def backprop(g):
         gw = g @ values.data.T if weights.requires_grad else None
@@ -587,23 +570,28 @@ def attn_mix(weights: Tensor, values: Tensor) -> Tensor:
 def scatter_mean(contributions: Sequence[tuple[Array, Tensor]], num_cells: int) -> Tensor:
     """Average row contributions into cells: out[c] = sum(rows hitting c) / count.
 
-    Cells touched by no contribution stay zero. Contribution order is the
-    caller's; accumulation follows it deterministically.
+    Cells touched by no contribution stay zero. Each cell adds its rows left
+    to right from +0.0 in contribution order (the caller's list order, then
+    row order), as ``np.add.at`` would: a weighted ``np.bincount`` adds its
+    weights in input order, and it runs once per channel.
     """
     if not contributions:
         raise ContractError("scatter_mean needs at least one contribution")
     idxs = [np.asarray(ix, dtype=np.intp) for ix, _ in contributions]
     tensors = [t for _, t in contributions]
     width = tensors[0].data.shape[1]
-    acc = np.zeros((num_cells, width))
-    cnt = np.zeros(num_cells)
     for ix, t in zip(idxs, tensors):
         if t.data.ndim != 2 or t.data.shape != (len(ix), width):
             raise ShapeError(f"scatter_mean contribution mismatch {t.data.shape} vs {len(ix)} indices")
-        np.add.at(acc, ix, t.data)
-        np.add.at(cnt, ix, 1.0)
-    scale = 1.0 / np.maximum(cnt, 1.0)
-    out = acc * scale[:, None]
+    cells = np.concatenate(idxs)
+    if len(cells) and not 0 <= cells.min() <= cells.max() < num_cells:
+        raise InvalidInputError(f"scatter_mean cell indices outside [0, {num_cells})")
+    acc = np.empty((width, num_cells))
+    for c in range(width):
+        acc[c] = np.bincount(cells, np.concatenate([t.data[:, c] for t in tensors]), num_cells)
+    scale = 1.0 / np.maximum(np.bincount(cells, minlength=num_cells), 1.0)
+    out = np.empty((num_cells, width))
+    np.multiply(acc.T, scale[:, None], out=out)
 
     def backprop(g):
         gs = g * scale[:, None]
@@ -819,8 +807,9 @@ def register_attention(params: ParamStore, name: str, d: int) -> None:
 def self_attention_layer(x: Tensor, params: ParamStore, name: str) -> Tensor:
     """Single-head scaled dot-product self-attention with a residual add.
 
-    Operates on a (tau, d) set of vectors; permutation-equivariant bit-exactly
-    thanks to the sorted reductions in ``row_softmax`` and ``attn_mix``.
+    Operates on a (tau, d) set of vectors, in their stored order. Permuting
+    the rows permutes the output up to rounding: ``attn_mix`` sums each row's
+    tau terms in the stored order, which the pipeline fixes as query order.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"self_attention_layer needs (tau, d), got {x.data.shape}")

@@ -35,7 +35,11 @@ def pool_query(nodes: Tensor, queries: int = 1) -> Tensor:
 
 
 def context_exchange(summaries: Tensor, steps: int, params: ParamStore) -> Tensor:
-    """Apply ``steps`` shared-weight self-attention layers over (tau, d) summaries."""
+    """Apply ``steps`` shared-weight self-attention layers over (tau, d) summaries.
+
+    The summaries come in query order, and each attention row sums its tau
+    terms in that order (``autodiff.attn_mix``).
+    """
     if steps < 0:
         raise ConfigError(f"context steps must be >= 0, got {steps}")
     out = summaries

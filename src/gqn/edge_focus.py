@@ -6,6 +6,9 @@ carries both geometric and semantic cues. Attention then runs *over edges*:
 each edge is scored by the dot product of its own query/key projections,
 normalized across the K edges leaving the same node, and the node update is
 an MLP of the attention-weighted edge sum concatenated with the node's state.
+The sum adds a node's K edges left to right in stored order, nearest first
+with ties to the lower slot (``query_init.build_knn_edges``); that order, not
+a sort of the terms, is what makes its bits reproducible.
 
 Per-node split: the first layer of the edge MLP is linear in
 ``[p_j - p_i || s_j]``, so with W_p and W_s the top and bottom rows of its

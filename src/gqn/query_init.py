@@ -73,7 +73,10 @@ class GraphQuery:
     alpha: Tensor       # (Q*n,) selection weights of the chosen cells
     states: Tensor      # (Q*n, d) features scaled by m_bev * alpha
     edge_src: Array  # (Q*n*k,) source slots, grouped by source
-    edge_dst: Array  # (Q*n*k,) target slots, nearest first within a group
+    # (Q*n*k,) target slots, nearest first, ties to the lower slot, within a group;
+    # the weighted edge sum adds a node's edges in this order, so it is what
+    # makes that sum reproducible
+    edge_dst: Array
     queries: int = 1
 
 
@@ -136,6 +139,10 @@ def build_knn_edges(features: Array, k: int) -> tuple[Array, Array]:
     computed from explicit differences, d2_ij = sum((f_i - f_j)**2), so
     duplicate vectors tie at exactly zero; ties break to the lower node slot.
     Returns (src, dst) arrays grouped by source slot, nearest neighbor first.
+    That order, nearest first and ties to the lower slot, is what makes the
+    weighted edge sum reproducible: ``autodiff._segment_mix`` adds a node's
+    edges left to right in it. Slots are ranked by (-alpha, BEV index)
+    (``select_nodes``), so the order is a function of the pair set.
 
     It is computed in two passes over blocks of rows, sized so that even the
     worst-case candidate tile, (block, n, d) when every distance ties,
@@ -144,10 +151,13 @@ def build_knn_edges(features: Array, k: int) -> tuple[Array, Array]:
     1. Candidate pass. Squared norms s_i and a Gram block F F^T give
        g_ij = s_i + s_j - 2 f_i.f_j, one GEMM instead of a (block, n, d)
        difference tensor. With the diagonal at +inf, g_i(k) is the k-th
-       smallest value of row i; every slot with g_ij <= g_i(k) + margin_i
-       is a candidate. If the most candidates any row of the block has is
-       w, each row keeps its w smallest g_ij: all of its candidates, plus
-       a few extra slots where it has fewer than w.
+       smallest value of row i (``np.partition``); every slot with
+       g_ij <= g_i(k) + margin_i is a candidate. When every row of the
+       block has exactly k candidates (no near-ties), those are its k
+       smallest g_ij and are read off the candidate mask. Otherwise, if the
+       most candidates any row has is w, each row keeps its w smallest g_ij
+       (``np.argpartition``): all of its candidates, plus a few extra slots
+       where it has fewer than w.
     2. Re-rank pass. The kept slots alone get d2_ij from explicit
        differences (the same subtraction and einsum reduction as a full
        pass) and are ordered by (d2, slot); the first k of each row are
@@ -212,12 +222,13 @@ def build_knn_edges(features: Array, k: int) -> tuple[Array, Array]:
         approx += sq[None, :]
         approx += sq[r0:r1, None]
         approx[rows, rows + r0] = np.inf  # no self-edges
-        near = np.argpartition(approx, k - 1, axis=1)
-        kth = approx[rows, near[:, k - 1]]
-        width = int((approx <= (kth + margin[r0:r1])[:, None]).sum(axis=1).max())
-        if width > k:
-            near = np.argpartition(approx, width - 1, axis=1)
-        cand = near[:, :width]
+        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        near = approx <= (kth + margin[r0:r1])[:, None]
+        if np.count_nonzero(near) == len(rows) * k:  # no row has more than its k smallest
+            cand = (np.flatnonzero(near) % n).reshape(-1, k)
+        else:
+            width = int(np.count_nonzero(near, axis=1).max())
+            cand = np.argpartition(approx, width - 1, axis=1)[:, :width]
         diff = features[cand]
         np.subtract(features[r0:r1, None, :], diff, out=diff)
         d2 = np.einsum("bnd,bnd->bn", diff, diff)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gqn import pipeline
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
                           _make, _relu_inplace, _segment_mix, _segment_mix_grads,
-                          _sorting_network, _split_linear, _split_linear_grads, _toposort, add,
+                          _split_linear, _split_linear_grads, _toposort, add,
                           attn_mix, backward, concat_cols, concat_rows, gather_rows, grad_check,
                           grad_check_groups, linear, matmul_nt, matvec_rows, max_rows,
                           mlp_forward, mul, no_grad, register_attention, reshape, row_softmax,
@@ -762,17 +762,6 @@ def test_attention_identical_inputs_identical_outputs():
         np.testing.assert_array_equal(out[i], out[0])
 
 
-def test_attention_permutation_equivariance_bitexact():
-    params = _attn_params(6, seed=2)
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((9, 6))
-    base = self_attention_layer(Tensor(x), params, "ctx_attn").data
-    for _ in range(25):
-        perm = rng.permutation(9)
-        out = self_attention_layer(Tensor(x[perm]), params, "ctx_attn").data
-        assert np.array_equal(out, base[perm])
-
-
 # ----------------------------------------------------------------------------
 # backward / grad_check
 
@@ -984,35 +973,42 @@ def test_scatter_mean_averages_by_contributor_count():
     np.testing.assert_array_equal(a.grad, [[0.5, 0.5]])
 
 
-def test_segment_mix_bitexact_under_group_permutation():
-    rng = np.random.default_rng(11)
-    feats = rng.standard_normal((6, 4))
-    w = rng.random(6)
-    base = _segment_mix(feats, w, 3)
-    for _ in range(10):
-        perm = np.concatenate([rng.permutation(3), 3 + rng.permutation(3)])
-        out = _segment_mix(feats[perm], w[perm], 3)
-        assert np.array_equal(out, base)
+@pytest.mark.parametrize("width", [1, 5])
+def test_scatter_mean_equals_add_at_byte_for_byte(width):
+    """Each cell adds its rows in contribution order, as ``np.add.at`` does, then is scaled."""
+    rng = np.random.default_rng(43)
+    contributions = []
+    for size in (7, 0, 25, 1, 18):
+        ix = rng.integers(0, 10, size)  # repeats within a contribution and across them
+        rows = rng.standard_normal((size, width)) * np.exp(rng.uniform(-30.0, 30.0, (size, width)))
+        rows[ix == 3] = -0.0
+        rows[ix == 4] = np.where(rng.random((int((ix == 4).sum()), width)) < 0.5, -0.0, np.inf)
+        contributions.append((ix, Tensor(rows)))
+    acc, cnt = np.zeros((12, width)), np.zeros(12)  # cells 10 and 11 get no row
+    for ix, t in contributions:
+        np.add.at(acc, ix, t.data)
+        np.add.at(cnt, ix, 1.0)
+    ref = acc * (1.0 / np.maximum(cnt, 1.0))[:, None]
+    assert _bits(scatter_mean(contributions, 12).data) == _bits(ref)
 
 
-@pytest.mark.parametrize("k", range(1, 17))
-def test_sorting_network_sorts_every_zero_one_input(k):
-    """By the 0-1 principle, sorting all 2^k zero-one inputs proves the network sorts any input."""
-    wires = list(((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).T)
-    for i, j in _sorting_network(k):
-        assert 0 <= i < j < k
-        wires[i], wires[j] = np.minimum(wires[i], wires[j]), np.maximum(wires[i], wires[j])
-    assert all((lo <= hi).all() for lo, hi in zip(wires, wires[1:]))
+@pytest.mark.parametrize("cell", [-1, 4])
+def test_scatter_mean_rejects_cells_outside_the_map(cell):
+    with pytest.raises(InvalidInputError):
+        scatter_mean([(np.array([0, cell]), Tensor(np.ones((2, 2))))], 4)
 
 
-def test_sorting_network_sizes():
-    assert [len(_sorting_network(k)) for k in (1, 2, 3, 4, 8, 12, 13)] == [0, 1, 3, 5, 19, 42, 48]
-
-
-def _sorted_sum_reference(t, w, k):
-    """The former ``segment_mix`` forward: numpy's sort along the group axis, then its sum."""
-    n, c = t.shape[0] // k, t.shape[1]
-    return np.sort((t * w[:, None]).reshape(n, k, c), axis=1).sum(axis=1)
+def _left_to_right(terms):
+    """Sum a (rows, k, c) stack over its k axis in stored order, from +0.0, one float at a time."""
+    rows, k, c = terms.shape
+    out = np.zeros((rows, c))
+    for r in range(rows):
+        for ch in range(c):
+            total = 0.0
+            for j in range(k):
+                total += float(terms[r, j, ch])
+            out[r, ch] = total
+    return out
 
 
 def _mix_inputs(kind, k, c, rng):
@@ -1033,28 +1029,38 @@ def _mix_inputs(kind, k, c, rng):
 @pytest.mark.parametrize("kind", ["random", "ties", "zeros_and_infs"])
 @pytest.mark.parametrize("c", [2, 3, 16])
 def test_segment_mix_equals_the_sorted_sum_byte_for_byte(k, kind, c):
+    """Each group adds its weighted rows in stored order (the name predates that order)."""
     t, w = _mix_inputs(kind, k, c, np.random.default_rng(31 + k))
     with np.errstate(invalid="ignore"):
         out = _segment_mix(t, w, k)
-        ref = _sorted_sum_reference(t, w, k)
+        ref = _left_to_right((t * w[:, None]).reshape(-1, k, c))
     assert _bits(out) == _bits(ref)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 12, 13])
 def test_segment_mix_adds_one_channel_left_to_right(k):
-    """One channel sums the sorted addends left to right from +0.0, as wider inputs do.
+    """One channel sums the addends left to right from +0.0, as wider inputs do.
 
     numpy's own ``sum`` over a single channel switches to pairwise summation
-    at k >= 8, so there the old forward could round differently.
+    at k >= 8, so there a plain reduction would round differently.
     """
     rng = np.random.default_rng(37)
     t = rng.standard_normal((9 * k, 1)) * np.exp(rng.uniform(-30.0, 30.0, (9 * k, 1)))
     t[:k] = -0.0
-    terms = np.sort(t.reshape(9, k), axis=1)
-    ref = np.zeros(9)
-    for j in range(k):
-        ref += terms[:, j]
-    assert _bits(_segment_mix(t, np.ones(9 * k), k)) == _bits(ref[:, None])
+    assert _bits(_segment_mix(t, np.ones(9 * k), k)) == _bits(_left_to_right(t.reshape(9, k, 1)))
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "zeros_and_infs"])
+@pytest.mark.parametrize("c", [1, 6])
+def test_attn_mix_adds_the_rows_of_values_left_to_right(kind, c):
+    """Row i sums ``weights[i, j] * values[j]`` over j in stored order, for one channel too."""
+    rng = np.random.default_rng(41)
+    values = _mix_inputs(kind, 2, c, rng)[0][:13]
+    weights = rng.uniform(0.0, 1.0, (7, 13))
+    with np.errstate(invalid="ignore"):
+        out = attn_mix(Tensor(weights), Tensor(values)).data
+        ref = _left_to_right(weights[:, :, None] * values[None, :, :])
+    assert _bits(out) == _bits(ref)
 
 
 def test_attn_mix_matches_plain_matmul():

@@ -69,17 +69,6 @@ def test_single_summary_zero_value_projection_residual_only():
     np.testing.assert_array_equal(out.data, g.data)
 
 
-def test_exchange_permutation_equivariant():
-    params = _ctx_params(5, seed=1)
-    rng = np.random.default_rng(2)
-    g = rng.standard_normal((8, 5))
-    base = context_exchange(Tensor(g), 4, params).data
-    for _ in range(10):
-        perm = rng.permutation(8)
-        out = context_exchange(Tensor(g[perm]), 4, params).data
-        assert np.array_equal(out, base[perm])
-
-
 def test_exchange_rejects_negative_steps():
     params = _ctx_params(4)
     with pytest.raises(ConfigError):

@@ -169,25 +169,6 @@ def test_update_passthrough_of_state_half_with_zero_edges():
     np.testing.assert_allclose(out.data, q.states.data, atol=1e-15)
 
 
-def test_update_invariant_to_edge_storage_order():
-    rng = np.random.default_rng(1)
-    q = _manual_query(rng.standard_normal((5, 3)), rng.standard_normal((5, 3)), 3)
-    params = ParamStore(seed=2)
-    rho_spec = MlpSpec.relu_stack((6, 3, 3))
-    params.register_mlp("node_mlp", rho_spec)
-    feats = Tensor(rng.standard_normal((15, 3)))
-    beta = Tensor(rng.random(15))
-    base = update_nodes(q, feats, beta, params, rho_spec).data
-    for _ in range(5):
-        perm = np.concatenate([3 * g + rng.permutation(3) for g in range(5)])
-        # permute each node's edges together with their weights
-        q2 = _manual_query(q.states_raw, q.positions, 3)
-        q2.edge_src, q2.edge_dst = q.edge_src[perm], q.edge_dst[perm]
-        out = update_nodes(q2, Tensor(feats.data[perm]), Tensor(beta.data[perm]),
-                           params, rho_spec).data
-        assert np.array_equal(out, base)
-
-
 # ----------------------------------------------------------------------------
 # composed operator
 

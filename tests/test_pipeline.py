@@ -11,7 +11,8 @@ from gqn.errors import ConfigError, ShapeError
 from gqn.pipeline import (GqnConfig, concat_sets, fusion_weights, init_params, mask_loss,
                           run_gqn, skip_fuse, soft_fusion, toy_train)
 from gqn.query_init import QuerySetSpec, init_graph_query
-from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
+from gqn.scene import (FlatPairs, SceneSpec, demo_boxes, flatten_grid, generate_scene,
+                       sinusoidal_encoding)
 
 TOY_SETS = (QuerySetSpec(4, 0.1, 2), QuerySetSpec(4, 0.2, 3))
 
@@ -269,13 +270,16 @@ def _per_query_reference(flat, config, params, global_map):
     return set_maps, concat_map, skip_map, fused, summaries
 
 
-@pytest.mark.parametrize("side,config", [(16, toy_config()), (16, GqnConfig())],
-                         ids=["toy", "reference"])
+@pytest.mark.parametrize("side,config",
+                         [(16, toy_config()), (16, GqnConfig()), (16, toy_config(d=1))],
+                         ids=["toy", "reference", "one_channel"])
 def test_run_gqn_matches_per_query_reference(side, config):
     scene_spec = SceneSpec(side, side, config.d, boxes=demo_boxes(side, side, config.d, 2, 0),
                            clutter_density=0.05, noise_amplitude=0.05, seed=0)
     grid, _ = generate_scene(scene_spec)
-    flat = flatten_grid(grid, sinusoidal_encoding(side, side, config.d))
+    # the encoding needs a multiple of 4 channels; one channel takes the first of four
+    enc = sinusoidal_encoding(side, side, -(-config.d // 4) * 4).values[:, :config.d]
+    flat = FlatPairs(grid.features.copy(), enc.copy(), np.arange(grid.m_bev), side, side)
     params = init_params(config, flat.m_bev)
     out = run_gqn(flat, config, params, global_map=flat.states)
     set_maps, concat_map, skip_map, fused, summaries = _per_query_reference(

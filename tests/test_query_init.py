@@ -99,6 +99,25 @@ def test_selected_set_invariant_under_pair_permutation():
         assert np.array_equal(sel.states.data, base.states.data)
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.3], ids=["ties", "noisy"])
+def test_edge_targets_invariant_under_pair_permutation(noise):
+    """Each node's edge targets, as cells, come in the same order for any flatten order.
+
+    The weighted edge sum adds a node's edges in stored order, so this is
+    what keeps it bit-identical when the grid is flattened differently.
+    """
+    flat = _flat(h=8, w=8, d=4, seed=9, noise=noise)
+    us = Tensor(np.random.default_rng(4).standard_normal((3, 4)))
+    spec = QuerySetSpec(3, 0.3, 5)
+    base = init_graph_query(us, Tensor(flat.states), flat, 0, 0, spec)
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        shuffled = flat.reordered(rng.permutation(flat.m_bev))
+        query = init_graph_query(us, Tensor(shuffled.states), shuffled, 0, 0, spec)
+        assert np.array_equal(query.bev_indices[query.edge_src], base.bev_indices[base.edge_src])
+        assert np.array_equal(query.bev_indices[query.edge_dst], base.bev_indices[base.edge_dst])
+
+
 def test_selection_scaling_carries_gradient_to_u():
     flat = _flat(seed=11)
     u = Tensor(np.random.default_rng(3).standard_normal(4), requires_grad=True)
