@@ -49,6 +49,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -477,6 +478,33 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     orig = t.data.shape
     return _make(t.data.reshape(shape), (t,), lambda g: (g.reshape(orig),))
+
+
+@lru_cache(maxsize=32)
+def _sorting_network(k: int) -> tuple[tuple[int, int], ...]:
+    """Comparators ``(i, j)``, i < j, that sort k wires ascending (min to wire i).
+
+    Batcher's odd-even merge sort for the next power of two, keeping only the
+    comparators whose wires are both < k: the dropped wires would hold +inf and
+    never move. That leaves 5, 19 and 42 comparators at k = 4, 8 and 12.
+    Applied with ``np.minimum``/``np.maximum`` over whole (n, c) slices, it is
+    the value-sorted form of a k-way sum, bit-identical under any reordering
+    of its terms. No forward pass calls it: the edge and attention sums add
+    their terms in stored order (see the module docstring).
+    """
+    width = 1 << max(k - 1, 0).bit_length()
+    pairs = []
+    p = 1
+    while p < width:
+        step = p
+        while step >= 1:
+            for j in range(step % p, width - step, 2 * step):
+                for i in range(j, j + min(step, width - j - step)):
+                    if i // (2 * p) == (i + step) // (2 * p) and i + step < k:
+                        pairs.append((i, i + step))
+            step //= 2
+        p *= 2
+    return tuple(pairs)
 
 
 def _segment_mix(t: Array, w: Array, k: int) -> Array:

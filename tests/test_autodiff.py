@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gqn import pipeline
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
                           _make, _relu_inplace, _segment_mix, _segment_mix_grads,
-                          _split_linear, _split_linear_grads, _toposort, add,
+                          _sorting_network, _split_linear, _split_linear_grads, _toposort, add,
                           attn_mix, backward, concat_cols, concat_rows, gather_rows, grad_check,
                           grad_check_groups, linear, matmul_nt, matvec_rows, max_rows,
                           mlp_forward, mul, no_grad, register_attention, reshape, row_softmax,
@@ -996,6 +996,20 @@ def test_scatter_mean_equals_add_at_byte_for_byte(width):
 def test_scatter_mean_rejects_cells_outside_the_map(cell):
     with pytest.raises(InvalidInputError):
         scatter_mean([(np.array([0, cell]), Tensor(np.ones((2, 2))))], 4)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_sorting_network_sorts_every_zero_one_input(k):
+    """By the 0-1 principle, sorting all 2^k zero-one inputs proves the network sorts any input."""
+    wires = list(((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).T)
+    for i, j in _sorting_network(k):
+        assert 0 <= i < j < k
+        wires[i], wires[j] = np.minimum(wires[i], wires[j]), np.maximum(wires[i], wires[j])
+    assert all((lo <= hi).all() for lo, hi in zip(wires, wires[1:]))
+
+
+def test_sorting_network_sizes():
+    assert [len(_sorting_network(k)) for k in (1, 2, 3, 4, 8, 12, 13)] == [0, 1, 3, 5, 19, 42, 48]
 
 
 def _left_to_right(terms):
