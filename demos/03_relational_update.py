@@ -3,7 +3,8 @@
 Stage by stage over two small queries, run together as one stacked chunk:
   1. every directed edge gets a feature from (relative position || neighbor state),
   2. the K edges leaving a node compete through a softmax over edge scores,
-  3. each node absorbs its attention-weighted edge sum through an MLP,
+  3. each node absorbs its attention-weighted edge sum through an MLP
+     (the fused stage folds the edge MLP's linear output layer into 2 and 3),
   4. each query max-pools to a summary, summaries talk via self-attention,
   5. the exchanged summary is mixed back into every node of its query.
 """
@@ -14,7 +15,7 @@ from gqn import GqnConfig, QuerySetSpec, SceneSpec, demo_boxes, flatten_grid, ge
 from gqn import init_graph_query, init_params, sinusoidal_encoding
 from gqn.autodiff import Tensor, concat_rows
 from gqn.deep_context import context_exchange, infuse_context, pool_query
-from gqn.edge_focus import edge_attention, edge_features, update_nodes
+from gqn.edge_focus import edge_attention, edge_features, edge_focus_update, update_nodes
 
 cfg = GqnConfig(d=8, context_steps=2,
                 sets=(QuerySetSpec(2, 0.15, 2),), seed=5)
@@ -32,9 +33,12 @@ chunk = init_graph_query(u, states, flat, 0, 0, cfg.sets[0])
 n = chunk.n_nodes // chunk.queries
 print(f"{chunk.queries} queries, {n} nodes each, k={chunk.k}, stacked into {chunk.n_nodes} rows")
 
-# 1) edge features: one vector per directed edge
-feats = edge_features(chunk, params, cfg.edge_mlp_spec)
-print(f"edge features: {feats.data.shape} (Q*n*k rows, d columns)")
+# 1) edge features: one vector per directed edge. edge_features stops at the
+#    edge MLP's hidden layer h; its last layer is linear, f = h W + b.
+hidden = edge_features(chunk, params, cfg.edge_mlp_spec)
+out_w, out_b = params["edge_mlp/W1"].data, params["edge_mlp/b1"].data
+feats = Tensor(hidden.data @ out_w + out_b)
+print(f"edge features: {feats.data.shape} (Q*n*k rows, d columns), from hidden {hidden.data.shape}")
 
 # 2) attention over each node's edges; the K weights of a node sum to one
 beta = edge_attention(feats, chunk.n_nodes, chunk.k, params, cfg.edge_q_spec, cfg.edge_k_spec)
@@ -44,8 +48,14 @@ print(f"sharpest node weighting: {per_node.max(1).max():.3f} on one edge "
       f"(uniform would be {1 / chunk.k})")
 
 # 3) node update from the weighted edge sum plus the node's own state
-updated = update_nodes(chunk, feats, beta, params, cfg.node_mlp_spec)
+message = Tensor((beta.data[:, None] * feats.data).reshape(chunk.n_nodes, chunk.k, -1).sum(1))
+updated = update_nodes(chunk, message, params, cfg.node_mlp_spec)
 print(f"updated node states: {updated.data.shape}")
+# The fused stage never builds f: it scores h under q and key composed with
+# (W, b), and takes the message as (sum of beta * h) W + b, per node.
+fused = edge_focus_update(chunk, params, cfg.edge_mlp_spec, cfg.node_mlp_spec,
+                          cfg.edge_q_spec, cfg.edge_k_spec)
+print(f"fused stage vs the steps above: max |diff| {np.abs(fused.data - updated.data).max():.1e}")
 
 # 4) pool each query and let the summaries exchange context
 pooled = pool_query(updated, chunk.queries)

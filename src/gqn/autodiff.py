@@ -295,7 +295,8 @@ def _split_linear(a: Array, b: Array, w: Array, bias: Array, rows: Array | None,
       rows, one per row of ``a``.
     - ``k > 0``: the edge form ``[a[rows] - a[src] || b[rows]]`` for edges
       grouped by source, k per row of ``a`` (src = i // k), as
-      ``(a W_a + b W_b)[rows] - (a W_a)[src] + bias``.
+      ``(a W_a + b W_b + bias)[rows] - (a W_a)[src]``: the bias is added per
+      node, before the gather.
 
     The bias and the ReLU act in place, as in ``_dense``.
     """
@@ -304,13 +305,14 @@ def _split_linear(a: Array, b: Array, w: Array, bias: Array, rows: Array | None,
     c = b @ w[d_a:]
     if k:
         c += h
+        c += bias
         out = c[rows]
         by_source = out.reshape(a.shape[0], k, w.shape[1])
         by_source -= h[:, None, :]
     else:
         out = h
         out += c if rows is None else c[rows]
-    out += bias
+        out += bias
     if relu:
         _relu_inplace(out)
     return out
@@ -318,15 +320,20 @@ def _split_linear(a: Array, b: Array, w: Array, bias: Array, rows: Array | None,
 
 def _split_linear_grads(g: Array, a: Array, b: Array, w: Array, rows: Array | None, k: int,
                         out: Array | None, need: tuple[bool, bool, bool, bool]) -> tuple:
-    """Gradients of ``_split_linear`` for ``a``, ``b``, ``w`` and ``bias``, as ``_dense_grads``."""
+    """Gradients of ``_split_linear`` for ``a``, ``b``, ``w`` and ``bias``, as ``_dense_grads``.
+
+    The gathered rows scatter back with one weighted ``np.bincount`` over the
+    flat index ``rows * d_out + column``: each entry adds its terms left to
+    right from +0.0 in row order, the bits of ``np.add.at`` into zeros.
+    """
     if out is not None:
         g = np.where(out > 0.0, g, 0.0)
-    (n, d_a), d_out = a.shape, w.shape[1]
+    (n, d_a), (m, d_out) = a.shape, (b.shape[0], w.shape[1])
     if rows is None:
         gc = g
     else:
-        gc = np.zeros((b.shape[0], d_out))
-        np.add.at(gc, rows, g)
+        flat = (rows[:, None] * d_out + np.arange(d_out)).ravel()
+        gc = np.bincount(flat, g.ravel(), m * d_out).reshape(m, d_out)
     gh = gc - g.reshape(n, k, d_out).sum(axis=1) if k else g
     gw = None
     if need[2]:

@@ -21,7 +21,8 @@ FLOP estimates are closed-form integer sums over the pipeline's stages
 (scoring, edge features, edge attention, node updates, pooling, context
 attention, projection, skip/gate MLPs), counting 2 FLOPs per multiply-add.
 They count the layers the code runs, whose 2d-wide first layers are split
-per node, and depend only on the configuration and grid size, never on grid
+per node and whose edge MLP output layer is folded into scoring and the
+message, and depend only on the configuration and grid size, never on grid
 content.
 """
 
@@ -190,13 +191,13 @@ def _mlp_flops(rows: int, spec: MlpSpec) -> int:
 def _split_mlp_flops(spec: MlpSpec, product_rows: int, adds: int, rows: int) -> int:
     """An MLP whose first layer runs split per node, as ``autodiff.split_mlp_forward`` runs it.
 
-    ``product_rows`` rows are multiplied by one (w_in/2, h) half of W0, ``adds``
-    rows of h sums combine the products (per node, or gathered per edge), and
-    each of the ``rows`` outputs gets the bias and, on a hidden layer, the
-    ReLU. Later layers are per output row, as in ``_mlp_flops``.
+    ``product_rows`` rows are multiplied by one (w_in/2, h) half of W0, and
+    ``adds`` rows of h sums combine the products and add the bias (per node,
+    or gathered per edge). On a hidden layer each of the ``rows`` outputs gets
+    the ReLU; later layers are per output row, as in ``_mlp_flops``.
     """
     h = spec.widths[1]
-    total = product_rows * 2 * (spec.widths[0] // 2) * h + adds * h + rows * h
+    total = product_rows * 2 * (spec.widths[0] // 2) * h + adds * h
     if spec.n_layers > 1:
         total += rows * h + _mlp_flops(rows, MlpSpec(spec.widths[1:]))
     return total
@@ -209,25 +210,32 @@ def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
     layers the code runs, not the concatenated layers of the paper: the
     first layers of the edge, node and context MLPs are split per node
     (``autodiff.split_mlp_forward``), so their products are per node, the edge
-    layer adds a per-edge gather-add, and the summary half of the context
-    layer is one (tau, d) x (d, h) product. Edges are scored as the bilinear
-    form ``x A xᵀ + x·c + bq·bk`` (``autodiff._bilinear_scores``): one
-    (d, d) product per edge, after ``A = Wq Wkᵀ``, ``c`` and ``bq·bk`` are
-    formed from the weights. The pipeline repeats the summary product and the
-    forming of ``A``, ``c`` and ``bq·bk`` for every query chunk (the chunk
-    count follows ``pipeline.CHUNK_BYTES``, not the model's inputs); the
-    estimate counts each once per pass, so that it stays affine in k, which
-    leaves out about 1.5% at the 32x32 reference config (0.9% summary
-    products, 0.6% ``A``, ``c`` and ``bq·bk``).
+    layer adds its bias per node and then a per-edge gather-add, and the
+    summary half of the context layer is one (tau, d) x (d, h) product. The
+    edge MLP's linear output layer is folded (``edge_focus``): no per-edge
+    output is built, edges are scored on the hidden layer h as the bilinear
+    form ``h A hᵀ + h·c + bq·bk`` (``autodiff._bilinear_scores``, one (d, d)
+    product per edge), and the message is one per-node product with the
+    output layer. Before that, q's and key's layers are composed with the
+    output layer, and ``A = Wq Wkᵀ``, ``c`` and ``bq·bk`` are formed from the
+    composed weights. The pipeline repeats the summary product, the
+    composition and the forming of ``A``, ``c`` and ``bq·bk`` for every query
+    chunk (the chunk count follows ``pipeline.CHUNK_BYTES``, not the model's
+    inputs); the estimate counts each once per pass, so that it stays affine
+    in k, which leaves out about 4.0% at the 32x32 reference config (1.3%
+    summary products, 2.7% composition, ``A``, ``c`` and ``bq·bk``; 52
+    chunks).
 
     Per query: scoring 2*m_bev*d plus a softmax, selection weighting, the edge
-    MLP, the bilinear edge scores, per-node softmax and weighted aggregation
-    (all linear in n*k), then the node and context MLPs, pooling and
-    projection adds per node. Shared: context attention steps over all tau
-    summaries, per-cell mean normalization, and the skip and gate MLPs over
-    every cell.
+    MLP's hidden layers, the bilinear edge scores, per-node softmax and
+    weighted aggregation (all linear in n*k), then the message product, the
+    node and context MLPs, pooling and projection adds per node. Shared:
+    context attention steps over all tau summaries, per-cell mean
+    normalization, and the skip and gate MLPs over every cell.
     """
     d, tau = config.d, config.tau
+    edge_spec = config.edge_mlp_spec
+    h = edge_spec.widths[-2]  # the edge MLP's last hidden width, which scoring and the message read
     stages = dict.fromkeys(("query_init.score", "query_init.select", "edge_focus.features",
                             "edge_focus.attention", "edge_focus.update", "deep_context.pool",
                             "deep_context.exchange", "deep_context.infuse", "pipeline.project",
@@ -238,22 +246,26 @@ def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
         per_query = {
             "query_init.score": 2 * m_bev * d + 4 * m_bev,            # scores + softmax
             "query_init.select": 2 * n * d + n,                       # selection weighting
-            # per-node products of both halves, their sum, then per edge the
-            # source term subtracted
-            "edge_focus.features": _split_mlp_flops(config.edge_mlp_spec, 2 * n, n + edges, edges),
-            # x A, plus c, the row dot with x, plus bq·bk, then the softmax
-            "edge_focus.attention": edges * (2 * d * d + 3 * d + 1 + 4),
-            "edge_focus.update": (2 * edges * d                       # weighted aggregation
-                                  + _split_mlp_flops(config.node_mlp_spec, 2 * n, n, n)),
+            # the hidden layers: per-node products of both halves, their sum
+            # and the bias, then per edge the source term subtracted and the
+            # ReLU on the last hidden layer
+            "edge_focus.features": (_split_mlp_flops(MlpSpec(edge_spec.widths[:-1]), 2 * n,
+                                                     2 * n + edges, edges) + edges * h),
+            # h A, plus c, the row dot with h, plus bq·bk, then the softmax
+            "edge_focus.attention": edges * (2 * h * h + 3 * h + 1 + 4),
+            "edge_focus.update": (2 * edges * h                       # weighted aggregation
+                                  + _linear_flops(n, h, d)            # message, per node
+                                  + _split_mlp_flops(config.node_mlp_spec, 2 * n, 2 * n, n)),
             "deep_context.pool": n * d,                               # max pooling
-            # node half per node, plus the gathered summary half
-            "deep_context.infuse": _split_mlp_flops(config.context_mlp_spec, n, n, n),
+            # node half per node, plus the gathered summary half and the bias
+            "deep_context.infuse": _split_mlp_flops(config.context_mlp_spec, n, 2 * n, n),
             "pipeline.project": n * d,                                # scatter adds
         }
         for stage, flops in per_query.items():
             stages[stage] += s.queries * flops
     stages["deep_context.infuse"] += 2 * tau * d * config.context_mlp_spec.widths[1]
-    stages["edge_focus.attention"] += 2 * d ** 3 + 4 * d * d + 3 * d  # A, c and bq·bk
+    stages["edge_focus.attention"] += (2 * (2 * h * d * d + 2 * d * d + d)   # q and key composed
+                                       + 2 * h * h * d + 4 * h * d + h + 2 * d)  # A, c and bq·bk
     stages["deep_context.exchange"] = config.context_steps * (
         3 * _linear_flops(tau, d, d)                                  # q/k/v projections
         + 2 * (2 * tau * tau * d)                                     # score and mixing matmuls

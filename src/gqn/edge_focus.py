@@ -20,25 +20,45 @@ edge, and neither the (n*k, 2d) input nor the gathered neighbor states is
 built. The node MLP's ``[message || state]`` takes the same split without a
 gather.
 
-Scoring: q and key are one (d, d) layer each, and their per-edge dot product
-is taken as the bilinear form ``x A xᵀ + x·c + bq·bk`` with ``A = Wq Wkᵀ``
-(``autodiff._bilinear_scores``): one (n*k, d) x (d, d) product, where two
-projections would take two.
+Folded output layer: the edge MLP's last layer is linear, ``f = h W + b`` on
+its last hidden layer h (after the ReLU), and both consumers of f are affine
+in it, so the stage never builds f:
 
-One tape node per chunk: ``edge_focus_update`` runs features, scores,
-softmax, weighted sum and node MLP as array code and records one node that
-keeps only its inputs (positions, states, edge targets, the parameters) and
-its (n, d) output. Its backward recomputes every per-edge array with the
-forward's calls, so they carry the same bits (Chen et al., "Training Deep
-Nets with Sublinear Memory Cost", 2016), then backprops through the stages
-in reverse. ``edge_features``, ``edge_attention`` and ``update_nodes`` are
-those forward calls; they return value-only tensors.
+- q and key are projections of h with the composed layers ``Wq' = W Wq``,
+  ``bq' = b Wq + bq`` (and so for key), formed once per chunk from (d, d)
+  matrices (``_fold``);
+- the message ``Σβ·f`` is taken as ``(Σβ·h) W + b``, one per-node product.
+  The weights of a node sum to one, and the ``Σβ·b`` term they would carry
+  is the same for every edge of a node, so it drops out of β's gradient:
+  the softmax Jacobian removes per-row constants.
+
+This moves results by rounding only; the unfolded form is the oracle of the
+tests. It needs an edge MLP of two or more layers (every config builds
+``(2d, d, d)``).
+
+Scoring: q and key are one (d, d) layer each, and their per-edge dot product
+is taken as the bilinear form ``h A hᵀ + h·c + bq'·bk'`` with ``A = Wq' Wk'ᵀ``
+(``autodiff._bilinear_scores``): one (n*k, d) x (d, d) product, the only
+per-edge product of the stage's forward, where projecting f and then q and
+key would take three.
+
+One tape node per chunk: ``edge_focus_update`` runs the hidden features,
+scores, softmax, weighted sum, message and node MLP as array code and records
+one node that keeps only its inputs (positions, states, edge targets, the
+parameters) and its (n, d) output. Its backward recomputes every per-edge
+array with the forward's calls, so they carry the same bits (Chen et al.,
+"Training Deep Nets with Sublinear Memory Cost", 2016), then backprops
+through the stages in reverse; the gradients of the output layer, q and key
+chain back through the (d, d) products of the fold. ``edge_features`` and
+``update_nodes`` are forward calls of the node, and return value-only
+tensors; ``edge_attention`` scores any rows under q and key, as the node
+scores h under the composed layers.
 
 Pairing the two projections of the same edge yields exactly one weight per
 edge, which is what the weighted aggregation consumes. The natural
 generalization, a full KxK score matrix between the edges of a neighborhood,
 would need a reduction back to one weight per edge; if ever wanted, it slots
-in at ``edge_attention`` without touching the rest of the operator.
+in at the scoring (``_edge_weights``) without touching the rest of the operator.
 """
 
 from __future__ import annotations
@@ -46,8 +66,9 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
-                       _check_split_mlp, _make, _row_softmax, _row_softmax_grad, _segment_mix,
-                       _segment_mix_grads, _split_mlp_grads, _split_mlp_outputs)
+                       _check_split_mlp, _dense, _dense_grads, _make, _row_softmax,
+                       _row_softmax_grad, _segment_mix, _segment_mix_grads, _split_mlp_grads,
+                       _split_mlp_outputs)
 from .errors import ContractError, ShapeError
 from .query_init import GraphQuery
 
@@ -68,47 +89,77 @@ def _scoring(params: ParamStore, q_spec: MlpSpec, k_spec: MlpSpec) -> list[Tenso
             for layer in _layers(params, name, spec) for t in layer]
 
 
-def _edge_weights(feats: Array, n_nodes: int, k: int, scoring: list[Array]) -> Array:
-    """The (n, k) softmax over each node's k bilinear edge scores."""
-    return _row_softmax(_bilinear_scores(feats, *scoring).reshape(n_nodes, k))
+def _check_scoring(d: int, q_spec: MlpSpec, k_spec: MlpSpec) -> None:
+    if q_spec.widths != (d, d) or k_spec.widths != (d, d):
+        raise ShapeError(f"edge scoring needs one ({d}, {d}) layer each for q and key, got "
+                         f"widths {q_spec.widths} and {k_spec.widths}")
+
+
+def _fold(out_w: Array, out_b: Array, w: Array, b: Array) -> tuple[Array, Array]:
+    """The layer ``x w + b`` read through ``x = h out_w + out_b``: ``(out_w w, out_b w + b)``."""
+    bias = out_b @ w
+    bias += b
+    return out_w @ w, bias
+
+
+def _fold_grads(g_w: Array | None, g_b: Array | None, out_w: Array, out_b: Array, w: Array,
+                need: tuple[bool, bool, bool, bool]) -> tuple:
+    """Gradients of ``_fold`` for ``out_w``, ``out_b``, ``w`` and ``b``, None where ``need``
+    says so."""
+    gw = None
+    if need[2]:
+        gw = out_w.T @ g_w
+        gw += np.outer(out_b, g_b)
+    return (g_w @ w.T if need[0] else None, w @ g_b if need[1] else None, gw,
+            g_b if need[3] else None)
+
+
+def _edge_weights(x: Array, n_nodes: int, k: int, scoring: list[Array]) -> Array:
+    """The (n, k) softmax over each node's k bilinear edge scores of the rows ``x``."""
+    return _row_softmax(_bilinear_scores(x, *scoring).reshape(n_nodes, k))
 
 
 def edge_features(query: GraphQuery, params: ParamStore, spec: MlpSpec) -> Tensor:
-    """Per-edge features: MLP(relative position || neighbor state), shape (n_nodes*k, d)."""
+    """Per-edge features h: the edge MLP of (relative position || neighbor state) up to its
+    last hidden layer, after the ReLU; shape (n_nodes*k, width of that layer).
+
+    The MLP's output layer is linear; the stage folds it into the scores and
+    the message (see the module docstring), so no per-edge output is built.
+    """
     d = query.positions.shape[1]
     if spec.widths[0] != 2 * d:
         raise ShapeError(f"edge MLP expects input width {spec.widths[0]}, node width is {d}")
+    if spec.n_layers < 2:
+        raise ShapeError(f"the edge stage folds the edge MLP's output layer, so it needs two or "
+                         f"more layers, got widths {spec.widths}")
     if not np.array_equal(query.edge_src, np.repeat(np.arange(query.n_nodes), query.k)):
         raise ContractError("edge features need edges grouped by source, k per node")
     layers, rows = _arrays(_layers(params, "edge_mlp", spec)), np.asarray(query.edge_dst, np.intp)
     _check_split_mlp("edge_mlp", query.positions, query.states.data, layers, rows, query.k)
     return Tensor(_split_mlp_outputs(query.positions, query.states.data, layers, rows, query.k,
-                                     len(layers))[-1])
+                                     len(layers) - 1)[-1])
 
 
 def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore,
                    q_spec: MlpSpec, k_spec: MlpSpec) -> Tensor:
-    """Per-edge weights, normalized over each node's k edges; shape (n*k,)."""
+    """Per-edge weights of the rows ``feats`` under q and key, normalized over each node's
+    k edges; shape (n*k,)."""
     if k < 1 or feats.data.shape[0] != n_nodes * k:
         raise ContractError(f"need k >= 1 edges per node, got {feats.data.shape[0]} for {n_nodes}x{k}")
-    d = feats.data.shape[1]
-    if q_spec.widths != (d, d) or k_spec.widths != (d, d):
-        raise ShapeError(f"edge scoring needs one ({d}, {d}) layer each for q and key, got "
-                         f"widths {q_spec.widths} and {k_spec.widths}")
+    _check_scoring(feats.data.shape[1], q_spec, k_spec)
     scoring = [t.data for t in _scoring(params, q_spec, k_spec)]
     return Tensor(_edge_weights(feats.data, n_nodes, k, scoring).reshape(n_nodes * k))
 
 
-def update_nodes(query: GraphQuery, feats: Tensor, beta: Tensor, params: ParamStore,
-                 spec: MlpSpec) -> Tensor:
-    """Updated node states: MLP(attention-weighted edge sum || node state), shape (n_nodes, d)."""
+def update_nodes(query: GraphQuery, message: Tensor, params: ParamStore, spec: MlpSpec) -> Tensor:
+    """Updated node states: MLP(message || node state), shape (n_nodes, d)."""
     d = query.positions.shape[1]
     if spec.widths[0] != 2 * d:
         raise ShapeError(f"node MLP expects input width {spec.widths[0]}, node width is {d}")
-    message = _segment_mix(feats.data, beta.data, query.k)
     layers = _arrays(_layers(params, "node_mlp", spec))
-    _check_split_mlp("node_mlp", message, query.states.data, layers, None, 0)
-    return Tensor(_split_mlp_outputs(message, query.states.data, layers, None, 0, len(layers))[-1])
+    _check_split_mlp("node_mlp", message.data, query.states.data, layers, None, 0)
+    return Tensor(_split_mlp_outputs(message.data, query.states.data, layers, None, 0,
+                                     len(layers))[-1])
 
 
 def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,
@@ -121,26 +172,38 @@ def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,
     of one node per stage would pass their gradients), then the edge MLP's,
     q's, key's and node MLP's weights and biases.
     """
-    feats = edge_features(query, params, edge_spec)
-    beta = edge_attention(feats, query.n_nodes, query.k, params, q_spec, k_spec)
-    out = update_nodes(query, feats, beta, params, node_spec).data
+    _check_scoring(edge_spec.widths[-1], q_spec, k_spec)
+    hidden = edge_features(query, params, edge_spec).data
 
     edge, node = _layers(params, "edge_mlp", edge_spec), _layers(params, "node_mlp", node_spec)
     scoring = _scoring(params, q_spec, k_spec)
     states, positions, n, k = query.states, query.positions, query.n_nodes, query.k
     rows = np.asarray(query.edge_dst, np.intp)
+
+    def folded() -> list[Array]:
+        """q's and key's layers composed with the edge MLP's output layer."""
+        (out_w, out_b), (wq, bq, wk, bk) = _arrays(edge)[-1], [t.data for t in scoring]
+        return [*_fold(out_w, out_b, wq, bq), *_fold(out_w, out_b, wk, bk)]
+
+    def mix_and_message(h: Array, fold: list[Array]) -> tuple[Array, Array, Array]:
+        """The weights, their sum of h per node, and the message ``mix W + b``."""
+        beta = _edge_weights(h, n, k, fold).reshape(n * k)
+        mix = _segment_mix(h, beta, k)
+        return beta, mix, _dense(mix, *_arrays(edge)[-1], relu=False)
+
+    out = update_nodes(query, Tensor(mix_and_message(hidden, folded())[2]), params, node_spec).data
+
     parents = ((states, states) + tuple(t for layer in edge for t in layer) + tuple(scoring)
                + tuple(t for layer in node for t in layer))
-    first_q, first_node = 2 + 2 * len(edge), 6 + 2 * len(edge)
+    first_out, first_q, first_node = 2 * len(edge), 2 + 2 * len(edge), 6 + 2 * len(edge)
 
     def backprop(g):
         need = tuple(p.requires_grad for p in parents)
         edge_arrays, node_arrays = _arrays(edge), _arrays(node)
-        qk = [t.data for t in scoring]
-        hidden = _split_mlp_outputs(positions, states.data, edge_arrays, rows, k, len(edge))
-        feats = hidden.pop()
-        beta = _edge_weights(feats, n, k, qk)
-        message = _segment_mix(feats, beta.reshape(n * k), k)
+        (out_w, out_b), (wq, _, wk, _) = edge_arrays[-1], [t.data for t in scoring]
+        hidden = _split_mlp_outputs(positions, states.data, edge_arrays, rows, k, len(edge) - 1)
+        h, fold = hidden[-1], folded()
+        beta, mix, message = mix_and_message(h, fold)
         grads = [None] * len(parents)
         node_grads = _split_mlp_grads(
             g, message, states.data, node_arrays, None, 0,
@@ -149,17 +212,30 @@ def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,
         grads[0], grads[first_node:] = node_grads[1], node_grads[2:]
         if node_grads[0] is None:
             return tuple(grads)
-        gfeats, gbeta = _segment_mix_grads(node_grads[0], feats, beta.reshape(n * k), k)
-        gscores = _row_softmax_grad(gbeta.reshape(n, k), beta).reshape(n * k)
-        need_feats = any(need[1:first_q])
-        gx, *grads[first_q:first_node] = _bilinear_score_grads(
-            gscores, feats, *qk, (need_feats,) + need[first_q:first_node])
-        if not need_feats:
+        need_out_w, need_out_b = need[first_out:first_q]
+        gmix, gw_out, gb_out = _dense_grads(node_grads[0], mix, out_w, None,
+                                            (True, need_out_w, need_out_b))
+        gh, gbeta = _segment_mix_grads(gmix, h, beta, k)
+        gscores = _row_softmax_grad(gbeta.reshape(n, k), beta.reshape(n, k)).reshape(n * k)
+        need_h = any(need[1:first_out])
+        need_q, need_k = ((need_out_w, need_out_b) + need[i:i + 2]
+                          for i in (first_q, first_q + 2))
+        gx, gwq, gbq, gwk, gbk = _bilinear_score_grads(
+            gscores, h, *fold, (need_h, need_q[0] or need_q[2], any(need_q[1:]),
+                                need_k[0] or need_k[2], any(need_k[1:])))
+        q_grads = _fold_grads(gwq, gbq, out_w, out_b, wq, need_q)
+        k_grads = _fold_grads(gwk, gbk, out_w, out_b, wk, need_k)
+        grads[first_q:first_node] = q_grads[2:] + k_grads[2:]
+        for i, direct in ((0, gw_out), (1, gb_out)):
+            if need[first_out + i]:
+                grads[first_out + i] = direct + q_grads[i] + k_grads[i]
+        if not need_h:
             return tuple(grads)
-        gfeats += gx
-        edge_grads = _split_mlp_grads(gfeats, positions, states.data, edge_arrays, rows, k, hidden,
-                                      (False,) + need[1:first_q])
-        grads[1:first_q] = edge_grads[1:]
+        gh += gx
+        gh = np.where(h > 0.0, gh, 0.0)
+        edge_grads = _split_mlp_grads(gh, positions, states.data, edge_arrays[:-1], rows, k,
+                                      hidden[:-1], (False,) + need[1:first_out])
+        grads[1:first_out] = edge_grads[1:]
         return tuple(grads)
 
     return _make(out, parents, backprop)

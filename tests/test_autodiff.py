@@ -992,6 +992,28 @@ def test_scatter_mean_equals_add_at_byte_for_byte(width):
     assert _bits(scatter_mean(contributions, 12).data) == _bits(ref)
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_split_linear_grads_scatter_equals_add_at_byte_for_byte(k):
+    """The gathered rows' gradient scatters back to b's rows as ``np.add.at`` into zeros
+    would: each row adds its terms left to right from +0.0 in gather order."""
+    rng = np.random.default_rng(47)
+    n, d_a, d_b, width = 6, 2, 3, 5
+    m = n if k else 9  # row 8 of a gathered b is never gathered
+    rows = rng.integers(0, m - (0 if k else 1), n * max(k, 1))  # repeats
+    a, b = rng.standard_normal((n, d_a)), rng.standard_normal((m, d_b))
+    w = rng.standard_normal((d_a + d_b, width))
+    shape = (len(rows), width)
+    g = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+    g[rows == rows[0]] = -0.0  # a row whose every term is -0.0 sums to +0.0
+    gc = np.zeros((m, width))
+    np.add.at(gc, rows, g)
+    ga, gb, gw, _ = _split_linear_grads(g, a, b, w, rows, k, None, (True, True, True, False))
+    gh = gc - g.reshape(n, k, width).sum(axis=1) if k else g
+    assert _bits(gb) == _bits(gc @ w[d_a:].T)
+    assert _bits(gw[d_a:]) == _bits(b.T @ gc)
+    assert _bits(ga) == _bits(gh @ w[:d_a].T)
+
+
 @pytest.mark.parametrize("cell", [-1, 4])
 def test_scatter_mean_rejects_cells_outside_the_map(cell):
     with pytest.raises(InvalidInputError):

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from gqn import autodiff, edge_focus
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
-                          _make, _segment_mix, _segment_mix_grads, _toposort, grad_check, mul,
-                          reshape, row_softmax, split_mlp_forward, sum_all)
-from gqn.edge_focus import edge_attention, edge_features, edge_focus_update, update_nodes
+                          _make, _segment_mix, _segment_mix_grads, _split_mlp_grads,
+                          _split_mlp_outputs, _toposort, concat_cols, gather_rows, grad_check,
+                          linear, mlp_forward, mul, reshape, row_softmax, split_mlp_forward,
+                          sum_all)
+from gqn.edge_focus import (_fold, _fold_grads, edge_attention, edge_features, edge_focus_update,
+                            update_nodes)
 from gqn.errors import ContractError, ShapeError
 from gqn.query_init import GraphQuery, QuerySetSpec, build_knn_edges, init_graph_query
 from gqn.scene import SceneSpec, flatten_grid, generate_scene, sinusoidal_encoding
@@ -35,16 +39,27 @@ def _linear_params(name, weights, d_out, seed=0):
     return params, spec
 
 
+def _edge_mlp_params(first_weights, d_out=2, seed=0):
+    """A two-layer edge MLP whose first layer is ``first_weights`` with a zero bias."""
+    w = np.asarray(first_weights, dtype=np.float64)
+    params = ParamStore(seed=seed)
+    spec = MlpSpec.relu_stack((w.shape[0], w.shape[1], d_out))
+    params.register_mlp("edge_mlp", spec)
+    params["edge_mlp/W0"].data[...] = w
+    params["edge_mlp/b0"].data[...] = 0.0
+    return params, spec
+
+
 # ----------------------------------------------------------------------------
-# edge features
+# edge features: the edge MLP's last hidden layer
 
 
 def test_edge_feature_hand_evaluation():
-    # all-ones linear layer on input [1, -1, 2, 0] -> 1 - 1 + 2 + 0 = 2 everywhere
+    # all-ones first layer on input [1, -1, 2, 0] -> 1 - 1 + 2 + 0 = 2 everywhere
     states = [[2.0, 0.0], [5.0, 5.0]]
     positions = [[1.0, -1.0], [2.0, -2.0]]
     q = _manual_query(states, positions, 1)
-    params, spec = _linear_params("edge_mlp", np.ones((4, 2)), 2)
+    params, spec = _edge_mlp_params(np.ones((4, 2)))
     feats = edge_features(q, params, spec)
     # edge 0 -> 1 input is [p1 - p0 || x1] = [1, -1, 5, 5] -> 10; edge 1 -> 0 is [-1, 1, 2, 0] -> 2
     np.testing.assert_allclose(feats.data, [[10.0, 10.0], [2.0, 2.0]], atol=1e-12)
@@ -53,18 +68,20 @@ def test_edge_feature_hand_evaluation():
 def test_edge_feature_zero_relpos_when_positions_coincide():
     q = _manual_query([[1.0, 2.0], [3.0, 4.0]], [[0.5, 0.5], [0.5, 0.5]], 1)
     # weights picking out the relative-position half only
-    w = np.vstack([np.eye(2), np.zeros((2, 2))])
-    params, spec = _linear_params("edge_mlp", w, 2)
+    params, spec = _edge_mlp_params(np.vstack([np.eye(2), np.zeros((2, 2))]))
     feats = edge_features(q, params, spec)
     np.testing.assert_array_equal(feats.data, np.zeros((2, 2)))
 
 
 def test_edge_feature_relpos_antisymmetric():
     q = _manual_query([[1.0, 0.0], [1.0, 0.1]], [[0.0, 1.0], [2.0, 5.0]], 1)
-    w = np.vstack([np.eye(2), np.zeros((2, 2))])
-    params, spec = _linear_params("edge_mlp", w, 2)
+    # relu(r) and relu(-r) side by side, so their difference is the relative position r
+    eye = np.eye(2)
+    params, spec = _edge_mlp_params(np.block([[eye, -eye], [np.zeros((2, 4))]]))
     feats = edge_features(q, params, spec).data
-    np.testing.assert_allclose(feats[0], -feats[1], atol=1e-15)  # p1-p0 vs p0-p1
+    rel = feats[:, :2] - feats[:, 2:]
+    np.testing.assert_allclose(rel[0], -rel[1], atol=1e-15)  # p1-p0 vs p0-p1
+    np.testing.assert_allclose(rel[0], [2.0, 4.0], atol=1e-15)
 
 
 def test_edge_feature_width_mismatch():
@@ -76,10 +93,23 @@ def test_edge_feature_width_mismatch():
         edge_features(q, params, bad)
 
 
+def test_edge_features_reject_a_one_layer_edge_mlp():
+    """The stage folds the edge MLP's output layer, so it needs a hidden layer before it."""
+    q = _manual_query([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 1.0]], 1)
+    params, spec = _linear_params("edge_mlp", np.ones((4, 2)), 2)
+    lin = MlpSpec.linear(2, 2)
+    for name in ("edge_q", "edge_k", "node_mlp"):
+        params.register_mlp(name, lin if name != "node_mlp" else MlpSpec.relu_stack((4, 2, 2)))
+    with pytest.raises(ShapeError):
+        edge_features(q, params, spec)
+    with pytest.raises(ShapeError):
+        edge_focus_update(q, params, spec, MlpSpec.relu_stack((4, 2, 2)), lin, lin)
+
+
 def test_edge_features_reject_edges_not_grouped_by_source():
     rng = np.random.default_rng(0)
     q = _manual_query(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)), 2)
-    params, spec = _linear_params("edge_mlp", np.ones((4, 2)), 2)
+    params, spec = _edge_mlp_params(np.ones((4, 2)))
     perm = np.array([2, 3, 0, 1, 4, 5, 6, 7])  # nodes 0 and 1 swap their edge groups
     q.edge_src, q.edge_dst = q.edge_src[perm], q.edge_dst[perm]
     with pytest.raises(ContractError):
@@ -151,21 +181,31 @@ def test_beta_normalizes_per_node():
 
 
 def test_update_single_edge_uses_its_feature():
-    q = _manual_query([[1.0, 2.0], [3.0, 4.0]], np.zeros((2, 2)), 1)
+    """With one edge per node the weight is exactly 1, so the message is that edge's
+    feature: the edge MLP's output, which the stage itself never builds."""
+    q = _manual_query([[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, -1.0]], 1)
+    params, edge_spec = _edge_mlp_params([[1.0, -1.0], [2.0, 0.5], [0.0, 1.0], [1.0, 1.0]])
+    params["edge_mlp/W1"].data[...] = [[1.0, 2.0], [-1.0, 0.5]]
+    params["edge_mlp/b1"].data[...] = [0.25, -0.5]
     # rho = linear pass-through of the message half
-    w = np.vstack([np.eye(2), np.zeros((2, 2))])
-    params, rho_spec = _linear_params("node_mlp", w, 2)
-    feats = Tensor(np.array([[5.0, 6.0], [7.0, 8.0]]))
-    beta = Tensor(np.ones(2))
-    out = update_nodes(q, feats, beta, params, rho_spec)
-    np.testing.assert_allclose(out.data, feats.data, atol=1e-15)
+    node_spec = MlpSpec.linear(4, 2)
+    params.register_mlp("node_mlp", node_spec)
+    params["node_mlp/W0"].data[...] = np.vstack([np.eye(2), np.zeros((2, 2))])
+    params["node_mlp/b0"].data[...] = 0.0
+    lin = MlpSpec.linear(2, 2)
+    for name in ("edge_q", "edge_k"):
+        params.register_mlp(name, lin)
+    hidden = edge_features(q, params, edge_spec).data
+    feats = hidden @ params["edge_mlp/W1"].data + params["edge_mlp/b1"].data
+    out = edge_focus_update(q, params, edge_spec, node_spec, lin, lin)
+    np.testing.assert_allclose(out.data, feats, atol=1e-15)
 
 
 def test_update_passthrough_of_state_half_with_zero_edges():
     q = _manual_query([[1.0, 2.0], [3.0, 4.0]], np.zeros((2, 2)), 1)
     w = np.vstack([np.zeros((2, 2)), np.eye(2)])
     params, rho_spec = _linear_params("node_mlp", w, 2)
-    out = update_nodes(q, Tensor(np.zeros((2, 2))), Tensor(np.ones(2)), params, rho_spec)
+    out = update_nodes(q, Tensor(np.zeros((2, 2))), params, rho_spec)
     np.testing.assert_allclose(out.data, q.states.data, atol=1e-15)
 
 
@@ -242,11 +282,49 @@ def _stage_params(d, seed):
     return params, specs
 
 
-def _score_node(x, wq, bq, wk, bk):
-    parents = (x, wq, bq, wk, bk)
-    return _make(_bilinear_scores(*(t.data for t in parents)), parents,
-                 lambda g: _bilinear_score_grads(g, *(t.data for t in parents),
-                                                 tuple(t.requires_grad for t in parents)))
+def _hidden_node(query, params, spec):
+    """The edge MLP up to its last hidden layer, after the ReLU, as one node over
+    ``(states, W0, b0, ...)``, with the calls the fused node runs."""
+    layers = [(params[f"edge_mlp/W{i}"], params[f"edge_mlp/b{i}"]) for i in range(spec.n_layers)]
+    arrays = [(w.data, b.data) for w, b in layers]
+    parents = (query.states,) + tuple(t for layer in layers[:-1] for t in layer)
+    rows, k = np.asarray(query.edge_dst, np.intp), query.k
+
+    def outputs():
+        return _split_mlp_outputs(query.positions, query.states.data, arrays, rows, k,
+                                  len(arrays) - 1)
+
+    def backprop(g):
+        hidden = outputs()
+        g = np.where(hidden[-1] > 0.0, g, 0.0)
+        return tuple(_split_mlp_grads(g, query.positions, query.states.data, arrays[:-1], rows, k,
+                                      hidden[:-1], (False,) + (True,) * len(parents))[1:])
+
+    return _make(outputs()[-1], parents, backprop)
+
+
+def _fold_node(out_w, out_b, w, b):
+    """``_fold`` as one node whose output stacks the composed weight over its bias."""
+    parents = (out_w, out_b, w, b)
+    return _make(np.vstack(_fold(*(t.data for t in parents))), parents,
+                 lambda g: _fold_grads(g[:-1].copy(), g[-1].copy(), out_w.data, out_b.data,
+                                       w.data, (True,) * 4))
+
+
+def _score_node(x, fold_q, fold_k):
+    """``_bilinear_scores`` of ``x`` under q's and key's folds, each stacked as
+    ``_fold_node`` gives it."""
+    parents = (x, fold_q, fold_k)
+
+    def arrays():
+        return [x.data] + [part.copy() for f in (fold_q, fold_k)
+                           for part in (f.data[:-1], f.data[-1])]
+
+    def backprop(g):
+        gx, gwq, gbq, gwk, gbk = _bilinear_score_grads(g, *arrays(), (True,) * 5)
+        return gx, np.vstack([gwq, gbq]), np.vstack([gwk, gbk])
+
+    return _make(_bilinear_scores(*arrays()), parents, backprop)
 
 
 def _mix_node(t, w, k):
@@ -255,32 +333,70 @@ def _mix_node(t, w, k):
 
 
 def _per_stage_chain(query, params, edge_spec, node_spec, q_spec, k_spec):
-    """One tape node per stage, built from the helpers the fused node runs."""
-    n, k = query.n_nodes, query.k
-    feats = split_mlp_forward(edge_spec, params, "edge_mlp", Tensor(query.positions), query.states,
-                              rows=query.edge_dst, k=k)
-    scores = _score_node(feats, params["edge_q/W0"], params["edge_q/b0"], params["edge_k/W0"],
-                         params["edge_k/b0"])
+    """One tape node per stage of the folded form, built from the helpers the fused node runs."""
+    n, k, last = query.n_nodes, query.k, edge_spec.n_layers - 1
+    hidden = _hidden_node(query, params, edge_spec)
+    out_w, out_b = params[f"edge_mlp/W{last}"], params[f"edge_mlp/b{last}"]
+    folds = [_fold_node(out_w, out_b, params[f"{name}/W0"], params[f"{name}/b0"])
+             for name in ("edge_q", "edge_k")]
+    scores = _score_node(hidden, *folds)
     beta = reshape(row_softmax(reshape(scores, (n, k))), (n * k,))
-    return split_mlp_forward(node_spec, params, "node_mlp", _mix_node(feats, beta, k), query.states)
+    message = linear(_mix_node(hidden, beta, k), out_w, out_b)
+    return split_mlp_forward(node_spec, params, "node_mlp", message, query.states)
+
+
+def _rowdot(a, b):
+    return _make((a.data * b.data).sum(axis=1), (a, b),
+                 lambda g: (g[:, None] * b.data, g[:, None] * a.data))
+
+
+def _unfolded_update(query, params, edge_spec, node_spec, q_spec, k_spec):
+    """The edge stage as written before the fold, one plain node per op: the edge MLP's
+    output f = h W + b per edge, q and key projected from f, the per-node softmax,
+    the message sum of beta * f, then the node MLP over [message || state]."""
+    n, k = query.n_nodes, query.k
+    rel = Tensor(query.positions[query.edge_dst] - query.positions[query.edge_src])
+    neighbor = gather_rows(query.states, query.edge_dst)
+    feats = mlp_forward(edge_spec, params, "edge_mlp", concat_cols([rel, neighbor]))
+    q = mlp_forward(q_spec, params, "edge_q", feats)
+    key = mlp_forward(k_spec, params, "edge_k", feats)
+    beta = reshape(row_softmax(reshape(_rowdot(q, key), (n, k))), (n * k,))
+    message = _mix_node(feats, beta, k)
+    return mlp_forward(node_spec, params, "node_mlp", concat_cols([message, query.states]))
+
+
+def _outputs_and_grads(stage, d, k):
+    """The stage's output, the gradient reaching u through the states (which both MLPs
+    read) and every weight's gradient, under a random upstream gradient."""
+    query, u = _toy_query(seed=d, d=d, k=k)
+    params, specs = _stage_params(d, seed=d)
+    out = stage(query, params, specs["edge_mlp"], specs["node_mlp"], specs["edge_q"],
+                specs["edge_k"])
+    upstream = np.random.default_rng(k).standard_normal(out.data.shape)
+    sum_all(mul(out, Tensor(upstream))).backward()
+    return [out.data, u.grad] + [t.grad for _, t in params.items()]
 
 
 @pytest.mark.parametrize("d,k", [(4, 3), (8, 2), (8, 5)])
 def test_edge_focus_update_matches_the_per_stage_chain_bit_for_bit(d, k):
-    """The output, every weight's gradient and the gradient reaching u through the
-    states (which both MLPs read) equal the chain's, byte for byte."""
-    results = []
-    for stage in (edge_focus_update, _per_stage_chain):
-        query, u = _toy_query(seed=d, d=d, k=k)
-        params, specs = _stage_params(d, seed=d)
-        out = stage(query, params, specs["edge_mlp"], specs["node_mlp"], specs["edge_q"],
-                    specs["edge_k"])
-        upstream = np.random.default_rng(k).standard_normal(out.data.shape)
-        sum_all(mul(out, Tensor(upstream))).backward()
-        results.append([out.data, u.grad] + [t.grad for _, t in params.items()])
-    assert all(g is not None and np.abs(g).max() > 0.0 for g in results[0][1:])
-    for fused, chain in zip(*results, strict=True):
-        assert fused.tobytes() == chain.tobytes()
+    """The output and every gradient equal those of the chain of per-stage nodes of the
+    folded form, byte for byte."""
+    fused, chain = (_outputs_and_grads(stage, d, k) for stage in (edge_focus_update,
+                                                                   _per_stage_chain))
+    assert all(g is not None and np.abs(g).max() > 0.0 for g in fused[1:])
+    for got, ref in zip(fused, chain, strict=True):
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_edge_focus_update_matches_the_unfolded_stage(d, k):
+    """Folding the edge MLP's output layer into q, key and the message moves the output
+    and every gradient by rounding only."""
+    fused, unfolded = (_outputs_and_grads(stage, d, k) for stage in (edge_focus_update,
+                                                                      _unfolded_update))
+    for got, ref in zip(fused, unfolded, strict=True):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_edge_focus_update_is_one_tape_node_that_keeps_only_its_inputs():
@@ -299,9 +415,33 @@ def test_edge_focus_update_is_one_tape_node_that_keeps_only_its_inputs():
               if isinstance(c, np.ndarray)]
     assert sorted(map(id, arrays)) == sorted(map(id, (query.positions, query.edge_dst)))
     # The stage functions it runs give values only.
-    feats = edge_features(query, params, specs["edge_mlp"])
-    beta = edge_attention(feats, query.n_nodes, query.k, params, specs["edge_q"], specs["edge_k"])
-    nodes = update_nodes(query, feats, beta, params, specs["node_mlp"])
+    hidden = edge_features(query, params, specs["edge_mlp"])
+    nodes = update_nodes(query, Tensor(np.ones((query.n_nodes, 4))), params, specs["node_mlp"])
     assert query.states.requires_grad
-    assert not any(t.requires_grad or t._parents for t in (feats, beta, nodes))
-    assert nodes.data.tobytes() == out.data.tobytes()
+    assert hidden.data.shape == (edges, 4)
+    assert not any(t.requires_grad or t._parents for t in (hidden, nodes))
+
+
+def test_edge_focus_update_runs_one_per_edge_product_and_builds_no_edge_mlp_output(monkeypatch):
+    """The forward's only (n*k)-row matrix product is the bilinear score's ``h A``: the
+    edge MLP's output layer runs on the n per-node message rows, not per edge."""
+    query, _ = _toy_query(seed=5, d=8, k=3)
+    params, specs = _stage_params(8, seed=5)
+    dense_rows, score_rows = [], []
+
+    def dense(x, *args, **kwargs):
+        dense_rows.append(x.shape[0])
+        return real_dense(x, *args, **kwargs)
+
+    def scores(x, *args):
+        score_rows.append(x.shape[0])
+        return real_scores(x, *args)
+
+    real_dense, real_scores = autodiff._dense, autodiff._bilinear_scores
+    for module in (autodiff, edge_focus):
+        monkeypatch.setattr(module, "_dense", dense)
+    monkeypatch.setattr(edge_focus, "_bilinear_scores", scores)
+    edge_focus_update(query, params, specs["edge_mlp"], specs["node_mlp"], specs["edge_q"],
+                      specs["edge_k"])
+    assert score_rows == [query.n_nodes * query.k]
+    assert dense_rows and set(dense_rows) == {query.n_nodes}
