@@ -26,7 +26,12 @@ checkpointing; Chen et al., "Training Deep Nets with Sublinear Memory Cost",
 ``_split_mlp_grads``, ``_bilinear_scores`` and its gradients,
 ``_row_softmax``, ``_segment_mix``) are forward and backward pieces with no
 tape of their own; the edge stage (``edge_focus.edge_focus_update``) composes
-them into one node per query chunk. The ReLU runs in place as ``np.fmax(out,
+them into one node per query chunk. The fused nodes (``linear``,
+``split_mlp_forward``, the edge stage) and their gradient helpers return the
+gradient of every parent, a constant's too, and ``backward`` drops each
+contribution to a parent that does not require grad; the small generic ops
+(``mul``, ``matvec_rows``, ``scale_rows`` and the like) skip a constant
+operand's product themselves. The ReLU runs in place as ``np.fmax(out,
 0.0)`` followed by ``out += 0.0``, which gives the bits of a masked copy (NaN
 and -0.0 become +0.0) in two plain passes. Inside ``no_grad()`` nothing is
 recorded. ``backward`` frees the graph as it goes: once a node has propagated,
@@ -253,17 +258,15 @@ def _dense(x: Array, w: Array, b: Array, relu: bool) -> Array:
     return out
 
 
-def _dense_grads(g: Array, x: Array, w: Array, out: Array | None,
-                 need: tuple[bool, bool, bool]) -> tuple:
-    """Gradients of ``_dense`` for ``x``, ``w`` and ``b`` (None where ``need`` says so).
+def _dense_grads(g: Array, x: Array, w: Array, out: Array | None) -> tuple:
+    """Gradients of ``_dense`` for ``x``, ``w`` and ``b``.
 
     ``out`` is the layer's output when it applied ReLU, None otherwise; the
     mask is rebuilt from ``out > 0``.
     """
     if out is not None:
         g = np.where(out > 0.0, g, 0.0)
-    return (g @ w.T if need[0] else None, x.T @ g if need[1] else None,
-            g.sum(axis=0) if need[2] else None)
+    return g @ w.T, x.T @ g, g.sum(axis=0)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -278,9 +281,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"linear bias {b.data.shape} vs {w.data.shape[1]} outputs")
     out = _dense(x.data, w.data, b.data, relu)
-    return _make(out, (x, w, b), lambda g: _dense_grads(
-        g, x.data, w.data, out if relu else None,
-        (x.requires_grad, w.requires_grad, b.requires_grad)))
+    return _make(out, (x, w, b),
+                 lambda g: _dense_grads(g, x.data, w.data, out if relu else None))
 
 
 def _split_linear(a: Array, b: Array, w: Array, bias: Array, rows: Array | None, k: int,
@@ -319,7 +321,7 @@ def _split_linear(a: Array, b: Array, w: Array, bias: Array, rows: Array | None,
 
 
 def _split_linear_grads(g: Array, a: Array, b: Array, w: Array, rows: Array | None, k: int,
-                        out: Array | None, need: tuple[bool, bool, bool, bool]) -> tuple:
+                        out: Array | None) -> tuple:
     """Gradients of ``_split_linear`` for ``a``, ``b``, ``w`` and ``bias``, as ``_dense_grads``.
 
     The gathered rows scatter back with one weighted ``np.bincount`` over the
@@ -335,13 +337,10 @@ def _split_linear_grads(g: Array, a: Array, b: Array, w: Array, rows: Array | No
         flat = (rows[:, None] * d_out + np.arange(d_out)).ravel()
         gc = np.bincount(flat, g.ravel(), m * d_out).reshape(m, d_out)
     gh = gc - g.reshape(n, k, d_out).sum(axis=1) if k else g
-    gw = None
-    if need[2]:
-        gw = np.empty_like(w)
-        gw[:d_a] = a.T @ gh
-        gw[d_a:] = b.T @ gc
-    return (gh @ w[:d_a].T if need[0] else None, gc @ w[d_a:].T if need[1] else None, gw,
-            g.sum(axis=0) if need[3] else None)
+    gw = np.empty_like(w)
+    gw[:d_a] = a.T @ gh
+    gw[d_a:] = b.T @ gc
+    return gh @ w[:d_a].T, gc @ w[d_a:].T, gw, g.sum(axis=0)
 
 
 def _bilinear_scores(x: Array, wq: Array, bq: Array, wk: Array, bk: Array) -> Array:
@@ -362,32 +361,25 @@ def _bilinear_scores(x: Array, wq: Array, bq: Array, wk: Array, bk: Array) -> Ar
     return out
 
 
-def _bilinear_score_grads(g: Array, x: Array, wq: Array, bq: Array, wk: Array, bk: Array,
-                          need: tuple[bool, ...]) -> tuple:
+def _bilinear_score_grads(g: Array, x: Array, wq: Array, bq: Array, wk: Array,
+                          bk: Array) -> tuple:
     """Gradients of ``_bilinear_scores`` for ``x``, ``wq``, ``bq``, ``wk`` and ``bk``.
 
     Two row-sized products: ``x (A + Aᵀ)`` for ``x`` and ``G = xᵀ diag(g) x``
     for the weights, from which ``gWq = G Wk + s bkᵀ`` and ``gWk = Gᵀ Wq + s bqᵀ``
     with ``s = xᵀ g``. ``A`` and ``c`` are formed again from the weights.
     """
-    gx = None
-    if need[0]:
-        a = wq @ wk.T
-        c = wq @ bk
-        c += wk @ bq
-        gx = x @ (a + a.T)
-        gx += c
-        gx *= g[:, None]
-    if not any(need[1:]):
-        return gx, None, None, None, None
+    a = wq @ wk.T
+    c = wq @ bk
+    c += wk @ bq
+    gx = x @ (a + a.T)
+    gx += c
+    gx *= g[:, None]
     s = x.T @ g
     gram = (x * g[:, None]).T @ x
     total = g.sum()
-    return (gx,
-            gram @ wk + np.outer(s, bk) if need[1] else None,
-            wk.T @ s + total * bk if need[2] else None,
-            gram.T @ wq + np.outer(s, bq) if need[3] else None,
-            wq.T @ s + total * bq if need[4] else None)
+    return (gx, gram @ wk + np.outer(s, bk), wk.T @ s + total * bk,
+            gram.T @ wq + np.outer(s, bq), wq.T @ s + total * bq)
 
 
 # ----------------------------------------------------------------------------
@@ -773,24 +765,20 @@ def _split_mlp_outputs(a: Array, b: Array, layers: list[tuple[Array, Array]], ro
 
 
 def _split_mlp_grads(g: Array, a: Array, b: Array, layers: list[tuple[Array, Array]],
-                     rows: Array | None, k: int, hidden: list[Array],
-                     need: tuple[bool, ...]) -> list:
-    """Gradients of a split MLP for ``(a, b, W0, b0, W1, b1, ...)``, None where ``need`` says so.
+                     rows: Array | None, k: int, hidden: list[Array]) -> list:
+    """Gradients of a split MLP for ``(a, b, W0, b0, W1, b1, ...)``.
 
     ``hidden`` holds the outputs of every layer but the last, as
     ``_split_mlp_outputs`` gives them; it is emptied as the layers are
     passed. Each layer backprops with the expressions of ``linear``.
     """
     last = len(layers) - 1
-    grads = [None] * len(need)
+    grads = [None] * (2 + 2 * len(layers))
     for i in range(last, 0, -1):
         out = hidden.pop() if i < last else None
-        g, grads[2 * i + 2], grads[2 * i + 3] = _dense_grads(
-            g, hidden[-1], layers[i][0], out, (any(need[:2 * i + 2]),) + need[2 * i + 2:2 * i + 4])
-        if g is None:
-            return grads
+        g, grads[2 * i + 2], grads[2 * i + 3] = _dense_grads(g, hidden[-1], layers[i][0], out)
     grads[:4] = _split_linear_grads(g, a, b, layers[0][0], rows, k,
-                                    hidden.pop() if last else None, need[:4])
+                                    hidden.pop() if last else None)
     return grads
 
 
@@ -818,8 +806,7 @@ def split_mlp_forward(spec: MlpSpec, params: ParamStore, name: str, a: Tensor, b
     def backprop(g):
         arrays = [(w.data, bias.data) for w, bias in layers]
         hidden = _split_mlp_outputs(a.data, b.data, arrays, rows, k, len(arrays) - 1)
-        return tuple(_split_mlp_grads(g, a.data, b.data, arrays, rows, k, hidden,
-                                      tuple(p.requires_grad for p in parents)))
+        return tuple(_split_mlp_grads(g, a.data, b.data, arrays, rows, k, hidden))
 
     out = _split_mlp_outputs(a.data, b.data, arrays, rows, k, spec.n_layers)[-1]
     return _make(out, parents, backprop)

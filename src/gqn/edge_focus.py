@@ -102,16 +102,11 @@ def _fold(out_w: Array, out_b: Array, w: Array, b: Array) -> tuple[Array, Array]
     return out_w @ w, bias
 
 
-def _fold_grads(g_w: Array | None, g_b: Array | None, out_w: Array, out_b: Array, w: Array,
-                need: tuple[bool, bool, bool, bool]) -> tuple:
-    """Gradients of ``_fold`` for ``out_w``, ``out_b``, ``w`` and ``b``, None where ``need``
-    says so."""
-    gw = None
-    if need[2]:
-        gw = out_w.T @ g_w
-        gw += np.outer(out_b, g_b)
-    return (g_w @ w.T if need[0] else None, w @ g_b if need[1] else None, gw,
-            g_b if need[3] else None)
+def _fold_grads(g_w: Array, g_b: Array, out_w: Array, out_b: Array, w: Array) -> tuple:
+    """Gradients of ``_fold`` for ``out_w``, ``out_b``, ``w`` and ``b``."""
+    gw = out_w.T @ g_w
+    gw += np.outer(out_b, g_b)
+    return g_w @ w.T, w @ g_b, gw, g_b
 
 
 def _edge_weights(x: Array, n_nodes: int, k: int, scoring: list[Array]) -> Array:
@@ -168,9 +163,10 @@ def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,
 
     Every step is per edge or per node, so a chunk of stacked queries gives
     each query the rows it would get alone. The node's parents are the
-    states twice (node MLP first, then edge MLP: the order in which a chain
-    of one node per stage would pass their gradients), then the edge MLP's,
-    q's, key's and node MLP's weights and biases.
+    states, then the edge MLP's, q's, key's and node MLP's weights and
+    biases; the positions are a constant. The backward returns the gradient
+    of every parent, and ``Tensor.backward`` drops those of parents that do
+    not require grad.
     """
     _check_scoring(edge_spec.widths[-1], q_spec, k_spec)
     hidden = edge_features(query, params, edge_spec).data
@@ -193,49 +189,32 @@ def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,
 
     out = update_nodes(query, Tensor(mix_and_message(hidden, folded())[2]), params, node_spec).data
 
-    parents = ((states, states) + tuple(t for layer in edge for t in layer) + tuple(scoring)
+    parents = ((states,) + tuple(t for layer in edge for t in layer) + tuple(scoring)
                + tuple(t for layer in node for t in layer))
-    first_out, first_q, first_node = 2 * len(edge), 2 + 2 * len(edge), 6 + 2 * len(edge)
 
     def backprop(g):
-        need = tuple(p.requires_grad for p in parents)
         edge_arrays, node_arrays = _arrays(edge), _arrays(node)
         (out_w, out_b), (wq, _, wk, _) = edge_arrays[-1], [t.data for t in scoring]
         hidden = _split_mlp_outputs(positions, states.data, edge_arrays, rows, k, len(edge) - 1)
         h, fold = hidden[-1], folded()
         beta, mix, message = mix_and_message(h, fold)
-        grads = [None] * len(parents)
         node_grads = _split_mlp_grads(
             g, message, states.data, node_arrays, None, 0,
-            _split_mlp_outputs(message, states.data, node_arrays, None, 0, len(node) - 1),
-            (any(need[1:first_node]), need[0]) + need[first_node:])
-        grads[0], grads[first_node:] = node_grads[1], node_grads[2:]
-        if node_grads[0] is None:
-            return tuple(grads)
-        need_out_w, need_out_b = need[first_out:first_q]
-        gmix, gw_out, gb_out = _dense_grads(node_grads[0], mix, out_w, None,
-                                            (True, need_out_w, need_out_b))
+            _split_mlp_outputs(message, states.data, node_arrays, None, 0, len(node) - 1))
+        gmix, gw_out, gb_out = _dense_grads(node_grads[0], mix, out_w, None)
         gh, gbeta = _segment_mix_grads(gmix, h, beta, k)
         gscores = _row_softmax_grad(gbeta.reshape(n, k), beta.reshape(n, k)).reshape(n * k)
-        need_h = any(need[1:first_out])
-        need_q, need_k = ((need_out_w, need_out_b) + need[i:i + 2]
-                          for i in (first_q, first_q + 2))
-        gx, gwq, gbq, gwk, gbk = _bilinear_score_grads(
-            gscores, h, *fold, (need_h, need_q[0] or need_q[2], any(need_q[1:]),
-                                need_k[0] or need_k[2], any(need_k[1:])))
-        q_grads = _fold_grads(gwq, gbq, out_w, out_b, wq, need_q)
-        k_grads = _fold_grads(gwk, gbk, out_w, out_b, wk, need_k)
-        grads[first_q:first_node] = q_grads[2:] + k_grads[2:]
-        for i, direct in ((0, gw_out), (1, gb_out)):
-            if need[first_out + i]:
-                grads[first_out + i] = direct + q_grads[i] + k_grads[i]
-        if not need_h:
-            return tuple(grads)
+        gx, gwq, gbq, gwk, gbk = _bilinear_score_grads(gscores, h, *fold)
+        q_grads = _fold_grads(gwq, gbq, out_w, out_b, wq)
+        k_grads = _fold_grads(gwk, gbk, out_w, out_b, wk)
         gh += gx
         gh = np.where(h > 0.0, gh, 0.0)
         edge_grads = _split_mlp_grads(gh, positions, states.data, edge_arrays[:-1], rows, k,
-                                      hidden[:-1], (False,) + need[1:first_out])
-        grads[1:first_out] = edge_grads[1:]
-        return tuple(grads)
+                                      hidden[:-1])
+        # the states' gradient adds the node MLP's part, then the edge MLP's, as
+        # a chain of one node per stage would
+        return ((node_grads[1] + edge_grads[1],) + tuple(edge_grads[2:])
+                + (gw_out + q_grads[0] + k_grads[0], gb_out + q_grads[1] + k_grads[1])
+                + q_grads[2:] + k_grads[2:] + tuple(node_grads[2:]))
 
     return _make(out, parents, backprop)

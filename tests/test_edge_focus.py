@@ -213,11 +213,11 @@ def test_update_passthrough_of_state_half_with_zero_edges():
 # composed operator
 
 
-def _toy_query(seed=0, d=4, k=3):
+def _toy_query(seed=0, d=4, k=3, u_grad=True):
     spec = SceneSpec(6, 6, d, boxes=(), clutter_density=0.5, noise_amplitude=0.2, seed=seed)
     grid, _ = generate_scene(spec)
     flat = flatten_grid(grid, sinusoidal_encoding(6, 6, d))
-    u = Tensor(np.random.default_rng(seed).standard_normal(d), requires_grad=True)
+    u = Tensor(np.random.default_rng(seed).standard_normal(d), requires_grad=u_grad)
     return init_graph_query(u, Tensor(flat.states), flat, 0, 0, QuerySetSpec(1, 0.3, k)), u
 
 
@@ -298,7 +298,7 @@ def _hidden_node(query, params, spec):
         hidden = outputs()
         g = np.where(hidden[-1] > 0.0, g, 0.0)
         return tuple(_split_mlp_grads(g, query.positions, query.states.data, arrays[:-1], rows, k,
-                                      hidden[:-1], (False,) + (True,) * len(parents))[1:])
+                                      hidden[:-1])[1:])
 
     return _make(outputs()[-1], parents, backprop)
 
@@ -308,7 +308,7 @@ def _fold_node(out_w, out_b, w, b):
     parents = (out_w, out_b, w, b)
     return _make(np.vstack(_fold(*(t.data for t in parents))), parents,
                  lambda g: _fold_grads(g[:-1].copy(), g[-1].copy(), out_w.data, out_b.data,
-                                       w.data, (True,) * 4))
+                                       w.data))
 
 
 def _score_node(x, fold_q, fold_k):
@@ -321,7 +321,7 @@ def _score_node(x, fold_q, fold_k):
                            for part in (f.data[:-1], f.data[-1])]
 
     def backprop(g):
-        gx, gwq, gbq, gwk, gbk = _bilinear_score_grads(g, *arrays(), (True,) * 5)
+        gx, gwq, gbq, gwk, gbk = _bilinear_score_grads(g, *arrays())
         return gx, np.vstack([gwq, gbq]), np.vstack([gwk, gbk])
 
     return _make(_bilinear_scores(*arrays()), parents, backprop)
@@ -365,10 +365,10 @@ def _unfolded_update(query, params, edge_spec, node_spec, q_spec, k_spec):
     return mlp_forward(node_spec, params, "node_mlp", concat_cols([message, query.states]))
 
 
-def _outputs_and_grads(stage, d, k):
+def _outputs_and_grads(stage, d, k, u_grad=True):
     """The stage's output, the gradient reaching u through the states (which both MLPs
     read) and every weight's gradient, under a random upstream gradient."""
-    query, u = _toy_query(seed=d, d=d, k=k)
+    query, u = _toy_query(seed=d, d=d, k=k, u_grad=u_grad)
     params, specs = _stage_params(d, seed=d)
     out = stage(query, params, specs["edge_mlp"], specs["node_mlp"], specs["edge_q"],
                 specs["edge_k"])
@@ -399,6 +399,18 @@ def test_edge_focus_update_matches_the_unfolded_stage(d, k):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("d,k", [(4, 3), (8, 5)])
+def test_edge_focus_update_fed_constant_states_keeps_every_weight_gradient(d, k):
+    """A chunk built from a constant global vector u has constant states: the node still
+    returns their gradient and the tape drops it, so ``u.grad`` stays None and the output
+    and every weight's gradient have the bits they have when u requires grad."""
+    fed, constant = (_outputs_and_grads(edge_focus_update, d, k, u_grad)
+                     for u_grad in (True, False))
+    assert fed[1] is not None and constant[1] is None
+    del fed[1], constant[1]
+    assert [a.tobytes() for a in fed] == [a.tobytes() for a in constant]
+
+
 def test_edge_focus_update_is_one_tape_node_that_keeps_only_its_inputs():
     query, _ = _toy_query(seed=7)
     params, specs = _stage_params(4, seed=7)
@@ -407,7 +419,7 @@ def test_edge_focus_update_is_one_tape_node_that_keeps_only_its_inputs():
     weights = tuple(params[f"{name}/{p}{i}"] for name, layers in
                     (("edge_mlp", 2), ("edge_q", 1), ("edge_k", 1), ("node_mlp", 2))
                     for i in range(layers) for p in "Wb")
-    assert out._parents == (query.states, query.states) + weights
+    assert out._parents == (query.states,) + weights
     # No per-edge array is on the tape or held by the backward: only the inputs.
     edges = query.n_nodes * query.k
     assert all(t.data.shape[:1] != (edges,) for t in _toposort(out))
