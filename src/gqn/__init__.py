@@ -16,8 +16,8 @@ from .cost_model import (CostReport, compare_full_vs_queries, construction_cost,
 from .deep_context import context_exchange, infuse_context, pool_query
 from .edge_focus import edge_attention, edge_features, edge_focus_update, update_nodes
 from .errors import ConfigError, ContractError, GqnError, InvalidInputError, ShapeError
-from .pipeline import (GqnConfig, GqnOutput, TrainResult, concat_sets, init_params, run_gqn,
-                       skip_fuse, soft_fusion, toy_train)
+from .pipeline import (GqnConfig, GqnOutput, TrainResult, init_params, run_gqn, skip_fuse,
+                       soft_fusion, toy_train)
 from .query_init import (GraphQuery, QuerySetSpec, attention_scores, build_knn_edges,
                          init_graph_query, select_nodes)
 from .scene import (BevGrid, FlatPairs, ObjectBox, PosEncoding, SceneSpec, SceneTruth,

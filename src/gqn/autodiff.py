@@ -54,7 +54,6 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -479,33 +478,6 @@ def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _make(t.data.reshape(shape), (t,), lambda g: (g.reshape(orig),))
 
 
-@lru_cache(maxsize=32)
-def _sorting_network(k: int) -> tuple[tuple[int, int], ...]:
-    """Comparators ``(i, j)``, i < j, that sort k wires ascending (min to wire i).
-
-    Batcher's odd-even merge sort for the next power of two, keeping only the
-    comparators whose wires are both < k: the dropped wires would hold +inf and
-    never move. That leaves 5, 19 and 42 comparators at k = 4, 8 and 12.
-    Applied with ``np.minimum``/``np.maximum`` over whole (n, c) slices, it is
-    the value-sorted form of a k-way sum, bit-identical under any reordering
-    of its terms. No forward pass calls it: the edge and attention sums add
-    their terms in stored order (see the module docstring).
-    """
-    width = 1 << max(k - 1, 0).bit_length()
-    pairs = []
-    p = 1
-    while p < width:
-        step = p
-        while step >= 1:
-            for j in range(step % p, width - step, 2 * step):
-                for i in range(j, j + min(step, width - j - step)):
-                    if i // (2 * p) == (i + step) // (2 * p) and i + step < k:
-                        pairs.append((i, i + step))
-            step //= 2
-        p *= 2
-    return tuple(pairs)
-
-
 def _segment_mix(t: Array, w: Array, k: int) -> Array:
     """Weighted sum over consecutive groups of k rows: (n*k, c), (n*k,) -> (n, c).
 
@@ -664,27 +636,24 @@ def _param_rng(seed: int, name: str) -> np.random.Generator:
 class ParamStore:
     """Named parameter tensors with seeded, name-keyed initialization.
 
-    Weights are uniform in [-a, a] with a = sqrt(6 / (fan_in + fan_out));
-    biases start at zero. Names are grouped by their prefix before '/'.
+    Weights are uniform in [-a, a] with a = sqrt(6 / (fan_in + fan_out)). The
+    fans are a matrix's shape, and (d, d) for a (d,) vector, so a vector's
+    bound is sqrt(6 / (2d)). Biases start at zero. Names are grouped by their
+    prefix before '/'.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
         self._params: dict[str, Tensor] = {}
 
-    def register(self, name: str, shape: Sequence[int], fans: tuple[int, int] | None = None,
-                 init: str = "uniform") -> Tensor:
+    def register(self, name: str, shape: Sequence[int], init: str = "uniform") -> Tensor:
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
         shape = tuple(int(s) for s in shape)
         if init == "zeros":
             data = np.zeros(shape)
         elif init == "uniform":
-            if fans is None:
-                if len(shape) == 2:
-                    fans = (shape[0], shape[1])
-                else:
-                    fans = (shape[0], shape[0])
+            fans = shape if len(shape) == 2 else (shape[0], shape[0])
             a = math.sqrt(6.0 / (fans[0] + fans[1]))
             data = _param_rng(self.seed, name).uniform(-a, a, size=shape)
         else:
@@ -696,7 +665,7 @@ class ParamStore:
     def register_mlp(self, name: str, spec: MlpSpec) -> None:
         for i in range(spec.n_layers):
             w_in, w_out = spec.widths[i], spec.widths[i + 1]
-            self.register(f"{name}/W{i}", (w_in, w_out), fans=(w_in, w_out))
+            self.register(f"{name}/W{i}", (w_in, w_out))
             self.register(f"{name}/b{i}", (w_out,), init="zeros")
 
     def __getitem__(self, name: str) -> Tensor:
@@ -821,7 +790,7 @@ def _mlp_layers(spec: MlpSpec, params: ParamStore, name: str, h: Tensor) -> Tens
 def register_attention(params: ParamStore, name: str, d: int) -> None:
     """Register query/key/value projections for one shared attention layer."""
     for proj in ("Wq", "Wk", "Wv"):
-        params.register(f"{name}/{proj}", (d, d), fans=(d, d))
+        params.register(f"{name}/{proj}", (d, d))
     for proj in ("bq", "bk", "bv"):
         params.register(f"{name}/{proj}", (d,), init="zeros")
 

@@ -116,7 +116,8 @@ def _edge_weights(x: Array, n_nodes: int, k: int, scoring: list[Array]) -> Array
 
 def edge_features(query: GraphQuery, params: ParamStore, spec: MlpSpec) -> Tensor:
     """Per-edge features h: the edge MLP of (relative position || neighbor state) up to its
-    last hidden layer, after the ReLU; shape (n_nodes*k, width of that layer).
+    last hidden layer, after the ReLU; shape (n_nodes*k, width of that layer). Row e is
+    the edge from node e // k to node ``query.edge_dst[e]``.
 
     The MLP's output layer is linear; the stage folds it into the scores and
     the message (see the module docstring), so no per-edge output is built.
@@ -127,8 +128,6 @@ def edge_features(query: GraphQuery, params: ParamStore, spec: MlpSpec) -> Tenso
     if spec.n_layers < 2:
         raise ShapeError(f"the edge stage folds the edge MLP's output layer, so it needs two or "
                          f"more layers, got widths {spec.widths}")
-    if not np.array_equal(query.edge_src, np.repeat(np.arange(query.n_nodes), query.k)):
-        raise ContractError("edge features need edges grouped by source, k per node")
     layers, rows = _arrays(_layers(params, "edge_mlp", spec)), np.asarray(query.edge_dst, np.intp)
     _check_split_mlp("edge_mlp", query.positions, query.states.data, layers, rows, query.k)
     return Tensor(_split_mlp_outputs(query.positions, query.states.data, layers, rows, query.k,

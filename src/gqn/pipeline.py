@@ -149,7 +149,7 @@ def init_params(config: GqnConfig, m_bev: int) -> ParamStore:
             raise ConfigError(f"set {i}: k={s.k} >= n={n} nodes (ratio {s.ratio} of {m_bev} cells)")
     params = ParamStore(seed=config.seed)
     for q in range(config.tau):
-        params.register(f"query_global/{q}", (config.d,), fans=(config.d, config.d))
+        params.register(f"query_global/{q}", (config.d,))
     params.register_mlp("edge_mlp", config.edge_mlp_spec)
     params.register_mlp("node_mlp", config.node_mlp_spec)
     params.register_mlp("edge_q", config.edge_q_spec)
@@ -159,14 +159,6 @@ def init_params(config: GqnConfig, m_bev: int) -> ParamStore:
     params.register_mlp("mlp1", config.mlp1_spec)
     params.register_mlp("mlp2", config.mlp2_spec)
     return params
-
-
-def concat_sets(set_maps: Sequence[Tensor]) -> Tensor:
-    """Concatenate per-set maps along channels, set index ascending."""
-    rows = {m.data.shape[0] for m in set_maps}
-    if len(rows) != 1:
-        raise ShapeError(f"set maps disagree on cell count: {sorted(rows)}")
-    return concat_cols(list(set_maps))
 
 
 def skip_fuse(states: Tensor, concat_map: Tensor, enc: Tensor, params: ParamStore,
@@ -248,7 +240,7 @@ def run_gqn(flat: FlatPairs, config: GqnConfig, params: ParamStore,
             contributions.append((query.bev_indices, mixed))
         set_maps.append(project_to_bev(contributions, flat))
 
-    concat_map = concat_sets(set_maps)
+    concat_map = concat_cols(set_maps)
     skip_map = skip_fuse(states, concat_map, enc, params, config.mlp1_spec)
     fused = None
     if global_map is not None:
@@ -276,7 +268,7 @@ class TrainResult:
 
 def register_readout(params: ParamStore, d: int) -> None:
     """One-channel linear readout used by the training demo's mask regression."""
-    params.register("readout/W", (d, 1), fans=(d, 1))
+    params.register("readout/W", (d, 1))
     params.register("readout/b", (1,), init="zeros")
 
 

@@ -61,6 +61,8 @@ class GraphQuery:
     per-node field belong to query ``query_index + q``, and edge slots are
     chunk-wide, so query q's edges stay inside its own rows. ``n_nodes`` counts
     the nodes of the whole chunk, Q*n. With Q = 1 it is a single query.
+    Edge sources are not stored: every node has k edges, so ``edge_src`` is
+    derived from ``n_nodes`` and ``k``.
     """
 
     set_index: int
@@ -72,12 +74,16 @@ class GraphQuery:
     states_raw: Array   # (Q*n, d) unscaled features, used for kNN
     alpha: Tensor       # (Q*n,) selection weights of the chosen cells
     states: Tensor      # (Q*n, d) features scaled by m_bev * alpha
-    edge_src: Array  # (Q*n*k,) source slots, grouped by source
-    # (Q*n*k,) target slots, nearest first, ties to the lower slot, within a group;
-    # the weighted edge sum adds a node's edges in this order, so it is what
-    # makes that sum reproducible
+    # (Q*n*k,) target slots: node i's k edges are entries i*k .. (i+1)*k - 1,
+    # nearest first, ties to the lower slot; the weighted edge sum adds a node's
+    # edges in this order, so it is what makes that sum reproducible
     edge_dst: Array
     queries: int = 1
+
+    @property
+    def edge_src(self) -> Array:
+        """(Q*n*k,) source slots, derived: node i repeated k times, in slot order."""
+        return np.repeat(np.arange(self.n_nodes, dtype=np.intp), self.k)
 
 
 def attention_scores(u: Tensor, states: Tensor) -> Tensor:
@@ -115,7 +121,6 @@ def select_nodes(alpha: Tensor, states: Tensor, flat: FlatPairs, n: int) -> Grap
                             (pick + m * np.arange(queries)[:, None]).reshape(-1))
     rows = pick.reshape(-1)
     scaled = scale_rows(gather_rows(states, rows), alpha_sel * float(m))
-    empty = np.empty(0, dtype=np.intp)
     return GraphQuery(
         set_index=0,
         query_index=0,
@@ -126,8 +131,7 @@ def select_nodes(alpha: Tensor, states: Tensor, flat: FlatPairs, n: int) -> Grap
         states_raw=flat.states[rows],
         alpha=alpha_sel,
         states=scaled,
-        edge_src=empty,
-        edge_dst=empty,
+        edge_dst=np.empty(0, dtype=np.intp),
         queries=queries,
     )
 
@@ -250,13 +254,12 @@ def init_graph_query(u: Tensor, states: Tensor, flat: FlatPairs,
         raise ConfigError(
             f"set {set_index}: k={spec.k} >= n={n} sampled nodes (ratio {spec.ratio} of {flat.m_bev})")
     nodes = select_nodes(attention_scores(u, states), states, flat, n)
-    edges = [build_knn_edges(f, spec.k) for f in nodes.states_raw.reshape(nodes.queries, n, -1)]
+    dst = [build_knn_edges(f, spec.k)[1] for f in nodes.states_raw.reshape(nodes.queries, n, -1)]
     offsets = np.repeat(n * np.arange(nodes.queries, dtype=np.intp), n * spec.k)
     return replace(
         nodes,
         set_index=set_index,
         query_index=query_index,
         k=spec.k,
-        edge_src=np.concatenate([src for src, _ in edges]) + offsets,
-        edge_dst=np.concatenate([dst for _, dst in edges]) + offsets,
+        edge_dst=np.concatenate(dst) + offsets,
     )

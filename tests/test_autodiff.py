@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from gqn import pipeline
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
-                          _make, _relu_inplace, _segment_mix, _segment_mix_grads,
-                          _sorting_network, _split_linear, _split_linear_grads, _toposort, add,
-                          attn_mix, backward, concat_cols, concat_rows, gather_rows, grad_check,
-                          grad_check_groups, linear, matmul_nt, matvec_rows, max_rows,
-                          mlp_forward, mul, no_grad, register_attention, reshape, row_softmax,
-                          scale_rows, scatter_mean, self_attention_layer, split_mlp_forward, sub,
-                          sum_all)
+                          _make, _relu_inplace, _segment_mix, _segment_mix_grads, _split_linear,
+                          _split_linear_grads, _toposort, add, attn_mix, backward, concat_cols,
+                          concat_rows, gather_rows, grad_check, grad_check_groups, linear,
+                          matmul_nt, matvec_rows, max_rows, mlp_forward, mul, no_grad,
+                          register_attention, reshape, row_softmax, scale_rows, scatter_mean,
+                          self_attention_layer, split_mlp_forward, sub, sum_all)
 from gqn.errors import ConfigError, ContractError, InvalidInputError, ShapeError
 from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
 
@@ -916,11 +915,13 @@ def test_param_store_rejects_duplicate_names():
 
 
 def test_param_init_bounds_follow_fan_sum():
+    # a matrix's fans are its shape; a (d,) vector's are (d, d)
     params = ParamStore(seed=0)
-    t = params.register("m/W", (50, 30))
-    bound = math.sqrt(6.0 / 80.0)
-    assert np.abs(t.data).max() <= bound
-    assert np.abs(t.data).max() > 0.5 * bound  # actually spread over the interval
+    for name, shape, bound in (("m/W", (50, 30), math.sqrt(6.0 / 80.0)),
+                               ("m/u", (24,), math.sqrt(6.0 / (2 * 24)))):
+        t = params.register(name, shape)
+        assert np.abs(t.data).max() <= bound
+        assert np.abs(t.data).max() > 0.5 * bound  # actually spread over the interval
 
 
 def test_max_rows_routes_gradient_to_first_argmax():
@@ -965,6 +966,21 @@ def test_matvec_rows_and_concat_rows_gradients_match_finite_differences():
     assert concat_rows([params["p/x"], params["p/X"]]).data.shape == (3, 3)
     with pytest.raises(ShapeError):
         concat_rows([Tensor(np.ones(3)), Tensor(np.ones((2, 4)))])
+
+
+def test_concat_cols_orders_channels_by_part():
+    a = Tensor(np.ones((4, 2)))
+    b = Tensor(np.full((4, 2), 2.0))
+    c = Tensor(np.full((4, 2), 3.0))
+    out = concat_cols([a, b, c])
+    assert out.data.shape == (4, 6)
+    assert np.array_equal(out.data[:, 0:2], a.data)
+    assert np.array_equal(out.data[:, 4:6], c.data)
+
+
+def test_concat_cols_rejects_row_mismatch():
+    with pytest.raises(ShapeError):
+        concat_cols([Tensor(np.ones((4, 2))), Tensor(np.ones((5, 2)))])
 
 
 def test_concat_cols_drops_constant_parts_from_the_tape():
@@ -1035,20 +1051,6 @@ def test_split_linear_grads_scatter_equals_add_at_byte_for_byte(k):
 def test_scatter_mean_rejects_cells_outside_the_map(cell):
     with pytest.raises(InvalidInputError):
         scatter_mean([(np.array([0, cell]), Tensor(np.ones((2, 2))))], 4)
-
-
-@pytest.mark.parametrize("k", range(1, 9))
-def test_sorting_network_sorts_every_zero_one_input(k):
-    """By the 0-1 principle, sorting all 2^k zero-one inputs proves the network sorts any input."""
-    wires = list(((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).T)
-    for i, j in _sorting_network(k):
-        assert 0 <= i < j < k
-        wires[i], wires[j] = np.minimum(wires[i], wires[j]), np.maximum(wires[i], wires[j])
-    assert all((lo <= hi).all() for lo, hi in zip(wires, wires[1:]))
-
-
-def test_sorting_network_sizes():
-    assert [len(_sorting_network(k)) for k in (1, 2, 3, 4, 8, 12, 13)] == [0, 1, 3, 5, 19, 42, 48]
 
 
 def _left_to_right(terms):

@@ -21,12 +21,11 @@ def _manual_query(states, positions, k):
     states = np.asarray(states, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.float64)
     n = states.shape[0]
-    src, dst = build_knn_edges(states, k)
     return GraphQuery(
         set_index=0, query_index=0, n_nodes=n, k=k,
         bev_indices=np.arange(n), positions=positions, states_raw=states,
         alpha=Tensor(np.full(n, 1.0 / n)), states=Tensor(states),
-        edge_src=src, edge_dst=dst,
+        edge_dst=build_knn_edges(states, k)[1],
     )
 
 
@@ -104,16 +103,6 @@ def test_edge_features_reject_a_one_layer_edge_mlp():
         edge_features(q, params, spec)
     with pytest.raises(ShapeError):
         edge_focus_update(q, params, spec, MlpSpec.relu_stack((4, 2, 2)), lin, lin)
-
-
-def test_edge_features_reject_edges_not_grouped_by_source():
-    rng = np.random.default_rng(0)
-    q = _manual_query(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)), 2)
-    params, spec = _edge_mlp_params(np.ones((4, 2)))
-    perm = np.array([2, 3, 0, 1, 4, 5, 6, 7])  # nodes 0 and 1 swap their edge groups
-    q.edge_src, q.edge_dst = q.edge_src[perm], q.edge_dst[perm]
-    with pytest.raises(ContractError):
-        edge_features(q, params, spec)
 
 
 # ----------------------------------------------------------------------------
@@ -241,11 +230,8 @@ def test_composition_invariant_under_slot_relabeling():
             bev_indices=query.bev_indices[perm], positions=query.positions[perm],
             states_raw=query.states_raw[perm],
             alpha=Tensor(query.alpha.data[perm]), states=Tensor(query.states.data[perm]),
-            edge_src=np.repeat(np.arange(query.n_nodes), query.k),
-            edge_dst=np.empty(0),
+            edge_dst=build_knn_edges(query.states_raw[perm], query.k)[1],
         )
-        src, dst = build_knn_edges(relabeled.states_raw, query.k)
-        relabeled.edge_src, relabeled.edge_dst = src, dst
         out = edge_focus_update(relabeled, params, edge_spec, node_spec, lin, lin).data
         assert np.array_equal(out, base[perm])  # identical multiset, relabeled rows
 

@@ -63,9 +63,7 @@ def _unreferenced(sources: dict[str, str]) -> list[str]:
 
 def test_every_public_function_and_class_is_referenced():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    # Dead code that ROADMAP.md ("Dead code to retire") schedules for deletion
-    # together with its remaining tests.
-    assert _unreferenced(sources) == ["autodiff._sorting_network"]
+    assert _unreferenced(sources) == []
 
 
 def test_unreferenced_function_is_reported():

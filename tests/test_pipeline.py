@@ -3,13 +3,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gqn.autodiff import (ParamStore, Tensor, _toposort, as_tensor, backward, concat_rows,
-                          gather_rows, scatter_mean, sum_all)
+from gqn.autodiff import (ParamStore, Tensor, _toposort, as_tensor, backward, concat_cols,
+                          concat_rows, gather_rows, scatter_mean, sum_all)
 from gqn.deep_context import context_exchange, infuse_context, pool_query
 from gqn.edge_focus import edge_focus_update
 from gqn.errors import ConfigError, ShapeError
-from gqn.pipeline import (GqnConfig, concat_sets, fusion_weights, init_params, mask_loss,
-                          run_gqn, skip_fuse, soft_fusion, toy_train)
+from gqn.pipeline import (GqnConfig, fusion_weights, init_params, mask_loss, run_gqn,
+                          skip_fuse, soft_fusion, toy_train)
 from gqn.query_init import QuerySetSpec, init_graph_query
 from gqn.scene import (FlatPairs, SceneSpec, demo_boxes, flatten_grid, generate_scene,
                        sinusoidal_encoding)
@@ -106,21 +106,6 @@ def test_projection_averages_contributors():
 def test_projection_untouched_cells_zero():
     out = scatter_mean([(np.array([0]), Tensor(np.ones((1, 2))))], 4).data
     assert np.array_equal(out[1:], np.zeros((3, 2)))
-
-
-def test_concat_sets_orders_channels_by_set():
-    a = Tensor(np.ones((4, 2)))
-    b = Tensor(np.full((4, 2), 2.0))
-    c = Tensor(np.full((4, 2), 3.0))
-    out = concat_sets([a, b, c])
-    assert out.data.shape == (4, 6)
-    assert np.array_equal(out.data[:, 0:2], a.data)
-    assert np.array_equal(out.data[:, 4:6], c.data)
-
-
-def test_concat_sets_rejects_row_mismatch():
-    with pytest.raises(ShapeError):
-        concat_sets([Tensor(np.ones((4, 2))), Tensor(np.ones((5, 2)))])
 
 
 def _fusion_params(cfg):
@@ -264,7 +249,7 @@ def _per_query_reference(flat, config, params, global_map):
                                          rows=[query.query_index]))
                          for query, nodes in staged if query.set_index == set_index]
         set_maps.append(gather_rows(scatter_mean(contributions, flat.m_bev), flat.bev_indices))
-    concat_map = concat_sets(set_maps)
+    concat_map = concat_cols(set_maps)
     skip_map = skip_fuse(states, concat_map, enc, params, config.mlp1_spec)
     fused = soft_fusion(skip_map, as_tensor(global_map), params, config.mlp2_spec)
     return set_maps, concat_map, skip_map, fused, summaries
