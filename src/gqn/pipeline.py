@@ -2,12 +2,12 @@
 
 Runs every query of every set through initialization, the edge-attention
 update and context pooling, projects each set's node states back onto the BEV
-grid by contributor-count mean (``project_to_bev``), concatenates set maps
-along channels, and applies the skip MLP (mlp1) over [input state || set maps
-|| positional encoding]. When a global-pathway map is supplied, the skip
-output is blended with it via per-pixel softmax weights from mlp2. Updated
-per-query summary vectors are exposed so an external detection head could
-consume them.
+grid by contributor-count mean, one scatter per set straight into pair order
+(``project_to_bev``), concatenates set maps along channels, and applies the
+skip MLP (mlp1) over [input state || set maps || positional encoding]. When a
+global-pathway map is supplied, the skip output is blended with it via
+per-pixel softmax weights from mlp2. Updated per-query summary vectors are
+exposed so an external detection head could consume them.
 
 Alignment contract: every map in ``GqnOutput`` has one row per *input pair*,
 in the caller's pair order. Because all internal reductions are functions of
@@ -48,9 +48,8 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import (MlpSpec, ParamStore, Tensor, add, as_tensor, backward, column,
-                       concat_cols, concat_rows, gather_rows, linear, mean_all, mlp_forward,
-                       mul, register_attention, reshape, row_softmax, scale_rows, scatter_mean,
-                       sub)
+                       concat_cols, concat_rows, linear, mean_all, mlp_forward, mul,
+                       register_attention, reshape, row_softmax, scale_rows, scatter_mean, sub)
 from .deep_context import context_exchange, infuse_context, pool_query
 from .edge_focus import edge_focus_update
 from .errors import ConfigError, InvalidInputError, ShapeError
@@ -189,11 +188,12 @@ def soft_fusion(graph_map: Tensor, global_map: Tensor, params: ParamStore,
 def project_to_bev(contributions: Sequence[tuple[Array, Tensor]], flat: FlatPairs) -> Tensor:
     """One set's map in pair order: the per-cell mean of its (cells, node rows) contributions.
 
-    One mean per set over its chunks in query order, so the per-cell sums
-    accumulate in the same order as one query at a time would; the cell map
-    is then gathered back to the caller's pair order.
+    Each contribution's cells map to rows of the caller's pair order, so one
+    mean per set over its chunks in query order adds each cell's node rows,
+    as one query at a time would, straight into that cell's pair row.
     """
-    return gather_rows(scatter_mean(contributions, flat.m_bev), flat.bev_indices)
+    pair_row = np.argsort(flat.bev_indices)
+    return scatter_mean([(pair_row[cells], t) for cells, t in contributions], flat.m_bev)
 
 
 def _chunk_size(spec: QuerySetSpec, m_bev: int, d: int) -> int:

@@ -71,7 +71,7 @@ class GraphQuery:
     k: int
     bev_indices: Array  # (Q*n,) cell indices, distinct within each query
     positions: Array    # (Q*n, d) positional encodings, fixed
-    states_raw: Array   # (Q*n, d) unscaled features, used for kNN
+    states_raw: Array   # (Q*n, d) unscaled features for kNN, the data ``states`` is scaled from
     alpha: Tensor       # (Q*n,) selection weights of the chosen cells
     states: Tensor      # (Q*n, d) features scaled by m_bev * alpha
     # (Q*n*k,) target slots: node i's k edges are entries i*k .. (i+1)*k - 1,
@@ -104,9 +104,10 @@ def attention_scores(u: Tensor, states: Tensor) -> Tensor:
 def select_nodes(alpha: Tensor, states: Tensor, flat: FlatPairs, n: int) -> GraphQuery:
     """Pick the n highest-weight cells of each row of alpha; ties go to the lower BEV index.
 
-    ``alpha`` is (m,) for one query or (Q, m) for Q. Returns the chunk's nodes
-    as a query without edges (k = 0); ``init_graph_query`` numbers it and
-    adds the kNN edges.
+    ``alpha`` is (m,) for one query or (Q, m) for Q. The selected rows are
+    gathered once: ``states_raw`` is that gather's data, ``states`` the gather
+    scaled by m_bev * alpha. Returns the chunk's nodes as a query without
+    edges (k = 0); ``init_graph_query`` numbers it and adds the kNN edges.
     """
     m = alpha.data.shape[-1]
     if not 1 <= n <= m:
@@ -120,7 +121,7 @@ def select_nodes(alpha: Tensor, states: Tensor, flat: FlatPairs, n: int) -> Grap
     alpha_sel = gather_rows(reshape(alpha, (queries * m,)),
                             (pick + m * np.arange(queries)[:, None]).reshape(-1))
     rows = pick.reshape(-1)
-    scaled = scale_rows(gather_rows(states, rows), alpha_sel * float(m))
+    raw = gather_rows(states, rows)
     return GraphQuery(
         set_index=0,
         query_index=0,
@@ -128,22 +129,22 @@ def select_nodes(alpha: Tensor, states: Tensor, flat: FlatPairs, n: int) -> Grap
         k=0,
         bev_indices=flat.bev_indices[rows],
         positions=flat.positions[rows],
-        states_raw=flat.states[rows],
+        states_raw=raw.data,
         alpha=alpha_sel,
-        states=scaled,
+        states=scale_rows(raw, alpha_sel * float(m)),
         edge_dst=np.empty(0, dtype=np.intp),
         queries=queries,
     )
 
 
-def build_knn_edges(features: Array, k: int) -> tuple[Array, Array]:
+def build_knn_edges(features: Array, k: int) -> Array:
     """Directed edges from each node to its k nearest neighbors (self excluded).
 
     The result is defined by exact pairwise squared Euclidean distances
     computed from explicit differences, d2_ij = sum((f_i - f_j)**2), so
     duplicate vectors tie at exactly zero; ties break to the lower node slot.
-    Returns (src, dst) arrays grouped by source slot, nearest neighbor first.
-    That order, nearest first and ties to the lower slot, is what makes the
+    Returns only the (n*k,) targets: entries i*k .. i*k + k - 1 are node i's
+    k neighbors. That order, nearest first and ties to the lower slot, makes the
     weighted edge sum reproducible: ``autodiff._segment_mix`` adds a node's
     edges left to right in it. Slots are ranked by (-alpha, BEV index)
     (``select_nodes``), so the order is a function of the pair set.
@@ -238,8 +239,7 @@ def build_knn_edges(features: Array, k: int) -> tuple[Array, Array]:
         d2 = np.einsum("bnd,bnd->bn", diff, diff)
         order = np.lexsort((cand, d2), axis=1)[:, :k]
         dst[r0:r1] = cand[rows[:, None], order]
-    src = np.repeat(np.arange(n, dtype=np.intp), k)
-    return src, dst.reshape(-1)
+    return dst.reshape(-1)
 
 
 def init_graph_query(u: Tensor, states: Tensor, flat: FlatPairs,
@@ -254,7 +254,7 @@ def init_graph_query(u: Tensor, states: Tensor, flat: FlatPairs,
         raise ConfigError(
             f"set {set_index}: k={spec.k} >= n={n} sampled nodes (ratio {spec.ratio} of {flat.m_bev})")
     nodes = select_nodes(attention_scores(u, states), states, flat, n)
-    dst = [build_knn_edges(f, spec.k)[1] for f in nodes.states_raw.reshape(nodes.queries, n, -1)]
+    dst = [build_knn_edges(f, spec.k) for f in nodes.states_raw.reshape(nodes.queries, n, -1)]
     offsets = np.repeat(n * np.arange(nodes.queries, dtype=np.intp), n * spec.k)
     return replace(
         nodes,

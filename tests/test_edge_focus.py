@@ -25,7 +25,7 @@ def _manual_query(states, positions, k):
         set_index=0, query_index=0, n_nodes=n, k=k,
         bev_indices=np.arange(n), positions=positions, states_raw=states,
         alpha=Tensor(np.full(n, 1.0 / n)), states=Tensor(states),
-        edge_dst=build_knn_edges(states, k)[1],
+        edge_dst=build_knn_edges(states, k),
     )
 
 
@@ -230,7 +230,7 @@ def test_composition_invariant_under_slot_relabeling():
             bev_indices=query.bev_indices[perm], positions=query.positions[perm],
             states_raw=query.states_raw[perm],
             alpha=Tensor(query.alpha.data[perm]), states=Tensor(query.states.data[perm]),
-            edge_dst=build_knn_edges(query.states_raw[perm], query.k)[1],
+            edge_dst=build_knn_edges(query.states_raw[perm], query.k),
         )
         out = edge_focus_update(relabeled, params, edge_spec, node_spec, lin, lin).data
         assert np.array_equal(out, base[perm])  # identical multiset, relabeled rows

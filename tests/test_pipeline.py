@@ -377,6 +377,21 @@ def test_each_split_mlp_is_one_tape_node_per_chunk():
             assert users == stages and all(t._parents.count(params[p]) == 1 for t in users), p
 
 
+def test_each_set_map_is_one_scatter_of_its_infused_nodes():
+    """A set map's parents are exactly its chunks' context-infusion outputs, each
+    (Q*n, d), in query order: no (m, d) cell-order map sits in between."""
+    config = GqnConfig()
+    _, flat, _ = toy_inputs(h=16, w=16, d=config.d, seed=0)
+    params = init_params(config, flat.m_bev)
+    out = run_gqn(flat, config, params, global_map=flat.states)
+    weights = tuple(params[f"context_mlp/{p}{i}"] for i in range(2) for p in "Wb")
+    for i, set_map in enumerate(out.set_maps):
+        chunks = [chunk for chunk in out.queries if chunk.set_index == i]
+        assert [t.data.shape for t in set_map._parents] == [(c.n_nodes, config.d) for c in chunks]
+        assert all(t._parents[1] is out.global_vectors and t._parents[2:] == weights
+                   for t in set_map._parents)
+
+
 def test_every_global_vector_receives_gradient():
     cfg = toy_config()
     scene, flat, truth = toy_inputs(seed=3)

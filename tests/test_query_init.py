@@ -131,9 +131,17 @@ def test_selection_scaling_carries_gradient_to_u():
 # kNN edges
 
 
+def _knn_edges(features, k):
+    """build_knn_edges as (src, dst): sources derived from its layout, k per node."""
+    dst = build_knn_edges(features, k)
+    n = len(features)
+    assert dst.shape == (n * k,)
+    return np.repeat(np.arange(n), k), dst
+
+
 def test_complete_graph_when_k_is_n_minus_1():
     feats = np.random.default_rng(0).standard_normal((5, 3))
-    src, dst = build_knn_edges(feats, 4)
+    src, dst = _knn_edges(feats, 4)
     assert len(src) == 5 * 4
     assert all(s != d for s, d in zip(src, dst))
     for i in range(5):
@@ -142,14 +150,14 @@ def test_complete_graph_when_k_is_n_minus_1():
 
 def test_knn_1d_distance_table():
     # features 0, 1, 5 -> nearest neighbors 0->1, 1->0, 2->1
-    src, dst = build_knn_edges(np.array([[0.0], [1.0], [5.0]]), 1)
+    src, dst = _knn_edges(np.array([[0.0], [1.0], [5.0]]), 1)
     assert list(src) == [0, 1, 2]
     assert list(dst) == [1, 0, 1]
 
 
 def test_knn_duplicate_features_tie_to_lower_slot():
     feats = np.zeros((4, 2))
-    src, dst = build_knn_edges(feats, 2)
+    src, dst = _knn_edges(feats, 2)
     assert len(src) == 8
     assert list(dst[src == 0]) == [1, 2]
     assert list(dst[src == 3]) == [0, 1]
@@ -164,7 +172,7 @@ def test_knn_rejects_k_not_below_n():
 def test_knn_structure_invariants(seed):
     rng = np.random.default_rng(seed)
     n, k = int(rng.integers(5, 40)), int(rng.integers(1, 4))
-    src, dst = build_knn_edges(rng.standard_normal((n, 8)), k)
+    src, dst = _knn_edges(rng.standard_normal((n, 8)), k)
     assert len(src) == n * k
     assert not np.any(src == dst)
     pairs = set(zip(src.tolist(), dst.tolist()))
@@ -178,7 +186,7 @@ def test_knn_blocked_path_matches_single_block():
     rng = np.random.default_rng(9)
     n = 1024
     feats = rng.standard_normal((n, 16))
-    src_a, dst_a = build_knn_edges(feats, 3)
+    _, dst_a = _knn_edges(feats, 3)
     diff = feats[:, None, :] - feats[None, :, :]
     d2 = np.einsum("bnd,bnd->bn", diff, diff)
     d2[np.arange(n), np.arange(n)] = np.inf
@@ -219,7 +227,7 @@ def _gram_only_dst(features, k):
 
 
 def _assert_matches_reference(features, k):
-    src, dst = build_knn_edges(features, k)
+    src, dst = _knn_edges(features, k)
     ref_src, ref_dst = _knn_reference(features, k)
     assert np.array_equal(src, ref_src)
     assert np.array_equal(dst, ref_dst)
@@ -331,6 +339,16 @@ def test_init_graph_query_chunk_stacks_single_queries():
         assert np.array_equal(chunk.states.data[rows], single.states.data)
         assert np.array_equal(chunk.edge_src[edges], single.edge_src + q * n)
         assert np.array_equal(chunk.edge_dst[edges], single.edge_dst + q * n)
+
+
+def test_chunk_keeps_one_copy_of_its_rows():
+    # states_raw is the data of the gather that states is scaled from, not a second copy
+    flat = _flat(h=8, w=8, d=4, seed=7)
+    flat = flat.reordered(np.random.default_rng(3).permutation(flat.m_bev))
+    u = Tensor(np.random.default_rng(6).standard_normal((2, 4)), requires_grad=True)
+    chunk = init_graph_query(u, Tensor(flat.states), flat, 0, 0, QuerySetSpec(2, 0.3, 3))
+    assert np.shares_memory(chunk.states_raw, chunk.states._parents[0].data)
+    assert np.array_equal(chunk.states_raw, flat.to_grid_order(flat.states)[chunk.bev_indices])
 
 
 def test_set_spec_validation():
