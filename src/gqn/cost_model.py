@@ -288,8 +288,8 @@ def run_benchmark(config: GqnConfig, m_bev_sweep: list[int], modes: list[str] | 
     """Analytic counts per (m_bev, mode) row, plus measured kNN wall time.
 
     Wall times run the library's exact kNN, ``build_knn_edges`` (a Gram-matrix
-    candidate pass, then an explicit-difference re-rank of the candidates), on
-    random features. They are reported only in naive mode, whose count is the
+    candidate pass; the Gram order where its gaps certify it, else an
+    explicit-difference re-rank of the candidates), on random features. They are reported only in naive mode, whose count is the
     all-pairs distance work that pass still does, for graphs of at most
     ``exec_node_cap`` nodes (the indexed build is counted, not implemented);
     skipped timings are None.

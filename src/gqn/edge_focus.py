@@ -44,8 +44,9 @@ key would take three.
 
 One tape node per chunk: ``edge_focus_update`` runs the hidden features,
 scores, softmax, weighted sum, message and node MLP as array code and records
-one node that keeps only its inputs (positions, states, edge targets, the
-parameters) and its (n, d) output. Its backward recomputes every per-edge
+one node that keeps only its inputs (the grid's positions and the nodes' rows
+in it, states, edge targets, the parameters) and its (n, d) output. Its
+backward gathers the nodes' positions again and recomputes every per-edge
 array with the forward's calls, so they carry the same bits (Chen et al.,
 "Training Deep Nets with Sublinear Memory Cost", 2016), then backprops
 through the stages in reverse; the gradients of the output layer, q and key
@@ -122,15 +123,16 @@ def edge_features(query: GraphQuery, params: ParamStore, spec: MlpSpec) -> Tenso
     The MLP's output layer is linear; the stage folds it into the scores and
     the message (see the module docstring), so no per-edge output is built.
     """
-    d = query.positions.shape[1]
+    positions = query.positions
+    d = positions.shape[1]
     if spec.widths[0] != 2 * d:
         raise ShapeError(f"edge MLP expects input width {spec.widths[0]}, node width is {d}")
     if spec.n_layers < 2:
         raise ShapeError(f"the edge stage folds the edge MLP's output layer, so it needs two or "
                          f"more layers, got widths {spec.widths}")
     layers, rows = _arrays(_layers(params, "edge_mlp", spec)), np.asarray(query.edge_dst, np.intp)
-    _check_split_mlp("edge_mlp", query.positions, query.states.data, layers, rows, query.k)
-    return Tensor(_split_mlp_outputs(query.positions, query.states.data, layers, rows, query.k,
+    _check_split_mlp("edge_mlp", positions, query.states.data, layers, rows, query.k)
+    return Tensor(_split_mlp_outputs(positions, query.states.data, layers, rows, query.k,
                                      len(layers) - 1)[-1])
 
 
@@ -147,7 +149,7 @@ def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore,
 
 def update_nodes(query: GraphQuery, message: Tensor, params: ParamStore, spec: MlpSpec) -> Tensor:
     """Updated node states: MLP(message || node state), shape (n_nodes, d)."""
-    d = query.positions.shape[1]
+    d = query.grid_positions.shape[1]
     if spec.widths[0] != 2 * d:
         raise ShapeError(f"node MLP expects input width {spec.widths[0]}, node width is {d}")
     layers = _arrays(_layers(params, "node_mlp", spec))
@@ -172,7 +174,8 @@ def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,
 
     edge, node = _layers(params, "edge_mlp", edge_spec), _layers(params, "node_mlp", node_spec)
     scoring = _scoring(params, q_spec, k_spec)
-    states, positions, n, k = query.states, query.positions, query.n_nodes, query.k
+    states, n, k = query.states, query.n_nodes, query.k
+    grid_positions, pair_rows = query.grid_positions, query.pair_rows
     rows = np.asarray(query.edge_dst, np.intp)
 
     def folded() -> list[Array]:
@@ -194,6 +197,7 @@ def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,
     def backprop(g):
         edge_arrays, node_arrays = _arrays(edge), _arrays(node)
         (out_w, out_b), (wq, _, wk, _) = edge_arrays[-1], [t.data for t in scoring]
+        positions = grid_positions[pair_rows]
         hidden = _split_mlp_outputs(positions, states.data, edge_arrays, rows, k, len(edge) - 1)
         h, fold = hidden[-1], folded()
         beta, mix, message = mix_and_message(h, fold)

@@ -17,10 +17,10 @@ list yields the same maps, permuted the same way, bit for bit.
 Chunk layout: the queries of one set share n and k, so the per-query stage
 runs on chunks of Q queries stacked query-major (see ``GraphQuery``). One
 chunk costs the same tape ops whatever Q is, and its whole edge stage is one
-of them (``edge_focus_update``); kNN still runs once per query. Every op of
-that stage is row-wise or per query, so a chunk's outputs and the set maps
-carry the same bits as one query at a time; only gradients summed over rows
-round differently. The largest arrays a chunk builds are the (n*k, d)
+of them (``edge_focus_update``); its kNN is one build over the stacked
+states. Every op of that stage is row-wise or per query, so a chunk's
+outputs and the set maps carry the same bits as one query at a time; only
+gradients summed over rows round differently. The largest arrays a chunk builds are the (n*k, d)
 per-edge temporaries of the edge stage's op (the first layers are split per
 node, so no (n*k, 2d) input exists). None of them is kept on the tape: they
 live inside the op's forward and inside its backward's recompute. Q is capped

@@ -62,7 +62,9 @@ class GraphQuery:
     chunk-wide, so query q's edges stay inside its own rows. ``n_nodes`` counts
     the nodes of the whole chunk, Q*n. With Q = 1 it is a single query.
     Edge sources are not stored: every node has k edges, so ``edge_src`` is
-    derived from ``n_nodes`` and ``k``.
+    derived from ``n_nodes`` and ``k``. Nor are the positions: the chunk keeps
+    the grid's encodings and its nodes' pair rows, and ``positions`` gathers
+    them on each read.
     """
 
     set_index: int
@@ -70,7 +72,8 @@ class GraphQuery:
     n_nodes: int       # Q * n
     k: int
     bev_indices: Array  # (Q*n,) cell indices, distinct within each query
-    positions: Array    # (Q*n, d) positional encodings, fixed
+    grid_positions: Array  # (m, d) the grid's positional encodings, shared, not copied
+    pair_rows: Array    # (Q*n,) the nodes' rows in the grid's pair order
     states_raw: Array   # (Q*n, d) unscaled features for kNN, the data ``states`` is scaled from
     alpha: Tensor       # (Q*n,) selection weights of the chosen cells
     states: Tensor      # (Q*n, d) features scaled by m_bev * alpha
@@ -84,6 +87,11 @@ class GraphQuery:
     def edge_src(self) -> Array:
         """(Q*n*k,) source slots, derived: node i repeated k times, in slot order."""
         return np.repeat(np.arange(self.n_nodes, dtype=np.intp), self.k)
+
+    @property
+    def positions(self) -> Array:
+        """(Q*n, d) positional encodings of the nodes, gathered from the grid's."""
+        return self.grid_positions[self.pair_rows]
 
 
 def attention_scores(u: Tensor, states: Tensor) -> Tensor:
@@ -106,8 +114,9 @@ def select_nodes(alpha: Tensor, states: Tensor, flat: FlatPairs, n: int) -> Grap
 
     ``alpha`` is (m,) for one query or (Q, m) for Q. The selected rows are
     gathered once: ``states_raw`` is that gather's data, ``states`` the gather
-    scaled by m_bev * alpha. Returns the chunk's nodes as a query without
-    edges (k = 0); ``init_graph_query`` numbers it and adds the kNN edges.
+    scaled by m_bev * alpha; the positions are not gathered, the chunk keeps
+    the rows. Returns the chunk's nodes as a query without edges (k = 0);
+    ``init_graph_query`` numbers it and adds the kNN edges.
     """
     m = alpha.data.shape[-1]
     if not 1 <= n <= m:
@@ -128,7 +137,8 @@ def select_nodes(alpha: Tensor, states: Tensor, flat: FlatPairs, n: int) -> Grap
         n_nodes=queries * n,
         k=0,
         bev_indices=flat.bev_indices[rows],
-        positions=flat.positions[rows],
+        grid_positions=flat.positions,
+        pair_rows=rows,
         states_raw=raw.data,
         alpha=alpha_sel,
         states=scale_rows(raw, alpha_sel * float(m)),
@@ -140,41 +150,49 @@ def select_nodes(alpha: Tensor, states: Tensor, flat: FlatPairs, n: int) -> Grap
 def build_knn_edges(features: Array, k: int) -> Array:
     """Directed edges from each node to its k nearest neighbors (self excluded).
 
-    The result is defined by exact pairwise squared Euclidean distances
-    computed from explicit differences, d2_ij = sum((f_i - f_j)**2), so
-    duplicate vectors tie at exactly zero; ties break to the lower node slot.
-    Returns only the (n*k,) targets: entries i*k .. i*k + k - 1 are node i's
-    k neighbors. That order, nearest first and ties to the lower slot, makes the
-    weighted edge sum reproducible: ``autodiff._segment_mix`` adds a node's
-    edges left to right in it. Slots are ranked by (-alpha, BEV index)
-    (``select_nodes``), so the order is a function of the pair set.
+    ``features`` is one query's (n, d) nodes or a chunk's (Q, n, d) stack;
+    each query's nodes are wired among themselves only. The result is defined
+    by exact pairwise squared Euclidean distances computed from explicit
+    differences, d2_ij = sum((f_i - f_j)**2), so duplicate vectors tie at
+    exactly zero; ties break to the lower node slot. Returns only the
+    (Q*n*k,) chunk-wide targets: entries (q*n + i)*k .. (q*n + i)*k + k - 1 are
+    node q*n + i's k neighbors, each in q*n .. q*n + n - 1. That order, nearest
+    first and ties to the lower slot, makes the weighted edge sum
+    reproducible: ``autodiff._segment_mix`` adds a node's edges left to right
+    in it. Slots are ranked by (-alpha, BEV index) (``select_nodes``), so the
+    order is a function of the pair set. A stack gives each query the edges
+    it gets alone, plus q*n.
 
-    It is computed in two passes over blocks of rows, sized so that even the
-    worst-case candidate tile, (block, n, d) when every distance ties,
-    stays near 64 MB:
+    It runs over blocks of whole queries, or of rows of one query when a
+    query is large, sized so that even the worst-case candidate tile,
+    (block, n, d) when every distance ties, stays near 64 MB, as does the
+    (block, k, k) table of gaps:
 
-    1. Candidate pass. Squared norms s_i and a Gram block F F^T give
-       g_ij = s_i + s_j - 2 f_i.f_j, one GEMM instead of a (block, n, d)
-       difference tensor. With the diagonal at +inf, g_i(k) is the k-th
-       smallest value of row i (``np.partition``); every slot with
-       g_ij <= g_i(k) + margin_i is a candidate. When every row of the
-       block has exactly k candidates (no near-ties), those are its k
-       smallest g_ij and are read off the candidate mask. Otherwise, if the
-       most candidates any row has is w, each row keeps its w smallest g_ij
-       (``np.argpartition``): all of its candidates, plus a few extra slots
-       where it has fewer than w.
-    2. Re-rank pass. The kept slots alone get d2_ij from explicit
-       differences (the same subtraction and einsum reduction as a full
-       pass) and are ordered by (d2, slot); the first k of each row are
-       the edges. Without near-ties w = k, and the pass touches n k
-       differences instead of n^2.
+    1. Candidate pass. Squared norms s_i and each query's Gram matrix F F^T
+       give g_ij = s_i + s_j - 2 f_i.f_j, one GEMM per query instead of a
+       (block, n, d) difference tensor. With the diagonal at +inf, g_i(k) is
+       the k-th smallest value of row i (``np.partition``); every slot with
+       g_ij <= g_i(k) + margin_i is a candidate. A row with exactly k
+       candidates has no near-tie at its k-th value: they are its k
+       smallest g_ij, read off the candidate mask.
+    2. Certified order. Such a row whose k candidates' Gram values all
+       differ pairwise by more than margin_i takes their Gram order, ranked
+       by counting the pairwise comparisons.
+    3. Re-rank pass. Every other row (exact ties, near-ties, duplicates)
+       keeps its w smallest g_ij (``np.argpartition``), w the most candidates
+       any row of the block has: all of its candidates, plus a few extra
+       slots where it has fewer than w. Those slots alone get d2_ij from
+       explicit differences (the same subtraction and einsum reduction as a
+       full pass) and are ordered by (d2, slot); the first k are the edges.
+       Without near-ties w = k, and the pass touches k differences per row
+       instead of n.
 
     Why the candidates hold every true edge. Let u = eps/2, t_ij the exact
     squared distance and gamma_m = m u / (1 - m u), the bound on the relative error
     of an m-term floating-point dot product or sum of non-negative terms in
     any summation order (Higham, Accuracy and Stability of Numerical
     Algorithms, 3.1), which covers blocked and FMA GEMM kernels. With
-    S_i = s_i + max_j s_j:
+    S_i = s_i + max_j s_j over the nodes of i's query:
 
     - Gram form: each norm is off by at most gamma_d s, the dot product by
       gamma_d |f_i| |f_j| <= gamma_d S_i / 2 (doubled by the factor 2), and
@@ -199,52 +217,100 @@ def build_knn_edges(features: Array, k: int) -> Array:
     same total order (d2, slot) returns exactly the edges a full explicit
     pass returns.
 
+    Why the certified order is the (d2, slot) order. A row read off the mask
+    has exactly k candidates, and they hold its k edges, so they are its
+    edges. Suppose the computed gap fl(g_ia - g_ib) of two of them exceeds
+    the computed margin m_i. A subtraction rounds by a factor within
+    1 +- u and never underflows, so g_ia - g_ib > m_i / (1 + u), and
+    d2_ia - d2_ib >= g_ia - g_ib - 2 D_i > m_i (1 - u) - 2 D_i. The term
+    u m_i, about 2 (d + 4) eps^2 S_i, is one more second-order term that the
+    8 eps S_i slack absorbs, so d2_ia > d2_ib. When every pair of the k
+    candidates has such a gap, d2 is strictly ordered as g is: no two of
+    them tie, and the Gram order is the (d2, slot) order.
+
     Raises InvalidInputError on NaN or inf features, and on features so large
     that squared distances would overflow float64.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ShapeError(f"features must be (n, d), got {features.shape}")
-    n, d = features.shape
+    if features.ndim not in (2, 3):
+        raise ShapeError(f"features must be (n, d) or (Q, n, d), got {features.shape}")
+    stack = features[None] if features.ndim == 2 else features
+    queries, n, d = stack.shape
     if not 1 <= k < n:
         raise ConfigError(f"k={k} must satisfy 1 <= k < n={n}")
-    sq = np.einsum("nd,nd->n", features, features)
-    sq_max = float(sq.max())  # NaN or inf if any feature is
-    if not sq_max <= _NORM_LIMIT:
-        if not np.isfinite(features).all():
+    nodes = stack.reshape(queries * n, d)
+    sq = np.einsum("nd,nd->n", nodes, nodes).reshape(queries, n)
+    sq_max = sq.max(axis=1)  # NaN or inf for a query with a NaN or inf feature
+    if not (sq_max <= _NORM_LIMIT).all():
+        if not np.isfinite(stack).all():
             raise InvalidInputError("kNN features contain NaN or inf")
         raise InvalidInputError(
-            f"kNN feature norms too large (max squared norm {sq_max:.3g}): "
+            f"kNN feature norms too large (max squared norm {sq_max.max():.3g}): "
             "squared distances would overflow float64")
-    margin = 4.0 * (d + 4) * (_EPS * (sq + sq_max) + 2.0 * _TINY)
-    dst = np.empty((n, k), dtype=np.intp)
-    block = max(1, min(n, int(2 ** 23 // max(1, n * d))))  # ~64MB worst-case candidate tile
-    for r0 in range(0, n, block):
-        r1 = min(n, r0 + block)
-        rows = np.arange(r1 - r0)
-        approx = features[r0:r1] @ features.T
-        approx *= -2.0
-        approx += sq[None, :]
-        approx += sq[r0:r1, None]
-        approx[rows, rows + r0] = np.inf  # no self-edges
-        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
-        near = approx <= (kth + margin[r0:r1])[:, None]
-        if np.count_nonzero(near) == len(rows) * k:  # no row has more than its k smallest
-            cand = (np.flatnonzero(near) % n).reshape(-1, k)
-        else:
-            width = int(np.count_nonzero(near, axis=1).max())
-            cand = np.argpartition(approx, width - 1, axis=1)[:, :width]
-        diff = features[cand]
-        np.subtract(features[r0:r1, None, :], diff, out=diff)
-        d2 = np.einsum("bnd,bnd->bn", diff, diff)
-        order = np.lexsort((cand, d2), axis=1)[:, :k]
-        dst[r0:r1] = cand[rows[:, None], order]
+    margin = 4.0 * (d + 4) * (_EPS * (sq + sq_max[:, None]) + 2.0 * _TINY)
+    dst = np.empty((queries * n, k), dtype=np.intp)
+    # ~64MB worst-case tile: (rows, n, d) differences, or (rows, k, k) gaps
+    tile = max(1, 2 ** 23 // max(1, n * max(d, k)))
+    group, height = max(1, tile // n), min(n, tile)  # whole queries, or rows of one query
+    for q0 in range(0, queries, group):
+        q1 = min(queries, q0 + group)
+        for r0 in range(0, n, height):
+            r1 = min(n, r0 + height)
+            diag = np.arange(r1 - r0)
+            # each query's own F F^T: numpy's syrk path when the block holds whole
+            # queries; into a buffer, since a fresh (Q, n, n) result is mapped anew
+            approx = np.empty((q1 - q0, r1 - r0, n))
+            np.matmul(stack[q0:q1, r0:r1], stack[q0:q1].transpose(0, 2, 1), out=approx)
+            approx *= -2.0
+            approx += sq[q0:q1, None, :]
+            approx += sq[q0:q1, r0:r1, None]
+            approx[:, diag, diag + r0] = np.inf  # no self-edges
+            approx = approx.reshape(-1, n)
+            lim = margin[q0:q1, r0:r1].reshape(-1)
+            kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+            near = approx <= (kth + lim)[:, None]
+            rows = np.arange(len(approx))
+            own = q0 * n + r0 + rows  # the rows' chunk-wide slots
+            base = (own - own % n)[:, None]  # their query's first slot
+            out = dst[own[0]:own[-1] + 1]
+            loose, width = np.empty(0, dtype=np.intp), k
+            if np.count_nonzero(near) > len(own) * k:  # some row has more than its k smallest
+                count = np.count_nonzero(near, axis=1)
+                loose, width = np.flatnonzero(count > k), int(count.max())
+                # keep k placeholders in such a row, so that every row reads k off
+                # the mask; those rows are re-ranked below
+                near[loose] &= np.cumsum(near[loose], axis=1) <= k
+            pick = np.flatnonzero(near)
+            cand, gram = (pick % n).reshape(-1, k), approx.reshape(-1)[pick].reshape(-1, k)
+            # a over b by more than the margin: on a certified row, one of each
+            # pair, so a's count is its rank
+            wide = gram[:, :, None] - gram[:, None, :] > lim[:, None, None]
+            rank = np.count_nonzero(wide, axis=2)
+            np.put(out, rank + k * rows[:, None], cand + base)
+            unsure = rank.sum(axis=1) < k * (k - 1) // 2
+            unsure[loose] = True
+            redo = np.flatnonzero(unsure)
+            if len(redo):
+                kept = (cand[redo] if width == k else
+                        np.argpartition(approx[redo], width - 1, axis=1)[:, :width])
+                out[redo] = _rerank(nodes, own[redo], kept + base[redo], k)
     return dst.reshape(-1)
+
+
+def _rerank(nodes: Array, own: Array, kept: Array, k: int) -> Array:
+    """The first k of each row of ``kept`` by (d2, slot), d2 from explicit differences.
+
+    Row r ranks the rows ``kept[r]`` of ``nodes`` by their distance to row ``own[r]``.
+    """
+    diff = nodes[kept]
+    np.subtract(nodes[own, None, :], diff, out=diff)
+    d2 = np.einsum("bnd,bnd->bn", diff, diff)
+    return np.take_along_axis(kept, np.lexsort((kept, d2), axis=1)[:, :k], axis=1)
 
 
 def init_graph_query(u: Tensor, states: Tensor, flat: FlatPairs,
                      set_index: int, query_index: int, spec: QuerySetSpec) -> GraphQuery:
-    """Initialize a chunk of queries: scores, top-N sampling, kNN edges per query.
+    """Initialize a chunk of queries: scores, top-N sampling, one kNN build for the chunk.
 
     ``u`` is one global vector (d,) or the chunk's Q vectors (Q, d); query q
     of the chunk is query ``query_index + q``. Returns the stacked chunk.
@@ -254,12 +320,10 @@ def init_graph_query(u: Tensor, states: Tensor, flat: FlatPairs,
         raise ConfigError(
             f"set {set_index}: k={spec.k} >= n={n} sampled nodes (ratio {spec.ratio} of {flat.m_bev})")
     nodes = select_nodes(attention_scores(u, states), states, flat, n)
-    dst = [build_knn_edges(f, spec.k) for f in nodes.states_raw.reshape(nodes.queries, n, -1)]
-    offsets = np.repeat(n * np.arange(nodes.queries, dtype=np.intp), n * spec.k)
     return replace(
         nodes,
         set_index=set_index,
         query_index=query_index,
         k=spec.k,
-        edge_dst=np.concatenate(dst) + offsets,
+        edge_dst=build_knn_edges(nodes.states_raw.reshape(nodes.queries, n, -1), spec.k),
     )

@@ -23,7 +23,8 @@ def _manual_query(states, positions, k):
     n = states.shape[0]
     return GraphQuery(
         set_index=0, query_index=0, n_nodes=n, k=k,
-        bev_indices=np.arange(n), positions=positions, states_raw=states,
+        bev_indices=np.arange(n), grid_positions=positions, pair_rows=np.arange(n),
+        states_raw=states,
         alpha=Tensor(np.full(n, 1.0 / n)), states=Tensor(states),
         edge_dst=build_knn_edges(states, k),
     )
@@ -227,8 +228,8 @@ def test_composition_invariant_under_slot_relabeling():
         perm = rng.permutation(query.n_nodes)
         relabeled = GraphQuery(
             set_index=0, query_index=0, n_nodes=query.n_nodes, k=query.k,
-            bev_indices=query.bev_indices[perm], positions=query.positions[perm],
-            states_raw=query.states_raw[perm],
+            bev_indices=query.bev_indices[perm], grid_positions=query.grid_positions,
+            pair_rows=query.pair_rows[perm], states_raw=query.states_raw[perm],
             alpha=Tensor(query.alpha.data[perm]), states=Tensor(query.states.data[perm]),
             edge_dst=build_knn_edges(query.states_raw[perm], query.k),
         )
@@ -411,7 +412,8 @@ def test_edge_focus_update_is_one_tape_node_that_keeps_only_its_inputs():
     assert all(t.data.shape[:1] != (edges,) for t in _toposort(out))
     arrays = [c for c in (cell.cell_contents for cell in out._backprop.__closure__)
               if isinstance(c, np.ndarray)]
-    assert sorted(map(id, arrays)) == sorted(map(id, (query.positions, query.edge_dst)))
+    assert sorted(map(id, arrays)) == sorted(
+        map(id, (query.grid_positions, query.pair_rows, query.edge_dst)))
     # The stage functions it runs give values only.
     hidden = edge_features(query, params, specs["edge_mlp"])
     nodes = update_nodes(query, Tensor(np.ones((query.n_nodes, 4))), params, specs["node_mlp"])

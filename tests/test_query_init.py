@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gqn import query_init
 from gqn.autodiff import Tensor, mul, sum_all
 from gqn.errors import ConfigError, InvalidInputError
 from gqn.pipeline import GqnConfig, init_params, run_gqn
@@ -280,6 +281,42 @@ def test_knn_matches_reference_on_reference_forward_states():
             assert np.array_equal(chunk.edge_dst[q * edges:(q + 1) * edges] - q * n, ref_dst)
 
 
+def test_knn_certificate_is_load_bearing():
+    """A row whose Gram order is wrong takes the explicit re-rank, not its Gram order.
+
+    With k = n - 1 every row's mask holds exactly k candidates. Node 0's two
+    neighbours lie at squared distances 1e-7 apart (relative) on a 1e4 offset,
+    where Gram values round by far more, so the Gram order disagrees with the
+    explicit one; by the margin proof the two Gram values then lie within the
+    margin of each other. Nodes 1 and 2 have well-separated neighbours.
+    """
+    rng = np.random.default_rng(2)
+    p0 = 1e4 + 1e-2 * rng.standard_normal(2)
+    v = 1e-2 * rng.standard_normal(2)
+    feats = np.array([p0, p0 + v, p0 - v * (1 + 1e-7)])
+    assert not np.array_equal(_gram_only_dst(feats, 2)[:2], _knn_reference(feats, 2)[1][:2])
+    _assert_matches_reference(feats, 2)
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "one_tied_query"])
+@pytest.mark.parametrize("queries,n,d,k", [
+    (1, 24, 5, 4), (3, 24, 5, 4), (10, 24, 5, 4),  # one block
+    (10, 200, 64, 8),  # three queries a block
+    (2, 1024, 16, 3),  # blocks of rows of one query
+])
+def test_knn_stack_equals_single_query_builds(queries, n, d, k, tied):
+    """One (Q, n, d) build gives query q the edges of its (n, d) build, plus q*n."""
+    rng = np.random.default_rng(queries * n)
+    stack = rng.standard_normal((queries, n, d))
+    if tied:  # an integer lattice: exact ties, so its rows take the explicit re-rank
+        stack[queries // 2] = rng.integers(-1, 2, (n, d))
+    singles = [build_knn_edges(f, k) for f in stack]
+    for f, single in zip(stack, singles):
+        assert np.array_equal(single, _knn_reference(f, k)[1])
+    expected = np.concatenate([single + q * n for q, single in enumerate(singles)])
+    assert np.array_equal(build_knn_edges(stack, k), expected)
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(2, 48), d=st.integers(1, 12), data=st.data(),
        scale=st.sampled_from([1e-170, 1e-8, 1.0, 1e8, 1e100]),
@@ -341,6 +378,24 @@ def test_init_graph_query_chunk_stacks_single_queries():
         assert np.array_equal(chunk.edge_dst[edges], single.edge_dst + q * n)
 
 
+def test_init_graph_query_builds_knn_once_per_chunk(monkeypatch):
+    calls = []
+
+    def counted(features, k):
+        calls.append(np.shape(features))
+        return build_knn_edges(features, k)
+
+    monkeypatch.setattr(query_init, "build_knn_edges", counted)
+    flat = _flat(h=8, w=8, d=4, seed=8)
+    spec = QuerySetSpec(3, 0.3, 4)
+    n = spec.n_nodes(flat.m_bev)
+    us = np.random.default_rng(7).standard_normal((3, 4))
+    init_graph_query(Tensor(us), Tensor(flat.states), flat, 0, 0, spec)
+    assert calls == [(3, n, 4)]
+    init_graph_query(Tensor(us[0]), Tensor(flat.states), flat, 0, 0, spec)
+    assert calls == [(3, n, 4), (1, n, 4)]
+
+
 def test_chunk_keeps_one_copy_of_its_rows():
     # states_raw is the data of the gather that states is scaled from, not a second copy
     flat = _flat(h=8, w=8, d=4, seed=7)
@@ -349,6 +404,9 @@ def test_chunk_keeps_one_copy_of_its_rows():
     chunk = init_graph_query(u, Tensor(flat.states), flat, 0, 0, QuerySetSpec(2, 0.3, 3))
     assert np.shares_memory(chunk.states_raw, chunk.states._parents[0].data)
     assert np.array_equal(chunk.states_raw, flat.to_grid_order(flat.states)[chunk.bev_indices])
+    # positions are not copied either: the chunk keeps the grid's and its rows
+    assert chunk.grid_positions is flat.positions
+    assert np.array_equal(chunk.positions, flat.to_grid_order(flat.positions)[chunk.bev_indices])
 
 
 def test_set_spec_validation():
