@@ -18,12 +18,12 @@ fixed operand layout.
 A ``Tensor`` wraps an ndarray together with the closure that maps its output
 gradient back onto its parents; graphs are built define-by-run. One MLP layer
 is one tape node: ``linear`` fuses the product, the bias and the ReLU and
-keeps only its output. An MLP whose first layer is split per node is one tape
-node for all its layers: ``split_mlp_forward`` keeps its inputs and its
-output, and its backward recomputes the hidden layers (per-layer gradient
+keeps only its output. An MLP whose first layer is split per node has exactly
+two layers and is one tape node for both: ``split_mlp_forward`` keeps its
+inputs and its output, and its backward recomputes the hidden layer (gradient
 checkpointing; Chen et al., "Training Deep Nets with Sublinear Memory Cost",
-2016). The private array helpers (``_split_mlp_outputs`` and
-``_split_mlp_grads``, ``_bilinear_scores`` and its gradients,
+2016). The private array helpers (``_split_linear``, ``_dense`` and their
+gradients, ``_split_mlp_grads``, ``_bilinear_scores`` and its gradients,
 ``_row_softmax``, ``_segment_mix``) are forward and backward pieces with no
 tape of their own; the edge stage (``edge_focus.edge_focus_update``) composes
 them into one node per query chunk. The fused nodes (``linear``,
@@ -690,19 +690,28 @@ class ParamStore:
 
 
 def mlp_forward(spec: MlpSpec, params: ParamStore, name: str, x: Tensor) -> Tensor:
-    """Apply the named MLP to a (rows, w_in) matrix."""
+    """Apply the named MLP to a (rows, w_in) matrix, one ``linear`` node per layer."""
     if x.data.ndim != 2 or x.data.shape[1] != spec.widths[0]:
         raise ShapeError(f"MLP {name!r} expects width {spec.widths[0]}, got input shape {x.data.shape}")
-    return _mlp_layers(spec, params, name, x)
+    for i in range(spec.n_layers):
+        x = linear(x, params[f"{name}/W{i}"], params[f"{name}/b{i}"], relu=i < spec.n_layers - 1)
+    return x
 
 
 def _check_split_mlp(name: str, a: Array, b: Array, layers: list[tuple[Array, Array]],
                      rows: Array | None, k: int) -> None:
-    """Raise ``ShapeError`` unless ``split_mlp_forward`` can run these shapes."""
-    if a.ndim != 2 or b.ndim != 2 or any(w.ndim != 2 for w, _ in layers):
+    """Raise ``ShapeError`` unless ``split_mlp_forward`` can run these shapes.
+
+    A split MLP has exactly two layers, ``[(W0, b0), (W1, b1)]``; W0's rows
+    are the widths of ``a`` and ``b`` together.
+    """
+    if len(layers) != 2:
+        raise ShapeError(f"split MLP {name!r} needs exactly two layers, got {len(layers)}")
+    (w0, b0), (w1, b1) = layers
+    if a.ndim != 2 or b.ndim != 2 or w0.ndim != 2 or w1.ndim != 2:
         raise ShapeError(f"split MLP {name!r} needs matrices, got {a.shape}, {b.shape}, "
-                         f"{[w.shape for w, _ in layers]}")
-    (n, d_a), (m, d_b), (w0, b0) = a.shape, b.shape, layers[0]
+                         f"{w0.shape}, {w1.shape}")
+    (n, d_a), (m, d_b) = a.shape, b.shape
     if not 0 < d_a < w0.shape[0] or d_b != w0.shape[0] - d_a or b0.shape != (w0.shape[1],):
         raise ShapeError(f"split MLP {name!r} mismatch [{a.shape} || {b.shape}] @ "
                          f"{w0.shape} + {b0.shape}")
@@ -711,56 +720,32 @@ def _check_split_mlp(name: str, a: Array, b: Array, layers: list[tuple[Array, Ar
     if (rows is None and m != n) or (rows is not None and rows.shape != (n * max(k, 1),)):
         raise ShapeError(f"split MLP {name!r}: rows {None if rows is None else rows.shape} for "
                          f"{n} rows of a, {m} of b, k={k}")
-    for (w_prev, _), (w, bias) in zip(layers, layers[1:]):
-        if w.shape[0] != w_prev.shape[1] or bias.shape != (w.shape[1],):
-            raise ShapeError(f"split MLP {name!r} layers {w_prev.shape} then {w.shape} + {bias.shape}")
-
-
-def _split_mlp_outputs(a: Array, b: Array, layers: list[tuple[Array, Array]], rows: Array | None,
-                       k: int, count: int) -> list[Array]:
-    """The outputs of the first ``count`` layers of a split MLP over ``[a || b[rows]]``.
-
-    The first layer runs split per node (``_split_linear``), each later layer
-    as ``_dense``; every layer but the last applies ReLU.
-    """
-    last = len(layers) - 1
-    outs = []
-    for i, (w, bias) in enumerate(layers[:count]):
-        if i == 0:
-            outs.append(_split_linear(a, b, w, bias, rows, k, relu=last > 0))
-        else:
-            outs.append(_dense(outs[-1], w, bias, relu=i < last))
-    return outs
+    if w1.shape[0] != w0.shape[1] or b1.shape != (w1.shape[1],):
+        raise ShapeError(f"split MLP {name!r} layers {w0.shape} then {w1.shape} + {b1.shape}")
 
 
 def _split_mlp_grads(g: Array, a: Array, b: Array, layers: list[tuple[Array, Array]],
-                     rows: Array | None, k: int, hidden: list[Array]) -> list:
-    """Gradients of a split MLP for ``(a, b, W0, b0, W1, b1, ...)``.
+                     rows: Array | None, k: int, hidden: Array) -> tuple:
+    """Gradients of a split MLP for ``(a, b, W0, b0, W1, b1)``.
 
-    ``hidden`` holds the outputs of every layer but the last, as
-    ``_split_mlp_outputs`` gives them; it is emptied as the layers are
-    passed. Each layer backprops with the expressions of ``linear``.
+    ``hidden`` is the first layer's output after the ReLU; each layer
+    backprops with the expressions of ``linear``.
     """
-    last = len(layers) - 1
-    grads = [None] * (2 + 2 * len(layers))
-    for i in range(last, 0, -1):
-        out = hidden.pop() if i < last else None
-        g, grads[2 * i + 2], grads[2 * i + 3] = _dense_grads(g, hidden[-1], layers[i][0], out)
-    grads[:4] = _split_linear_grads(g, a, b, layers[0][0], rows, k,
-                                    hidden.pop() if last else None)
-    return grads
+    (w0, _), (w1, _) = layers
+    g, gw1, gb1 = _dense_grads(g, hidden, w1, None)
+    return _split_linear_grads(g, a, b, w0, rows, k, hidden) + (gw1, gb1)
 
 
 def split_mlp_forward(spec: MlpSpec, params: ParamStore, name: str, a: Tensor, b: Tensor,
                       rows=None, k: int = 0) -> Tensor:
-    """Apply the named MLP to ``[a || b[rows]]`` as one tape node; see ``_split_linear``.
+    """Apply the named two-layer MLP to ``[a || b[rows]]`` as one tape node.
 
-    The first layer runs split per node (``_split_linear``), each later layer
-    as ``_dense``. The node keeps only its inputs and its output, and its
-    parents are ``(a, b, W0, b0, W1, b1, ...)``. Its backward recomputes the
-    hidden layers with the forward's calls, so they carry the same bits, then
-    backprops through the layers in reverse with the expressions of
-    ``linear``. A hidden gradient goes on as it is, where a node per layer
+    The first layer runs split per node (``_split_linear``, with the ReLU),
+    the output layer as ``_dense``. The node keeps only its inputs and its
+    output, and its parents are ``(a, b, W0, b0, W1, b1)``. Its backward
+    recomputes the hidden layer with the forward's call, so it carries the
+    same bits, then backprops through both layers with the expressions of
+    ``linear``. The hidden gradient goes on as it is, where a node per layer
     added 0.0 to it first (mapping -0.0 to +0.0): the sign of a zero there
     can only change the sign of a zero the backward returns, and every
     contribution enters its parent as ``contribution + 0.0``, so no gradient
@@ -768,23 +753,16 @@ def split_mlp_forward(spec: MlpSpec, params: ParamStore, name: str, a: Tensor, b
     """
     rows = None if rows is None else np.asarray(rows, dtype=np.intp)
     layers = [(params[f"{name}/W{i}"], params[f"{name}/b{i}"]) for i in range(spec.n_layers)]
-    arrays = [(w.data, bias.data) for w, bias in layers]
-    _check_split_mlp(name, a.data, b.data, arrays, rows, k)
-    parents = (a, b) + tuple(t for layer in layers for t in layer)
+    _check_split_mlp(name, a.data, b.data, [(w.data, bias.data) for w, bias in layers], rows, k)
+    (w0, b0), (w1, b1) = layers
 
     def backprop(g):
-        arrays = [(w.data, bias.data) for w, bias in layers]
-        hidden = _split_mlp_outputs(a.data, b.data, arrays, rows, k, len(arrays) - 1)
-        return tuple(_split_mlp_grads(g, a.data, b.data, arrays, rows, k, hidden))
+        hidden = _split_linear(a.data, b.data, w0.data, b0.data, rows, k, relu=True)
+        return _split_mlp_grads(g, a.data, b.data, [(w0.data, b0.data), (w1.data, b1.data)],
+                                rows, k, hidden)
 
-    out = _split_mlp_outputs(a.data, b.data, arrays, rows, k, spec.n_layers)[-1]
-    return _make(out, parents, backprop)
-
-
-def _mlp_layers(spec: MlpSpec, params: ParamStore, name: str, h: Tensor) -> Tensor:
-    for i in range(spec.n_layers):
-        h = linear(h, params[f"{name}/W{i}"], params[f"{name}/b{i}"], relu=i < spec.n_layers - 1)
-    return h
+    hidden = _split_linear(a.data, b.data, w0.data, b0.data, rows, k, relu=True)
+    return _make(_dense(hidden, w1.data, b1.data, relu=False), (a, b, w0, b0, w1, b1), backprop)
 
 
 def register_attention(params: ParamStore, name: str, d: int) -> None:

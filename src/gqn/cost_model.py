@@ -188,19 +188,20 @@ def _mlp_flops(rows: int, spec: MlpSpec) -> int:
     return total + rows * sum(spec.widths[1:-1])  # ReLU on the hidden layers
 
 
-def _split_mlp_flops(spec: MlpSpec, product_rows: int, adds: int, rows: int) -> int:
-    """An MLP whose first layer runs split per node, as ``autodiff.split_mlp_forward`` runs it.
+def _split_layer_flops(w_in: int, h: int, product_rows: int, adds: int) -> int:
+    """A first layer split per node: ``product_rows`` rows times one (w_in/2, h) half of W0,
+    and ``adds`` rows of h sums that combine the products and add the bias (per node, or
+    gathered per edge)."""
+    return product_rows * 2 * (w_in // 2) * h + adds * h
 
-    ``product_rows`` rows are multiplied by one (w_in/2, h) half of W0, and
-    ``adds`` rows of h sums combine the products and add the bias (per node,
-    or gathered per edge). On a hidden layer each of the ``rows`` outputs gets
-    the ReLU; later layers are per output row, as in ``_mlp_flops``.
-    """
-    h = spec.widths[1]
-    total = product_rows * 2 * (spec.widths[0] // 2) * h + adds * h
-    if spec.n_layers > 1:
-        total += rows * h + _mlp_flops(rows, MlpSpec(spec.widths[1:]))
-    return total
+
+def _split_mlp_flops(spec: MlpSpec, product_rows: int, adds: int, rows: int) -> int:
+    """A two-layer MLP whose first layer runs split per node, as
+    ``autodiff.split_mlp_forward`` runs it: the split layer (``_split_layer_flops``),
+    the ReLU on each of the ``rows`` hidden outputs, then the dense output layer."""
+    w_in, h, w_out = spec.widths
+    return (_split_layer_flops(w_in, h, product_rows, adds) + rows * h
+            + _linear_flops(rows, h, w_out))
 
 
 def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
@@ -227,7 +228,7 @@ def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
     chunks).
 
     Per query: scoring 2*m_bev*d plus a softmax, selection weighting, the edge
-    MLP's hidden layers, the bilinear edge scores, per-node softmax and
+    MLP's hidden layer, the bilinear edge scores, per-node softmax and
     weighted aggregation (all linear in n*k), then the message product, the
     node and context MLPs, pooling and projection adds per node. Shared:
     context attention steps over all tau summaries, per-cell mean
@@ -235,7 +236,7 @@ def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
     """
     d, tau = config.d, config.tau
     edge_spec = config.edge_mlp_spec
-    h = edge_spec.widths[-2]  # the edge MLP's last hidden width, which scoring and the message read
+    h = edge_spec.widths[1]  # the edge MLP's hidden width, which scoring and the message read
     stages = dict.fromkeys(("query_init.score", "query_init.select", "edge_focus.features",
                             "edge_focus.attention", "edge_focus.update", "deep_context.pool",
                             "deep_context.exchange", "deep_context.infuse", "pipeline.project",
@@ -246,11 +247,10 @@ def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
         per_query = {
             "query_init.score": 2 * m_bev * d + 4 * m_bev,            # scores + softmax
             "query_init.select": 2 * n * d + n,                       # selection weighting
-            # the hidden layers: per-node products of both halves, their sum
-            # and the bias, then per edge the source term subtracted and the
-            # ReLU on the last hidden layer
-            "edge_focus.features": (_split_mlp_flops(MlpSpec(edge_spec.widths[:-1]), 2 * n,
-                                                     2 * n + edges, edges) + edges * h),
+            # the hidden layer: per-node products of both halves, their sum
+            # and the bias, then per edge the source term subtracted and the ReLU
+            "edge_focus.features": (_split_layer_flops(edge_spec.widths[0], h, 2 * n,
+                                                       2 * n + edges) + edges * h),
             # h A, plus c, the row dot with h, plus bq·bk, then the softmax
             "edge_focus.attention": edges * (2 * h * h + 3 * h + 1 + 4),
             "edge_focus.update": (2 * edges * h                       # weighted aggregation
@@ -289,10 +289,10 @@ def run_benchmark(config: GqnConfig, m_bev_sweep: list[int], modes: list[str] | 
 
     Wall times run the library's exact kNN, ``build_knn_edges`` (a Gram-matrix
     candidate pass; the Gram order where its gaps certify it, else an
-    explicit-difference re-rank of the candidates), on random features. They are reported only in naive mode, whose count is the
-    all-pairs distance work that pass still does, for graphs of at most
-    ``exec_node_cap`` nodes (the indexed build is counted, not implemented);
-    skipped timings are None.
+    explicit-difference re-rank of the candidates), on random features. They
+    are reported only in naive mode, whose count is the all-pairs distance
+    work that pass still does, for graphs of at most ``exec_node_cap`` nodes
+    (the indexed build is counted, not implemented); skipped timings are None.
     """
     modes = list(MODES) if modes is None else modes
     for mode in modes:

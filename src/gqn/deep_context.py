@@ -58,8 +58,6 @@ def infuse_context(nodes: Tensor, summaries: Tensor, params: ParamStore, spec: M
     if (nodes.data.ndim != 2 or summaries.data.ndim != 2
             or summaries.data.shape[1] != nodes.data.shape[1]):
         raise ShapeError(f"nodes {nodes.data.shape} vs summaries {summaries.data.shape}")
-    if spec.widths[0] != 2 * nodes.data.shape[1]:
-        raise ShapeError(f"context MLP expects input width {spec.widths[0]}")
     rows = np.asarray(rows, dtype=np.intp)
     if not len(rows) or nodes.data.shape[0] % len(rows):
         raise ShapeError(f"{nodes.data.shape[0]} nodes do not split into {len(rows)} queries")

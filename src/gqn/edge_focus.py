@@ -33,8 +33,9 @@ in it, so the stage never builds f:
   the softmax Jacobian removes per-row constants.
 
 This moves results by rounding only; the unfolded form is the oracle of the
-tests. It needs an edge MLP of two or more layers (every config builds
-``(2d, d, d)``).
+tests. The edge and node MLPs have exactly two layers, a split hidden layer
+and a linear output layer (every config builds ``(2d, d, d)``); their one
+shape gate is ``autodiff._check_split_mlp``.
 
 Scoring: q and key are one (d, d) layer each, and their per-edge dot product
 is taken as the bilinear form ``h A hᵀ + h·c + bq'·bk'`` with ``A = Wq' Wk'ᵀ``
@@ -50,8 +51,9 @@ backward gathers the nodes' positions again and recomputes every per-edge
 array with the forward's calls, so they carry the same bits (Chen et al.,
 "Training Deep Nets with Sublinear Memory Cost", 2016), then backprops
 through the stages in reverse; the gradients of the output layer, q and key
-chain back through the (d, d) products of the fold. ``edge_features`` and
-``update_nodes`` are forward calls of the node, and return value-only
+chain back through the (d, d) products of the fold. ``edge_features`` (the
+gate and the split hidden layer) and ``update_nodes`` (the gate and the node
+MLP's two layers) are forward calls of the node, and return value-only
 tensors; ``edge_attention`` scores any rows under q and key, as the node
 scores h under the composed layers.
 
@@ -68,8 +70,8 @@ import numpy as np
 
 from .autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
                        _check_split_mlp, _dense, _dense_grads, _make, _row_softmax,
-                       _row_softmax_grad, _segment_mix, _segment_mix_grads, _split_mlp_grads,
-                       _split_mlp_outputs)
+                       _row_softmax_grad, _segment_mix, _segment_mix_grads, _split_linear,
+                       _split_linear_grads, _split_mlp_grads)
 from .errors import ContractError, ShapeError
 from .query_init import GraphQuery
 
@@ -116,24 +118,17 @@ def _edge_weights(x: Array, n_nodes: int, k: int, scoring: list[Array]) -> Array
 
 
 def edge_features(query: GraphQuery, params: ParamStore, spec: MlpSpec) -> Tensor:
-    """Per-edge features h: the edge MLP of (relative position || neighbor state) up to its
-    last hidden layer, after the ReLU; shape (n_nodes*k, width of that layer). Row e is
-    the edge from node e // k to node ``query.edge_dst[e]``.
+    """Per-edge features h: the edge MLP's hidden layer over (relative position || neighbor
+    state), after the ReLU; shape (n_nodes*k, hidden width). Row e is the edge from node
+    e // k to node ``query.edge_dst[e]``.
 
-    The MLP's output layer is linear; the stage folds it into the scores and
+    The MLP's second layer is linear; the stage folds it into the scores and
     the message (see the module docstring), so no per-edge output is built.
     """
-    positions = query.positions
-    d = positions.shape[1]
-    if spec.widths[0] != 2 * d:
-        raise ShapeError(f"edge MLP expects input width {spec.widths[0]}, node width is {d}")
-    if spec.n_layers < 2:
-        raise ShapeError(f"the edge stage folds the edge MLP's output layer, so it needs two or "
-                         f"more layers, got widths {spec.widths}")
+    positions, states = query.positions, query.states.data
     layers, rows = _arrays(_layers(params, "edge_mlp", spec)), np.asarray(query.edge_dst, np.intp)
-    _check_split_mlp("edge_mlp", positions, query.states.data, layers, rows, query.k)
-    return Tensor(_split_mlp_outputs(positions, query.states.data, layers, rows, query.k,
-                                     len(layers) - 1)[-1])
+    _check_split_mlp("edge_mlp", positions, states, layers, rows, query.k)
+    return Tensor(_split_linear(positions, states, *layers[0], rows, query.k, relu=True))
 
 
 def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore,
@@ -149,13 +144,10 @@ def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore,
 
 def update_nodes(query: GraphQuery, message: Tensor, params: ParamStore, spec: MlpSpec) -> Tensor:
     """Updated node states: MLP(message || node state), shape (n_nodes, d)."""
-    d = query.grid_positions.shape[1]
-    if spec.widths[0] != 2 * d:
-        raise ShapeError(f"node MLP expects input width {spec.widths[0]}, node width is {d}")
     layers = _arrays(_layers(params, "node_mlp", spec))
     _check_split_mlp("node_mlp", message.data, query.states.data, layers, None, 0)
-    return Tensor(_split_mlp_outputs(message.data, query.states.data, layers, None, 0,
-                                     len(layers))[-1])
+    hidden = _split_linear(message.data, query.states.data, *layers[0], None, 0, relu=True)
+    return Tensor(_dense(hidden, *layers[1], relu=False))
 
 
 def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,
@@ -195,15 +187,15 @@ def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,
                + tuple(t for layer in node for t in layer))
 
     def backprop(g):
-        edge_arrays, node_arrays = _arrays(edge), _arrays(node)
-        (out_w, out_b), (wq, _, wk, _) = edge_arrays[-1], [t.data for t in scoring]
+        ((w0, b0), (out_w, out_b)), node_arrays = _arrays(edge), _arrays(node)
+        wq, _, wk, _ = [t.data for t in scoring]
         positions = grid_positions[pair_rows]
-        hidden = _split_mlp_outputs(positions, states.data, edge_arrays, rows, k, len(edge) - 1)
-        h, fold = hidden[-1], folded()
+        h, fold = _split_linear(positions, states.data, w0, b0, rows, k, relu=True), folded()
         beta, mix, message = mix_and_message(h, fold)
+        # the node MLP's hidden layer goes in unnamed, so it is freed with the call
         node_grads = _split_mlp_grads(
             g, message, states.data, node_arrays, None, 0,
-            _split_mlp_outputs(message, states.data, node_arrays, None, 0, len(node) - 1))
+            _split_linear(message, states.data, *node_arrays[0], None, 0, relu=True))
         gmix, gw_out, gb_out = _dense_grads(node_grads[0], mix, out_w, None)
         gh, gbeta = _segment_mix_grads(gmix, h, beta, k)
         gscores = _row_softmax_grad(gbeta.reshape(n, k), beta.reshape(n, k)).reshape(n * k)
@@ -211,13 +203,12 @@ def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,
         q_grads = _fold_grads(gwq, gbq, out_w, out_b, wq)
         k_grads = _fold_grads(gwk, gbk, out_w, out_b, wk)
         gh += gx
-        gh = np.where(h > 0.0, gh, 0.0)
-        edge_grads = _split_mlp_grads(gh, positions, states.data, edge_arrays[:-1], rows, k,
-                                      hidden[:-1])
+        del gx  # the edge layer's gradient masks gh into a new (n*k, d) array: free one first
+        edge_grads = _split_linear_grads(gh, positions, states.data, w0, rows, k, h)
         # the states' gradient adds the node MLP's part, then the edge MLP's, as
         # a chain of one node per stage would
-        return ((node_grads[1] + edge_grads[1],) + tuple(edge_grads[2:])
+        return ((node_grads[1] + edge_grads[1],) + edge_grads[2:]
                 + (gw_out + q_grads[0] + k_grads[0], gb_out + q_grads[1] + k_grads[1])
-                + q_grads[2:] + k_grads[2:] + tuple(node_grads[2:]))
+                + q_grads[2:] + k_grads[2:] + node_grads[2:])
 
     return _make(out, parents, backprop)

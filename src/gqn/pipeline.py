@@ -186,14 +186,13 @@ def soft_fusion(graph_map: Tensor, global_map: Tensor, params: ParamStore,
 
 
 def project_to_bev(contributions: Sequence[tuple[Array, Tensor]], flat: FlatPairs) -> Tensor:
-    """One set's map in pair order: the per-cell mean of its (cells, node rows) contributions.
+    """One set's map in pair order: the per-cell mean of its (pair rows, node rows) contributions.
 
-    Each contribution's cells map to rows of the caller's pair order, so one
+    Each contribution names its nodes' rows in the caller's pair order, so one
     mean per set over its chunks in query order adds each cell's node rows,
     as one query at a time would, straight into that cell's pair row.
     """
-    pair_row = np.argsort(flat.bev_indices)
-    return scatter_mean([(pair_row[cells], t) for cells, t in contributions], flat.m_bev)
+    return scatter_mean(contributions, flat.m_bev)
 
 
 def _chunk_size(spec: QuerySetSpec, m_bev: int, d: int) -> int:
@@ -237,7 +236,7 @@ def run_gqn(flat: FlatPairs, config: GqnConfig, params: ParamStore,
         for query, nodes in set_chunks:
             rows = np.arange(query.query_index, query.query_index + query.queries)
             mixed = infuse_context(nodes, summaries, params, config.context_mlp_spec, rows=rows)
-            contributions.append((query.bev_indices, mixed))
+            contributions.append((query.pair_rows, mixed))
         set_maps.append(project_to_bev(contributions, flat))
 
     concat_map = concat_cols(set_maps)

@@ -432,10 +432,11 @@ def _mlp_params(widths, seed=0):
 
 def test_split_linear_keeps_one_tape_node_and_rejects_mismatched_shapes():
     a, b = Tensor(np.ones((5, 3)), requires_grad=True), Tensor(np.ones((5, 4)))
-    spec, params = MlpSpec((7, 2)), _mlp_params((7, 2))
+    spec, params = MlpSpec((7, 2, 2)), _mlp_params((7, 2, 2))
     out = split_mlp_forward(spec, params, "net", a, b, _DST, k=2)
     assert out.data.shape == (10, 2)
-    assert _toposort(out)[0]._parents == (a, b, params["net/W0"], params["net/b0"])
+    assert _toposort(out)[0]._parents == (a, b) + tuple(params[f"net/{p}{i}"]
+                                                        for i in range(2) for p in "Wb")
     with pytest.raises(ShapeError):  # b's width does not fill w
         split_mlp_forward(spec, params, "net", a, Tensor(np.ones((5, 3))))
     with pytest.raises(ShapeError):  # one edge index per edge
@@ -468,36 +469,43 @@ def test_split_linear_gradients_match_finite_differences(mode):
     assert grad_check(fn, params, eps=1e-6) <= 1e-8
 
 
-_SPLIT_MLP_WIDTHS = [(7, 2), (7, 2, 3), (7, 4, 3, 2)]
+_SPLIT_MLP_WIDTHS = (7, 2, 3)
+
+
+@pytest.mark.parametrize("widths", [(7, 2), (7, 4, 3, 2)], ids=["1-layer", "3-layer"])
+def test_split_mlp_rejects_any_depth_but_two(widths):
+    """A split MLP has exactly two layers; every other depth fails at the shape gate,
+    whose other checks these shapes pass."""
+    a, b = Tensor(np.ones((5, 3)), requires_grad=True), Tensor(np.ones((5, 4)))
+    with pytest.raises(ShapeError, match="exactly two layers"):
+        split_mlp_forward(MlpSpec(widths), _mlp_params(widths), "net", a, b, _DST, k=2)
 
 
 def _layer_by_layer(spec, params, name, a, b, rows, k):
-    """The split MLP as it ran before the fusion: the split first layer, then ``linear`` nodes."""
+    """The split MLP as it ran before the fusion: the split first layer, then a ``linear``
+    node."""
     mode = "edge" if k else "identity" if rows is None else "gathered"
-    last = spec.n_layers - 1
     h = _split_first_layer(mode, a, b, params[f"{name}/W0"], params[f"{name}/b0"], rows,
-                           relu=last > 0)
-    for i in range(1, spec.n_layers):
-        h = linear(h, params[f"{name}/W{i}"], params[f"{name}/b{i}"], relu=i < last)
-    return h
+                           relu=True)
+    return linear(h, params[f"{name}/W1"], params[f"{name}/b1"])
 
 
-def _signed_zero_upstream(params, spec, shape):
+def _signed_zero_upstream(params, shape):
     """An upstream gradient of tiny positive entries whose hidden gradient holds -0.0.
 
-    Row 0 of the last layer's weight is -1e-300, so every product of column 0
+    Row 0 of the output layer's weight is -1e-300, so every product of column 0
     of the hidden gradient ``g @ W.T`` underflows to -0.0. The weight is stored
     in Fortran order: OpenBLAS then reads ``W.T`` as a plain matrix and keeps
     the sign of a sum of -0.0 products, which it does not for a transposed one.
     """
-    w = params[f"net/W{spec.n_layers - 1}"]
+    w = params["net/W1"]
     w.data[0] = -1e-300
     w.data = np.asfortranarray(w.data)
     return np.random.default_rng(28).uniform(0.5, 1.0, shape) * 1e-300
 
 
 @pytest.mark.parametrize("upstream_kind", ["normal", "signed_zero"])
-@pytest.mark.parametrize("widths", _SPLIT_MLP_WIDTHS, ids=["1-layer", "2-layer", "3-layer"])
+@pytest.mark.parametrize("widths", [_SPLIT_MLP_WIDTHS], ids=["2-layer"])
 @pytest.mark.parametrize("mode", _SPLIT_MODES)
 def test_split_mlp_matches_the_layer_by_layer_chain_bit_for_bit(mode, widths, upstream_kind):
     """The fused node's output and every gradient equal the chain's, byte for byte.
@@ -516,13 +524,13 @@ def test_split_mlp_matches_the_layer_by_layer_chain_bit_for_bit(mode, widths, up
         if upstream_kind == "normal":
             upstream = np.random.default_rng(26).standard_normal((rows_out, widths[-1]))
         else:
-            upstream = _signed_zero_upstream(params, spec, (rows_out, widths[-1]))
+            upstream = _signed_zero_upstream(params, (rows_out, widths[-1]))
         out = mlp(spec, params, "net", a, b, rows, k)
         with np.errstate(invalid="ignore"):
             sum_all(mul(out, Tensor(upstream))).backward()
         results.append([out.data, a.grad, b.grad] + [t.grad for _, t in params.items()])
-    if upstream_kind == "signed_zero" and spec.n_layers > 1:
-        hidden_grad = upstream @ params[f"net/W{spec.n_layers - 1}"].data.T
+    if upstream_kind == "signed_zero":
+        hidden_grad = upstream @ params["net/W1"].data.T
         assert ((hidden_grad == 0.0) & np.signbit(hidden_grad)).any()
     for fused, chain in zip(*results, strict=True):
         assert _bits(fused) == _bits(chain)
@@ -530,17 +538,17 @@ def test_split_mlp_matches_the_layer_by_layer_chain_bit_for_bit(mode, widths, up
 
 def test_split_mlp_is_one_tape_node_that_keeps_only_its_inputs_and_output():
     a, b = Tensor(np.ones((5, 3)), requires_grad=True), Tensor(np.ones((5, 4)), requires_grad=True)
-    spec, params = MlpSpec((7, 4, 3, 2)), _mlp_params((7, 4, 3, 2))
+    spec, params = MlpSpec((7, 4, 2)), _mlp_params((7, 4, 2))
     out = split_mlp_forward(spec, params, "net", a, b, _DST, k=2)
     assert [t for t in _toposort(out) if t._backprop is not None] == [out]
-    assert out._parents == (a, b) + tuple(params[f"net/{p}{i}"] for i in range(3) for p in "Wb")
+    assert out._parents == (a, b) + tuple(params[f"net/{p}{i}"] for i in range(2) for p in "Wb")
     # Its backward holds no array but the edge targets.
     arrays = [c for c in (cell.cell_contents for cell in out._backprop.__closure__)
               if isinstance(c, np.ndarray)]
     assert len(arrays) == 1 and np.array_equal(arrays[0], _DST)
 
 
-@pytest.mark.parametrize("widths", _SPLIT_MLP_WIDTHS, ids=["1-layer", "2-layer", "3-layer"])
+@pytest.mark.parametrize("widths", [_SPLIT_MLP_WIDTHS], ids=["2-layer"])
 def test_split_mlp_fed_a_constant_summaries_operand_keeps_every_other_gradient(widths):
     """With a constant gathered operand (the context MLP's summaries) the node still
     returns its gradient and the tape drops it: ``b.grad`` stays None and every other
@@ -559,7 +567,7 @@ def test_split_mlp_fed_a_constant_summaries_operand_keeps_every_other_gradient(w
     assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("widths", _SPLIT_MLP_WIDTHS[1:], ids=["2-layer", "3-layer"])
+@pytest.mark.parametrize("widths", [_SPLIT_MLP_WIDTHS], ids=["2-layer"])
 @pytest.mark.parametrize("mode", _SPLIT_MODES)
 def test_split_mlp_gradients_match_finite_differences(mode, widths):
     rng = np.random.default_rng(30)

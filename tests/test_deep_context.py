@@ -79,26 +79,29 @@ def test_exchange_rejects_negative_steps():
 # context infusion
 
 
-def _eta(weights, d_out, seed=0):
+def _eta(w0, w1, seed=0):
+    """The two-layer context MLP with weights ``w0`` and ``w1`` and zero biases."""
     params = ParamStore(seed=seed)
-    spec = MlpSpec.linear(np.asarray(weights).shape[0], d_out)
+    spec = MlpSpec.relu_stack((w0.shape[0], w0.shape[1], w1.shape[1]))
     params.register_mlp("context_mlp", spec)
-    params["context_mlp/W0"].data[...] = weights
-    params["context_mlp/b0"].data[...] = 0.0
+    for i, w in enumerate((w0, w1)):
+        params[f"context_mlp/W{i}"].data[...] = w
+        params[f"context_mlp/b{i}"].data[...] = 0.0
     return params, spec
 
 
 def test_infuse_passthrough_of_node_half():
-    w = np.vstack([np.eye(3), np.zeros((3, 3))])
-    params, spec = _eta(w, 3)
+    # relu(x) and relu(-x) of the node half side by side, then their difference x
+    eye, zeros = np.eye(3), np.zeros((3, 3))
+    params, spec = _eta(np.block([[eye, -eye], [zeros, zeros]]), np.vstack([eye, -eye]))
     nodes = Tensor(np.random.default_rng(1).standard_normal((5, 3)))
     out = infuse_context(nodes, Tensor(np.array([[9.0, -9.0, 4.0]])), params, spec, rows=[0])
     np.testing.assert_allclose(out.data, nodes.data, atol=1e-15)
 
 
 def test_infuse_zero_weights_bias_everywhere():
-    params, spec = _eta(np.zeros((6, 3)), 3)
-    params["context_mlp/b0"].data[...] = [1.0, 2.0, 3.0]
+    params, spec = _eta(np.zeros((6, 3)), np.zeros((3, 3)))
+    params["context_mlp/b1"].data[...] = [1.0, 2.0, 3.0]
     out = infuse_context(Tensor(np.zeros((4, 3))), Tensor(np.zeros((1, 3))), params, spec, rows=[0])
     np.testing.assert_array_equal(out.data, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
@@ -121,13 +124,13 @@ def test_infuse_width_mismatch():
 
 
 def test_infuse_rejects_a_summary_vector():
-    params, spec = _eta(np.zeros((6, 3)), 3)
+    params, spec = _eta(np.zeros((6, 3)), np.zeros((3, 3)))
     with pytest.raises(ShapeError):  # one summary is a (1, d) matrix, picked by rows=[0]
         infuse_context(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), params, spec, rows=[0])
 
 
 def test_infuse_rejects_empty_rows():
-    params, spec = _eta(np.zeros((6, 3)), 3)
+    params, spec = _eta(np.zeros((6, 3)), np.zeros((3, 3)))
     with pytest.raises(ShapeError):
         infuse_context(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))), params, spec, rows=[])
 

@@ -5,8 +5,8 @@ import pytest
 
 from gqn import autodiff, edge_focus
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
-                          _make, _segment_mix, _segment_mix_grads, _split_mlp_grads,
-                          _split_mlp_outputs, _toposort, concat_cols, gather_rows, grad_check,
+                          _make, _segment_mix, _segment_mix_grads, _split_linear,
+                          _split_linear_grads, _toposort, concat_cols, gather_rows, grad_check,
                           linear, mlp_forward, mul, reshape, row_softmax, split_mlp_forward,
                           sum_all)
 from gqn.edge_focus import (_fold, _fold_grads, edge_attention, edge_features, edge_focus_update,
@@ -30,13 +30,18 @@ def _manual_query(states, positions, k):
     )
 
 
-def _linear_params(name, weights, d_out, seed=0):
-    params = ParamStore(seed=seed)
-    spec = MlpSpec.linear(np.asarray(weights).shape[0], d_out)
+def _passthrough_params(params, name, d, half):
+    """A two-layer MLP ``name`` over [x || y], each of width d, that returns half ``half``
+    (0 for x, 1 for y) as relu(v) - relu(-v); zero biases."""
+    eye = np.eye(d)
+    spec = MlpSpec.relu_stack((2 * d, 2 * d, d))
     params.register_mlp(name, spec)
-    params[f"{name}/W0"].data[...] = weights
-    params[f"{name}/b0"].data[...] = 0.0
-    return params, spec
+    first = [np.hstack([eye, -eye]), np.zeros((d, 2 * d))]
+    params[f"{name}/W0"].data[...] = np.vstack(first if half == 0 else first[::-1])
+    params[f"{name}/W1"].data[...] = np.vstack([eye, -eye])
+    for i in range(2):
+        params[f"{name}/b{i}"].data[...] = 0.0
+    return spec
 
 
 def _edge_mlp_params(first_weights, d_out=2, seed=0):
@@ -94,16 +99,31 @@ def test_edge_feature_width_mismatch():
 
 
 def test_edge_features_reject_a_one_layer_edge_mlp():
-    """The stage folds the edge MLP's output layer, so it needs a hidden layer before it."""
+    """The edge and node MLPs have exactly two layers (the stage folds the edge MLP's
+    output layer into the scores); a 1- or 3-layer edge or node MLP fails at the shape
+    gate, whose other checks these shapes pass."""
     q = _manual_query([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 1.0]], 1)
-    params, spec = _linear_params("edge_mlp", np.ones((4, 2)), 2)
-    lin = MlpSpec.linear(2, 2)
-    for name in ("edge_q", "edge_k", "node_mlp"):
-        params.register_mlp(name, lin if name != "node_mlp" else MlpSpec.relu_stack((4, 2, 2)))
-    with pytest.raises(ShapeError):
-        edge_features(q, params, spec)
-    with pytest.raises(ShapeError):
-        edge_focus_update(q, params, spec, MlpSpec.relu_stack((4, 2, 2)), lin, lin)
+    lin, two = MlpSpec.linear(2, 2), MlpSpec.relu_stack((4, 2, 2))
+
+    def stage_params(edge_spec, node_spec):
+        params = ParamStore(seed=0)
+        for name, spec in (("edge_mlp", edge_spec), ("node_mlp", node_spec), ("edge_q", lin),
+                           ("edge_k", lin)):
+            params.register_mlp(name, spec)
+        return params
+
+    edge_focus_update(q, stage_params(two, two), two, two, lin, lin)  # runs at two layers
+    for other in (MlpSpec.linear(4, 2), MlpSpec.relu_stack((4, 2, 2, 2))):
+        params = stage_params(other, two)
+        with pytest.raises(ShapeError, match="exactly two layers"):
+            edge_features(q, params, other)
+        with pytest.raises(ShapeError, match="exactly two layers"):
+            edge_focus_update(q, params, other, two, lin, lin)
+        params = stage_params(two, other)
+        with pytest.raises(ShapeError, match="exactly two layers"):
+            update_nodes(q, Tensor(np.ones((2, 2))), params, other)
+        with pytest.raises(ShapeError, match="exactly two layers"):
+            edge_focus_update(q, params, two, other, lin, lin)
 
 
 # ----------------------------------------------------------------------------
@@ -177,11 +197,7 @@ def test_update_single_edge_uses_its_feature():
     params, edge_spec = _edge_mlp_params([[1.0, -1.0], [2.0, 0.5], [0.0, 1.0], [1.0, 1.0]])
     params["edge_mlp/W1"].data[...] = [[1.0, 2.0], [-1.0, 0.5]]
     params["edge_mlp/b1"].data[...] = [0.25, -0.5]
-    # rho = linear pass-through of the message half
-    node_spec = MlpSpec.linear(4, 2)
-    params.register_mlp("node_mlp", node_spec)
-    params["node_mlp/W0"].data[...] = np.vstack([np.eye(2), np.zeros((2, 2))])
-    params["node_mlp/b0"].data[...] = 0.0
+    node_spec = _passthrough_params(params, "node_mlp", 2, half=0)  # the message half
     lin = MlpSpec.linear(2, 2)
     for name in ("edge_q", "edge_k"):
         params.register_mlp(name, lin)
@@ -193,8 +209,8 @@ def test_update_single_edge_uses_its_feature():
 
 def test_update_passthrough_of_state_half_with_zero_edges():
     q = _manual_query([[1.0, 2.0], [3.0, 4.0]], np.zeros((2, 2)), 1)
-    w = np.vstack([np.zeros((2, 2)), np.eye(2)])
-    params, rho_spec = _linear_params("node_mlp", w, 2)
+    params = ParamStore(seed=0)
+    rho_spec = _passthrough_params(params, "node_mlp", 2, half=1)  # the state half
     out = update_nodes(q, Tensor(np.zeros((2, 2))), params, rho_spec)
     np.testing.assert_allclose(out.data, q.states.data, atol=1e-15)
 
@@ -269,25 +285,14 @@ def _stage_params(d, seed):
     return params, specs
 
 
-def _hidden_node(query, params, spec):
-    """The edge MLP up to its last hidden layer, after the ReLU, as one node over
-    ``(states, W0, b0, ...)``, with the calls the fused node runs."""
-    layers = [(params[f"edge_mlp/W{i}"], params[f"edge_mlp/b{i}"]) for i in range(spec.n_layers)]
-    arrays = [(w.data, b.data) for w, b in layers]
-    parents = (query.states,) + tuple(t for layer in layers[:-1] for t in layer)
+def _hidden_node(query, params):
+    """The edge MLP's hidden layer, after the ReLU, as one node over ``(states, W0, b0)``,
+    with the calls the fused node runs."""
+    w0, b0 = params["edge_mlp/W0"], params["edge_mlp/b0"]
     rows, k = np.asarray(query.edge_dst, np.intp), query.k
-
-    def outputs():
-        return _split_mlp_outputs(query.positions, query.states.data, arrays, rows, k,
-                                  len(arrays) - 1)
-
-    def backprop(g):
-        hidden = outputs()
-        g = np.where(hidden[-1] > 0.0, g, 0.0)
-        return tuple(_split_mlp_grads(g, query.positions, query.states.data, arrays[:-1], rows, k,
-                                      hidden[:-1])[1:])
-
-    return _make(outputs()[-1], parents, backprop)
+    h = _split_linear(query.positions, query.states.data, w0.data, b0.data, rows, k, relu=True)
+    return _make(h, (query.states, w0, b0), lambda g: _split_linear_grads(
+        g, query.positions, query.states.data, w0.data, rows, k, h)[1:])
 
 
 def _fold_node(out_w, out_b, w, b):
@@ -321,9 +326,9 @@ def _mix_node(t, w, k):
 
 def _per_stage_chain(query, params, edge_spec, node_spec, q_spec, k_spec):
     """One tape node per stage of the folded form, built from the helpers the fused node runs."""
-    n, k, last = query.n_nodes, query.k, edge_spec.n_layers - 1
-    hidden = _hidden_node(query, params, edge_spec)
-    out_w, out_b = params[f"edge_mlp/W{last}"], params[f"edge_mlp/b{last}"]
+    n, k = query.n_nodes, query.k
+    hidden = _hidden_node(query, params)
+    out_w, out_b = params["edge_mlp/W1"], params["edge_mlp/b1"]
     folds = [_fold_node(out_w, out_b, params[f"{name}/W0"], params[f"{name}/b0"])
              for name in ("edge_q", "edge_k")]
     scores = _score_node(hidden, *folds)
