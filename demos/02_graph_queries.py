@@ -33,7 +33,8 @@ print(f"random global vector -> alpha in [{alpha.data.min():.2e}, {alpha.data.ma
 # neighbors. Watch how many sampled nodes land on actual objects.
 query = init_graph_query(u, states, flat, set_index=0, query_index=0,
                          spec=QuerySetSpec(queries=1, ratio=0.2, k=3))
-on_object = truth.mask[query.bev_indices].sum()
+cells = flat.bev_indices[query.pair_rows]  # each node's BEV cell
+on_object = truth.mask[cells].sum()
 print(f"query sampled {query.n_nodes} nodes, {int(on_object)} on objects, "
       f"{len(query.edge_src)} directed edges (out-degree {query.k})")
 
@@ -43,7 +44,7 @@ print("out-degree exactly k for every node:", bool(np.all(degrees == query.k)),
 
 # Edges live in feature space: an edge's endpoints can be far apart on the
 # grid if their features (e.g. the Doppler-like channel) agree.
-rr, cc = np.divmod(query.bev_indices, flat.width)
+rr, cc = np.divmod(cells, flat.width)
 hops = np.abs(rr[query.edge_src] - rr[query.edge_dst]) + np.abs(cc[query.edge_src] - cc[query.edge_dst])
 print(f"grid distance along edges: median {np.median(hops):.0f} cells, max {hops.max()} "
       "(feature-space neighbors need not be spatial neighbors)")

@@ -33,15 +33,16 @@ chunk = init_graph_query(u, states, flat, 0, 0, cfg.sets[0])
 n = chunk.n_nodes // chunk.queries
 print(f"{chunk.queries} queries, {n} nodes each, k={chunk.k}, stacked into {chunk.n_nodes} rows")
 
-# 1) edge features: one vector per directed edge. edge_features stops at the
+# 1) edge features: one vector per directed edge. Every stage reads its layers
+#    from params, as init_params registered them. edge_features stops at the
 #    edge MLP's hidden layer h; its last layer is linear, f = h W + b.
-hidden = edge_features(chunk, params, cfg.edge_mlp_spec)
+hidden = edge_features(chunk, params)
 out_w, out_b = params["edge_mlp/W1"].data, params["edge_mlp/b1"].data
 feats = Tensor(hidden.data @ out_w + out_b)
 print(f"edge features: {feats.data.shape} (Q*n*k rows, d columns), from hidden {hidden.data.shape}")
 
 # 2) attention over each node's edges; the K weights of a node sum to one
-beta = edge_attention(feats, chunk.n_nodes, chunk.k, params, cfg.edge_q_spec, cfg.edge_k_spec)
+beta = edge_attention(feats, chunk.n_nodes, chunk.k, params)
 per_node = beta.data.reshape(chunk.n_nodes, chunk.k)
 print(f"edge attention row sums: min {per_node.sum(1).min():.12f}, max {per_node.sum(1).max():.12f}")
 print(f"sharpest node weighting: {per_node.max(1).max():.3f} on one edge "
@@ -49,12 +50,11 @@ print(f"sharpest node weighting: {per_node.max(1).max():.3f} on one edge "
 
 # 3) node update from the weighted edge sum plus the node's own state
 message = Tensor((beta.data[:, None] * feats.data).reshape(chunk.n_nodes, chunk.k, -1).sum(1))
-updated = update_nodes(chunk, message, params, cfg.node_mlp_spec)
+updated = update_nodes(chunk, message, params)
 print(f"updated node states: {updated.data.shape}")
 # The fused stage never builds f: it scores h under q and key composed with
 # (W, b), and takes the message as (sum of beta * h) W + b, per node.
-fused = edge_focus_update(chunk, params, cfg.edge_mlp_spec, cfg.node_mlp_spec,
-                          cfg.edge_q_spec, cfg.edge_k_spec)
+fused = edge_focus_update(chunk, params)
 print(f"fused stage vs the steps above: max |diff| {np.abs(fused.data - updated.data).max():.1e}")
 
 # 4) pool each query and let the summaries exchange context
@@ -65,7 +65,7 @@ print(f"summaries after  exchange, first two dims: {mixed.data[:, :2].round(3).t
 print("zero steps is the exact identity:", context_exchange(pooled, 0, params) is pooled)
 
 # 5) infuse each exchanged summary back into the nodes of its query
-final = infuse_context(updated, mixed, params, cfg.context_mlp_spec,
+final = infuse_context(updated, mixed, params,
                        rows=range(chunk.query_index, chunk.query_index + chunk.queries))
 print(f"context-aware nodes: {final.data.shape}, "
       f"mean |shift| of query 0 vs pre-context: "

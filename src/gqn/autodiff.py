@@ -617,15 +617,6 @@ class MlpSpec:
     def n_layers(self) -> int:
         return len(self.widths) - 1
 
-    @classmethod
-    def relu_stack(cls, widths: Sequence[int]) -> "MlpSpec":
-        """ReLU on hidden layers, linear output."""
-        return cls(tuple(widths))
-
-    @classmethod
-    def linear(cls, w_in: int, w_out: int) -> "MlpSpec":
-        return cls((w_in, w_out))
-
 
 def _param_rng(seed: int, name: str) -> np.random.Generator:
     # Name-keyed counter-based streams: init is independent of registration order.
@@ -667,6 +658,14 @@ class ParamStore:
             w_in, w_out = spec.widths[i], spec.widths[i + 1]
             self.register(f"{name}/W{i}", (w_in, w_out))
             self.register(f"{name}/b{i}", (w_out,), init="zeros")
+
+    def layers(self, name: str) -> list[tuple[Tensor, Tensor]]:
+        """The ``(W{i}, b{i})`` pairs ``register_mlp`` made under ``name``, in layer order;
+        empty for a name it did not register."""
+        out = []
+        while (w := self._params.get(f"{name}/W{len(out)}")) is not None:
+            out.append((w, self._params[f"{name}/b{len(out)}"]))
+        return out
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -736,9 +735,12 @@ def _split_mlp_grads(g: Array, a: Array, b: Array, layers: list[tuple[Array, Arr
     return _split_linear_grads(g, a, b, w0, rows, k, hidden) + (gw1, gb1)
 
 
-def split_mlp_forward(spec: MlpSpec, params: ParamStore, name: str, a: Tensor, b: Tensor,
+def split_mlp_forward(params: ParamStore, name: str, a: Tensor, b: Tensor,
                       rows=None, k: int = 0) -> Tensor:
     """Apply the named two-layer MLP to ``[a || b[rows]]`` as one tape node.
+
+    The layers are the stored ones (``ParamStore.layers``), and
+    ``_check_split_mlp`` gates their shapes.
 
     The first layer runs split per node (``_split_linear``, with the ReLU),
     the output layer as ``_dense``. The node keeps only its inputs and its
@@ -752,7 +754,7 @@ def split_mlp_forward(spec: MlpSpec, params: ParamStore, name: str, a: Tensor, b
     bit depends on it.
     """
     rows = None if rows is None else np.asarray(rows, dtype=np.intp)
-    layers = [(params[f"{name}/W{i}"], params[f"{name}/b{i}"]) for i in range(spec.n_layers)]
+    layers = params.layers(name)
     _check_split_mlp(name, a.data, b.data, [(w.data, bias.data) for w, bias in layers], rows, k)
     (w0, b0), (w1, b1) = layers
 

@@ -188,31 +188,33 @@ def _mlp_flops(rows: int, spec: MlpSpec) -> int:
     return total + rows * sum(spec.widths[1:-1])  # ReLU on the hidden layers
 
 
-def _split_layer_flops(w_in: int, h: int, product_rows: int, adds: int) -> int:
-    """A first layer split per node: ``product_rows`` rows times one (w_in/2, h) half of W0,
-    and ``adds`` rows of h sums that combine the products and add the bias (per node, or
+def _split_layer_flops(d: int, product_rows: int, adds: int) -> int:
+    """A (2d, d) first layer split per node: ``product_rows`` rows times one (d, d) half of
+    W0, and ``adds`` rows of d sums that combine the products and add the bias (per node, or
     gathered per edge)."""
-    return product_rows * 2 * (w_in // 2) * h + adds * h
+    return product_rows * 2 * d * d + adds * d
 
 
-def _split_mlp_flops(spec: MlpSpec, product_rows: int, adds: int, rows: int) -> int:
-    """A two-layer MLP whose first layer runs split per node, as
-    ``autodiff.split_mlp_forward`` runs it: the split layer (``_split_layer_flops``),
-    the ReLU on each of the ``rows`` hidden outputs, then the dense output layer."""
-    w_in, h, w_out = spec.widths
-    return (_split_layer_flops(w_in, h, product_rows, adds) + rows * h
-            + _linear_flops(rows, h, w_out))
+def _split_mlp_flops(d: int, product_rows: int, adds: int, rows: int) -> int:
+    """A (2d, d, d) MLP whose first layer runs split per node, as
+    ``autodiff.split_mlp_forward`` runs the node and context MLPs: the split layer
+    (``_split_layer_flops``), the ReLU on each of the ``rows`` hidden outputs, then
+    the dense output layer."""
+    return _split_layer_flops(d, product_rows, adds) + rows * d + _linear_flops(rows, d, d)
 
 
 def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
     """Closed-form FLOPs of one pipeline pass per stage; a function of config and grid size only.
 
-    The stages are named as the benchmark's spans. The estimate counts the
+    The stages are named as the benchmark's spans. The fused stages' layers
+    are fixed, so they are counted from d: the (2d, d, d) edge, node and
+    context MLPs and one (d, d) layer each for q and key, as
+    ``pipeline.init_params`` registers them. The estimate counts the
     layers the code runs, not the concatenated layers of the paper: the
     first layers of the edge, node and context MLPs are split per node
     (``autodiff.split_mlp_forward``), so their products are per node, the edge
     layer adds its bias per node and then a per-edge gather-add, and the
-    summary half of the context layer is one (tau, d) x (d, h) product. The
+    summary half of the context layer is one (tau, d) x (d, d) product. The
     edge MLP's linear output layer is folded (``edge_focus``): no per-edge
     output is built, edges are scored on the hidden layer h as the bilinear
     form ``h A hᵀ + h·c + bq·bk`` (``autodiff._bilinear_scores``, one (d, d)
@@ -235,8 +237,6 @@ def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
     normalization, and the skip and gate MLPs over every cell.
     """
     d, tau = config.d, config.tau
-    edge_spec = config.edge_mlp_spec
-    h = edge_spec.widths[1]  # the edge MLP's hidden width, which scoring and the message read
     stages = dict.fromkeys(("query_init.score", "query_init.select", "edge_focus.features",
                             "edge_focus.attention", "edge_focus.update", "deep_context.pool",
                             "deep_context.exchange", "deep_context.infuse", "pipeline.project",
@@ -249,23 +249,22 @@ def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
             "query_init.select": 2 * n * d + n,                       # selection weighting
             # the hidden layer: per-node products of both halves, their sum
             # and the bias, then per edge the source term subtracted and the ReLU
-            "edge_focus.features": (_split_layer_flops(edge_spec.widths[0], h, 2 * n,
-                                                       2 * n + edges) + edges * h),
+            "edge_focus.features": _split_layer_flops(d, 2 * n, 2 * n + edges) + edges * d,
             # h A, plus c, the row dot with h, plus bq·bk, then the softmax
-            "edge_focus.attention": edges * (2 * h * h + 3 * h + 1 + 4),
-            "edge_focus.update": (2 * edges * h                       # weighted aggregation
-                                  + _linear_flops(n, h, d)            # message, per node
-                                  + _split_mlp_flops(config.node_mlp_spec, 2 * n, 2 * n, n)),
+            "edge_focus.attention": edges * (2 * d * d + 3 * d + 1 + 4),
+            "edge_focus.update": (2 * edges * d                       # weighted aggregation
+                                  + _linear_flops(n, d, d)            # message, per node
+                                  + _split_mlp_flops(d, 2 * n, 2 * n, n)),
             "deep_context.pool": n * d,                               # max pooling
             # node half per node, plus the gathered summary half and the bias
-            "deep_context.infuse": _split_mlp_flops(config.context_mlp_spec, n, 2 * n, n),
+            "deep_context.infuse": _split_mlp_flops(d, n, 2 * n, n),
             "pipeline.project": n * d,                                # scatter adds
         }
         for stage, flops in per_query.items():
             stages[stage] += s.queries * flops
-    stages["deep_context.infuse"] += 2 * tau * d * config.context_mlp_spec.widths[1]
-    stages["edge_focus.attention"] += (2 * (2 * h * d * d + 2 * d * d + d)   # q and key composed
-                                       + 2 * h * h * d + 4 * h * d + h + 2 * d)  # A, c and bq·bk
+    stages["deep_context.infuse"] += 2 * tau * d * d
+    stages["edge_focus.attention"] += (2 * (2 * d * d * d + 2 * d * d + d)   # q and key composed
+                                       + 2 * d * d * d + 4 * d * d + 3 * d)  # A, c and bq·bk
     stages["deep_context.exchange"] = config.context_steps * (
         3 * _linear_flops(tau, d, d)                                  # q/k/v projections
         + 2 * (2 * tau * tau * d)                                     # score and mixing matmuls

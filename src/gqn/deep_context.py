@@ -14,7 +14,9 @@ makes (Wang et al., "Dynamic Graph CNN for Learning on Point Clouds", 2019,
 eq. 8). ``infuse_context`` multiplies all tau summaries U by W_b and gathers
 the product's rows per node (``autodiff.split_mlp_forward``, one tape node
 that recomputes its hidden layer in backward), so the tiled (N, 2d) input is
-never built. Every chunk forms the same (tau, d) x (d, h) product, so
+never built. The MLP's layers are the stored ``context_mlp`` ones, exactly
+two (``(2d, d, d)``, registered from d), and ``autodiff._check_split_mlp``
+gates their shapes. Every chunk forms the same (tau, d) x (d, h) product, so
 each node's bits do not depend on how the queries are chunked; projecting
 only a chunk's gathered summary rows would change them.
 """
@@ -25,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import MlpSpec, ParamStore, Tensor, max_rows, self_attention_layer, split_mlp_forward
+from .autodiff import ParamStore, Tensor, max_rows, self_attention_layer, split_mlp_forward
 from .errors import ConfigError, ShapeError
 
 
@@ -48,7 +50,7 @@ def context_exchange(summaries: Tensor, steps: int, params: ParamStore) -> Tenso
     return out
 
 
-def infuse_context(nodes: Tensor, summaries: Tensor, params: ParamStore, spec: MlpSpec,
+def infuse_context(nodes: Tensor, summaries: Tensor, params: ParamStore,
                    rows: Sequence[int]) -> Tensor:
     """Mix each query's updated summary into each of its nodes: MLP(node || summary).
 
@@ -61,5 +63,5 @@ def infuse_context(nodes: Tensor, summaries: Tensor, params: ParamStore, spec: M
     rows = np.asarray(rows, dtype=np.intp)
     if not len(rows) or nodes.data.shape[0] % len(rows):
         raise ShapeError(f"{nodes.data.shape[0]} nodes do not split into {len(rows)} queries")
-    return split_mlp_forward(spec, params, "context_mlp", nodes, summaries,
+    return split_mlp_forward(params, "context_mlp", nodes, summaries,
                              rows=np.repeat(rows, nodes.data.shape[0] // len(rows)))

@@ -33,12 +33,18 @@ in it, so the stage never builds f:
   the softmax Jacobian removes per-row constants.
 
 This moves results by rounding only; the unfolded form is the oracle of the
-tests. The edge and node MLPs have exactly two layers, a split hidden layer
-and a linear output layer (every config builds ``(2d, d, d)``); their one
-shape gate is ``autodiff._check_split_mlp``.
+tests.
 
-Scoring: q and key are one (d, d) layer each, and their per-edge dot product
-is taken as the bilinear form ``h A hᵀ + h·c + bq'·bk'`` with ``A = Wq' Wk'ᵀ``
+Layers: each stage reads its layers from the parameters
+(``ParamStore.layers``), as ``pipeline.init_params`` registered them from d,
+and gates the stored shapes. The edge and node MLPs have exactly two layers,
+a split hidden layer and a linear output layer (``(2d, d, d)``); their one
+shape gate is ``autodiff._check_split_mlp``. q and key are exactly one
+(d, d) layer each, d the edge MLP's output width (``_scoring``); the edge
+MLP's gate, in ``edge_features``, runs before they are read.
+
+Scoring: the per-edge dot product of q and key is taken as the bilinear
+form ``h A hᵀ + h·c + bq'·bk'`` with ``A = Wq' Wk'ᵀ``
 (``autodiff._bilinear_scores``): one (n*k, d) x (d, d) product, the only
 per-edge product of the stage's forward, where projecting f and then q and
 key would take three.
@@ -68,7 +74,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
+from .autodiff import (ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
                        _check_split_mlp, _dense, _dense_grads, _make, _row_softmax,
                        _row_softmax_grad, _segment_mix, _segment_mix_grads, _split_linear,
                        _split_linear_grads, _split_mlp_grads)
@@ -78,24 +84,19 @@ from .query_init import GraphQuery
 Array = np.ndarray
 
 
-def _layers(params: ParamStore, name: str, spec: MlpSpec) -> list[tuple[Tensor, Tensor]]:
-    return [(params[f"{name}/W{i}"], params[f"{name}/b{i}"]) for i in range(spec.n_layers)]
-
-
 def _arrays(layers: list[tuple[Tensor, Tensor]]) -> list[tuple[Array, Array]]:
     return [(w.data, b.data) for w, b in layers]
 
 
-def _scoring(params: ParamStore, q_spec: MlpSpec, k_spec: MlpSpec) -> list[Tensor]:
-    """q's and key's weight and bias: ``[Wq, bq, Wk, bk]``."""
-    return [t for name, spec in (("edge_q", q_spec), ("edge_k", k_spec))
-            for layer in _layers(params, name, spec) for t in layer]
-
-
-def _check_scoring(d: int, q_spec: MlpSpec, k_spec: MlpSpec) -> None:
-    if q_spec.widths != (d, d) or k_spec.widths != (d, d):
+def _scoring(params: ParamStore, d: int) -> list[Tensor]:
+    """q's and key's stored weight and bias, ``[Wq, bq, Wk, bk]``; raises ``ShapeError``
+    unless each is exactly one (d, d) layer."""
+    q, key = params.layers("edge_q"), params.layers("edge_k")
+    shapes = [[(w.data.shape, b.data.shape) for w, b in layers] for layers in (q, key)]
+    if shapes != [[((d, d), (d,))]] * 2:
         raise ShapeError(f"edge scoring needs one ({d}, {d}) layer each for q and key, got "
-                         f"widths {q_spec.widths} and {k_spec.widths}")
+                         f"layers {shapes[0]} and {shapes[1]}")
+    return [t for layer in q + key for t in layer]
 
 
 def _fold(out_w: Array, out_b: Array, w: Array, b: Array) -> tuple[Array, Array]:
@@ -117,7 +118,7 @@ def _edge_weights(x: Array, n_nodes: int, k: int, scoring: list[Array]) -> Array
     return _row_softmax(_bilinear_scores(x, *scoring).reshape(n_nodes, k))
 
 
-def edge_features(query: GraphQuery, params: ParamStore, spec: MlpSpec) -> Tensor:
+def edge_features(query: GraphQuery, params: ParamStore) -> Tensor:
     """Per-edge features h: the edge MLP's hidden layer over (relative position || neighbor
     state), after the ReLU; shape (n_nodes*k, hidden width). Row e is the edge from node
     e // k to node ``query.edge_dst[e]``.
@@ -126,32 +127,29 @@ def edge_features(query: GraphQuery, params: ParamStore, spec: MlpSpec) -> Tenso
     the message (see the module docstring), so no per-edge output is built.
     """
     positions, states = query.positions, query.states.data
-    layers, rows = _arrays(_layers(params, "edge_mlp", spec)), np.asarray(query.edge_dst, np.intp)
+    layers, rows = _arrays(params.layers("edge_mlp")), np.asarray(query.edge_dst, np.intp)
     _check_split_mlp("edge_mlp", positions, states, layers, rows, query.k)
     return Tensor(_split_linear(positions, states, *layers[0], rows, query.k, relu=True))
 
 
-def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore,
-                   q_spec: MlpSpec, k_spec: MlpSpec) -> Tensor:
+def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore) -> Tensor:
     """Per-edge weights of the rows ``feats`` under q and key, normalized over each node's
     k edges; shape (n*k,)."""
     if k < 1 or feats.data.shape[0] != n_nodes * k:
         raise ContractError(f"need k >= 1 edges per node, got {feats.data.shape[0]} for {n_nodes}x{k}")
-    _check_scoring(feats.data.shape[1], q_spec, k_spec)
-    scoring = [t.data for t in _scoring(params, q_spec, k_spec)]
+    scoring = [t.data for t in _scoring(params, feats.data.shape[1])]
     return Tensor(_edge_weights(feats.data, n_nodes, k, scoring).reshape(n_nodes * k))
 
 
-def update_nodes(query: GraphQuery, message: Tensor, params: ParamStore, spec: MlpSpec) -> Tensor:
+def update_nodes(query: GraphQuery, message: Tensor, params: ParamStore) -> Tensor:
     """Updated node states: MLP(message || node state), shape (n_nodes, d)."""
-    layers = _arrays(_layers(params, "node_mlp", spec))
+    layers = _arrays(params.layers("node_mlp"))
     _check_split_mlp("node_mlp", message.data, query.states.data, layers, None, 0)
     hidden = _split_linear(message.data, query.states.data, *layers[0], None, 0, relu=True)
     return Tensor(_dense(hidden, *layers[1], relu=False))
 
 
-def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,
-                      node_spec: MlpSpec, q_spec: MlpSpec, k_spec: MlpSpec) -> Tensor:
+def edge_focus_update(query: GraphQuery, params: ParamStore) -> Tensor:
     """The full edge-attention update for one query chunk, as one tape node.
 
     Every step is per edge or per node, so a chunk of stacked queries gives
@@ -161,11 +159,10 @@ def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,
     of every parent, and ``Tensor.backward`` drops those of parents that do
     not require grad.
     """
-    _check_scoring(edge_spec.widths[-1], q_spec, k_spec)
-    hidden = edge_features(query, params, edge_spec).data
+    hidden = edge_features(query, params).data  # gates the edge MLP before q and key are read
 
-    edge, node = _layers(params, "edge_mlp", edge_spec), _layers(params, "node_mlp", node_spec)
-    scoring = _scoring(params, q_spec, k_spec)
+    edge, node = params.layers("edge_mlp"), params.layers("node_mlp")
+    scoring = _scoring(params, edge[-1][0].data.shape[1])
     states, n, k = query.states, query.n_nodes, query.k
     grid_positions, pair_rows = query.grid_positions, query.pair_rows
     rows = np.asarray(query.edge_dst, np.intp)
@@ -181,7 +178,7 @@ def edge_focus_update(query: GraphQuery, params: ParamStore, edge_spec: MlpSpec,
         mix = _segment_mix(h, beta, k)
         return beta, mix, _dense(mix, *_arrays(edge)[-1], relu=False)
 
-    out = update_nodes(query, Tensor(mix_and_message(hidden, folded())[2]), params, node_spec).data
+    out = update_nodes(query, Tensor(mix_and_message(hidden, folded())[2]), params).data
 
     parents = ((states,) + tuple(t for layer in edge for t in layer) + tuple(scoring)
                + tuple(t for layer in node for t in layer))

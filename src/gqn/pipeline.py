@@ -94,36 +94,15 @@ class GqnConfig:
     def tau(self) -> int:
         return sum(s.queries for s in self.sets)
 
-    # MLP shapes, parameterized by d. With d=64 and three sets these are the
-    # 128->64->64 edge/node/context stacks, the 320->128->64 skip MLP and the
-    # 128->64->2 fusion-gate MLP.
-    @property
-    def edge_mlp_spec(self) -> MlpSpec:
-        return MlpSpec.relu_stack((2 * self.d, self.d, self.d))
-
-    @property
-    def node_mlp_spec(self) -> MlpSpec:
-        return MlpSpec.relu_stack((2 * self.d, self.d, self.d))
-
-    @property
-    def context_mlp_spec(self) -> MlpSpec:
-        return MlpSpec.relu_stack((2 * self.d, self.d, self.d))
-
-    @property
-    def edge_q_spec(self) -> MlpSpec:
-        return MlpSpec.linear(self.d, self.d)
-
-    @property
-    def edge_k_spec(self) -> MlpSpec:
-        return MlpSpec.linear(self.d, self.d)
-
+    # Skip and gate MLP shapes, parameterized by d. With d=64 and three sets
+    # these are the 320->128->64 skip MLP and the 128->64->2 fusion-gate MLP.
     @property
     def mlp1_spec(self) -> MlpSpec:
-        return MlpSpec.relu_stack(((self.num_sets + 2) * self.d, 2 * self.d, self.d))
+        return MlpSpec(((self.num_sets + 2) * self.d, 2 * self.d, self.d))
 
     @property
     def mlp2_spec(self) -> MlpSpec:
-        return MlpSpec.relu_stack((2 * self.d, self.d, 2))
+        return MlpSpec((2 * self.d, self.d, 2))
 
 
 @dataclass
@@ -146,15 +125,17 @@ def init_params(config: GqnConfig, m_bev: int) -> ParamStore:
         n = s.n_nodes(m_bev)
         if s.k >= n:
             raise ConfigError(f"set {i}: k={s.k} >= n={n} nodes (ratio {s.ratio} of {m_bev} cells)")
-    params = ParamStore(seed=config.seed)
+    d, params = config.d, ParamStore(seed=config.seed)
     for q in range(config.tau):
-        params.register(f"query_global/{q}", (config.d,))
-    params.register_mlp("edge_mlp", config.edge_mlp_spec)
-    params.register_mlp("node_mlp", config.node_mlp_spec)
-    params.register_mlp("edge_q", config.edge_q_spec)
-    params.register_mlp("edge_k", config.edge_k_spec)
-    params.register_mlp("context_mlp", config.context_mlp_spec)
-    register_attention(params, "ctx_attn", config.d)
+        params.register(f"query_global/{q}", (d,))
+    # the fused stages' fixed layers, which they read back with ``ParamStore.layers``
+    split, square = MlpSpec((2 * d, d, d)), MlpSpec((d, d))
+    params.register_mlp("edge_mlp", split)
+    params.register_mlp("node_mlp", split)
+    params.register_mlp("edge_q", square)
+    params.register_mlp("edge_k", square)
+    params.register_mlp("context_mlp", split)
+    register_attention(params, "ctx_attn", d)
     params.register_mlp("mlp1", config.mlp1_spec)
     params.register_mlp("mlp2", config.mlp2_spec)
     return params
@@ -219,8 +200,7 @@ def run_gqn(flat: FlatPairs, config: GqnConfig, params: ParamStore,
             last = min(first + size, q_index + spec.queries)
             u = concat_rows([params[f"query_global/{q}"] for q in range(first, last)])
             query = init_graph_query(u, states, flat, set_index, first, spec)
-            nodes = edge_focus_update(query, params, config.edge_mlp_spec, config.node_mlp_spec,
-                                      config.edge_q_spec, config.edge_k_spec)
+            nodes = edge_focus_update(query, params)
             set_chunks.append((query, nodes))
         chunks.append(set_chunks)
         q_index += spec.queries
@@ -235,7 +215,7 @@ def run_gqn(flat: FlatPairs, config: GqnConfig, params: ParamStore,
         contributions = []
         for query, nodes in set_chunks:
             rows = np.arange(query.query_index, query.query_index + query.queries)
-            mixed = infuse_context(nodes, summaries, params, config.context_mlp_spec, rows=rows)
+            mixed = infuse_context(nodes, summaries, params, rows=rows)
             contributions.append((query.pair_rows, mixed))
         set_maps.append(project_to_bev(contributions, flat))
 

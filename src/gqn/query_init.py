@@ -62,16 +62,16 @@ class GraphQuery:
     chunk-wide, so query q's edges stay inside its own rows. ``n_nodes`` counts
     the nodes of the whole chunk, Q*n. With Q = 1 it is a single query.
     Edge sources are not stored: every node has k edges, so ``edge_src`` is
-    derived from ``n_nodes`` and ``k``. Nor are the positions: the chunk keeps
-    the grid's encodings and its nodes' pair rows, and ``positions`` gathers
-    them on each read.
+    derived from ``n_nodes`` and ``k``. Nor are the positions or the cells: the
+    chunk keeps the grid's encodings and its nodes' pair rows, ``positions``
+    gathers them on each read, and a node's cell is
+    ``flat.bev_indices[pair_rows]``, distinct within each query.
     """
 
     set_index: int
     query_index: int   # the chunk's first query
     n_nodes: int       # Q * n
     k: int
-    bev_indices: Array  # (Q*n,) cell indices, distinct within each query
     grid_positions: Array  # (m, d) the grid's positional encodings, shared, not copied
     pair_rows: Array    # (Q*n,) the nodes' rows in the grid's pair order
     states_raw: Array   # (Q*n, d) unscaled features for kNN, the data ``states`` is scaled from
@@ -136,7 +136,6 @@ def select_nodes(alpha: Tensor, states: Tensor, flat: FlatPairs, n: int) -> Grap
         query_index=0,
         n_nodes=queries * n,
         k=0,
-        bev_indices=flat.bev_indices[rows],
         grid_positions=flat.positions,
         pair_rows=rows,
         states_raw=raw.data,

@@ -132,16 +132,14 @@ def test_criterion_5_normalization_invariants():
         qk_params = {}
         for d in range(2, 9):
             p = ParamStore(seed=d)
-            p.register_mlp("edge_q", MlpSpec.linear(d, d))
-            p.register_mlp("edge_k", MlpSpec.linear(d, d))
+            p.register_mlp("edge_q", MlpSpec((d, d)))
+            p.register_mlp("edge_k", MlpSpec((d, d)))
             qk_params[d] = p
         for _ in range(3000):
             d = int(rng.integers(2, 9))
             n = int(rng.integers(1, 9))
             k = int(rng.integers(1, 7))
-            spec = MlpSpec.linear(d, d)
-            beta = edge_attention(Tensor(rng.standard_normal((n * k, d))), n, k,
-                                  qk_params[d], spec, spec)
+            beta = edge_attention(Tensor(rng.standard_normal((n * k, d))), n, k, qk_params[d])
             sums = beta.data.reshape(n, k).sum(axis=1)
             assert np.all(np.abs(sums - 1.0) <= 1e-9)
             total += 1
@@ -184,7 +182,7 @@ def test_criterion_6_structural_invariants():
                 continue
             u = Tensor(rng.standard_normal(4))
             q = init_graph_query(u, Tensor(flat.states), flat, 0, 0, qspec)
-            assert len(set(q.bev_indices.tolist())) == q.n_nodes
+            assert len(set(flat.bev_indices[q.pair_rows].tolist())) == q.n_nodes
             assert not np.any(q.edge_src == q.edge_dst)
             assert np.all(np.bincount(q.edge_src, minlength=q.n_nodes) == k)
             assert len(set(zip(q.edge_src.tolist(), q.edge_dst.tolist()))) == q.n_nodes * k

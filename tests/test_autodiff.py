@@ -119,7 +119,7 @@ def test_tensor_scales_only_by_a_number():
 
 
 def _mlp_220_params():
-    spec = MlpSpec.relu_stack((2, 2, 1))
+    spec = MlpSpec((2, 2, 1))
     params = ParamStore(seed=0)
     params.register_mlp("net", spec)
     return spec, params
@@ -135,7 +135,7 @@ def test_mlp_zero_weights_returns_bias():
 
 
 def test_mlp_identity_layer_passes_input_through():
-    spec = MlpSpec.linear(3, 3)
+    spec = MlpSpec((3, 3))
     params = ParamStore(seed=0)
     params.register_mlp("net", spec)
     params["net/W0"].data[...] = np.eye(3)
@@ -167,7 +167,7 @@ def test_mlp_width_mismatch_raises():
 @pytest.mark.parametrize("seed", range(8))
 def test_mlp_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    spec = MlpSpec.relu_stack((3, 4, 2))
+    spec = MlpSpec((3, 4, 2))
     params = ParamStore(seed=seed)
     params.register_mlp("net", spec)
     x = rng.standard_normal((5, 3))
@@ -432,23 +432,23 @@ def _mlp_params(widths, seed=0):
 
 def test_split_linear_keeps_one_tape_node_and_rejects_mismatched_shapes():
     a, b = Tensor(np.ones((5, 3)), requires_grad=True), Tensor(np.ones((5, 4)))
-    spec, params = MlpSpec((7, 2, 2)), _mlp_params((7, 2, 2))
-    out = split_mlp_forward(spec, params, "net", a, b, _DST, k=2)
+    params = _mlp_params((7, 2, 2))
+    out = split_mlp_forward(params, "net", a, b, _DST, k=2)
     assert out.data.shape == (10, 2)
     assert _toposort(out)[0]._parents == (a, b) + tuple(params[f"net/{p}{i}"]
                                                         for i in range(2) for p in "Wb")
     with pytest.raises(ShapeError):  # b's width does not fill w
-        split_mlp_forward(spec, params, "net", a, Tensor(np.ones((5, 3))))
+        split_mlp_forward(params, "net", a, Tensor(np.ones((5, 3))))
     with pytest.raises(ShapeError):  # one edge index per edge
-        split_mlp_forward(spec, params, "net", a, b, _DST[:-1], k=2)
+        split_mlp_forward(params, "net", a, b, _DST[:-1], k=2)
     with pytest.raises(ShapeError):  # identity rows need equal row counts
-        split_mlp_forward(spec, params, "net", a, Tensor(np.ones((4, 4))))
+        split_mlp_forward(params, "net", a, Tensor(np.ones((4, 4))))
     params.register("bad/W0", (7, 2))
     params.register("bad/b0", (2,))
     params.register("bad/W1", (3, 2))
     params.register("bad/b1", (2,))
     with pytest.raises(ShapeError):  # a later layer's rows do not match its input width
-        split_mlp_forward(MlpSpec((7, 2, 2)), params, "bad", a, b)
+        split_mlp_forward(params, "bad", a, b)
 
 
 @pytest.mark.parametrize("mode", _SPLIT_MODES)
@@ -474,14 +474,14 @@ _SPLIT_MLP_WIDTHS = (7, 2, 3)
 
 @pytest.mark.parametrize("widths", [(7, 2), (7, 4, 3, 2)], ids=["1-layer", "3-layer"])
 def test_split_mlp_rejects_any_depth_but_two(widths):
-    """A split MLP has exactly two layers; every other depth fails at the shape gate,
-    whose other checks these shapes pass."""
+    """A split MLP has exactly two layers; every other stored depth fails at the shape
+    gate, whose other checks these shapes pass."""
     a, b = Tensor(np.ones((5, 3)), requires_grad=True), Tensor(np.ones((5, 4)))
     with pytest.raises(ShapeError, match="exactly two layers"):
-        split_mlp_forward(MlpSpec(widths), _mlp_params(widths), "net", a, b, _DST, k=2)
+        split_mlp_forward(_mlp_params(widths), "net", a, b, _DST, k=2)
 
 
-def _layer_by_layer(spec, params, name, a, b, rows, k):
+def _layer_by_layer(params, name, a, b, rows, k):
     """The split MLP as it ran before the fusion: the split first layer, then a ``linear``
     node."""
     mode = "edge" if k else "identity" if rows is None else "gathered"
@@ -513,7 +513,6 @@ def test_split_mlp_matches_the_layer_by_layer_chain_bit_for_bit(mode, widths, up
     With ``signed_zero`` the hidden gradient holds -0.0, which the chain's tape
     adds to zeros (giving +0.0) and the fused node passes on as it is.
     """
-    spec = MlpSpec(widths)
     a_data, b_data, _, _, rows = _split_inputs(mode, np.random.default_rng(25))
     k = 2 if mode == "edge" else 0
     results = []
@@ -525,7 +524,7 @@ def test_split_mlp_matches_the_layer_by_layer_chain_bit_for_bit(mode, widths, up
             upstream = np.random.default_rng(26).standard_normal((rows_out, widths[-1]))
         else:
             upstream = _signed_zero_upstream(params, (rows_out, widths[-1]))
-        out = mlp(spec, params, "net", a, b, rows, k)
+        out = mlp(params, "net", a, b, rows, k)
         with np.errstate(invalid="ignore"):
             sum_all(mul(out, Tensor(upstream))).backward()
         results.append([out.data, a.grad, b.grad] + [t.grad for _, t in params.items()])
@@ -538,8 +537,8 @@ def test_split_mlp_matches_the_layer_by_layer_chain_bit_for_bit(mode, widths, up
 
 def test_split_mlp_is_one_tape_node_that_keeps_only_its_inputs_and_output():
     a, b = Tensor(np.ones((5, 3)), requires_grad=True), Tensor(np.ones((5, 4)), requires_grad=True)
-    spec, params = MlpSpec((7, 4, 2)), _mlp_params((7, 4, 2))
-    out = split_mlp_forward(spec, params, "net", a, b, _DST, k=2)
+    params = _mlp_params((7, 4, 2))
+    out = split_mlp_forward(params, "net", a, b, _DST, k=2)
     assert [t for t in _toposort(out) if t._backprop is not None] == [out]
     assert out._parents == (a, b) + tuple(params[f"net/{p}{i}"] for i in range(2) for p in "Wb")
     # Its backward holds no array but the edge targets.
@@ -560,7 +559,7 @@ def test_split_mlp_fed_a_constant_summaries_operand_keeps_every_other_gradient(w
     for b_grad in (True, False):
         params = _mlp_params(widths, seed=31)
         a, b = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=b_grad)
-        out = split_mlp_forward(MlpSpec(widths), params, "net", a, b, _GATHER)
+        out = split_mlp_forward(params, "net", a, b, _GATHER)
         sum_all(mul(out, Tensor(upstream))).backward()
         assert (b.grad is not None) == b_grad
         results.append([_bits(a.grad)] + [_bits(t.grad) for _, t in params.items()])
@@ -579,8 +578,7 @@ def test_split_mlp_gradients_match_finite_differences(mode, widths):
     weights = rng.standard_normal(({"edge": 10, "identity": 5}.get(mode, 6), widths[-1]))
 
     def fn(p):
-        out = split_mlp_forward(MlpSpec(widths), p, "net", p["in/a"], p["in/b"], rows,
-                                k=2 if mode == "edge" else 0)
+        out = split_mlp_forward(p, "net", p["in/a"], p["in/b"], rows, k=2 if mode == "edge" else 0)
         return sum_all(mul(out, Tensor(weights)))
 
     assert grad_check(fn, params, eps=1e-6) <= 1e-8
@@ -662,23 +660,30 @@ def test_relu_maps_every_special_value_like_the_masked_copy_in_every_position(le
         assert _bits(out) == _bits(_masked_relu(pre))
 
 
-def _concat_edge_focus_update(query, params, edge_spec, node_spec, q_spec, k_spec):
+def _config_specs(d):
+    """The fused stages' config shapes: the (2d, d, d) MLPs and the (d, d) q and key."""
+    return MlpSpec((2 * d, d, d)), MlpSpec((d, d))
+
+
+def _concat_edge_focus_update(query, params):
     """The edge stage as a chain of per-op nodes, with concatenated first layers and q and
     key projected separately."""
+    mlp, square = _config_specs(query.states.data.shape[1])
     rel = Tensor(query.positions[query.edge_dst] - query.positions[query.edge_src])
     neighbor = gather_rows(query.states, query.edge_dst)
-    feats = mlp_forward(edge_spec, params, "edge_mlp", concat_cols([rel, neighbor]))
-    scores = _rowdot(mlp_forward(q_spec, params, "edge_q", feats),
-                     mlp_forward(k_spec, params, "edge_k", feats))
+    feats = mlp_forward(mlp, params, "edge_mlp", concat_cols([rel, neighbor]))
+    scores = _rowdot(mlp_forward(square, params, "edge_q", feats),
+                     mlp_forward(square, params, "edge_k", feats))
     beta = reshape(row_softmax(reshape(scores, (query.n_nodes, query.k))),
                    (query.n_nodes * query.k,))
     message = _mix_node(feats, beta, query.k)
-    return mlp_forward(node_spec, params, "node_mlp", concat_cols([message, query.states]))
+    return mlp_forward(mlp, params, "node_mlp", concat_cols([message, query.states]))
 
 
-def _concat_infuse_context(nodes, summaries, params, spec, rows):
+def _concat_infuse_context(nodes, summaries, params, rows):
     tiled = gather_rows(summaries, np.repeat(rows, nodes.data.shape[0] // len(rows)))
-    return mlp_forward(spec, params, "context_mlp", concat_cols([nodes, tiled]))
+    return mlp_forward(_config_specs(nodes.data.shape[1])[0], params, "context_mlp",
+                       concat_cols([nodes, tiled]))
 
 
 def test_run_gqn_matches_the_concatenated_first_layers(monkeypatch):
@@ -735,7 +740,7 @@ def _sweep_keeping_graph(root):
 
 
 def test_backward_frees_interior_nodes_and_keeps_leaf_gradients():
-    spec = MlpSpec.relu_stack((4, 6, 4))
+    spec = MlpSpec((4, 6, 4))
     params = ParamStore(seed=5)
     params.register_mlp("net", spec)
     register_attention(params, "attn", 4)
@@ -798,7 +803,7 @@ def test_backward_linear_gradient_is_exact():
 
 
 def test_no_grad_records_nothing_and_keeps_forward_values():
-    spec = MlpSpec.relu_stack((4, 6, 3))
+    spec = MlpSpec((4, 6, 3))
     params = ParamStore(seed=6)
     params.register_mlp("net", spec)
     x = Tensor(np.random.default_rng(6).standard_normal((5, 4)))
@@ -900,9 +905,16 @@ def test_param_store_same_seed_bitidentical():
     a, b = ParamStore(seed=9), ParamStore(seed=9)
     for store in (a, b):
         store.register("m/W", (4, 3))
-        store.register_mlp("net", MlpSpec.relu_stack((2, 3, 1)))
+        store.register_mlp("net", MlpSpec((2, 3, 1)))
     for name, t in a.items():
         assert np.array_equal(t.data, b[name].data)
+    # ``layers`` gives back what ``register_mlp`` made, in layer order
+    layers = a.layers("net")
+    assert [(w.data.shape, bias.data.shape) for w, bias in layers] == [((2, 3), (3,)),
+                                                                       ((3, 1), (1,))]
+    assert all(w is a[f"net/W{i}"] and bias is a[f"net/b{i}"]
+               for i, (w, bias) in enumerate(layers))
+    assert a.layers("m") == [] and a.layers("missing") == []
 
 
 def test_param_store_init_independent_of_registration_order():

@@ -82,65 +82,61 @@ def test_exchange_rejects_negative_steps():
 def _eta(w0, w1, seed=0):
     """The two-layer context MLP with weights ``w0`` and ``w1`` and zero biases."""
     params = ParamStore(seed=seed)
-    spec = MlpSpec.relu_stack((w0.shape[0], w0.shape[1], w1.shape[1]))
-    params.register_mlp("context_mlp", spec)
+    params.register_mlp("context_mlp", MlpSpec((w0.shape[0], w0.shape[1], w1.shape[1])))
     for i, w in enumerate((w0, w1)):
         params[f"context_mlp/W{i}"].data[...] = w
         params[f"context_mlp/b{i}"].data[...] = 0.0
-    return params, spec
+    return params
 
 
 def test_infuse_passthrough_of_node_half():
     # relu(x) and relu(-x) of the node half side by side, then their difference x
     eye, zeros = np.eye(3), np.zeros((3, 3))
-    params, spec = _eta(np.block([[eye, -eye], [zeros, zeros]]), np.vstack([eye, -eye]))
+    params = _eta(np.block([[eye, -eye], [zeros, zeros]]), np.vstack([eye, -eye]))
     nodes = Tensor(np.random.default_rng(1).standard_normal((5, 3)))
-    out = infuse_context(nodes, Tensor(np.array([[9.0, -9.0, 4.0]])), params, spec, rows=[0])
+    out = infuse_context(nodes, Tensor(np.array([[9.0, -9.0, 4.0]])), params, rows=[0])
     np.testing.assert_allclose(out.data, nodes.data, atol=1e-15)
 
 
 def test_infuse_zero_weights_bias_everywhere():
-    params, spec = _eta(np.zeros((6, 3)), np.zeros((3, 3)))
+    params = _eta(np.zeros((6, 3)), np.zeros((3, 3)))
     params["context_mlp/b1"].data[...] = [1.0, 2.0, 3.0]
-    out = infuse_context(Tensor(np.zeros((4, 3))), Tensor(np.zeros((1, 3))), params, spec, rows=[0])
+    out = infuse_context(Tensor(np.zeros((4, 3))), Tensor(np.zeros((1, 3))), params, rows=[0])
     np.testing.assert_array_equal(out.data, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
 
 def test_infuse_identical_nodes_identical_outputs():
     params = ParamStore(seed=2)
-    spec = MlpSpec.relu_stack((6, 3, 3))
-    params.register_mlp("context_mlp", spec)
+    params.register_mlp("context_mlp", MlpSpec((6, 3, 3)))
     nodes = Tensor(np.tile([0.5, 0.5, -1.0], (3, 1)))
-    out = infuse_context(nodes, Tensor(np.ones((1, 3))), params, spec, rows=[0]).data
+    out = infuse_context(nodes, Tensor(np.ones((1, 3))), params, rows=[0]).data
     assert np.array_equal(out[0], out[1]) and np.array_equal(out[1], out[2])
 
 
 def test_infuse_width_mismatch():
     params = ParamStore(seed=0)
-    spec = MlpSpec.relu_stack((5, 3, 3))
-    params.register_mlp("context_mlp", spec)
+    params.register_mlp("context_mlp", MlpSpec((5, 3, 3)))
     with pytest.raises(ShapeError):
-        infuse_context(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))), params, spec, rows=[0])
+        infuse_context(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))), params, rows=[0])
 
 
 def test_infuse_rejects_a_summary_vector():
-    params, spec = _eta(np.zeros((6, 3)), np.zeros((3, 3)))
+    params = _eta(np.zeros((6, 3)), np.zeros((3, 3)))
     with pytest.raises(ShapeError):  # one summary is a (1, d) matrix, picked by rows=[0]
-        infuse_context(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), params, spec, rows=[0])
+        infuse_context(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), params, rows=[0])
 
 
 def test_infuse_rejects_empty_rows():
-    params, spec = _eta(np.zeros((6, 3)), np.zeros((3, 3)))
+    params = _eta(np.zeros((6, 3)), np.zeros((3, 3)))
     with pytest.raises(ShapeError):
-        infuse_context(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))), params, spec, rows=[])
+        infuse_context(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))), params, rows=[])
 
 
 def test_output_width_matches_d_per_node():
     params = ParamStore(seed=3)
-    spec = MlpSpec.relu_stack((8, 4, 4))
-    params.register_mlp("context_mlp", spec)
+    params.register_mlp("context_mlp", MlpSpec((8, 4, 4)))
     out = infuse_context(Tensor(np.random.default_rng(4).standard_normal((6, 4))),
-                         Tensor(np.zeros((1, 4))), params, spec, rows=[0])
+                         Tensor(np.zeros((1, 4))), params, rows=[0])
     assert out.data.shape == (6, 4)
 
 
@@ -148,14 +144,13 @@ def test_module_gradients_match_finite_differences():
     d = 4
     rng = np.random.default_rng(5)
     params = _ctx_params(d, seed=6)
-    spec = MlpSpec.relu_stack((2 * d, d, d))
-    params.register_mlp("context_mlp", spec)
+    params.register_mlp("context_mlp", MlpSpec((2 * d, d, d)))
     node_sets = [rng.standard_normal((3, d)), rng.standard_normal((5, d))]
 
     def fn(p):
         pooled = concat_rows([pool_query(Tensor(v)) for v in node_sets])
         mixed = context_exchange(pooled, 2, p)
-        return sum_all(concat_rows([infuse_context(Tensor(v), mixed, p, spec, rows=[i])
+        return sum_all(concat_rows([infuse_context(Tensor(v), mixed, p, rows=[i])
                                     for i, v in enumerate(node_sets)]))
 
     assert grad_check(fn, params, eps=1e-5, max_coords_per_param=8, seed=1) <= 1e-4

@@ -12,6 +12,7 @@ from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _b
 from gqn.edge_focus import (_fold, _fold_grads, edge_attention, edge_features, edge_focus_update,
                             update_nodes)
 from gqn.errors import ContractError, ShapeError
+from gqn.pipeline import GqnConfig, init_params
 from gqn.query_init import GraphQuery, QuerySetSpec, build_knn_edges, init_graph_query
 from gqn.scene import SceneSpec, flatten_grid, generate_scene, sinusoidal_encoding
 
@@ -23,7 +24,7 @@ def _manual_query(states, positions, k):
     n = states.shape[0]
     return GraphQuery(
         set_index=0, query_index=0, n_nodes=n, k=k,
-        bev_indices=np.arange(n), grid_positions=positions, pair_rows=np.arange(n),
+        grid_positions=positions, pair_rows=np.arange(n),
         states_raw=states,
         alpha=Tensor(np.full(n, 1.0 / n)), states=Tensor(states),
         edge_dst=build_knn_edges(states, k),
@@ -34,25 +35,31 @@ def _passthrough_params(params, name, d, half):
     """A two-layer MLP ``name`` over [x || y], each of width d, that returns half ``half``
     (0 for x, 1 for y) as relu(v) - relu(-v); zero biases."""
     eye = np.eye(d)
-    spec = MlpSpec.relu_stack((2 * d, 2 * d, d))
-    params.register_mlp(name, spec)
+    params.register_mlp(name, MlpSpec((2 * d, 2 * d, d)))
     first = [np.hstack([eye, -eye]), np.zeros((d, 2 * d))]
     params[f"{name}/W0"].data[...] = np.vstack(first if half == 0 else first[::-1])
     params[f"{name}/W1"].data[...] = np.vstack([eye, -eye])
     for i in range(2):
         params[f"{name}/b{i}"].data[...] = 0.0
-    return spec
 
 
 def _edge_mlp_params(first_weights, d_out=2, seed=0):
     """A two-layer edge MLP whose first layer is ``first_weights`` with a zero bias."""
     w = np.asarray(first_weights, dtype=np.float64)
     params = ParamStore(seed=seed)
-    spec = MlpSpec.relu_stack((w.shape[0], w.shape[1], d_out))
-    params.register_mlp("edge_mlp", spec)
+    params.register_mlp("edge_mlp", MlpSpec((w.shape[0], w.shape[1], d_out)))
     params["edge_mlp/W0"].data[...] = w
     params["edge_mlp/b0"].data[...] = 0.0
-    return params, spec
+    return params
+
+
+def _stage_layers(params, d):
+    """Register the edge stage's layers at their config shapes: the (2d, d, d) edge and node
+    MLPs and one (d, d) layer each for q and key."""
+    for name, widths in (("edge_mlp", (2 * d, d, d)), ("node_mlp", (2 * d, d, d)),
+                         ("edge_q", (d, d)), ("edge_k", (d, d))):
+        params.register_mlp(name, MlpSpec(widths))
+    return params
 
 
 # ----------------------------------------------------------------------------
@@ -64,8 +71,8 @@ def test_edge_feature_hand_evaluation():
     states = [[2.0, 0.0], [5.0, 5.0]]
     positions = [[1.0, -1.0], [2.0, -2.0]]
     q = _manual_query(states, positions, 1)
-    params, spec = _edge_mlp_params(np.ones((4, 2)))
-    feats = edge_features(q, params, spec)
+    params = _edge_mlp_params(np.ones((4, 2)))
+    feats = edge_features(q, params)
     # edge 0 -> 1 input is [p1 - p0 || x1] = [1, -1, 5, 5] -> 10; edge 1 -> 0 is [-1, 1, 2, 0] -> 2
     np.testing.assert_allclose(feats.data, [[10.0, 10.0], [2.0, 2.0]], atol=1e-12)
 
@@ -73,8 +80,8 @@ def test_edge_feature_hand_evaluation():
 def test_edge_feature_zero_relpos_when_positions_coincide():
     q = _manual_query([[1.0, 2.0], [3.0, 4.0]], [[0.5, 0.5], [0.5, 0.5]], 1)
     # weights picking out the relative-position half only
-    params, spec = _edge_mlp_params(np.vstack([np.eye(2), np.zeros((2, 2))]))
-    feats = edge_features(q, params, spec)
+    params = _edge_mlp_params(np.vstack([np.eye(2), np.zeros((2, 2))]))
+    feats = edge_features(q, params)
     np.testing.assert_array_equal(feats.data, np.zeros((2, 2)))
 
 
@@ -82,8 +89,8 @@ def test_edge_feature_relpos_antisymmetric():
     q = _manual_query([[1.0, 0.0], [1.0, 0.1]], [[0.0, 1.0], [2.0, 5.0]], 1)
     # relu(r) and relu(-r) side by side, so their difference is the relative position r
     eye = np.eye(2)
-    params, spec = _edge_mlp_params(np.block([[eye, -eye], [np.zeros((2, 4))]]))
-    feats = edge_features(q, params, spec).data
+    params = _edge_mlp_params(np.block([[eye, -eye], [np.zeros((2, 4))]]))
+    feats = edge_features(q, params).data
     rel = feats[:, :2] - feats[:, 2:]
     np.testing.assert_allclose(rel[0], -rel[1], atol=1e-15)  # p1-p0 vs p0-p1
     np.testing.assert_allclose(rel[0], [2.0, 4.0], atol=1e-15)
@@ -92,38 +99,49 @@ def test_edge_feature_relpos_antisymmetric():
 def test_edge_feature_width_mismatch():
     q = _manual_query([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 1.0]], 1)
     params = ParamStore(seed=0)
-    bad = MlpSpec.relu_stack((6, 2, 2))
-    params.register_mlp("edge_mlp", bad)
+    params.register_mlp("edge_mlp", MlpSpec((6, 2, 2)))
     with pytest.raises(ShapeError):
-        edge_features(q, params, bad)
+        edge_features(q, params)
 
 
 def test_edge_features_reject_a_one_layer_edge_mlp():
-    """The edge and node MLPs have exactly two layers (the stage folds the edge MLP's
-    output layer into the scores); a 1- or 3-layer edge or node MLP fails at the shape
-    gate, whose other checks these shapes pass."""
+    """The stages read their layers from the store. The edge and node MLPs have exactly
+    two layers (the stage folds the edge MLP's output layer into the scores); a stored 1-
+    or 3-layer edge or node MLP fails at the shape gate, whose other checks these shapes
+    pass. So does a config-shaped store with one more stored layer on the edge MLP or q."""
     q = _manual_query([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 1.0]], 1)
-    lin, two = MlpSpec.linear(2, 2), MlpSpec.relu_stack((4, 2, 2))
+    square, two = MlpSpec((2, 2)), MlpSpec((4, 2, 2))
 
     def stage_params(edge_spec, node_spec):
         params = ParamStore(seed=0)
-        for name, spec in (("edge_mlp", edge_spec), ("node_mlp", node_spec), ("edge_q", lin),
-                           ("edge_k", lin)):
+        for name, spec in (("edge_mlp", edge_spec), ("node_mlp", node_spec),
+                           ("edge_q", square), ("edge_k", square)):
             params.register_mlp(name, spec)
         return params
 
-    edge_focus_update(q, stage_params(two, two), two, two, lin, lin)  # runs at two layers
-    for other in (MlpSpec.linear(4, 2), MlpSpec.relu_stack((4, 2, 2, 2))):
+    edge_focus_update(q, stage_params(two, two))  # runs at two layers
+    for other in (MlpSpec((4, 2)), MlpSpec((4, 2, 2, 2))):
         params = stage_params(other, two)
         with pytest.raises(ShapeError, match="exactly two layers"):
-            edge_features(q, params, other)
+            edge_features(q, params)
         with pytest.raises(ShapeError, match="exactly two layers"):
-            edge_focus_update(q, params, other, two, lin, lin)
+            edge_focus_update(q, params)
         params = stage_params(two, other)
         with pytest.raises(ShapeError, match="exactly two layers"):
-            update_nodes(q, Tensor(np.ones((2, 2))), params, other)
+            update_nodes(q, Tensor(np.ones((2, 2))), params)
         with pytest.raises(ShapeError, match="exactly two layers"):
-            edge_focus_update(q, params, two, other, lin, lin)
+            edge_focus_update(q, params)
+
+    query, _ = _toy_query(seed=2)
+    config = GqnConfig(d=4, sets=(QuerySetSpec(1, 0.3, 3),))
+    edge_focus_update(query, init_params(config, 36))  # runs as the config builds it
+    for name, i, match in (("edge_mlp", 2, "exactly two layers"),
+                           ("edge_q", 1, r"one \(4, 4\) layer each")):
+        params = init_params(config, 36)
+        params.register(f"{name}/W{i}", (4, 4))
+        params.register(f"{name}/b{i}", (4,), init="zeros")
+        with pytest.raises(ShapeError, match=match):
+            edge_focus_update(query, params)
 
 
 # ----------------------------------------------------------------------------
@@ -132,56 +150,59 @@ def test_edge_features_reject_a_one_layer_edge_mlp():
 
 def _qk_identity_params(d):
     params = ParamStore(seed=0)
-    spec = MlpSpec.linear(d, d)
     for name in ("edge_q", "edge_k"):
-        params.register_mlp(name, spec)
+        params.register_mlp(name, MlpSpec((d, d)))
         params[f"{name}/W0"].data[...] = np.eye(d)
         params[f"{name}/b0"].data[...] = 0.0
-    return params, spec
+    return params
 
 
 def test_single_edge_gets_weight_one():
-    params, spec = _qk_identity_params(2)
-    beta = edge_attention(Tensor(np.array([[3.0, -1.0]])), 1, 1, params, spec, spec)
+    params = _qk_identity_params(2)
+    beta = edge_attention(Tensor(np.array([[3.0, -1.0]])), 1, 1, params)
     np.testing.assert_array_equal(beta.data, [1.0])
 
 
 def test_identical_edge_features_uniform_weights():
-    params, spec = _qk_identity_params(2)
+    params = _qk_identity_params(2)
     feats = Tensor(np.tile([[0.7, 0.2]], (4, 1)))
-    beta = edge_attention(feats, 1, 4, params, spec, spec)
+    beta = edge_attention(feats, 1, 4, params)
     np.testing.assert_allclose(beta.data, np.full(4, 0.25), atol=1e-15)
 
 
-@pytest.mark.parametrize("q_spec,k_spec", [
-    (MlpSpec.relu_stack((2, 2, 2)), MlpSpec.linear(2, 2)),  # q is two layers
-    (MlpSpec.linear(2, 2), MlpSpec.linear(2, 3)),           # key is not square
-    (MlpSpec.linear(3, 3), MlpSpec.linear(3, 3)),           # width is not the features'
+@pytest.mark.parametrize("q_widths,k_widths", [
+    ((2, 2, 2), (2, 2)),  # q is two layers
+    ((2, 2), (2, 3)),     # key is not square
+    ((3, 3), (3, 3)),     # width is not the features'
 ], ids=["two-layer-q", "wide-key", "other-width"])
-def test_edge_attention_scores_with_one_square_layer_each(q_spec, k_spec):
-    params, _ = _qk_identity_params(2)
-    with pytest.raises(ShapeError):
-        edge_attention(Tensor(np.ones((4, 2))), 2, 2, params, q_spec, k_spec)
+def test_edge_attention_scores_with_one_square_layer_each(q_widths, k_widths):
+    """q and key are read from the store; any stored shape but one (d, d) layer each, d the
+    features' width, fails at the gate."""
+    params = ParamStore(seed=0)
+    params.register_mlp("edge_q", MlpSpec(q_widths))
+    params.register_mlp("edge_k", MlpSpec(k_widths))
+    with pytest.raises(ShapeError, match=r"one \(2, 2\) layer each"):
+        edge_attention(Tensor(np.ones((4, 2))), 2, 2, params)
 
 
 def test_edge_attention_direct_softmax():
     # identity q/k projections give scores |e|^2: [ln 3, 0] -> [0.75, 0.25]
-    params, spec = _qk_identity_params(2)
+    params = _qk_identity_params(2)
     feats = Tensor(np.array([[math.sqrt(math.log(3.0)), 0.0], [0.0, 0.0]]))
-    beta = edge_attention(feats, 1, 2, params, spec, spec)
+    beta = edge_attention(feats, 1, 2, params)
     np.testing.assert_allclose(beta.data, [0.75, 0.25], atol=1e-12)
 
 
 def test_edge_attention_rejects_zero_edges():
-    params, spec = _qk_identity_params(2)
+    params = _qk_identity_params(2)
     with pytest.raises(ContractError):
-        edge_attention(Tensor(np.zeros((0, 2))), 0, 0, params, spec, spec)
+        edge_attention(Tensor(np.zeros((0, 2))), 0, 0, params)
 
 
 def test_beta_normalizes_per_node():
     rng = np.random.default_rng(0)
-    params, spec = _qk_identity_params(3)
-    beta = edge_attention(Tensor(rng.standard_normal((12, 3))), 4, 3, params, spec, spec)
+    params = _qk_identity_params(3)
+    beta = edge_attention(Tensor(rng.standard_normal((12, 3))), 4, 3, params)
     sums = beta.data.reshape(4, 3).sum(axis=1)
     np.testing.assert_allclose(sums, np.ones(4), atol=1e-9)
 
@@ -194,24 +215,23 @@ def test_update_single_edge_uses_its_feature():
     """With one edge per node the weight is exactly 1, so the message is that edge's
     feature: the edge MLP's output, which the stage itself never builds."""
     q = _manual_query([[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, -1.0]], 1)
-    params, edge_spec = _edge_mlp_params([[1.0, -1.0], [2.0, 0.5], [0.0, 1.0], [1.0, 1.0]])
+    params = _edge_mlp_params([[1.0, -1.0], [2.0, 0.5], [0.0, 1.0], [1.0, 1.0]])
     params["edge_mlp/W1"].data[...] = [[1.0, 2.0], [-1.0, 0.5]]
     params["edge_mlp/b1"].data[...] = [0.25, -0.5]
-    node_spec = _passthrough_params(params, "node_mlp", 2, half=0)  # the message half
-    lin = MlpSpec.linear(2, 2)
+    _passthrough_params(params, "node_mlp", 2, half=0)  # the message half
     for name in ("edge_q", "edge_k"):
-        params.register_mlp(name, lin)
-    hidden = edge_features(q, params, edge_spec).data
+        params.register_mlp(name, MlpSpec((2, 2)))
+    hidden = edge_features(q, params).data
     feats = hidden @ params["edge_mlp/W1"].data + params["edge_mlp/b1"].data
-    out = edge_focus_update(q, params, edge_spec, node_spec, lin, lin)
+    out = edge_focus_update(q, params)
     np.testing.assert_allclose(out.data, feats, atol=1e-15)
 
 
 def test_update_passthrough_of_state_half_with_zero_edges():
     q = _manual_query([[1.0, 2.0], [3.0, 4.0]], np.zeros((2, 2)), 1)
     params = ParamStore(seed=0)
-    rho_spec = _passthrough_params(params, "node_mlp", 2, half=1)  # the state half
-    out = update_nodes(q, Tensor(np.zeros((2, 2))), params, rho_spec)
+    _passthrough_params(params, "node_mlp", 2, half=1)  # the state half
+    out = update_nodes(q, Tensor(np.zeros((2, 2))), params)
     np.testing.assert_allclose(out.data, q.states.data, atol=1e-15)
 
 
@@ -229,43 +249,29 @@ def _toy_query(seed=0, d=4, k=3, u_grad=True):
 
 def test_composition_invariant_under_slot_relabeling():
     query, _ = _toy_query(seed=4)
-    d = 4
-    params = ParamStore(seed=3)
-    edge_spec = MlpSpec.relu_stack((2 * d, d, d))
-    node_spec = MlpSpec.relu_stack((2 * d, d, d))
-    lin = MlpSpec.linear(d, d)
-    for name, spec in (("edge_mlp", edge_spec), ("node_mlp", node_spec),
-                       ("edge_q", lin), ("edge_k", lin)):
-        params.register_mlp(name, spec)
-    base = edge_focus_update(query, params, edge_spec, node_spec, lin, lin).data
+    params = _stage_layers(ParamStore(seed=3), 4)
+    base = edge_focus_update(query, params).data
 
     rng = np.random.default_rng(8)
     for _ in range(5):
         perm = rng.permutation(query.n_nodes)
         relabeled = GraphQuery(
             set_index=0, query_index=0, n_nodes=query.n_nodes, k=query.k,
-            bev_indices=query.bev_indices[perm], grid_positions=query.grid_positions,
-            pair_rows=query.pair_rows[perm], states_raw=query.states_raw[perm],
+            grid_positions=query.grid_positions, pair_rows=query.pair_rows[perm],
+            states_raw=query.states_raw[perm],
             alpha=Tensor(query.alpha.data[perm]), states=Tensor(query.states.data[perm]),
             edge_dst=build_knn_edges(query.states_raw[perm], query.k),
         )
-        out = edge_focus_update(relabeled, params, edge_spec, node_spec, lin, lin).data
+        out = edge_focus_update(relabeled, params).data
         assert np.array_equal(out, base[perm])  # identical multiset, relabeled rows
 
 
 def test_edge_focus_gradients_match_finite_differences():
     query, u = _toy_query(seed=6)
-    d = 4
-    params = ParamStore(seed=5)
-    edge_spec = MlpSpec.relu_stack((2 * d, d, d))
-    node_spec = MlpSpec.relu_stack((2 * d, d, d))
-    lin = MlpSpec.linear(d, d)
-    for name, spec in (("edge_mlp", edge_spec), ("node_mlp", node_spec),
-                       ("edge_q", lin), ("edge_k", lin)):
-        params.register_mlp(name, spec)
+    params = _stage_layers(ParamStore(seed=5), 4)
 
     def fn(p):
-        return sum_all(edge_focus_update(query, p, edge_spec, node_spec, lin, lin))
+        return sum_all(edge_focus_update(query, p))
 
     assert grad_check(fn, params, eps=1e-5, max_coords_per_param=8, seed=0) <= 1e-4
 
@@ -275,14 +281,12 @@ def test_edge_focus_gradients_match_finite_differences():
 
 
 def _stage_params(d, seed):
-    params = ParamStore(seed=seed)
-    mlp, lin = MlpSpec.relu_stack((2 * d, d, d)), MlpSpec.linear(d, d)
-    specs = {"edge_mlp": mlp, "node_mlp": mlp, "edge_q": lin, "edge_k": lin}
-    for name, spec in specs.items():
-        params.register_mlp(name, spec)
-        for i in range(spec.n_layers):  # nonzero biases, so every bias term shows
-            params[f"{name}/b{i}"].data[...] = np.random.default_rng(seed + i).uniform(-0.5, 0.5, d)
-    return params, specs
+    params = _stage_layers(ParamStore(seed=seed), d)
+    for name in ("edge_mlp", "node_mlp", "edge_q", "edge_k"):
+        # nonzero biases, so every bias term shows
+        for i, (_, bias) in enumerate(params.layers(name)):
+            bias.data[...] = np.random.default_rng(seed + i).uniform(-0.5, 0.5, d)
+    return params
 
 
 def _hidden_node(query, params):
@@ -324,7 +328,7 @@ def _mix_node(t, w, k):
                  lambda g: _segment_mix_grads(g, t.data, w.data, k))
 
 
-def _per_stage_chain(query, params, edge_spec, node_spec, q_spec, k_spec):
+def _per_stage_chain(query, params):
     """One tape node per stage of the folded form, built from the helpers the fused node runs."""
     n, k = query.n_nodes, query.k
     hidden = _hidden_node(query, params)
@@ -334,7 +338,7 @@ def _per_stage_chain(query, params, edge_spec, node_spec, q_spec, k_spec):
     scores = _score_node(hidden, *folds)
     beta = reshape(row_softmax(reshape(scores, (n, k))), (n * k,))
     message = linear(_mix_node(hidden, beta, k), out_w, out_b)
-    return split_mlp_forward(node_spec, params, "node_mlp", message, query.states)
+    return split_mlp_forward(params, "node_mlp", message, query.states)
 
 
 def _rowdot(a, b):
@@ -342,28 +346,28 @@ def _rowdot(a, b):
                  lambda g: (g[:, None] * b.data, g[:, None] * a.data))
 
 
-def _unfolded_update(query, params, edge_spec, node_spec, q_spec, k_spec):
+def _unfolded_update(query, params):
     """The edge stage as written before the fold, one plain node per op: the edge MLP's
     output f = h W + b per edge, q and key projected from f, the per-node softmax,
     the message sum of beta * f, then the node MLP over [message || state]."""
-    n, k = query.n_nodes, query.k
+    n, k, d = query.n_nodes, query.k, query.states.data.shape[1]
+    mlp, square = MlpSpec((2 * d, d, d)), MlpSpec((d, d))
     rel = Tensor(query.positions[query.edge_dst] - query.positions[query.edge_src])
     neighbor = gather_rows(query.states, query.edge_dst)
-    feats = mlp_forward(edge_spec, params, "edge_mlp", concat_cols([rel, neighbor]))
-    q = mlp_forward(q_spec, params, "edge_q", feats)
-    key = mlp_forward(k_spec, params, "edge_k", feats)
+    feats = mlp_forward(mlp, params, "edge_mlp", concat_cols([rel, neighbor]))
+    q = mlp_forward(square, params, "edge_q", feats)
+    key = mlp_forward(square, params, "edge_k", feats)
     beta = reshape(row_softmax(reshape(_rowdot(q, key), (n, k))), (n * k,))
     message = _mix_node(feats, beta, k)
-    return mlp_forward(node_spec, params, "node_mlp", concat_cols([message, query.states]))
+    return mlp_forward(mlp, params, "node_mlp", concat_cols([message, query.states]))
 
 
 def _outputs_and_grads(stage, d, k, u_grad=True):
     """The stage's output, the gradient reaching u through the states (which both MLPs
     read) and every weight's gradient, under a random upstream gradient."""
     query, u = _toy_query(seed=d, d=d, k=k, u_grad=u_grad)
-    params, specs = _stage_params(d, seed=d)
-    out = stage(query, params, specs["edge_mlp"], specs["node_mlp"], specs["edge_q"],
-                specs["edge_k"])
+    params = _stage_params(d, seed=d)
+    out = stage(query, params)
     upstream = np.random.default_rng(k).standard_normal(out.data.shape)
     sum_all(mul(out, Tensor(upstream))).backward()
     return [out.data, u.grad] + [t.grad for _, t in params.items()]
@@ -405,9 +409,8 @@ def test_edge_focus_update_fed_constant_states_keeps_every_weight_gradient(d, k)
 
 def test_edge_focus_update_is_one_tape_node_that_keeps_only_its_inputs():
     query, _ = _toy_query(seed=7)
-    params, specs = _stage_params(4, seed=7)
-    spec_args = (specs["edge_mlp"], specs["node_mlp"], specs["edge_q"], specs["edge_k"])
-    out = edge_focus_update(query, params, *spec_args)
+    params = _stage_params(4, seed=7)
+    out = edge_focus_update(query, params)
     weights = tuple(params[f"{name}/{p}{i}"] for name, layers in
                     (("edge_mlp", 2), ("edge_q", 1), ("edge_k", 1), ("node_mlp", 2))
                     for i in range(layers) for p in "Wb")
@@ -420,8 +423,8 @@ def test_edge_focus_update_is_one_tape_node_that_keeps_only_its_inputs():
     assert sorted(map(id, arrays)) == sorted(
         map(id, (query.grid_positions, query.pair_rows, query.edge_dst)))
     # The stage functions it runs give values only.
-    hidden = edge_features(query, params, specs["edge_mlp"])
-    nodes = update_nodes(query, Tensor(np.ones((query.n_nodes, 4))), params, specs["node_mlp"])
+    hidden = edge_features(query, params)
+    nodes = update_nodes(query, Tensor(np.ones((query.n_nodes, 4))), params)
     assert query.states.requires_grad
     assert hidden.data.shape == (edges, 4)
     assert not any(t.requires_grad or t._parents for t in (hidden, nodes))
@@ -431,7 +434,7 @@ def test_edge_focus_update_runs_one_per_edge_product_and_builds_no_edge_mlp_outp
     """The forward's only (n*k)-row matrix product is the bilinear score's ``h A``: the
     edge MLP's output layer runs on the n per-node message rows, not per edge."""
     query, _ = _toy_query(seed=5, d=8, k=3)
-    params, specs = _stage_params(8, seed=5)
+    params = _stage_params(8, seed=5)
     dense_rows, score_rows = [], []
 
     def dense(x, *args, **kwargs):
@@ -446,7 +449,6 @@ def test_edge_focus_update_runs_one_per_edge_product_and_builds_no_edge_mlp_outp
     for module in (autodiff, edge_focus):
         monkeypatch.setattr(module, "_dense", dense)
     monkeypatch.setattr(edge_focus, "_bilinear_scores", scores)
-    edge_focus_update(query, params, specs["edge_mlp"], specs["node_mlp"], specs["edge_q"],
-                      specs["edge_k"])
+    edge_focus_update(query, params)
     assert score_rows == [query.n_nodes * query.k]
     assert dense_rows and set(dense_rows) == {query.n_nodes}

@@ -55,7 +55,9 @@ def test_default_config_matches_reference_dimensions():
     assert cfg.tau == 96
     assert cfg.mlp1_spec.widths == (320, 128, 64)   # 64*5 -> 128 -> 64
     assert cfg.mlp2_spec.widths == (128, 64, 2)     # 64*2 -> 64 -> 2
-    assert cfg.edge_mlp_spec.widths == (128, 64, 64)
+    edge_mlp = init_params(cfg, 32 * 32).layers("edge_mlp")  # the stage reads the store
+    assert [(w.data.shape, b.data.shape) for w, b in edge_mlp] == [((128, 64), (64,)),
+                                                                   ((64, 64), (64,))]
     assert cfg.context_steps == 6
     assert [s.k for s in cfg.sets] == [4, 8, 12]
     assert [s.ratio for s in cfg.sets] == [0.10, 0.20, 0.30]
@@ -237,16 +239,14 @@ def _per_query_reference(flat, config, params, global_map):
     for q, (set_index, spec) in enumerate((i, s) for i, s in enumerate(config.sets)
                                           for _ in range(s.queries)):
         query = init_graph_query(params[f"query_global/{q}"], states, flat, set_index, q, spec)
-        nodes = edge_focus_update(query, params, config.edge_mlp_spec, config.node_mlp_spec,
-                                  config.edge_q_spec, config.edge_k_spec)
+        nodes = edge_focus_update(query, params)
         staged.append((query, nodes))
     summaries = context_exchange(concat_rows([pool_query(nodes) for _, nodes in staged]),
                                  config.context_steps, params)
     set_maps = []
     for set_index in range(config.num_sets):
-        contributions = [(query.bev_indices,
-                          infuse_context(nodes, summaries, params, config.context_mlp_spec,
-                                         rows=[query.query_index]))
+        contributions = [(flat.bev_indices[query.pair_rows],
+                          infuse_context(nodes, summaries, params, rows=[query.query_index]))
                          for query, nodes in staged if query.set_index == set_index]
         set_maps.append(gather_rows(scatter_mean(contributions, flat.m_bev), flat.bev_indices))
     concat_map = concat_cols(set_maps)
@@ -304,31 +304,33 @@ def test_tape_size_does_not_grow_with_queries_per_chunk():
     assert counts[0] == counts[1]
 
 
-def _unfused_extra_bytes(spec, rows):
-    """Bytes a layer-by-layer MLP keeps beyond its layer outputs: the product before
-    the bias and, on hidden layers, the pre-activation of the ReLU."""
-    return sum(rows * width * 8 * (1 + (i < spec.n_layers - 1))
-               for i, width in enumerate(spec.widths[1:]))
+def _unfused_extra_bytes(layers, rows):
+    """Bytes a layer-by-layer MLP of these stored layers keeps beyond its layer outputs:
+    the product before the bias and, on hidden layers, the pre-activation of the ReLU."""
+    return sum(rows * w.data.shape[1] * 8 * (1 + (i < len(layers) - 1))
+               for i, (w, _) in enumerate(layers))
 
 
 def test_tape_keeps_at_most_70_percent_of_the_unfused_layout():
     config = GqnConfig()
     _, flat, _ = toy_inputs(h=16, w=16, d=config.d, seed=0)
-    out = run_gqn(flat, config, init_params(config, flat.m_bev), global_map=flat.states)
+    params = init_params(config, flat.m_bev)
+    out = run_gqn(flat, config, params, global_map=flat.states)
     kept = sum(t.data.nbytes for t in _toposort(out.fused_map))
 
+    layers = params.layers
     extra = 0
     for chunk in out.queries:
         edges = chunk.n_nodes * chunk.k
-        extra += (_unfused_extra_bytes(config.edge_mlp_spec, edges)
-                  + _unfused_extra_bytes(config.edge_q_spec, edges)
-                  + _unfused_extra_bytes(config.edge_k_spec, edges)
+        extra += (_unfused_extra_bytes(layers("edge_mlp"), edges)
+                  + _unfused_extra_bytes(layers("edge_q"), edges)
+                  + _unfused_extra_bytes(layers("edge_k"), edges)
                   + edges * config.d * 8  # the elementwise product the edge scores sum
-                  + _unfused_extra_bytes(config.node_mlp_spec, chunk.n_nodes)
-                  + _unfused_extra_bytes(config.context_mlp_spec, chunk.n_nodes))
+                  + _unfused_extra_bytes(layers("node_mlp"), chunk.n_nodes)
+                  + _unfused_extra_bytes(layers("context_mlp"), chunk.n_nodes))
     extra += config.context_steps * 3 * config.tau * config.d * 8  # q, k, v before their bias
-    extra += (_unfused_extra_bytes(config.mlp1_spec, flat.m_bev)
-              + _unfused_extra_bytes(config.mlp2_spec, flat.m_bev))
+    extra += (_unfused_extra_bytes(layers("mlp1"), flat.m_bev)
+              + _unfused_extra_bytes(layers("mlp2"), flat.m_bev))
     assert kept <= 0.7 * (kept + extra)
 
 

@@ -18,6 +18,11 @@ def _flat(h=6, w=6, d=4, seed=0, noise=0.3):
     return flatten_grid(grid, sinusoidal_encoding(h, w, d))
 
 
+def _cells(flat, query):
+    """The BEV cell of each of the query's nodes."""
+    return flat.bev_indices[query.pair_rows]
+
+
 # ----------------------------------------------------------------------------
 # attention scores
 
@@ -63,21 +68,21 @@ def test_select_all_nodes_when_n_equals_m():
     flat = _flat()
     alpha = attention_scores(Tensor(np.zeros(4)), Tensor(flat.states))
     sel = select_nodes(alpha, Tensor(flat.states), flat, 36)
-    assert sorted(sel.bev_indices) == list(range(36))
+    assert sorted(_cells(flat, sel)) == list(range(36))
 
 
 def test_select_top1():
     flat = _flat(h=1, w=3, d=4)
     alpha = Tensor(np.array([0.1, 0.5, 0.4]))
     sel = select_nodes(alpha, Tensor(flat.states), flat, 1)
-    assert list(sel.bev_indices) == [1]
+    assert list(_cells(flat, sel)) == [1]
 
 
 def test_select_tie_breaks_to_lower_bev_index():
     flat = _flat(h=1, w=3, d=4)
     alpha = Tensor(np.array([0.4, 0.4, 0.2]))
     sel = select_nodes(alpha, Tensor(flat.states), flat, 1)
-    assert list(sel.bev_indices) == [0]
+    assert list(_cells(flat, sel)) == [0]
 
 
 def test_select_rejects_oversized_n():
@@ -96,7 +101,7 @@ def test_selected_set_invariant_under_pair_permutation():
         shuffled = flat.reordered(rng.permutation(flat.m_bev))
         sel = select_nodes(attention_scores(u, Tensor(shuffled.states)),
                            Tensor(shuffled.states), shuffled, 9)
-        assert np.array_equal(sel.bev_indices, base.bev_indices)
+        assert np.array_equal(_cells(shuffled, sel), _cells(flat, base))
         assert np.array_equal(sel.states.data, base.states.data)
 
 
@@ -115,8 +120,9 @@ def test_edge_targets_invariant_under_pair_permutation(noise):
     for _ in range(10):
         shuffled = flat.reordered(rng.permutation(flat.m_bev))
         query = init_graph_query(us, Tensor(shuffled.states), shuffled, 0, 0, spec)
-        assert np.array_equal(query.bev_indices[query.edge_src], base.bev_indices[base.edge_src])
-        assert np.array_equal(query.bev_indices[query.edge_dst], base.bev_indices[base.edge_dst])
+        cells, base_cells = _cells(shuffled, query), _cells(flat, base)
+        assert np.array_equal(cells[query.edge_src], base_cells[base.edge_src])
+        assert np.array_equal(cells[query.edge_dst], base_cells[base.edge_dst])
 
 
 def test_selection_scaling_carries_gradient_to_u():
@@ -353,7 +359,7 @@ def test_init_graph_query_counts_and_guards():
     q = init_graph_query(u, Tensor(flat.states), flat, 0, 0, QuerySetSpec(1, 0.2, 3))
     assert q.n_nodes == round(0.2 * 64)
     assert len(q.edge_src) == q.n_nodes * 3
-    assert len(set(q.bev_indices.tolist())) == q.n_nodes
+    assert len(set(_cells(flat, q).tolist())) == q.n_nodes
     with pytest.raises(ConfigError):
         init_graph_query(u, Tensor(flat.states), flat, 0, 0, QuerySetSpec(1, 0.05, 5))
 
@@ -370,7 +376,7 @@ def test_init_graph_query_chunk_stacks_single_queries():
     assert (chunk.set_index, chunk.query_index) == (1, 7)
     for q, single in enumerate(singles):
         rows, edges = slice(q * n, (q + 1) * n), slice(q * n * k, (q + 1) * n * k)
-        for field in ("bev_indices", "positions", "states_raw"):
+        for field in ("pair_rows", "positions", "states_raw"):
             assert np.array_equal(getattr(chunk, field)[rows], getattr(single, field))
         assert np.array_equal(chunk.alpha.data[rows], single.alpha.data)
         assert np.array_equal(chunk.states.data[rows], single.states.data)
@@ -403,10 +409,10 @@ def test_chunk_keeps_one_copy_of_its_rows():
     u = Tensor(np.random.default_rng(6).standard_normal((2, 4)), requires_grad=True)
     chunk = init_graph_query(u, Tensor(flat.states), flat, 0, 0, QuerySetSpec(2, 0.3, 3))
     assert np.shares_memory(chunk.states_raw, chunk.states._parents[0].data)
-    assert np.array_equal(chunk.states_raw, flat.to_grid_order(flat.states)[chunk.bev_indices])
+    assert np.array_equal(chunk.states_raw, flat.to_grid_order(flat.states)[_cells(flat, chunk)])
     # positions are not copied either: the chunk keeps the grid's and its rows
     assert chunk.grid_positions is flat.positions
-    assert np.array_equal(chunk.positions, flat.to_grid_order(flat.positions)[chunk.bev_indices])
+    assert np.array_equal(chunk.positions, flat.to_grid_order(flat.positions)[_cells(flat, chunk)])
 
 
 def test_set_spec_validation():
