@@ -6,7 +6,8 @@ Stage by stage over two small queries, run together as one stacked chunk:
   3. each node absorbs its attention-weighted edge sum through an MLP
      (the fused stage folds the edge MLP's linear output layer into 2 and 3),
   4. each query max-pools to a summary, summaries talk via self-attention,
-  5. the exchanged summary is mixed back into every node of its query.
+  5. the exchanged summary is mixed back into every node of its query, and
+     the mixed nodes are averaged per BEV cell into the set's map.
 """
 
 import numpy as np
@@ -64,9 +65,13 @@ mixed = context_exchange(pooled, cfg.context_steps, params)
 print(f"summaries after  exchange, first two dims: {mixed.data[:, :2].round(3).tolist()}")
 print("zero steps is the exact identity:", context_exchange(pooled, 0, params) is pooled)
 
-# 5) infuse each exchanged summary back into the nodes of its query
-final = infuse_context(updated, mixed, params,
-                       rows=range(chunk.query_index, chunk.query_index + chunk.queries))
-print(f"context-aware nodes: {final.data.shape}, "
-      f"mean |shift| of query 0 vs pre-context: "
-      f"{np.abs(final.data[:n] - updated.data[:n]).mean():.3f}")
+# 5) infuse each exchanged summary back into the nodes of its query and average
+#    them per cell; the context MLP's linear output layer runs after the mean,
+#    once per cell, and a cell no node lies in stays zero
+rows = range(chunk.query_index, chunk.query_index + chunk.queries)
+set_map = infuse_context([(chunk.pair_rows, updated, rows)], mixed, params, flat.m_bev)
+covered = np.zeros(flat.m_bev, dtype=bool)
+covered[chunk.pair_rows] = True
+print(f"set map: {set_map.data.shape}, {covered.sum()} of {flat.m_bev} cells covered, "
+      f"mean |value| on them {np.abs(set_map.data[covered]).mean():.3f}, "
+      f"zero elsewhere: {not set_map.data[~covered].any()}")

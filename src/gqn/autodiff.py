@@ -10,8 +10,8 @@ node's k edges in the order ``query_init.build_knn_edges`` gives them
 order. Both orders are functions of the pair set, so the pipeline's outputs
 do not depend on how the grid was flattened. Softmax normalizers
 (``row_softmax``) still sum in value-sorted order: the same helper normalizes
-over grid cells, whose order is the caller's pair order. ``scatter_mean``
-adds each cell's rows in contribution order. Reductions over feature axes
+over grid cells, whose order is the caller's pair order. ``_scatter_add``
+adds each cell's rows in row order. Reductions over feature axes
 keep numpy's fixed evaluation order, which is already deterministic for a
 fixed operand layout.
 
@@ -24,11 +24,13 @@ inputs and its output, and its backward recomputes the hidden layer (gradient
 checkpointing; Chen et al., "Training Deep Nets with Sublinear Memory Cost",
 2016). The private array helpers (``_split_linear``, ``_dense`` and their
 gradients, ``_split_mlp_grads``, ``_bilinear_scores`` and its gradients,
-``_row_softmax``, ``_segment_mix``) are forward and backward pieces with no
-tape of their own; the edge stage (``edge_focus.edge_focus_update``) composes
-them into one node per query chunk. The fused nodes (``linear``,
-``split_mlp_forward``, the edge stage) and their gradient helpers return the
-gradient of every parent, a constant's too, and ``backward`` drops each
+``_row_softmax``, ``_segment_mix``, ``_cell_scale``, ``_scatter_add``) are
+forward and backward pieces with no tape of their own; the edge stage
+(``edge_focus.edge_focus_update``) composes them into one node per query
+chunk, and context infusion (``deep_context.infuse_context``) into one node
+per query set. The fused nodes (``linear``, ``split_mlp_forward``, the edge
+stage, context infusion) and their gradient helpers return the gradient of
+every parent, a constant's too, and ``backward`` drops each
 contribution to a parent that does not require grad; the small generic ops
 (``mul``, ``matvec_rows``, ``scale_rows`` and the like) skip a constant
 operand's product themselves. The ReLU runs in place as ``np.fmax(out,
@@ -566,37 +568,28 @@ def attn_mix(weights: Tensor, values: Tensor) -> Tensor:
     return _make(out, (weights, values), backprop)
 
 
-def scatter_mean(contributions: Sequence[tuple[Array, Tensor]], num_cells: int) -> Tensor:
-    """Average row contributions into cells: out[c] = sum(rows hitting c) / count.
+def _cell_scale(cells: Array, num_cells: int) -> Array:
+    """Per cell, 1 / the number of entries of ``cells`` naming it, or 0 where none does.
 
-    Cells touched by no contribution stay zero. Each cell adds its rows left
-    to right from +0.0 in contribution order (the caller's list order, then
-    row order), as ``np.add.at`` would: a weighted ``np.bincount`` adds its
-    weights in input order, and it runs once per channel.
+    Raises ``InvalidInputError`` for a cell outside [0, num_cells).
     """
-    if not contributions:
-        raise ContractError("scatter_mean needs at least one contribution")
-    idxs = [np.asarray(ix, dtype=np.intp) for ix, _ in contributions]
-    tensors = [t for _, t in contributions]
-    width = tensors[0].data.shape[1]
-    for ix, t in zip(idxs, tensors):
-        if t.data.ndim != 2 or t.data.shape != (len(ix), width):
-            raise ShapeError(f"scatter_mean contribution mismatch {t.data.shape} vs {len(ix)} indices")
-    cells = np.concatenate(idxs)
     if len(cells) and not 0 <= cells.min() <= cells.max() < num_cells:
-        raise InvalidInputError(f"scatter_mean cell indices outside [0, {num_cells})")
-    acc = np.empty((width, num_cells))
-    for c in range(width):
-        acc[c] = np.bincount(cells, np.concatenate([t.data[:, c] for t in tensors]), num_cells)
-    scale = 1.0 / np.maximum(np.bincount(cells, minlength=num_cells), 1.0)
-    out = np.empty((num_cells, width))
-    np.multiply(acc.T, scale[:, None], out=out)
+        raise InvalidInputError(f"cell indices outside [0, {num_cells})")
+    counts = np.bincount(cells, minlength=num_cells)
+    return np.divide(1.0, counts, out=np.zeros(num_cells), where=counts > 0)
 
-    def backprop(g):
-        gs = g * scale[:, None]
-        return tuple(gs[ix] if t.requires_grad else None for ix, t in zip(idxs, tensors))
 
-    return _make(out, tuple(tensors), backprop)
+def _scatter_add(acc: Array, cells: Array, rows: Array) -> None:
+    """``np.add.at(acc, cells, rows)`` for an (m, c) ``acc``: row i adds into row ``cells[i]``.
+
+    Each entry of ``acc`` adds its terms left to right in row order. The adds
+    run as one 1-D ``np.add.at`` over the flat index ``cells * c + channel``,
+    which gives the same bits as the 2-D call in a fraction of its time.
+    ``acc`` must be C-contiguous, so that the flat view writes into it, and
+    ``cells`` must lie in [0, m); ``_cell_scale`` checks that.
+    """
+    width = acc.shape[1]
+    np.add.at(acc.reshape(-1), (cells[:, None] * width + np.arange(width)).ravel(), rows.ravel())
 
 
 # ----------------------------------------------------------------------------
@@ -689,11 +682,20 @@ class ParamStore:
 
 
 def mlp_forward(spec: MlpSpec, params: ParamStore, name: str, x: Tensor) -> Tensor:
-    """Apply the named MLP to a (rows, w_in) matrix, one ``linear`` node per layer."""
-    if x.data.ndim != 2 or x.data.shape[1] != spec.widths[0]:
-        raise ShapeError(f"MLP {name!r} expects width {spec.widths[0]}, got input shape {x.data.shape}")
-    for i in range(spec.n_layers):
-        x = linear(x, params[f"{name}/W{i}"], params[f"{name}/b{i}"], relu=i < spec.n_layers - 1)
+    """Apply the named MLP to a (rows, w_in) matrix, one ``linear`` node per layer.
+
+    The stored layers (``ParamStore.layers``) must be exactly the spec's:
+    ``spec.n_layers`` of them, of its widths; anything else raises ``ShapeError``.
+    """
+    layers = params.layers(name)
+    stored = [(w.data.shape, b.data.shape) for w, b in layers]
+    widths = spec.widths
+    if stored != [((w_in, w_out), (w_out,)) for w_in, w_out in zip(widths, widths[1:])]:
+        raise ShapeError(f"MLP {name!r} of widths {widths} stores layers {stored}")
+    if x.data.ndim != 2 or x.data.shape[1] != widths[0]:
+        raise ShapeError(f"MLP {name!r} expects width {widths[0]}, got input shape {x.data.shape}")
+    for i, (w, b) in enumerate(layers):
+        x = linear(x, w, b, relu=i < len(layers) - 1)
     return x
 
 

@@ -336,6 +336,7 @@ def cmd_run(settings: Settings) -> int:
         "config": settings.echo,
         "m_bev": flat.m_bev,
         "tau": settings.gqn.tau,
+        "coverage": list(out.coverage),  # per set, covered cells / m_bev
         "artifacts": {p.name: _digest(p) for p in (maps_path, globals_path)},
     }
     (settings.out_dir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")

@@ -197,7 +197,7 @@ def _split_layer_flops(d: int, product_rows: int, adds: int) -> int:
 
 def _split_mlp_flops(d: int, product_rows: int, adds: int, rows: int) -> int:
     """A (2d, d, d) MLP whose first layer runs split per node, as
-    ``autodiff.split_mlp_forward`` runs the node and context MLPs: the split layer
+    ``autodiff.split_mlp_forward`` runs the node MLP: the split layer
     (``_split_layer_flops``), the ReLU on each of the ``rows`` hidden outputs, then
     the dense output layer."""
     return _split_layer_flops(d, product_rows, adds) + rows * d + _linear_flops(rows, d, d)
@@ -212,9 +212,11 @@ def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
     ``pipeline.init_params`` registers them. The estimate counts the
     layers the code runs, not the concatenated layers of the paper: the
     first layers of the edge, node and context MLPs are split per node
-    (``autodiff.split_mlp_forward``), so their products are per node, the edge
+    (``autodiff._split_linear``), so their products are per node, the edge
     layer adds its bias per node and then a per-edge gather-add, and the
     summary half of the context layer is one (tau, d) x (d, d) product. The
+    context MLP's linear output layer runs after the per-cell mean
+    (``deep_context.infuse_context``): once per cell of the grid per set. The
     edge MLP's linear output layer is folded (``edge_focus``): no per-edge
     output is built, edges are scored on the hidden layer h as the bilinear
     form ``h A hᵀ + h·c + bq·bk`` (``autodiff._bilinear_scores``, one (d, d)
@@ -232,9 +234,10 @@ def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
     Per query: scoring 2*m_bev*d plus a softmax, selection weighting, the edge
     MLP's hidden layer, the bilinear edge scores, per-node softmax and
     weighted aggregation (all linear in n*k), then the message product, the
-    node and context MLPs, pooling and projection adds per node. Shared:
-    context attention steps over all tau summaries, per-cell mean
-    normalization, and the skip and gate MLPs over every cell.
+    node MLP, the context MLP's hidden layer, pooling and projection adds per
+    node. Shared: context attention steps over all tau summaries, per set the
+    per-cell mean normalization and the context MLP's output layer, and the
+    skip and gate MLPs over every cell.
     """
     d, tau = config.d, config.tau
     stages = dict.fromkeys(("query_init.score", "query_init.select", "edge_focus.features",
@@ -256,13 +259,15 @@ def _flop_stages(config: GqnConfig, m_bev: int) -> dict[str, int]:
                                   + _linear_flops(n, d, d)            # message, per node
                                   + _split_mlp_flops(d, 2 * n, 2 * n, n)),
             "deep_context.pool": n * d,                               # max pooling
-            # node half per node, plus the gathered summary half and the bias
-            "deep_context.infuse": _split_mlp_flops(d, n, 2 * n, n),
+            # node half per node, plus the gathered summary half and the bias,
+            # then the ReLU; the output layer runs per cell, below
+            "deep_context.infuse": _split_layer_flops(d, n, 2 * n) + n * d,
             "pipeline.project": n * d,                                # scatter adds
         }
         for stage, flops in per_query.items():
             stages[stage] += s.queries * flops
-    stages["deep_context.infuse"] += 2 * tau * d * d
+    stages["deep_context.infuse"] += (2 * tau * d * d                  # summary half, U W_b
+                                      + config.num_sets * _linear_flops(m_bev, d, d))  # output
     stages["edge_focus.attention"] += (2 * (2 * d * d * d + 2 * d * d + d)   # q and key composed
                                        + 2 * d * d * d + 4 * d * d + 3 * d)  # A, c and bq·bk
     stages["deep_context.exchange"] = config.context_steps * (

@@ -58,10 +58,10 @@ array with the forward's calls, so they carry the same bits (Chen et al.,
 "Training Deep Nets with Sublinear Memory Cost", 2016), then backprops
 through the stages in reverse; the gradients of the output layer, q and key
 chain back through the (d, d) products of the fold. ``edge_features`` (the
-gate and the split hidden layer) and ``update_nodes`` (the gate and the node
-MLP's two layers) are forward calls of the node, and return value-only
-tensors; ``edge_attention`` scores any rows under q and key, as the node
-scores h under the composed layers.
+gate and the split hidden layer) and ``update_nodes`` (the node MLP as
+``autodiff.split_mlp_forward`` under ``no_grad``) are forward calls of the
+node, and return value-only tensors; ``edge_attention`` scores any rows under
+q and key, as the node scores h under the composed layers.
 
 Pairing the two projections of the same edge yields exactly one weight per
 edge, which is what the weighted aggregation consumes. The natural
@@ -77,7 +77,7 @@ import numpy as np
 from .autodiff import (ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
                        _check_split_mlp, _dense, _dense_grads, _make, _row_softmax,
                        _row_softmax_grad, _segment_mix, _segment_mix_grads, _split_linear,
-                       _split_linear_grads, _split_mlp_grads)
+                       _split_linear_grads, _split_mlp_grads, no_grad, split_mlp_forward)
 from .errors import ContractError, ShapeError
 from .query_init import GraphQuery
 
@@ -143,10 +143,8 @@ def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore) -> T
 
 def update_nodes(query: GraphQuery, message: Tensor, params: ParamStore) -> Tensor:
     """Updated node states: MLP(message || node state), shape (n_nodes, d)."""
-    layers = _arrays(params.layers("node_mlp"))
-    _check_split_mlp("node_mlp", message.data, query.states.data, layers, None, 0)
-    hidden = _split_linear(message.data, query.states.data, *layers[0], None, 0, relu=True)
-    return Tensor(_dense(hidden, *layers[1], relu=False))
+    with no_grad():
+        return split_mlp_forward(params, "node_mlp", message, query.states)
 
 
 def edge_focus_update(query: GraphQuery, params: ParamStore) -> Tensor:

@@ -1,13 +1,16 @@
 """Multi-set query orchestration over a flattened BEV grid.
 
 Runs every query of every set through initialization, the edge-attention
-update and context pooling, projects each set's node states back onto the BEV
-grid by contributor-count mean, one scatter per set straight into pair order
-(``project_to_bev``), concatenates set maps along channels, and applies the
-skip MLP (mlp1) over [input state || set maps || positional encoding]. When a
-global-pathway map is supplied, the skip output is blended with it via
-per-pixel softmax weights from mlp2. Updated per-query summary vectors are
-exposed so an external detection head could consume them.
+update and context pooling, projects each set's context-infused node states
+back onto the BEV grid by contributor-count mean, one tape node per set that
+scatters straight into pair order (``project_to_bev``, which runs
+``deep_context.infuse_context``: the context MLP's output layer runs after
+the mean, once per cell, so no per-node output is kept), concatenates set
+maps along channels, and applies the skip MLP (mlp1) over [input state || set
+maps || positional encoding]. When a global-pathway map is supplied, the skip
+output is blended with it via per-pixel softmax weights from mlp2. Updated
+per-query summary vectors are exposed so an external detection head could
+consume them.
 
 Alignment contract: every map in ``GqnOutput`` has one row per *input pair*,
 in the caller's pair order. Because all internal reductions are functions of
@@ -49,7 +52,7 @@ import numpy as np
 
 from .autodiff import (MlpSpec, ParamStore, Tensor, add, as_tensor, backward, column,
                        concat_cols, concat_rows, linear, mean_all, mlp_forward, mul,
-                       register_attention, reshape, row_softmax, scale_rows, scatter_mean, sub)
+                       register_attention, reshape, row_softmax, scale_rows, sub)
 from .deep_context import context_exchange, infuse_context, pool_query
 from .edge_focus import edge_focus_update
 from .errors import ConfigError, InvalidInputError, ShapeError
@@ -114,6 +117,14 @@ class GqnOutput:
     global_vectors: Tensor         # (tau, d) context-updated query summaries
     queries: tuple[GraphQuery, ...]  # the query chunks, in query order
 
+    @property
+    def coverage(self) -> tuple[float, ...]:
+        """Per set, the share of the grid's cells that hold at least one of its nodes."""
+        cells = self.skip_map.data.shape[0]
+        return tuple(
+            np.unique(np.concatenate([q.pair_rows for q in self.queries if q.set_index == i])).size
+            / cells for i in range(len(self.set_maps)))
+
 
 def init_params(config: GqnConfig, m_bev: int) -> ParamStore:
     """Register every parameter group the pipeline uses, seeded deterministically.
@@ -166,14 +177,18 @@ def soft_fusion(graph_map: Tensor, global_map: Tensor, params: ParamStore,
     return add(scale_rows(graph_map, column(w, 0)), scale_rows(global_map, column(w, 1)))
 
 
-def project_to_bev(contributions: Sequence[tuple[Array, Tensor]], flat: FlatPairs) -> Tensor:
-    """One set's map in pair order: the per-cell mean of its (pair rows, node rows) contributions.
+def project_to_bev(set_chunks: Sequence[tuple[GraphQuery, Tensor]], summaries: Tensor,
+                   params: ParamStore, flat: FlatPairs) -> Tensor:
+    """One set's map in pair order: per cell, the mean of its nodes mixed with their summaries.
 
-    Each contribution names its nodes' rows in the caller's pair order, so one
-    mean per set over its chunks in query order adds each cell's node rows,
-    as one query at a time would, straight into that cell's pair row.
+    Each chunk names its nodes' rows in the caller's pair order (``pair_rows``),
+    so the set's one infusion node (``infuse_context``) adds each cell's node
+    rows in query order, as one query at a time would, straight into that
+    cell's pair row.
     """
-    return scatter_mean(contributions, flat.m_bev)
+    return infuse_context(
+        [(query.pair_rows, nodes, np.arange(query.query_index, query.query_index + query.queries))
+         for query, nodes in set_chunks], summaries, params, flat.m_bev)
 
 
 def _chunk_size(spec: QuerySetSpec, m_bev: int, d: int) -> int:
@@ -210,14 +225,7 @@ def run_gqn(flat: FlatPairs, config: GqnConfig, params: ParamStore,
                      for set_chunks in chunks for query, nodes in set_chunks]),
         config.context_steps, params)
 
-    set_maps = []
-    for set_chunks in chunks:
-        contributions = []
-        for query, nodes in set_chunks:
-            rows = np.arange(query.query_index, query.query_index + query.queries)
-            mixed = infuse_context(nodes, summaries, params, rows=rows)
-            contributions.append((query.pair_rows, mixed))
-        set_maps.append(project_to_bev(contributions, flat))
+    set_maps = [project_to_bev(set_chunks, summaries, params, flat) for set_chunks in chunks]
 
     concat_map = concat_cols(set_maps)
     skip_map = skip_fuse(states, concat_map, enc, params, config.mlp1_spec)

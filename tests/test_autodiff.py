@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from gqn import pipeline
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
-                          _make, _relu_inplace, _segment_mix, _segment_mix_grads, _split_linear,
-                          _split_linear_grads, _toposort, add, attn_mix, backward, concat_cols,
-                          concat_rows, gather_rows, grad_check, grad_check_groups, linear,
-                          matmul_nt, matvec_rows, max_rows, mlp_forward, mul, no_grad,
-                          register_attention, reshape, row_softmax, scale_rows, scatter_mean,
-                          self_attention_layer, split_mlp_forward, sub, sum_all)
+                          _cell_scale, _make, _relu_inplace, _scatter_add, _segment_mix,
+                          _segment_mix_grads, _split_linear, _split_linear_grads, _toposort, add,
+                          attn_mix, backward, concat_cols, concat_rows, gather_rows, grad_check,
+                          grad_check_groups, linear, matmul_nt, matvec_rows, max_rows,
+                          mlp_forward, mul, no_grad, register_attention, reshape, row_softmax,
+                          scale_rows, self_attention_layer, split_mlp_forward, sub, sum_all)
 from gqn.errors import ConfigError, ContractError, InvalidInputError, ShapeError
 from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
 
@@ -680,10 +680,21 @@ def _concat_edge_focus_update(query, params):
     return mlp_forward(mlp, params, "node_mlp", concat_cols([message, query.states]))
 
 
-def _concat_infuse_context(nodes, summaries, params, rows):
-    tiled = gather_rows(summaries, np.repeat(rows, nodes.data.shape[0] // len(rows)))
-    return mlp_forward(_config_specs(nodes.data.shape[1])[0], params, "context_mlp",
-                       concat_cols([nodes, tiled]))
+def _concat_infuse_context(chunks, summaries, params, num_cells):
+    """Context infusion with the concatenated first layer and the output layer per node,
+    then the per-cell mean of the nodes' outputs as one plain node."""
+    mixed = []
+    for _, nodes, rows in chunks:
+        tiled = gather_rows(summaries, np.repeat(rows, nodes.data.shape[0] // len(rows)))
+        mixed.append(mlp_forward(_config_specs(nodes.data.shape[1])[0], params, "context_mlp",
+                                 concat_cols([nodes, tiled])))
+    scale = _cell_scale(np.concatenate([c for c, _, _ in chunks]), num_cells)
+    mean = np.zeros((num_cells, mixed[0].data.shape[1]))
+    for (cells, _, _), t in zip(chunks, mixed):
+        _scatter_add(mean, cells, t.data)
+    mean *= scale[:, None]
+    return _make(mean, tuple(mixed),
+                 lambda g: tuple((g * scale[:, None])[cells] for cells, _, _ in chunks))
 
 
 def test_run_gqn_matches_the_concatenated_first_layers(monkeypatch):
@@ -1018,17 +1029,18 @@ def test_concat_cols_drops_constant_parts_from_the_tape():
 
 
 def test_scatter_mean_averages_by_contributor_count():
-    a = Tensor(np.array([[2.0, 0.0]]), requires_grad=True)
-    b = Tensor(np.array([[4.0, 2.0]]), requires_grad=True)
-    out = scatter_mean([(np.array([1]), a), (np.array([1]), b)], 3)
-    np.testing.assert_array_equal(out.data, [[0.0, 0.0], [3.0, 1.0], [0.0, 0.0]])
-    sum_all(out).backward()
-    np.testing.assert_array_equal(a.grad, [[0.5, 0.5]])
+    cells, mean = np.array([1, 1]), np.zeros((3, 2))
+    scale = _cell_scale(cells, 3)
+    _scatter_add(mean, cells, np.array([[2.0, 0.0], [4.0, 2.0]]))
+    mean *= scale[:, None]
+    np.testing.assert_array_equal(mean, [[0.0, 0.0], [3.0, 1.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(scale, [0.0, 0.5, 0.0])  # zero on the cells no row hits
 
 
 @pytest.mark.parametrize("width", [1, 5])
 def test_scatter_mean_equals_add_at_byte_for_byte(width):
-    """Each cell adds its rows in contribution order, as ``np.add.at`` does, then is scaled."""
+    """Each cell adds its rows in contribution order, then row order, as the 2-D
+    ``np.add.at`` does, then is scaled."""
     rng = np.random.default_rng(43)
     contributions = []
     for size in (7, 0, 25, 1, 18):
@@ -1042,7 +1054,11 @@ def test_scatter_mean_equals_add_at_byte_for_byte(width):
         np.add.at(acc, ix, t.data)
         np.add.at(cnt, ix, 1.0)
     ref = acc * (1.0 / np.maximum(cnt, 1.0))[:, None]
-    assert _bits(scatter_mean(contributions, 12).data) == _bits(ref)
+    mean = np.zeros((12, width))
+    for ix, t in contributions:
+        _scatter_add(mean, ix, t.data)
+    mean *= _cell_scale(np.concatenate([ix for ix, _ in contributions]), 12)[:, None]
+    assert _bits(mean) == _bits(ref)
 
 
 @pytest.mark.parametrize("k", [0, 3])
@@ -1070,7 +1086,7 @@ def test_split_linear_grads_scatter_equals_add_at_byte_for_byte(k):
 @pytest.mark.parametrize("cell", [-1, 4])
 def test_scatter_mean_rejects_cells_outside_the_map(cell):
     with pytest.raises(InvalidInputError):
-        scatter_mean([(np.array([0, cell]), Tensor(np.ones((2, 2))))], 4)
+        _cell_scale(np.array([0, cell]), 4)  # the scale of a mean is taken before its sums
 
 
 def _left_to_right(terms):

@@ -45,6 +45,22 @@ def test_run_writes_three_artifacts(tmp_path):
     assert meta["tau"] == 8
 
 
+def test_run_reports_each_sets_coverage_of_the_grid(tmp_path):
+    """meta.json gives each set's covered cells / m_bev at the default (toy) config: the
+    4 queries of 26 nodes of set 0 cover 56 of the 256 cells, the 4 of 51 of set 1 cover
+    130. A set map is nonzero exactly on the cells its set covers."""
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out)]) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["m_bev"] == 256
+    assert meta["coverage"] == [56 / 256, 130 / 256]
+    maps = np.genfromtxt(out / "maps.csv", delimiter=",", names=True)
+    for i, share in enumerate(meta["coverage"]):
+        columns = [name for name in maps.dtype.names if name.startswith(f"set{i}_")]
+        nonzero = np.any([maps[name] != 0.0 for name in columns], axis=0)
+        assert nonzero.sum() == share * meta["m_bev"]
+
+
 def test_run_same_config_and_seed_identical_digests(tmp_path):
     cfg = _write(tmp_path, TOY_8x8)
     a, b = tmp_path / "a", tmp_path / "b"

@@ -43,11 +43,11 @@ def test_split_edge_and_context_layers_match_a_hand_count():
 
     context = (n * half_product                   # N W_a, per node
                + n * h                            # plus the gathered row of U W_b
-               + n * h + n * h                    # bias and ReLU
-               + n * second_layer)
+               + n * h + n * h)                   # bias and ReLU
     projection = 2 * half_product                 # U W_b for both summaries, in one chunk
-    assert (context, projection) == (72, 16)
-    assert stages["deep_context.infuse"] == 2 * context + projection
+    output = M_BEV * second_layer                 # the output layer after the mean, per cell
+    assert (context, projection, output) == (42, 16, 60)
+    assert stages["deep_context.infuse"] == 2 * context + projection + output
 
 
 def test_flop_estimate_is_the_sum_of_the_stages():

@@ -3,8 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gqn.autodiff import (ParamStore, Tensor, _toposort, as_tensor, backward, concat_cols,
-                          concat_rows, gather_rows, scatter_mean, sum_all)
+from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _toposort, as_tensor, backward,
+                          concat_cols, concat_rows, gather_rows, sum_all)
 from gqn.deep_context import context_exchange, infuse_context, pool_query
 from gqn.edge_focus import edge_focus_update
 from gqn.errors import ConfigError, ShapeError
@@ -91,22 +91,31 @@ def test_init_params_rejects_k_not_below_n():
 # projection / concatenation / fusion
 
 
+def _node_mean(contributions, num_cells):
+    """A set map whose context MLP passes each node through as relu(x) - relu(-x), and so
+    the per-cell mean of the (cells, node rows) contributions, one query each."""
+    d = np.shape(contributions[0][1])[1]
+    eye, params = np.eye(d), ParamStore(seed=0)
+    params.register_mlp("context_mlp", MlpSpec((2 * d, 2 * d, d)))
+    params["context_mlp/W0"].data[...] = np.block([[eye, -eye], [np.zeros((d, 2 * d))]])
+    params["context_mlp/W1"].data[...] = np.vstack([eye, -eye])
+    chunks = [(np.array(cells), Tensor(np.array(rows)), [0]) for cells, rows in contributions]
+    return infuse_context(chunks, Tensor(np.zeros((1, d))), params, num_cells).data
+
+
 def test_projection_single_node_writes_single_cell():
-    v = Tensor(np.array([[1.0, 2.0, 3.0]]))
-    out = scatter_mean([(np.array([2 * 4 + 3]), v)], 16).data  # cell (2,3) of 4x4
+    out = _node_mean([([2 * 4 + 3], [[1.0, 2.0, 3.0]])], 16)  # cell (2,3) of 4x4
     assert np.array_equal(out[11], [1.0, 2.0, 3.0])
     assert np.count_nonzero(out) == 3
 
 
 def test_projection_averages_contributors():
-    a = Tensor(np.array([[2.0, 4.0]]))
-    b = Tensor(np.array([[6.0, 0.0]]))
-    out = scatter_mean([(np.array([5]), a), (np.array([5]), b)], 9).data
+    out = _node_mean([([5], [[2.0, 4.0]]), ([5], [[6.0, 0.0]])], 9)
     np.testing.assert_array_equal(out[5], [4.0, 2.0])
 
 
 def test_projection_untouched_cells_zero():
-    out = scatter_mean([(np.array([0]), Tensor(np.ones((1, 2))))], 4).data
+    out = _node_mean([([0], np.ones((1, 2)))], 4)
     assert np.array_equal(out[1:], np.zeros((3, 2)))
 
 
@@ -178,6 +187,15 @@ def test_soft_fusion_saturated_logits_select_graph_pathway():
     np.testing.assert_allclose(out.data, g, atol=1e-8)
 
 
+def test_fusion_weights_reject_a_stored_layer_beyond_the_spec():
+    cfg = toy_config()
+    params = init_params(cfg, 64)
+    params.register("mlp2/W2", (2, 2))
+    params.register("mlp2/b2", (2,), init="zeros")
+    with pytest.raises(ShapeError, match="mlp2"):
+        fusion_weights(Tensor(np.zeros((4, 8))), Tensor(np.zeros((4, 8))), params, cfg.mlp2_spec)
+
+
 def test_soft_fusion_rejects_shape_mismatch():
     cfg = toy_config()
     params = _fusion_params(cfg)
@@ -245,10 +263,10 @@ def _per_query_reference(flat, config, params, global_map):
                                  config.context_steps, params)
     set_maps = []
     for set_index in range(config.num_sets):
-        contributions = [(flat.bev_indices[query.pair_rows],
-                          infuse_context(nodes, summaries, params, rows=[query.query_index]))
-                         for query, nodes in staged if query.set_index == set_index]
-        set_maps.append(gather_rows(scatter_mean(contributions, flat.m_bev), flat.bev_indices))
+        chunks = [(flat.bev_indices[query.pair_rows], nodes, [query.query_index])
+                  for query, nodes in staged if query.set_index == set_index]
+        set_maps.append(gather_rows(infuse_context(chunks, summaries, params, flat.m_bev),
+                                    flat.bev_indices))
     concat_map = concat_cols(set_maps)
     skip_map = skip_fuse(states, concat_map, enc, params, config.mlp1_spec)
     fused = soft_fusion(skip_map, as_tensor(global_map), params, config.mlp2_spec)
@@ -358,19 +376,13 @@ def test_tape_holds_one_per_edge_array_per_chunk():
 
 
 def test_each_split_mlp_is_one_tape_node_per_chunk():
-    """No hidden layer of the context MLP is on the tape: it is one node per chunk
-    whose parents are its two inputs, then W0, b0, W1, b1. The edge, node, q and
-    key weights each feed exactly one node per chunk, the edge stage's."""
+    """The edge, node, q and key weights each feed exactly one node per chunk, the edge
+    stage's. (The context MLP is one node per set; see the next test.)"""
     config = GqnConfig()
     _, flat, _ = toy_inputs(h=16, w=16, d=config.d, seed=0)
     params = init_params(config, flat.m_bev)
     out = run_gqn(flat, config, params, global_map=flat.states)
     tape = _toposort(out.fused_map)
-    weights = tuple(params[f"context_mlp/{p}{i}"] for i in range(2) for p in "Wb")
-    users = [t for t in tape if any(p in weights for p in t._parents)]
-    assert len(users) == len(out.queries)
-    assert all(t._parents[2:] == weights for t in users)
-
     stages = [t for t in tape if params["edge_q/W0"] in t._parents]
     assert len(stages) == len(out.queries)
     for name, layers in (("edge_mlp", 2), ("edge_q", 1), ("edge_k", 1), ("node_mlp", 2)):
@@ -379,19 +391,31 @@ def test_each_split_mlp_is_one_tape_node_per_chunk():
             assert users == stages and all(t._parents.count(params[p]) == 1 for t in users), p
 
 
-def test_each_set_map_is_one_scatter_of_its_infused_nodes():
-    """A set map's parents are exactly its chunks' context-infusion outputs, each
-    (Q*n, d), in query order: no (m, d) cell-order map sits in between."""
+def test_each_set_map_is_one_infusion_node_over_its_chunks():
+    """A set map is one node, the only one that reads the context MLP. Its parents are
+    its chunks' updated node states (the edge stages' outputs) in query order, then the
+    summaries and W0, b0, W1, b1. No (Q*n, d) context-MLP output is on the tape: the
+    only (Q*n, d) tensors are each chunk's selected states and edge-stage output."""
     config = GqnConfig()
     _, flat, _ = toy_inputs(h=16, w=16, d=config.d, seed=0)
     params = init_params(config, flat.m_bev)
     out = run_gqn(flat, config, params, global_map=flat.states)
+    tape = _toposort(out.fused_map)
     weights = tuple(params[f"context_mlp/{p}{i}"] for i in range(2) for p in "Wb")
+    stages = [t for t in tape if params["edge_q/W0"] in t._parents]  # in query order
+    assert [t for t in tape if any(p in weights for p in t._parents)] == [
+        t for t in tape if any(t is m for m in out.set_maps)]
+    first = 0
     for i, set_map in enumerate(out.set_maps):
         chunks = [chunk for chunk in out.queries if chunk.set_index == i]
-        assert [t.data.shape for t in set_map._parents] == [(c.n_nodes, config.d) for c in chunks]
-        assert all(t._parents[1] is out.global_vectors and t._parents[2:] == weights
-                   for t in set_map._parents)
+        nodes = set_map._parents[:len(chunks)]
+        assert [t.data.shape for t in nodes] == [(c.n_nodes, config.d) for c in chunks]
+        assert all(a is b for a, b in zip(nodes, stages[first:first + len(chunks)], strict=True))
+        assert set_map._parents[len(chunks):] == (out.global_vectors,) + weights
+        first += len(chunks)
+    node_shapes = {(chunk.n_nodes, config.d) for chunk in out.queries}
+    kept = {id(t) for t in tape if t.data.shape in node_shapes}
+    assert kept == {id(t) for t in stages} | {id(chunk.states) for chunk in out.queries}
 
 
 def test_every_global_vector_receives_gradient():
