@@ -1,29 +1,31 @@
 """Command-line entry point: run | gradcheck | bench | train-demo.
 
 Configuration is one JSON document; every section is optional and unknown
-keys are rejected. Defaults are desk-scale: a 16x16 scene with d=8 features,
-two query sets of four queries (ratios 0.10/0.20, k=2/3), two context steps.
-The ``cost`` section instead defaults to the full-scale reference setup
-(three sets of 32 queries, ratios 0.10/0.20/0.30, k=4/8/12, d=64, six context
-steps) so the bench command reproduces the headline efficiency numbers out of
-the box.
+keys are rejected. Defaults are desk-scale, except that the ``cost`` section
+defaults to the full-scale reference setup (three sets of 32 queries, ratios
+0.10/0.20/0.30, k=4/8/12) so the bench command reproduces the headline
+efficiency numbers out of the box.
 
-Schema (all keys optional)::
+Schema, with each key's default (all keys optional)::
 
     {
       "seed": 0,                  # flag --seed > file > 0
-      "out_dir": "out",
-      "scene": {"height", "width", "d", "boxes", "clutter_density",
-                "noise_amplitude", "cell_size", "seed"},
-      "gqn":   {"d", "context_steps", "freq_base",
-                "sets": [{"queries", "ratio", "k"}, ...]},
-      "cost":  {"m_bev_sweep", "modes", "full_k",
-                "d", "context_steps", "sets"},
-      "train": {"steps", "learning_rate"}
+      "out_dir": "out",           # flag --out > file > "out"; a non-empty string
+      "scene": {"height": 16, "width": 16, "d": <gqn.d>, "boxes": <two demo boxes>,
+                "clutter_density": 0.05, "noise_amplitude": 0.05, "cell_size": 0.5,
+                "seed": <seed>},
+      "gqn":   {"d": 8, "context_steps": 2, "freq_base": 100.0,
+                "sets": [{"queries": 4, "ratio": 0.1, "k": 2},
+                         {"queries": 4, "ratio": 0.2, "k": 3}]},
+      "cost":  {"m_bev_sweep": [1024, 16384], "modes": ["naive", "indexed"],
+                "full_k": 20, "d": 64, "context_steps": 6, "sets": <the three reference sets>},
+      "train": {"steps": 200, "learning_rate": 0.01}
     }
 
-``scene.boxes`` entries are {"center": [r, c], "extent": [h, w],
-"signature": [d floats]} with the signature optional (a seeded one is drawn).
+A ``sets`` entry defaults to {"queries": 1, "ratio": 0.1, "k": 1}. A ``scene.boxes``
+entry is {"center": [r, c], "extent": [h, w], "signature": [d floats]}; center
+and extent are required, and a missing signature is drawn from the scene seed.
+meta.json echoes the parsed config in this order, every default filled in.
 
 Artifacts are plain CSV/JSON, rewritten from scratch each run and digested in
 meta.json. Exit codes: 0 success, 2 config or output error, 3 numeric error,
@@ -38,7 +40,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +58,6 @@ GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_MAX_CELLS = 1024
 GRADCHECK_COORDS_PER_PARAM = 6
 
-_TOY_SETS = ({"queries": 4, "ratio": 0.10, "k": 2}, {"queries": 4, "ratio": 0.20, "k": 3})
-
 
 @dataclass
 class Settings:
@@ -71,7 +71,7 @@ class Settings:
     full_k: int
     train_steps: int
     learning_rate: float
-    echo: dict
+    echo: dict  # the parsed config; meta.json writes its spec objects with ``asdict``
 
 
 def _check_keys(section: dict, allowed: set[str], path: str) -> None:
@@ -82,12 +82,26 @@ def _check_keys(section: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(f"unknown config key(s) under {path}: {unknown}")
 
 
+def _fields(section, table: dict, path: str) -> dict:
+    """``table`` maps each key to (parser, default); a given key is parsed at ``path.key``."""
+    _check_keys(section, set(table), path)
+    return {key: parse(section[key], f"{path}.{key}") if key in section else default
+            for key, (parse, default) in table.items()}
+
+
 def _int(value, path: str) -> int:
     """A JSON integer. Integral floats such as 16.0 pass; bools, strings and 2.7 do not."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or (isinstance(value, float) and not value.is_integer())):
         raise ConfigError(f"{path} must be an integer, got {value!r}")
     return int(value)
+
+
+def _seed(value, path: str) -> int:
+    seed = _int(value, path)
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{path} must be an unsigned 64-bit integer, got {seed}")
+    return seed
 
 
 def _float(value, path: str) -> float:
@@ -108,16 +122,12 @@ def _list(value, path: str) -> list:
     return value
 
 
-def _parse_sets(raw, path: str) -> tuple[QuerySetSpec, ...]:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path} must be a non-empty list of set objects")
-    sets = []
-    for i, entry in enumerate(raw):
-        _check_keys(entry, {"queries", "ratio", "k"}, f"{path}[{i}]")
-        sets.append(QuerySetSpec(_int(entry.get("queries", 1), f"{path}[{i}].queries"),
-                                 _float(entry.get("ratio", 0.1), f"{path}[{i}].ratio"),
-                                 _int(entry.get("k", 1), f"{path}[{i}].k")))
-    return tuple(sets)
+def _ints(value, path: str) -> list[int]:
+    return [_int(v, path) for v in _list(value, path)]
+
+
+def _floats(value, path: str) -> tuple[float, ...]:
+    return tuple(_float(v, path) for v in _list(value, path))
 
 
 def _int_pair(value, path: str) -> tuple[int, int]:
@@ -127,23 +137,37 @@ def _int_pair(value, path: str) -> tuple[int, int]:
     return _int(value[0], path), _int(value[1], path)
 
 
-def _parse_boxes(raw, d: int, seed: int, path: str) -> tuple[ObjectBox, ...]:
-    if not isinstance(raw, list):
-        raise ConfigError(f"{path} must be a list of box objects")
+def _out_dir(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path} must be a non-empty string, got {value!r}")
+    return str(Path(value))  # the normal form, as meta.json names the directory
+
+
+def _section(value, path: str):
+    return value  # checked by its own ``_fields`` call
+
+
+_SET = {"queries": (_int, 1), "ratio": (_float, 0.1), "k": (_int, 1)}
+_BOX = {"center": (_int_pair, None), "extent": (_int_pair, None), "signature": (_floats, None)}
+
+
+def _parse_sets(raw, path: str) -> tuple[QuerySetSpec, ...]:
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{path} must be a non-empty list of set objects")
+    return tuple(QuerySetSpec(**_fields(entry, _SET, f"{path}[{i}]"))
+                 for i, entry in enumerate(raw))
+
+
+def _parse_boxes(raw: list, d: int, seed: int, path: str) -> tuple[ObjectBox, ...]:
     boxes = []
     for i, entry in enumerate(raw):
-        _check_keys(entry, {"center", "extent", "signature"}, f"{path}[{i}]")
-        if "center" not in entry or "extent" not in entry:
+        fields = _fields(entry, _BOX, f"{path}[{i}]")
+        if fields["center"] is None or fields["extent"] is None:
             raise ConfigError(f"{path}[{i}] needs 'center' and 'extent'")
-        if "signature" in entry:
-            signature = tuple(_float(v, f"{path}[{i}].signature")
-                              for v in _list(entry["signature"], f"{path}[{i}].signature"))
-        else:
+        if fields["signature"] is None:
             rng = np.random.Generator(np.random.Philox(key=(seed << 8) ^ (i + 1)))
-            signature = tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=d))
-        boxes.append(ObjectBox(_int_pair(entry["center"], f"{path}[{i}].center"),
-                               _int_pair(entry["extent"], f"{path}[{i}].extent"),
-                               signature))
+            fields["signature"] = tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=d))
+        boxes.append(ObjectBox(**fields))
     return tuple(boxes)
 
 
@@ -153,71 +177,42 @@ def load_settings(config_path: str | None, seed_flag: int | None,
     if config_path is not None:
         with open(config_path) as fh:
             doc = json.load(fh)
-    _check_keys(doc, {"seed", "out_dir", "scene", "gqn", "cost", "train"}, "config")
-
-    seed = seed_flag if seed_flag is not None else _int(doc.get("seed", 0), "config.seed")
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    out_dir = Path(out_flag if out_flag is not None else doc.get("out_dir", "out"))
+    if isinstance(doc, dict):  # a flag replaces the file's value and is parsed like it
+        doc.update((key, flag) for key, flag in (("seed", seed_flag), ("out_dir", out_flag))
+                   if flag is not None)
+    config = _fields(doc, {"seed": (_seed, 0), "out_dir": (_out_dir, "out"),
+                           "scene": (_section, {}), "gqn": (_section, {}),
+                           "cost": (_section, {}), "train": (_section, {})}, "config")
+    seed, out_dir = config["seed"], Path(config["out_dir"])
     if out_dir.exists() and not out_dir.is_dir():
         raise ConfigError(f"output path {out_dir} exists and is not a directory")
 
-    gqn_sec = doc.get("gqn", {})
-    _check_keys(gqn_sec, {"d", "context_steps", "freq_base", "sets"}, "config.gqn")
-    d = _int(gqn_sec.get("d", 8), "config.gqn.d")
-    gqn = GqnConfig(
-        d=d,
-        context_steps=_int(gqn_sec.get("context_steps", 2), "config.gqn.context_steps"),
-        sets=_parse_sets(gqn_sec.get("sets", list(_TOY_SETS)), "config.gqn.sets"),
-        freq_base=_float(gqn_sec.get("freq_base", 100.0), "config.gqn.freq_base"),
-        seed=seed,
-    )
+    config["gqn"] = _fields(config["gqn"], {
+        "d": (_int, 8), "context_steps": (_int, 2), "freq_base": (_float, 100.0),
+        "sets": (_parse_sets, (QuerySetSpec(4, 0.1, 2), QuerySetSpec(4, 0.2, 3)))}, "config.gqn")
+    gqn = GqnConfig(**config["gqn"], seed=seed)
 
-    scene_sec = doc.get("scene", {})
-    _check_keys(scene_sec, {"height", "width", "d", "boxes", "clutter_density",
-                            "noise_amplitude", "cell_size", "seed"}, "config.scene")
-    height = _int(scene_sec.get("height", 16), "config.scene.height")
-    width = _int(scene_sec.get("width", 16), "config.scene.width")
+    scene = config["scene"] = _fields(config["scene"], {
+        "height": (_int, 16), "width": (_int, 16), "d": (_int, gqn.d), "boxes": (_list, None),
+        "clutter_density": (_float, 0.05), "noise_amplitude": (_float, 0.05),
+        "cell_size": (_float, 0.5), "seed": (_seed, seed)}, "config.scene")
+    height, width, scene_d, scene_seed = (scene[k] for k in ("height", "width", "d", "seed"))
     if height < 1 or width < 1:
         raise ConfigError(f"config.scene grid must be at least 1x1, got {height}x{width}")
-    scene_d = _int(scene_sec.get("d", d), "config.scene.d")
-    if scene_d != d:
-        raise ConfigError(f"scene d={scene_d} != gqn d={d}")
-    scene_seed = _int(scene_sec.get("seed", seed), "config.scene.seed")
-    if not 0 <= scene_seed < 2 ** 64:
-        raise ConfigError(f"scene seed must be an unsigned 64-bit integer, got {scene_seed}")
-    if "boxes" in scene_sec:
-        boxes = _parse_boxes(scene_sec["boxes"], scene_d, scene_seed, "config.scene.boxes")
-    else:
-        boxes = demo_boxes(height, width, scene_d, 2, scene_seed)
-    scene = SceneSpec(
-        height=height,
-        width=width,
-        d=scene_d,
-        boxes=boxes,
-        clutter_density=_float(scene_sec.get("clutter_density", 0.05),
-                               "config.scene.clutter_density"),
-        noise_amplitude=_float(scene_sec.get("noise_amplitude", 0.05),
-                               "config.scene.noise_amplitude"),
-        cell_size=_float(scene_sec.get("cell_size", 0.5), "config.scene.cell_size"),
-        seed=scene_seed,
-    )
+    if scene_d != gqn.d:
+        raise ConfigError(f"scene d={scene_d} != gqn d={gqn.d}")
+    scene["boxes"] = (demo_boxes(height, width, scene_d, 2, scene_seed) if scene["boxes"] is None
+                      else _parse_boxes(scene["boxes"], scene_d, scene_seed, "config.scene.boxes"))
+    scene_spec = SceneSpec(**scene)
 
-    cost_sec = doc.get("cost", {})
-    _check_keys(cost_sec, {"m_bev_sweep", "modes", "full_k", "d", "context_steps", "sets"},
-                "config.cost")
-    cost_config = GqnConfig(
-        d=_int(cost_sec.get("d", 64), "config.cost.d"),
-        context_steps=_int(cost_sec.get("context_steps", 6), "config.cost.context_steps"),
-        sets=(_parse_sets(cost_sec["sets"], "config.cost.sets")
-              if "sets" in cost_sec else GqnConfig().sets),
-        seed=seed,
-    )
-    full_k = _int(cost_sec.get("full_k", FULL_GRAPH_K), "config.cost.full_k")
+    cost = config["cost"] = _fields(config["cost"], {
+        "m_bev_sweep": (_ints, [1024, 16384]), "modes": (_list, list(MODES)),
+        "full_k": (_int, FULL_GRAPH_K), "d": (_int, 64), "context_steps": (_int, 6),
+        "sets": (_parse_sets, GqnConfig().sets)}, "config.cost")
+    cost_config = GqnConfig(**{k: cost[k] for k in ("d", "context_steps", "sets")}, seed=seed)
+    sweep, full_k, modes = cost["m_bev_sweep"], cost["full_k"], cost["modes"]
     if full_k < 1:
         raise ConfigError(f"config.cost.full_k must be at least 1, got {full_k}")
-    sweep = [_int(m, "config.cost.m_bev_sweep")
-             for m in _list(cost_sec.get("m_bev_sweep", [1024, 16384]), "config.cost.m_bev_sweep")]
     if not sweep:
         raise ConfigError("config.cost.m_bev_sweep must not be empty")
     if min(sweep) <= full_k:
@@ -229,44 +224,16 @@ def load_settings(config_path: str | None, seed_flag: int | None,
         if nodes <= spec.k:
             raise ConfigError(f"config.cost.sets[{i}]: exact node count {float(nodes)} at "
                               f"m_bev={smallest} is not above k={spec.k}")
-    modes = _list(cost_sec.get("modes", list(MODES)), "config.cost.modes")
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"config.cost.modes: unknown mode {mode!r}, expected one of {MODES}")
     if not modes or len(set(modes)) != len(modes):
         raise ConfigError(f"config.cost.modes must list distinct modes of {MODES}, got {modes!r}")
 
-    train_sec = doc.get("train", {})
-    _check_keys(train_sec, {"steps", "learning_rate"}, "config.train")
-    train_steps = _int(train_sec.get("steps", 200), "config.train.steps")
-    learning_rate = _float(train_sec.get("learning_rate", 0.01), "config.train.learning_rate")
-
-    echo = {
-        "seed": seed,
-        "out_dir": str(out_dir),
-        "scene": {
-            "height": height, "width": width, "d": scene_d,
-            "boxes": [{"center": list(b.center), "extent": list(b.extent),
-                       "signature": list(b.signature)} for b in boxes],
-            "clutter_density": scene.clutter_density,
-            "noise_amplitude": scene.noise_amplitude,
-            "cell_size": scene.cell_size,
-            "seed": scene_seed,
-        },
-        "gqn": {
-            "d": d, "context_steps": gqn.context_steps, "freq_base": gqn.freq_base,
-            "sets": [{"queries": s.queries, "ratio": s.ratio, "k": s.k} for s in gqn.sets],
-        },
-        "cost": {
-            "m_bev_sweep": sweep, "modes": modes, "full_k": full_k,
-            "d": cost_config.d, "context_steps": cost_config.context_steps,
-            "sets": [{"queries": s.queries, "ratio": s.ratio, "k": s.k}
-                     for s in cost_config.sets],
-        },
-        "train": {"steps": train_steps, "learning_rate": learning_rate},
-    }
-    return Settings(seed, out_dir, scene, gqn, cost_config, sweep, modes, full_k,
-                    train_steps, learning_rate, echo)
+    train = config["train"] = _fields(config["train"], {
+        "steps": (_int, 200), "learning_rate": (_float, 0.01)}, "config.train")
+    return Settings(seed, out_dir, scene_spec, gqn, cost_config, sweep, modes, full_k,
+                    train["steps"], train["learning_rate"], config)
 
 
 # ----------------------------------------------------------------------------
@@ -339,7 +306,7 @@ def cmd_run(settings: Settings) -> int:
         "coverage": list(out.coverage),  # per set, covered cells / m_bev
         "artifacts": {p.name: _digest(p) for p in (maps_path, globals_path)},
     }
-    (settings.out_dir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (settings.out_dir / "meta.json").write_text(json.dumps(meta, indent=2, default=asdict) + "\n")
     print(f"wrote {maps_path}, {globals_path}, meta.json (m_bev={flat.m_bev}, "
           f"tau={settings.gqn.tau})")
     return 0

@@ -5,12 +5,12 @@ update and context pooling, projects each set's context-infused node states
 back onto the BEV grid by contributor-count mean, one tape node per set that
 scatters straight into pair order (``project_to_bev``, which runs
 ``deep_context.infuse_context``: the context MLP's output layer runs after
-the mean, once per cell, so no per-node output is kept), concatenates set
-maps along channels, and applies the skip MLP (mlp1) over [input state || set
-maps || positional encoding]. When a global-pathway map is supplied, the skip
-output is blended with it via per-pixel softmax weights from mlp2. Updated
-per-query summary vectors are exposed so an external detection head could
-consume them.
+the mean, once per cell, so no per-node output is kept), and applies the
+skip MLP (mlp1) over [input state || set maps || positional encoding], the
+only place the set maps are concatenated. When a global-pathway map is
+supplied, the skip output is blended with it via per-pixel softmax weights
+from mlp2. Updated per-query summary vectors are exposed so an external
+detection head could consume them.
 
 Alignment contract: every map in ``GqnOutput`` has one row per *input pair*,
 in the caller's pair order. Because all internal reductions are functions of
@@ -111,11 +111,15 @@ class GqnConfig:
 @dataclass
 class GqnOutput:
     set_maps: tuple[Tensor, ...]   # one (pairs, d) map per set
-    concat_map: Tensor             # (pairs, num_sets * d), channels in set order
     skip_map: Tensor               # (pairs, d)
     fused_map: Tensor | None       # (pairs, d) when a global-pathway map was supplied
     global_vectors: Tensor         # (tau, d) context-updated query summaries
     queries: tuple[GraphQuery, ...]  # the query chunks, in query order
+
+    @property
+    def concat_map(self) -> Tensor:
+        """(pairs, num_sets * d), channels in set order; built on access, never by ``run_gqn``."""
+        return concat_cols(self.set_maps)
 
     @property
     def coverage(self) -> tuple[float, ...]:
@@ -152,13 +156,14 @@ def init_params(config: GqnConfig, m_bev: int) -> ParamStore:
     return params
 
 
-def skip_fuse(states: Tensor, concat_map: Tensor, enc: Tensor, params: ParamStore,
+def skip_fuse(states: Tensor, set_maps: Sequence[Tensor], enc: Tensor, params: ParamStore,
               spec: MlpSpec) -> Tensor:
-    """Per-cell skip MLP over [input state || concatenated set maps || encoding]."""
-    width = states.data.shape[1] + concat_map.data.shape[1] + enc.data.shape[1]
+    """Per-cell skip MLP over [input state || set maps || encoding], concatenated once."""
+    parts = [states, *set_maps, enc]
+    width = sum(part.data.shape[1] for part in parts)
     if spec.widths[0] != width:
         raise ShapeError(f"skip MLP expects width {spec.widths[0]}, composed input is {width}")
-    return mlp_forward(spec, params, "mlp1", concat_cols([states, concat_map, enc]))
+    return mlp_forward(spec, params, "mlp1", concat_cols(parts))
 
 
 def fusion_weights(graph_map: Tensor, global_map: Tensor, params: ParamStore,
@@ -227,15 +232,13 @@ def run_gqn(flat: FlatPairs, config: GqnConfig, params: ParamStore,
 
     set_maps = [project_to_bev(set_chunks, summaries, params, flat) for set_chunks in chunks]
 
-    concat_map = concat_cols(set_maps)
-    skip_map = skip_fuse(states, concat_map, enc, params, config.mlp1_spec)
+    skip_map = skip_fuse(states, set_maps, enc, params, config.mlp1_spec)
     fused = None
     if global_map is not None:
         fused = soft_fusion(skip_map, as_tensor(global_map), params, config.mlp2_spec)
 
     return GqnOutput(
         set_maps=tuple(set_maps),
-        concat_map=concat_map,
         skip_map=skip_map,
         fused_map=fused,
         global_vectors=summaries,

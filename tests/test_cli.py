@@ -286,6 +286,50 @@ def test_out_under_a_file_exits_2(tmp_path, capsys):
     assert "output error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("file_value,flag", [
+    (5, None), (None, None), ("", None), (["a"], None), (True, None), ("out", ""),
+], ids=["int", "null", "empty", "list", "bool", "empty-flag"])
+def test_out_dir_not_a_non_empty_string_exits_2(tmp_path, capsys, monkeypatch, file_value, flag):
+    monkeypatch.chdir(tmp_path)  # an empty path would name the working directory
+    doc = json.loads(json.dumps(TOY_8x8))
+    doc["out_dir"] = file_value
+    argv = ["run", "--config", _write(tmp_path, doc)] + ([] if flag is None else ["--out", flag])
+    assert main(argv) == 2
+    assert "out_dir must be a non-empty string" in capsys.readouterr().err
+    assert not (tmp_path / "maps.csv").exists()
+
+
+def test_run_echoes_the_parsed_config_in_schema_order(tmp_path, monkeypatch):
+    """meta.json's ``config`` holds every key, defaults filled in and numbers parsed, in the
+    order of the module docstring's schema, whatever the document's own order."""
+    monkeypatch.chdir(tmp_path)
+    doc = {
+        "train": {"learning_rate": 0.02, "steps": 5},
+        "cost": {"sets": [{"queries": 2, "ratio": 0.1, "k": 4}], "context_steps": 1, "d": 16,
+                 "full_k": 10, "modes": ["indexed"], "m_bev_sweep": [256, 1024.0]},
+        "gqn": {"d": 4, "context_steps": 1,
+                "sets": [{"k": 2, "queries": 2}, {"queries": 1, "ratio": 0.3, "k": 3}]},
+        "scene": {"boxes": [{"signature": [0.5, -1, 0.25, 2], "extent": [2, 2], "center": [3, 3]},
+                            {"center": [8, 8], "extent": [3, 3]}],
+                  "noise_amplitude": 0, "clutter_density": 0.1, "height": 12, "width": 12.0},
+        "seed": 3,
+    }
+    assert main(["run", "--config", _write(tmp_path, doc)]) == 0
+    config = json.loads((tmp_path / "out" / "meta.json").read_text())["config"]
+    assert json.dumps(config) == (
+        '{"seed": 3, "out_dir": "out", '
+        '"scene": {"height": 12, "width": 12, "d": 4, "boxes": ['
+        '{"center": [3, 3], "extent": [2, 2], "signature": [0.5, -1.0, 0.25, 2.0]}, '
+        '{"center": [8, 8], "extent": [3, 3], "signature": [-0.014800834925203787, '
+        '-0.1257419760451306, 0.07244907521438626, 0.7131583402770965]}], '
+        '"clutter_density": 0.1, "noise_amplitude": 0.0, "cell_size": 0.5, "seed": 3}, '
+        '"gqn": {"d": 4, "context_steps": 1, "freq_base": 100.0, "sets": ['
+        '{"queries": 2, "ratio": 0.1, "k": 2}, {"queries": 1, "ratio": 0.3, "k": 3}]}, '
+        '"cost": {"m_bev_sweep": [256, 1024], "modes": ["indexed"], "full_k": 10, "d": 16, '
+        '"context_steps": 1, "sets": [{"queries": 2, "ratio": 0.1, "k": 4}]}, '
+        '"train": {"steps": 5, "learning_rate": 0.02}}')
+
+
 def test_run_threads_do_not_change_digest(tmp_path):
     cfg = _write(tmp_path, TOY_8x8)
     a, b = tmp_path / "a", tmp_path / "b"

@@ -134,15 +134,16 @@ def test_skip_fuse_zero_weights_yields_bias():
     params["mlp1/b1"].data[...] = np.arange(8.0)
     m = 6
     out = skip_fuse(Tensor(np.random.default_rng(0).standard_normal((m, 8))),
-                    Tensor(np.zeros((m, 16))), Tensor(np.zeros((m, 8))), params, cfg.mlp1_spec)
+                    [Tensor(np.zeros((m, 8))), Tensor(np.zeros((m, 8)))], Tensor(np.zeros((m, 8))),
+                    params, cfg.mlp1_spec)
     np.testing.assert_array_equal(out.data, np.tile(np.arange(8.0), (m, 1)))
 
 
 def test_skip_fuse_is_per_cell_pure():
     cfg = toy_config()
     params = _fusion_params(cfg)
-    row_s, row_c, row_e = np.ones(8), np.full(16, 0.5), np.zeros(8)
-    out = skip_fuse(Tensor(np.tile(row_s, (3, 1))), Tensor(np.tile(row_c, (3, 1))),
+    row_s, row_c, row_e = np.ones(8), np.full(8, 0.5), np.zeros(8)
+    out = skip_fuse(Tensor(np.tile(row_s, (3, 1))), [Tensor(np.tile(row_c, (3, 1)))] * 2,
                     Tensor(np.tile(row_e, (3, 1))), params, cfg.mlp1_spec).data
     assert np.array_equal(out[0], out[1]) and np.array_equal(out[1], out[2])
 
@@ -151,7 +152,7 @@ def test_skip_fuse_rejects_wrong_composed_width():
     cfg = toy_config()
     params = _fusion_params(cfg)
     with pytest.raises(ShapeError):
-        skip_fuse(Tensor(np.zeros((3, 8))), Tensor(np.zeros((3, 8))),  # 8+8+8 != 32
+        skip_fuse(Tensor(np.zeros((3, 8))), [Tensor(np.zeros((3, 8)))],  # 8+8+8 != 32
                   Tensor(np.zeros((3, 8))), params, cfg.mlp1_spec)
 
 
@@ -267,10 +268,9 @@ def _per_query_reference(flat, config, params, global_map):
                   for query, nodes in staged if query.set_index == set_index]
         set_maps.append(gather_rows(infuse_context(chunks, summaries, params, flat.m_bev),
                                     flat.bev_indices))
-    concat_map = concat_cols(set_maps)
-    skip_map = skip_fuse(states, concat_map, enc, params, config.mlp1_spec)
+    skip_map = skip_fuse(states, set_maps, enc, params, config.mlp1_spec)
     fused = soft_fusion(skip_map, as_tensor(global_map), params, config.mlp2_spec)
-    return set_maps, concat_map, skip_map, fused, summaries
+    return set_maps, concat_cols(set_maps), skip_map, fused, summaries
 
 
 @pytest.mark.parametrize("side,config",
