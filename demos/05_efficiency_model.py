@@ -39,6 +39,7 @@ for ratio, k in zip((0.1, 0.2, 0.3, 0.4, 0.5), (4, 8, 12, 16, 20)):
 # graph is small enough to run comfortably.
 print("\nmeasured kNN build wall time (naive mode):")
 fmt = lambda t: "skipped (too large)" if t is None else f"{t:.3f}s"
-for row in run_benchmark(reference, [1024, 4096], modes=["naive"]):
+_, rows = run_benchmark(reference, [1024, 4096], modes=["naive"])
+for row in rows:
     print(f"  m_bev={row['m_bev']:>5}: full graph {fmt(row['wall_full_s'])}, "
           f"peak query graph {fmt(row['wall_peak_s'])}")

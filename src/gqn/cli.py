@@ -27,9 +27,9 @@ entry is {"center": [r, c], "extent": [h, w], "signature": [d floats]}; center
 and extent are required, and a missing signature is drawn from the scene seed.
 meta.json echoes the parsed config in this order, every default filled in.
 
-Artifacts are plain CSV/JSON, rewritten from scratch each run and digested in
-meta.json. Exit codes: 0 success, 2 config or output error, 3 numeric error,
-4 training divergence.
+Artifacts are plain CSV/JSON, rewritten from scratch each run; ``run`` also
+digests its own in meta.json. Exit codes: 0 success, 2 config or output
+error, 3 numeric error, 4 training divergence.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ParamStore, Tensor, backward, grad_check_groups, no_grad, sum_all
-from .cost_model import (FULL_GRAPH_K, MODES, compare_full_vs_queries, exact_nodes,
-                         run_benchmark)
+from .cost_model import FULL_GRAPH_K, MODES, exact_nodes, run_benchmark
 from .errors import ConfigError, GqnError
 from .pipeline import GqnConfig, init_params, run_gqn, toy_train
 from .query_init import QuerySetSpec
@@ -215,15 +214,19 @@ def load_settings(config_path: str | None, seed_flag: int | None,
         raise ConfigError(f"config.cost.full_k must be at least 1, got {full_k}")
     if not sweep:
         raise ConfigError("config.cost.m_bev_sweep must not be empty")
+    if len(set(sweep)) != len(sweep):
+        raise ConfigError(f"config.cost.m_bev_sweep must list distinct sizes, got {sweep}")
     if min(sweep) <= full_k:
         raise ConfigError(f"config.cost.m_bev_sweep entries must exceed config.cost.full_k="
                           f"{full_k}, got {sweep}")
-    smallest = min(sweep)  # a set's node count grows with m_bev
+    smallest = min(sweep)  # a set's node counts, exact and rounded, never fall as m_bev grows
     for i, spec in enumerate(cost_config.sets):
+        path, where = f"config.cost.sets[{i}]", f"at m_bev={smallest} is not above k={spec.k}"
         nodes = exact_nodes(spec.ratio, smallest)
         if nodes <= spec.k:
-            raise ConfigError(f"config.cost.sets[{i}]: exact node count {float(nodes)} at "
-                              f"m_bev={smallest} is not above k={spec.k}")
+            raise ConfigError(f"{path}: exact node count {float(nodes)} {where}")
+        if spec.n_nodes(smallest) <= spec.k:
+            raise ConfigError(f"{path}: rounded node count {spec.n_nodes(smallest)} {where}")
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"config.cost.modes: unknown mode {mode!r}, expected one of {MODES}")
@@ -242,6 +245,12 @@ def load_settings(config_path: str | None, seed_flag: int | None,
 
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# bench.csv: each column's name and the format spec of its cells; a None cell is left empty
+_BENCH_COLUMNS = {"m_bev": "", "mode": "", "full_count": ".17g", "peak_query_count": ".17g",
+                  "reduction_pct": ".17g", "processing_reduction_pct": ".17g",
+                  "wall_full_s": ".6f", "wall_peak_s": ".6f"}
 
 
 def _write_maps_csv(path: Path, flat: FlatPairs, named: list[tuple[str, np.ndarray]]) -> None:
@@ -353,25 +362,16 @@ def cmd_gradcheck(settings: Settings) -> int:
 
 
 def cmd_bench(settings: Settings) -> int:
-    reports = [compare_full_vs_queries(settings.cost_config, m, settings.full_k)
-               for m in settings.m_bev_sweep]
-    rows = run_benchmark(settings.cost_config, settings.m_bev_sweep, settings.cost_modes,
-                         settings.full_k, seed=settings.seed)
-
+    reports, rows = run_benchmark(settings.cost_config, settings.m_bev_sweep, settings.cost_modes,
+                                  settings.full_k, seed=settings.seed)
     settings.out_dir.mkdir(parents=True, exist_ok=True)
     (settings.out_dir / "cost_report.json").write_text(
         json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
     with open(settings.out_dir / "bench.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["m_bev", "mode", "full_count", "peak_query_count",
-                         "reduction_pct", "processing_reduction_pct",
-                         "wall_full_s", "wall_peak_s"])
-        for row in rows:
-            writer.writerow([row["m_bev"], row["mode"], f"{row['full_count']:.17g}",
-                             f"{row['peak_query_count']:.17g}", f"{row['reduction_pct']:.17g}",
-                             f"{row['processing_reduction_pct']:.17g}",
-                             "" if row["wall_full_s"] is None else f"{row['wall_full_s']:.6f}",
-                             "" if row["wall_peak_s"] is None else f"{row['wall_peak_s']:.6f}"])
+        writer.writerow(_BENCH_COLUMNS)
+        writer.writerows(["" if row[name] is None else format(row[name], spec)
+                          for name, spec in _BENCH_COLUMNS.items()] for row in rows)
     for report in reports:
         print(f"m_bev={report.m_bev}: peak processing reduction "
               f"{report.processing_reduction_pct:.1f}% "

@@ -6,11 +6,14 @@ pairwise distance during construction, one per edge operation during
 processing. Constant factors cancel in the reduction ratios, which is what
 the model reports.
 
-Peak cost means the single most expensive graph: the largest query graph on
-one side, the full-scene graph on the other. Node counts use the *exact*
-rational ratio * m_bev (ratios are read as decimal literals), so the headline
-processing reduction, 1 - (max ratio*k) / k_full, is computed exactly; the
-rounded integer counts the live pipeline uses are reported alongside.
+Every graph, the full-scene one and each set's, gets the three ``COUNTS``;
+a ``CostReport`` holds them, and ``run_benchmark`` reads the ``gqn bench``
+rows from one report per grid size. Peak cost means the single most expensive
+graph: the largest query graph on one side, the full-scene graph on the
+other. Node counts use the *exact* rational ratio * m_bev (ratios are read as
+decimal literals), so the headline processing reduction, 1 - (max ratio*k) /
+k_full, is computed exactly; the rounded integer counts the live pipeline
+uses are reported alongside.
 
 Construction is counted in two modes and both are reported: ``naive`` exact
 pairwise search at n*(n-1)/2 distance evaluations, and ``indexed`` at
@@ -29,6 +32,7 @@ content.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +48,10 @@ FULL_GRAPH_K = 20
 Count = int | Fraction
 
 MODES = ("naive", "indexed")
+
+COUNTS = ("processing", "construction_naive", "construction_indexed")  # per graph
+
+EXEC_NODE_CAP = 2048  # the largest graph whose kNN build is timed
 
 
 def exact_nodes(ratio: float, m_bev: int) -> Fraction:
@@ -72,6 +80,13 @@ def construction_cost(n: Count, k: int, mode: str) -> Count | float:
     return float(n) * float(np.log2(float(n))) + float(n * k)
 
 
+def _graph_counts(n: Count, k: int) -> dict[str, Count | float]:
+    """One graph's unit counts, under the names the report gives them."""
+    return {"processing": processing_cost(n, k),
+            "construction_naive": construction_cost(n, k, "naive"),
+            "construction_indexed": construction_cost(n, k, "indexed")}
+
+
 @dataclass(frozen=True)
 class SetCost:
     """Unit costs for a single query graph of one set."""
@@ -85,60 +100,66 @@ class SetCost:
     construction_indexed: float
 
     def to_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "k": self.k,
-            "n_exact": str(self.n_exact),
-            "n": float(self.n_exact),
-            "n_rounded": self.n_rounded,
-            "processing": float(self.processing),
-            "construction_naive": float(self.construction_naive),
-            "construction_indexed": self.construction_indexed,
-        }
+        return {"ratio": self.ratio, "k": self.k, "n_exact": str(self.n_exact),
+                "n": float(self.n_exact), "n_rounded": self.n_rounded,
+                **{name: float(getattr(self, name)) for name in COUNTS}}
 
 
 @dataclass(frozen=True)
 class CostReport:
+    """The full-scene graph's counts and each set's; peaks and reductions derive from them."""
+
     m_bev: int
     full_k: int
     sets: tuple[SetCost, ...]
-    full_processing: int
-    full_construction_naive: Fraction
-    full_construction_indexed: float
-    peak_processing: Fraction
-    peak_construction_naive: Fraction
-    peak_construction_indexed: float
-    processing_reduction_pct: float
-    construction_naive_reduction_pct: float
-    construction_indexed_reduction_pct: float
+    full: dict[str, Count | float]  # the full-scene graph's counts, by name
     flops: int
+
+    def peak(self, name: str) -> Fraction | float:
+        """The largest query graph's count."""
+        return max(getattr(s, name) for s in self.sets)
+
+    def reduction(self, name: str) -> Fraction | float:
+        """1 - peak / full: exact for processing and naive construction, a float for indexed."""
+        return 1 - self.peak(name) / self.full[name]
+
+    def reduction_pct(self, name: str) -> float:
+        return float(self.reduction(name) * 100)
+
+    @property
+    def peak_processing(self) -> Fraction:
+        return self.peak("processing")
+
+    @property
+    def processing_reduction_pct(self) -> float:
+        return self.reduction_pct("processing")
+
+    @property
+    def construction_naive_reduction_pct(self) -> float:
+        return self.reduction_pct("construction_naive")
+
+    @property
+    def construction_indexed_reduction_pct(self) -> float:
+        return self.reduction_pct("construction_indexed")
 
     def to_dict(self) -> dict:
         return {
             "m_bev": self.m_bev,
             "full_k": self.full_k,
             "sets": [s.to_dict() for s in self.sets],
-            "full_processing": self.full_processing,
-            "full_construction_naive": float(self.full_construction_naive),
-            "full_construction_indexed": self.full_construction_indexed,
-            "peak_processing": float(self.peak_processing),
-            "peak_construction_naive": float(self.peak_construction_naive),
-            "peak_construction_indexed": self.peak_construction_indexed,
+            **{f"full_{name}": count if isinstance(count, int) else float(count)
+               for name, count in self.full.items()},  # n * k stays an integer
+            **{f"peak_{name}": float(self.peak(name)) for name in COUNTS},
             "processing_reduction_pct": self.processing_reduction_pct,
-            "processing_reduction_exact": str(_reduction(self.peak_processing,
-                                                         Fraction(self.full_processing)) * 100),
+            "processing_reduction_exact": str(self.reduction("processing") * 100),
             "construction_naive_reduction_pct": self.construction_naive_reduction_pct,
             "construction_indexed_reduction_pct": self.construction_indexed_reduction_pct,
             "flops": self.flops,
         }
 
 
-def _reduction(peak: Fraction, full: Fraction) -> Fraction:
-    return 1 - peak / full
-
-
 def compare_full_vs_queries(config: GqnConfig, m_bev: int, full_k: int = FULL_GRAPH_K) -> CostReport:
-    """All counts and reductions for the configured sets against one full graph."""
+    """All counts for the configured sets and one full graph; the report derives the rest."""
     if m_bev <= full_k:
         raise ConfigError(f"m_bev={m_bev} must exceed the full-graph k={full_k}")
     sets = []
@@ -146,36 +167,9 @@ def compare_full_vs_queries(config: GqnConfig, m_bev: int, full_k: int = FULL_GR
         n = exact_nodes(s.ratio, m_bev)
         if n <= s.k:
             raise ConfigError(f"set {i}: exact n={float(n)} <= k={s.k} at m_bev={m_bev}")
-        sets.append(SetCost(
-            ratio=s.ratio,
-            k=s.k,
-            n_exact=n,
-            n_rounded=s.n_nodes(m_bev),
-            processing=Fraction(processing_cost(n, s.k)),
-            construction_naive=Fraction(construction_cost(n, s.k, "naive")),
-            construction_indexed=construction_cost(n, s.k, "indexed"),
-        ))
-    full_proc = processing_cost(m_bev, full_k)
-    full_naive = Fraction(construction_cost(m_bev, full_k, "naive"))
-    full_indexed = construction_cost(m_bev, full_k, "indexed")
-    peak_proc = max(s.processing for s in sets)
-    peak_naive = max(s.construction_naive for s in sets)
-    peak_indexed = max(s.construction_indexed for s in sets)
-    return CostReport(
-        m_bev=m_bev,
-        full_k=full_k,
-        sets=tuple(sets),
-        full_processing=full_proc,
-        full_construction_naive=full_naive,
-        full_construction_indexed=full_indexed,
-        peak_processing=peak_proc,
-        peak_construction_naive=peak_naive,
-        peak_construction_indexed=peak_indexed,
-        processing_reduction_pct=float(_reduction(peak_proc, Fraction(full_proc)) * 100),
-        construction_naive_reduction_pct=float(_reduction(peak_naive, full_naive) * 100),
-        construction_indexed_reduction_pct=float((1 - peak_indexed / full_indexed) * 100),
-        flops=flop_estimate(config, m_bev),
-    )
+        sets.append(SetCost(s.ratio, s.k, n, s.n_nodes(m_bev), **_graph_counts(n, s.k)))
+    return CostReport(m_bev, full_k, tuple(sets), _graph_counts(m_bev, full_k),
+                      flop_estimate(config, m_bev))
 
 
 def _linear_flops(rows: int, w_in: int, w_out: int) -> int:
@@ -286,58 +280,47 @@ def flop_estimate(config: GqnConfig, m_bev: int) -> int:
     return sum(_flop_stages(config, m_bev).values())
 
 
-def run_benchmark(config: GqnConfig, m_bev_sweep: list[int], modes: list[str] | None = None,
-                  full_k: int = FULL_GRAPH_K, exec_node_cap: int = 2048,
-                  seed: int = 0) -> list[dict]:
-    """Analytic counts per (m_bev, mode) row, plus measured kNN wall time.
+def run_benchmark(config: GqnConfig, m_bev_sweep: list[int], modes: Sequence[str] = MODES,
+                  full_k: int = FULL_GRAPH_K,
+                  seed: int = 0) -> tuple[list[CostReport], list[dict]]:
+    """One cost report per sweep size, and one row per (m_bev, mode) read from it.
 
-    Wall times run the library's exact kNN, ``build_knn_edges`` (a Gram-matrix
-    candidate pass; the Gram order where its gaps certify it, else an
-    explicit-difference re-rank of the candidates), on random features. They
-    are reported only in naive mode, whose count is the all-pairs distance
-    work that pass still does, for graphs of at most ``exec_node_cap`` nodes
-    (the indexed build is counted, not implemented); skipped timings are None.
+    A row holds its mode's full and peak construction counts, both reductions
+    and, in naive mode, the wall times of the library's exact kNN,
+    ``build_knn_edges``, on random features, for graphs of at most
+    ``EXEC_NODE_CAP`` nodes: that build still does the all-pairs distance work
+    the naive count counts. The indexed build is counted, not implemented.
+    Skipped timings are None.
     """
-    modes = list(MODES) if modes is None else modes
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"unknown benchmark mode {mode!r}")
     if not m_bev_sweep:
         raise ConfigError("empty m_bev sweep")
+    reports = [compare_full_vs_queries(config, m_bev, full_k) for m_bev in m_bev_sweep]
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = []
-    for m_bev in m_bev_sweep:
-        report = compare_full_vs_queries(config, m_bev, full_k)
-        peak_set = max(report.sets, key=lambda s: s.processing)
+    for report in reports:
+        peak = max(report.sets, key=lambda s: s.processing)
         for mode in modes:
-            if mode == "naive":
-                full_count = float(report.full_construction_naive)
-                peak_count = float(report.peak_construction_naive)
-                reduction = report.construction_naive_reduction_pct
-            else:
-                full_count = report.full_construction_indexed
-                peak_count = report.peak_construction_indexed
-                reduction = report.construction_indexed_reduction_pct
-            wall_full = wall_peak = None
-            if mode == "naive":
-                if m_bev <= exec_node_cap:
-                    wall_full = _time_knn(rng, m_bev, full_k, config.d)
-                if peak_set.n_rounded <= exec_node_cap:
-                    wall_peak = _time_knn(rng, peak_set.n_rounded, peak_set.k, config.d)
+            name, timed = f"construction_{mode}", mode == "naive"
             rows.append({
-                "m_bev": m_bev,
+                "m_bev": report.m_bev,
                 "mode": mode,
-                "full_count": full_count,
-                "peak_query_count": peak_count,
-                "reduction_pct": reduction,
+                "full_count": float(report.full[name]),
+                "peak_query_count": float(report.peak(name)),
+                "reduction_pct": report.reduction_pct(name),
                 "processing_reduction_pct": report.processing_reduction_pct,
-                "wall_full_s": wall_full,
-                "wall_peak_s": wall_peak,
+                "wall_full_s": _time_knn(rng, report.m_bev, full_k, config.d) if timed else None,
+                "wall_peak_s": _time_knn(rng, peak.n_rounded, peak.k, config.d) if timed else None,
             })
-    return rows
+    return reports, rows
 
 
-def _time_knn(rng: np.random.Generator, n: int, k: int, d: int) -> float:
+def _time_knn(rng: np.random.Generator, n: int, k: int, d: int) -> float | None:
+    """Seconds for one exact kNN build over n random features; None above ``EXEC_NODE_CAP``."""
+    if n > EXEC_NODE_CAP:
+        return None
     features = rng.standard_normal((n, d))
     start = time.perf_counter()
     build_knn_edges(features, k)

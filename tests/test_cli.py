@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import tempfile
@@ -240,8 +241,9 @@ def test_list_valued_key_of_wrong_type_exits_2(tmp_path, capsys, command, path, 
      "config.cost.m_bev_sweep entries must exceed config.cost.full_k=20"),
     (("cost", "m_bev_sweep"), [3],
      "config.cost.m_bev_sweep entries must exceed config.cost.full_k"),
+    (("cost", "m_bev_sweep"), [1024, 1024], "config.cost.m_bev_sweep must list distinct sizes"),
 ], ids=["freq-zero", "freq-one", "freq-negative", "full-k-zero", "full-k-negative",
-        "sweep-empty", "sweep-at-full-k", "sweep-below-full-k"])
+        "sweep-empty", "sweep-at-full-k", "sweep-below-full-k", "sweep-repeated"])
 def test_out_of_range_frequency_base_full_k_or_sweep_exits_2(tmp_path, capsys, command, path,
                                                              value, message):
     doc = json.loads(json.dumps(TOY_8x8))
@@ -259,7 +261,9 @@ def test_out_of_range_frequency_base_full_k_or_sweep_exits_2(tmp_path, capsys, c
      "config.cost.sets[0]: exact node count 1.024 at m_bev=1024 is not above k=4"),
     ([{"queries": 2, "ratio": 0.1, "k": 4}, {"queries": 1, "ratio": 0.125, "k": 8}], [64, 4096],
      "config.cost.sets[1]: exact node count 8.0 at m_bev=64 is not above k=8"),
-], ids=["below-k", "at-k-smallest-sweep"])
+    ([{"queries": 1, "ratio": 0.0049, "k": 5}], [1024],
+     "config.cost.sets[0]: rounded node count 5 at m_bev=1024 is not above k=5"),
+], ids=["below-k", "at-k-smallest-sweep", "rounded-at-k"])
 def test_cost_set_not_above_its_k_exits_2(tmp_path, capsys, command, sets, sweep, message):
     doc = json.loads(json.dumps(TOY_8x8))
     doc["train"] = {"steps": 0}
@@ -377,6 +381,19 @@ def test_bench_reproduces_reference_reductions(tmp_path):
     lines = (out / "bench.csv").read_text().strip().splitlines()
     assert lines[0].startswith("m_bev,mode,")
     assert len(lines) == 1 + 2 * 2  # sweep x modes
+    with open(out / "bench.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:  # each row restates its report's entries
+        report = next(r for r in reports if r["m_bev"] == int(row["m_bev"]))
+        mode = row["mode"]
+        assert float(row["full_count"]) == report[f"full_construction_{mode}"]
+        assert float(row["peak_query_count"]) == report[f"peak_construction_{mode}"]
+        assert float(row["reduction_pct"]) == report[f"construction_{mode}_reduction_pct"]
+        assert float(row["processing_reduction_pct"]) == report["processing_reduction_pct"]
+        if mode == "indexed":  # counted, not built
+            assert row["wall_full_s"] == row["wall_peak_s"] == ""
+        elif row["m_bev"] == "1024":  # both graphs within the timed size
+            assert float(row["wall_full_s"]) >= 0.0 and float(row["wall_peak_s"]) >= 0.0
 
 
 def test_bench_empty_sweep_exits_2(tmp_path):

@@ -153,7 +153,7 @@ def test_flops_monotone_in_context_steps():
 
 
 def test_benchmark_rows_cover_sweep_and_modes():
-    rows = run_benchmark(REFERENCE, [256, 1024], ["naive", "indexed"], exec_node_cap=300)
+    _, rows = run_benchmark(REFERENCE, [256, 1024], ["naive", "indexed"])
     assert len(rows) == 4
     naive_256 = next(r for r in rows if r["m_bev"] == 256 and r["mode"] == "naive")
     assert naive_256["wall_full_s"] is not None and naive_256["wall_full_s"] >= 0.0
