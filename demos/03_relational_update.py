@@ -37,7 +37,9 @@ print(f"{chunk.queries} queries, {n} nodes each, k={chunk.k}, stacked into {chun
 # 1) edge features: one vector per directed edge. Every stage reads its layers
 #    from params, as init_params registered them. edge_features stops at the
 #    edge MLP's hidden layer h; its last layer is linear, f = h W + b.
-hidden = edge_features(chunk, params)
+# The chunk keeps no states: ``chunk.states`` gathers and scales them on each read.
+node_states = chunk.states.data
+hidden = edge_features(chunk, params, node_states)
 out_w, out_b = params["edge_mlp/W1"].data, params["edge_mlp/b1"].data
 feats = Tensor(hidden.data @ out_w + out_b)
 print(f"edge features: {feats.data.shape} (Q*n*k rows, d columns), from hidden {hidden.data.shape}")
@@ -51,7 +53,7 @@ print(f"sharpest node weighting: {per_node.max(1).max():.3f} on one edge "
 
 # 3) node update from the weighted edge sum plus the node's own state
 message = Tensor((beta.data[:, None] * feats.data).reshape(chunk.n_nodes, chunk.k, -1).sum(1))
-updated = update_nodes(chunk, message, params)
+updated = update_nodes(chunk, message, params, node_states)
 print(f"updated node states: {updated.data.shape}")
 # The fused stage never builds f: it scores h under q and key composed with
 # (W, b), and takes the message as (sum of beta * h) W + b, per node.

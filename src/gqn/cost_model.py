@@ -159,7 +159,11 @@ class CostReport:
 
 
 def compare_full_vs_queries(config: GqnConfig, m_bev: int, full_k: int = FULL_GRAPH_K) -> CostReport:
-    """All counts for the configured sets and one full graph; the report derives the rest."""
+    """All counts for the configured sets and one full graph; the report derives the rest.
+
+    Raises ``ConfigError`` naming the set when its exact or its rounded node
+    count is not above its k: neither graph could be built.
+    """
     if m_bev <= full_k:
         raise ConfigError(f"m_bev={m_bev} must exceed the full-graph k={full_k}")
     sets = []
@@ -167,7 +171,10 @@ def compare_full_vs_queries(config: GqnConfig, m_bev: int, full_k: int = FULL_GR
         n = exact_nodes(s.ratio, m_bev)
         if n <= s.k:
             raise ConfigError(f"set {i}: exact n={float(n)} <= k={s.k} at m_bev={m_bev}")
-        sets.append(SetCost(s.ratio, s.k, n, s.n_nodes(m_bev), **_graph_counts(n, s.k)))
+        rounded = s.n_nodes(m_bev)
+        if rounded <= s.k:  # the graph the pipeline would build has too few nodes
+            raise ConfigError(f"set {i}: rounded n={rounded} <= k={s.k} at m_bev={m_bev}")
+        sets.append(SetCost(s.ratio, s.k, n, rounded, **_graph_counts(n, s.k)))
     return CostReport(m_bev, full_k, tuple(sets), _graph_counts(m_bev, full_k),
                       flop_estimate(config, m_bev))
 

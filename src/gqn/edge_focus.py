@@ -49,19 +49,23 @@ form ``h A hᵀ + h·c + bq'·bk'`` with ``A = Wq' Wk'ᵀ``
 per-edge product of the stage's forward, where projecting f and then q and
 key would take three.
 
-One tape node per chunk: ``edge_focus_update`` runs the hidden features,
-scores, softmax, weighted sum, message and node MLP as array code and records
-one node that keeps only its inputs (the grid's positions and the nodes' rows
-in it, states, edge targets, the parameters) and its (n, d) output. Its
-backward gathers the nodes' positions again and recomputes every per-edge
-array with the forward's calls, so they carry the same bits (Chen et al.,
-"Training Deep Nets with Sublinear Memory Cost", 2016), then backprops
-through the stages in reverse; the gradients of the output layer, q and key
-chain back through the (d, d) products of the fold. ``edge_features`` (the
+One tape node per chunk: ``edge_focus_update`` gathers the nodes' states
+from the grid's features, scales them by m_bev * alpha, runs the hidden
+features, scores, softmax, weighted sum, message and node MLP as array code
+and records one node that keeps only its inputs (the grid's features and
+positions, the nodes' rows in them, the (n,) scale, edge targets, the
+parameters) and its (n, d) output; no (n, d) state array is kept. Its
+backward gathers the nodes' states and positions again and recomputes every
+per-edge array with the forward's calls, so they carry the same bits (Chen
+et al., "Training Deep Nets with Sublinear Memory Cost", 2016), then
+backprops through the stages in reverse; the gradients of the output layer,
+q and key chain back through the (d, d) products of the fold, and the
+states' gradient through the scale and the gather. ``edge_features`` (the
 gate and the split hidden layer) and ``update_nodes`` (the node MLP as
 ``autodiff.split_mlp_forward`` under ``no_grad``) are forward calls of the
-node, and return value-only tensors; ``edge_attention`` scores any rows under
-q and key, as the node scores h under the composed layers.
+node, which passes them the states it gathered, and return value-only
+tensors; ``edge_attention`` scores any rows under q and key, as the node
+scores h under the composed layers.
 
 Pairing the two projections of the same edge yields exactly one weight per
 edge, which is what the weighted aggregation consumes. The natural
@@ -118,15 +122,17 @@ def _edge_weights(x: Array, n_nodes: int, k: int, scoring: list[Array]) -> Array
     return _row_softmax(_bilinear_scores(x, *scoring).reshape(n_nodes, k))
 
 
-def edge_features(query: GraphQuery, params: ParamStore) -> Tensor:
+def edge_features(query: GraphQuery, params: ParamStore, states: Array) -> Tensor:
     """Per-edge features h: the edge MLP's hidden layer over (relative position || neighbor
     state), after the ReLU; shape (n_nodes*k, hidden width). Row e is the edge from node
     e // k to node ``query.edge_dst[e]``.
 
-    The MLP's second layer is linear; the stage folds it into the scores and
-    the message (see the module docstring), so no per-edge output is built.
+    ``states`` are the chunk's (n_nodes, d) scaled node states, the data of
+    ``query.states``; the edge stage passes the ones its node gathered. The
+    MLP's second layer is linear; the stage folds it into the scores and the
+    message (see the module docstring), so no per-edge output is built.
     """
-    positions, states = query.positions, query.states.data
+    positions = query.positions
     layers, rows = _arrays(params.layers("edge_mlp")), np.asarray(query.edge_dst, np.intp)
     _check_split_mlp("edge_mlp", positions, states, layers, rows, query.k)
     return Tensor(_split_linear(positions, states, *layers[0], rows, query.k, relu=True))
@@ -141,28 +147,40 @@ def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore) -> T
     return Tensor(_edge_weights(feats.data, n_nodes, k, scoring).reshape(n_nodes * k))
 
 
-def update_nodes(query: GraphQuery, message: Tensor, params: ParamStore) -> Tensor:
-    """Updated node states: MLP(message || node state), shape (n_nodes, d)."""
+def update_nodes(query: GraphQuery, message: Tensor, params: ParamStore,
+                 states: Array) -> Tensor:
+    """Updated node states: MLP(message || node state), shape (n_nodes, d); ``states`` as in
+    ``edge_features``."""
     with no_grad():
-        return split_mlp_forward(params, "node_mlp", message, query.states)
+        return split_mlp_forward(params, "node_mlp", message, Tensor(states))
 
 
 def edge_focus_update(query: GraphQuery, params: ParamStore) -> Tensor:
     """The full edge-attention update for one query chunk, as one tape node.
 
     Every step is per edge or per node, so a chunk of stacked queries gives
-    each query the rows it would get alone. The node's parents are the
-    states, then the edge MLP's, q's, key's and node MLP's weights and
-    biases; the positions are a constant. The backward returns the gradient
-    of every parent, and ``Tensor.backward`` drops those of parents that do
-    not require grad.
+    each query the rows it would get alone. The node gathers the chunk's
+    states from the grid's features and scales them by ``query.scale``
+    (m_bev * alpha) itself, once in the forward and once in the backward's
+    recompute, so it keeps no (n, d) input. Its parents are the grid's
+    features, the (n,) scale, then the edge MLP's, q's, key's and node MLP's
+    weights and biases; the positions are a constant. The backward returns
+    the gradient of every parent but the grid's features, whose (m, d)
+    gradient it forms only when they require grad, and ``Tensor.backward``
+    drops those of parents that do not require grad. The gather's and the
+    scale's gradients are those of ``autodiff.gather_rows`` and
+    ``autodiff.scale_rows``.
     """
-    hidden = edge_features(query, params).data  # gates the edge MLP before q and key are read
+    grid, scale, pair_rows = query.grid_states, query.scale, query.pair_rows
+    states = grid.data[pair_rows]
+    states *= scale.data[:, None]
+    # gates the edge MLP before q and key are read
+    hidden = edge_features(query, params, states).data
 
     edge, node = params.layers("edge_mlp"), params.layers("node_mlp")
     scoring = _scoring(params, edge[-1][0].data.shape[1])
-    states, n, k = query.states, query.n_nodes, query.k
-    grid_positions, pair_rows = query.grid_positions, query.pair_rows
+    n, k = query.n_nodes, query.k
+    grid_positions = query.grid_positions
     rows = np.asarray(query.edge_dst, np.intp)
 
     def folded() -> list[Array]:
@@ -176,21 +194,23 @@ def edge_focus_update(query: GraphQuery, params: ParamStore) -> Tensor:
         mix = _segment_mix(h, beta, k)
         return beta, mix, _dense(mix, *_arrays(edge)[-1], relu=False)
 
-    out = update_nodes(query, Tensor(mix_and_message(hidden, folded())[2]), params).data
+    out = update_nodes(query, Tensor(mix_and_message(hidden, folded())[2]), params, states).data
 
-    parents = ((states,) + tuple(t for layer in edge for t in layer) + tuple(scoring)
+    parents = ((grid, scale) + tuple(t for layer in edge for t in layer) + tuple(scoring)
                + tuple(t for layer in node for t in layer))
 
     def backprop(g):
         ((w0, b0), (out_w, out_b)), node_arrays = _arrays(edge), _arrays(node)
         wq, _, wk, _ = [t.data for t in scoring]
         positions = grid_positions[pair_rows]
-        h, fold = _split_linear(positions, states.data, w0, b0, rows, k, relu=True), folded()
+        raw = grid.data[pair_rows]
+        states = raw * scale.data[:, None]
+        h, fold = _split_linear(positions, states, w0, b0, rows, k, relu=True), folded()
         beta, mix, message = mix_and_message(h, fold)
         # the node MLP's hidden layer goes in unnamed, so it is freed with the call
         node_grads = _split_mlp_grads(
-            g, message, states.data, node_arrays, None, 0,
-            _split_linear(message, states.data, *node_arrays[0], None, 0, relu=True))
+            g, message, states, node_arrays, None, 0,
+            _split_linear(message, states, *node_arrays[0], None, 0, relu=True))
         gmix, gw_out, gb_out = _dense_grads(node_grads[0], mix, out_w, None)
         gh, gbeta = _segment_mix_grads(gmix, h, beta, k)
         gscores = _row_softmax_grad(gbeta.reshape(n, k), beta.reshape(n, k)).reshape(n * k)
@@ -199,10 +219,16 @@ def edge_focus_update(query: GraphQuery, params: ParamStore) -> Tensor:
         k_grads = _fold_grads(gwk, gbk, out_w, out_b, wk)
         gh += gx
         del gx  # the edge layer's gradient masks gh into a new (n*k, d) array: free one first
-        edge_grads = _split_linear_grads(gh, positions, states.data, w0, rows, k, h)
+        edge_grads = _split_linear_grads(gh, positions, states, w0, rows, k, h)
         # the states' gradient adds the node MLP's part, then the edge MLP's, as
-        # a chain of one node per stage would
-        return ((node_grads[1] + edge_grads[1],) + edge_grads[2:]
+        # a chain of one node per stage would; it reaches the scale and the grid
+        # as it would through ``scale_rows`` and ``gather_rows``
+        gstates = node_grads[1] + edge_grads[1]
+        ggrid = None
+        if grid.requires_grad:
+            ggrid = np.zeros_like(grid.data)
+            np.add.at(ggrid, pair_rows, gstates * scale.data[:, None])
+        return ((ggrid, (gstates * raw).sum(axis=1)) + edge_grads[2:]
                 + (gw_out + q_grads[0] + k_grads[0], gb_out + q_grads[1] + k_grads[1])
                 + q_grads[2:] + k_grads[2:] + node_grads[2:])
 

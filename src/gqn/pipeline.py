@@ -21,7 +21,10 @@ Chunk layout: the queries of one set share n and k, so the per-query stage
 runs on chunks of Q queries stacked query-major (see ``GraphQuery``). One
 chunk costs the same tape ops whatever Q is, and its whole edge stage is one
 of them (``edge_focus_update``); its kNN is one build over the stacked
-states. Every op of that stage is row-wise or per query, so a chunk's
+states. A chunk keeps its nodes' pair rows, selection weights and edge
+targets, and shares the grid's features and encodings: no (Q*n, d) array.
+Its states are gathered for kNN, then again inside the edge stage's node,
+in the forward and in the backward's recompute. Every op of that stage is row-wise or per query, so a chunk's
 outputs and the set maps carry the same bits as one query at a time; only
 gradients summed over rows round differently. The largest arrays a chunk builds are the (n*k, d)
 per-edge temporaries of the edge stage's op (the first layers are split per

@@ -61,22 +61,25 @@ class GraphQuery:
     per-node field belong to query ``query_index + q``, and edge slots are
     chunk-wide, so query q's edges stay inside its own rows. ``n_nodes`` counts
     the nodes of the whole chunk, Q*n. With Q = 1 it is a single query.
-    Edge sources are not stored: every node has k edges, so ``edge_src`` is
-    derived from ``n_nodes`` and ``k``. Nor are the positions or the cells: the
-    chunk keeps the grid's encodings and its nodes' pair rows, ``positions``
-    gathers them on each read, and a node's cell is
-    ``flat.bev_indices[pair_rows]``, distinct within each query.
+
+    A chunk keeps only what its nodes are rebuilt from: the grid's features
+    and positional encodings (references, not copies), its nodes' rows in
+    them, their selection weights and the edge targets. No (Q*n, d) array is
+    stored. ``states_raw``, ``states``, ``positions`` and ``edge_src`` are
+    derived on each read; the edge stage (``edge_focus.edge_focus_update``)
+    gathers and scales the states inside its own node instead of reading
+    ``states``. A node's cell is ``flat.bev_indices[pair_rows]``, distinct
+    within each query.
     """
 
     set_index: int
     query_index: int   # the chunk's first query
     n_nodes: int       # Q * n
     k: int
+    grid_states: Tensor    # (m, d) the grid's features, shared, not copied
     grid_positions: Array  # (m, d) the grid's positional encodings, shared, not copied
     pair_rows: Array    # (Q*n,) the nodes' rows in the grid's pair order
-    states_raw: Array   # (Q*n, d) unscaled features for kNN, the data ``states`` is scaled from
     alpha: Tensor       # (Q*n,) selection weights of the chosen cells
-    states: Tensor      # (Q*n, d) features scaled by m_bev * alpha
     # (Q*n*k,) target slots: node i's k edges are entries i*k .. (i+1)*k - 1,
     # nearest first, ties to the lower slot; the weighted edge sum adds a node's
     # edges in this order, so it is what makes that sum reproducible
@@ -92,6 +95,25 @@ class GraphQuery:
     def positions(self) -> Array:
         """(Q*n, d) positional encodings of the nodes, gathered from the grid's."""
         return self.grid_positions[self.pair_rows]
+
+    @property
+    def scale(self) -> Tensor:
+        """(Q*n,) each node's state factor m_bev * alpha, as a tape node over ``alpha``."""
+        return self.alpha * float(self.grid_states.data.shape[0])
+
+    @property
+    def states_raw(self) -> Array:
+        """(Q*n, d) unscaled features of the nodes, gathered from the grid's; kNN's input."""
+        return self.grid_states.data[self.pair_rows]
+
+    @property
+    def states(self) -> Tensor:
+        """(Q*n, d) node features scaled by m_bev * alpha, gathered and scaled on each read.
+
+        The gather and the scale are tape nodes, so a loss on this tensor
+        backprops into the grid's features and ``alpha``.
+        """
+        return scale_rows(gather_rows(self.grid_states, self.pair_rows), self.scale)
 
 
 def attention_scores(u: Tensor, states: Tensor) -> Tensor:
@@ -112,11 +134,14 @@ def attention_scores(u: Tensor, states: Tensor) -> Tensor:
 def select_nodes(alpha: Tensor, states: Tensor, flat: FlatPairs, n: int) -> GraphQuery:
     """Pick the n highest-weight cells of each row of alpha; ties go to the lower BEV index.
 
-    ``alpha`` is (m,) for one query or (Q, m) for Q. The selected rows are
-    gathered once: ``states_raw`` is that gather's data, ``states`` the gather
-    scaled by m_bev * alpha; the positions are not gathered, the chunk keeps
-    the rows. Returns the chunk's nodes as a query without edges (k = 0);
-    ``init_graph_query`` numbers it and adds the kNN edges.
+    ``alpha`` is (m,) for one query or (Q, m) for Q. ``np.partition`` finds
+    each row's n-th largest weight; only the cells at or above it, the picks
+    and whatever ties the last of them, are sorted by (-alpha, BEV index), so
+    the rows come out in the order a sort of the whole row gives. The chunk
+    keeps the picks' pair rows, their weights (one gather of alpha) and a
+    reference to ``states``; no state is gathered or scaled here. Returns the
+    chunk's nodes as a query without edges (k = 0); ``init_graph_query``
+    numbers it and adds the kNN edges.
     """
     m = alpha.data.shape[-1]
     if not 1 <= n <= m:
@@ -125,22 +150,22 @@ def select_nodes(alpha: Tensor, states: Tensor, flat: FlatPairs, n: int) -> Grap
         raise ShapeError("alpha, states and flattened pairs disagree on cell count")
     scores = alpha.data.reshape(-1, m)
     queries = scores.shape[0]
-    pick = np.lexsort((np.broadcast_to(flat.bev_indices, scores.shape), -scores),
-                      axis=-1)[:, :n]
-    alpha_sel = gather_rows(reshape(alpha, (queries * m,)),
-                            (pick + m * np.arange(queries)[:, None]).reshape(-1))
-    rows = pick.reshape(-1)
-    raw = gather_rows(states, rows)
+    kth = np.partition(scores, m - n, axis=1)[:, m - n]  # each row's n-th largest
+    row, col = np.nonzero(scores >= kth[:, None])  # row-major: a row's cells stay together
+    counts = np.bincount(row, minlength=queries)
+    if (counts < n).any():  # a NaN compares false on both sides of the n-th largest
+        raise InvalidInputError("selection weights contain NaN")
+    order = np.lexsort((flat.bev_indices[col], -scores[row, col], row))
+    pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(n)].reshape(-1)
     return GraphQuery(
         set_index=0,
         query_index=0,
         n_nodes=queries * n,
         k=0,
+        grid_states=states,
         grid_positions=flat.positions,
-        pair_rows=rows,
-        states_raw=raw.data,
-        alpha=alpha_sel,
-        states=scale_rows(raw, alpha_sel * float(m)),
+        pair_rows=col[pick],
+        alpha=gather_rows(reshape(alpha, (queries * m,)), row[pick] * m + col[pick]),
         edge_dst=np.empty(0, dtype=np.intp),
         queries=queries,
     )
@@ -324,5 +349,6 @@ def init_graph_query(u: Tensor, states: Tensor, flat: FlatPairs,
         set_index=set_index,
         query_index=query_index,
         k=spec.k,
+        # a transient gather: the chunk keeps the rows, not their features
         edge_dst=build_knn_edges(nodes.states_raw.reshape(nodes.queries, n, -1), spec.k),
     )

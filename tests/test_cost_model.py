@@ -108,6 +108,14 @@ def test_compare_rejects_saturated_sets():
         compare_full_vs_queries(cfg, 64)  # a decimal node count, not 32/5
 
 
+@pytest.mark.parametrize("mode", ["naive", "indexed"])
+def test_benchmark_rejects_a_set_whose_rounded_count_is_not_above_k(mode):
+    """0.0049 * 1024 = 5.0176 exact nodes, above k = 5, but the pipeline's graph has 5."""
+    cfg = GqnConfig(d=8, sets=(QuerySetSpec(1, 0.0049, 5),))
+    with pytest.raises(ConfigError, match=r"^set 0: rounded n=5 <= k=5 at m_bev=1024$"):
+        run_benchmark(cfg, [1024], [mode])
+
+
 def test_report_serializes_to_plain_json_types():
     import json
     report = compare_full_vs_queries(REFERENCE, 1024)

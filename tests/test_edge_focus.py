@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,17 +19,18 @@ from gqn.scene import SceneSpec, flatten_grid, generate_scene, sinusoidal_encodi
 
 
 def _manual_query(states, positions, k):
-    """Build a GraphQuery directly from raw arrays with unit selection weights."""
+    """Build a GraphQuery directly from raw arrays: every row of the grid ``states`` is a
+    node, with selection weight 1/n, so that its scale m_bev * alpha is 1 (n = 2 here)."""
     states = np.asarray(states, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.float64)
     n = states.shape[0]
-    return GraphQuery(
+    query = GraphQuery(
         set_index=0, query_index=0, n_nodes=n, k=k,
-        grid_positions=positions, pair_rows=np.arange(n),
-        states_raw=states,
-        alpha=Tensor(np.full(n, 1.0 / n)), states=Tensor(states),
-        edge_dst=build_knn_edges(states, k),
+        grid_states=Tensor(states), grid_positions=positions, pair_rows=np.arange(n),
+        alpha=Tensor(np.full(n, 1.0 / n)), edge_dst=build_knn_edges(states, k),
     )
+    assert np.array_equal(query.states.data, states)
+    return query
 
 
 def _passthrough_params(params, name, d, half):
@@ -72,7 +74,7 @@ def test_edge_feature_hand_evaluation():
     positions = [[1.0, -1.0], [2.0, -2.0]]
     q = _manual_query(states, positions, 1)
     params = _edge_mlp_params(np.ones((4, 2)))
-    feats = edge_features(q, params)
+    feats = edge_features(q, params, q.states.data)
     # edge 0 -> 1 input is [p1 - p0 || x1] = [1, -1, 5, 5] -> 10; edge 1 -> 0 is [-1, 1, 2, 0] -> 2
     np.testing.assert_allclose(feats.data, [[10.0, 10.0], [2.0, 2.0]], atol=1e-12)
 
@@ -81,7 +83,7 @@ def test_edge_feature_zero_relpos_when_positions_coincide():
     q = _manual_query([[1.0, 2.0], [3.0, 4.0]], [[0.5, 0.5], [0.5, 0.5]], 1)
     # weights picking out the relative-position half only
     params = _edge_mlp_params(np.vstack([np.eye(2), np.zeros((2, 2))]))
-    feats = edge_features(q, params)
+    feats = edge_features(q, params, q.states.data)
     np.testing.assert_array_equal(feats.data, np.zeros((2, 2)))
 
 
@@ -90,7 +92,7 @@ def test_edge_feature_relpos_antisymmetric():
     # relu(r) and relu(-r) side by side, so their difference is the relative position r
     eye = np.eye(2)
     params = _edge_mlp_params(np.block([[eye, -eye], [np.zeros((2, 4))]]))
-    feats = edge_features(q, params).data
+    feats = edge_features(q, params, q.states.data).data
     rel = feats[:, :2] - feats[:, 2:]
     np.testing.assert_allclose(rel[0], -rel[1], atol=1e-15)  # p1-p0 vs p0-p1
     np.testing.assert_allclose(rel[0], [2.0, 4.0], atol=1e-15)
@@ -101,7 +103,7 @@ def test_edge_feature_width_mismatch():
     params = ParamStore(seed=0)
     params.register_mlp("edge_mlp", MlpSpec((6, 2, 2)))
     with pytest.raises(ShapeError):
-        edge_features(q, params)
+        edge_features(q, params, q.states.data)
 
 
 def test_edge_features_reject_a_one_layer_edge_mlp():
@@ -123,12 +125,12 @@ def test_edge_features_reject_a_one_layer_edge_mlp():
     for other in (MlpSpec((4, 2)), MlpSpec((4, 2, 2, 2))):
         params = stage_params(other, two)
         with pytest.raises(ShapeError, match="exactly two layers"):
-            edge_features(q, params)
+            edge_features(q, params, q.states.data)
         with pytest.raises(ShapeError, match="exactly two layers"):
             edge_focus_update(q, params)
         params = stage_params(two, other)
         with pytest.raises(ShapeError, match="exactly two layers"):
-            update_nodes(q, Tensor(np.ones((2, 2))), params)
+            update_nodes(q, Tensor(np.ones((2, 2))), params, q.states.data)
         with pytest.raises(ShapeError, match="exactly two layers"):
             edge_focus_update(q, params)
 
@@ -221,7 +223,7 @@ def test_update_single_edge_uses_its_feature():
     _passthrough_params(params, "node_mlp", 2, half=0)  # the message half
     for name in ("edge_q", "edge_k"):
         params.register_mlp(name, MlpSpec((2, 2)))
-    hidden = edge_features(q, params).data
+    hidden = edge_features(q, params, q.states.data).data
     feats = hidden @ params["edge_mlp/W1"].data + params["edge_mlp/b1"].data
     out = edge_focus_update(q, params)
     np.testing.assert_allclose(out.data, feats, atol=1e-15)
@@ -231,7 +233,7 @@ def test_update_passthrough_of_state_half_with_zero_edges():
     q = _manual_query([[1.0, 2.0], [3.0, 4.0]], np.zeros((2, 2)), 1)
     params = ParamStore(seed=0)
     _passthrough_params(params, "node_mlp", 2, half=1)  # the state half
-    out = update_nodes(q, Tensor(np.zeros((2, 2))), params)
+    out = update_nodes(q, Tensor(np.zeros((2, 2))), params, q.states.data)
     np.testing.assert_allclose(out.data, q.states.data, atol=1e-15)
 
 
@@ -255,13 +257,9 @@ def test_composition_invariant_under_slot_relabeling():
     rng = np.random.default_rng(8)
     for _ in range(5):
         perm = rng.permutation(query.n_nodes)
-        relabeled = GraphQuery(
-            set_index=0, query_index=0, n_nodes=query.n_nodes, k=query.k,
-            grid_positions=query.grid_positions, pair_rows=query.pair_rows[perm],
-            states_raw=query.states_raw[perm],
-            alpha=Tensor(query.alpha.data[perm]), states=Tensor(query.states.data[perm]),
-            edge_dst=build_knn_edges(query.states_raw[perm], query.k),
-        )
+        relabeled = replace(
+            query, pair_rows=query.pair_rows[perm], alpha=Tensor(query.alpha.data[perm]),
+            edge_dst=build_knn_edges(query.states_raw[perm], query.k))
         out = edge_focus_update(relabeled, params).data
         assert np.array_equal(out, base[perm])  # identical multiset, relabeled rows
 
@@ -289,14 +287,14 @@ def _stage_params(d, seed):
     return params
 
 
-def _hidden_node(query, params):
+def _hidden_node(query, states, params):
     """The edge MLP's hidden layer, after the ReLU, as one node over ``(states, W0, b0)``,
     with the calls the fused node runs."""
     w0, b0 = params["edge_mlp/W0"], params["edge_mlp/b0"]
     rows, k = np.asarray(query.edge_dst, np.intp), query.k
-    h = _split_linear(query.positions, query.states.data, w0.data, b0.data, rows, k, relu=True)
-    return _make(h, (query.states, w0, b0), lambda g: _split_linear_grads(
-        g, query.positions, query.states.data, w0.data, rows, k, h)[1:])
+    h = _split_linear(query.positions, states.data, w0.data, b0.data, rows, k, relu=True)
+    return _make(h, (states, w0, b0), lambda g: _split_linear_grads(
+        g, query.positions, states.data, w0.data, rows, k, h)[1:])
 
 
 def _fold_node(out_w, out_b, w, b):
@@ -329,16 +327,17 @@ def _mix_node(t, w, k):
 
 
 def _per_stage_chain(query, params):
-    """One tape node per stage of the folded form, built from the helpers the fused node runs."""
-    n, k = query.n_nodes, query.k
-    hidden = _hidden_node(query, params)
+    """One tape node per stage of the folded form, built from the helpers the fused node runs,
+    after the gather and the scale of the chunk's states (``query.states``, read once)."""
+    n, k, states = query.n_nodes, query.k, query.states
+    hidden = _hidden_node(query, states, params)
     out_w, out_b = params["edge_mlp/W1"], params["edge_mlp/b1"]
     folds = [_fold_node(out_w, out_b, params[f"{name}/W0"], params[f"{name}/b0"])
              for name in ("edge_q", "edge_k")]
     scores = _score_node(hidden, *folds)
     beta = reshape(row_softmax(reshape(scores, (n, k))), (n * k,))
     message = linear(_mix_node(hidden, beta, k), out_w, out_b)
-    return split_mlp_forward(params, "node_mlp", message, query.states)
+    return split_mlp_forward(params, "node_mlp", message, states)
 
 
 def _rowdot(a, b):
@@ -350,27 +349,34 @@ def _unfolded_update(query, params):
     """The edge stage as written before the fold, one plain node per op: the edge MLP's
     output f = h W + b per edge, q and key projected from f, the per-node softmax,
     the message sum of beta * f, then the node MLP over [message || state]."""
-    n, k, d = query.n_nodes, query.k, query.states.data.shape[1]
+    n, k, states = query.n_nodes, query.k, query.states
+    d = states.data.shape[1]
     mlp, square = MlpSpec((2 * d, d, d)), MlpSpec((d, d))
     rel = Tensor(query.positions[query.edge_dst] - query.positions[query.edge_src])
-    neighbor = gather_rows(query.states, query.edge_dst)
+    neighbor = gather_rows(states, query.edge_dst)
     feats = mlp_forward(mlp, params, "edge_mlp", concat_cols([rel, neighbor]))
     q = mlp_forward(square, params, "edge_q", feats)
     key = mlp_forward(square, params, "edge_k", feats)
     beta = reshape(row_softmax(reshape(_rowdot(q, key), (n, k))), (n * k,))
     message = _mix_node(feats, beta, k)
-    return mlp_forward(mlp, params, "node_mlp", concat_cols([message, query.states]))
+    return mlp_forward(mlp, params, "node_mlp", concat_cols([message, states]))
+
+
+def _grads_through(stage, query, leaves, d, k):
+    """The stage's output, the gradient of every leaf in ``leaves`` and every weight's
+    gradient, under a random upstream gradient."""
+    params = _stage_params(d, seed=d)
+    out = stage(query, params)
+    upstream = np.random.default_rng(k).standard_normal(out.data.shape)
+    sum_all(mul(out, Tensor(upstream))).backward()
+    return [out.data] + [t.grad for t in leaves] + [t.grad for _, t in params.items()]
 
 
 def _outputs_and_grads(stage, d, k, u_grad=True):
     """The stage's output, the gradient reaching u through the states (which both MLPs
     read) and every weight's gradient, under a random upstream gradient."""
     query, u = _toy_query(seed=d, d=d, k=k, u_grad=u_grad)
-    params = _stage_params(d, seed=d)
-    out = stage(query, params)
-    upstream = np.random.default_rng(k).standard_normal(out.data.shape)
-    sum_all(mul(out, Tensor(upstream))).backward()
-    return [out.data, u.grad] + [t.grad for _, t in params.items()]
+    return _grads_through(stage, query, [u], d, k)
 
 
 @pytest.mark.parametrize("d,k", [(4, 3), (8, 2), (8, 5)])
@@ -414,20 +420,41 @@ def test_edge_focus_update_is_one_tape_node_that_keeps_only_its_inputs():
     weights = tuple(params[f"{name}/{p}{i}"] for name, layers in
                     (("edge_mlp", 2), ("edge_q", 1), ("edge_k", 1), ("node_mlp", 2))
                     for i in range(layers) for p in "Wb")
-    assert out._parents == (query.states,) + weights
-    # No per-edge array is on the tape or held by the backward: only the inputs.
+    # The parents are the grid's features, shared with the chunk, the (n,) scale
+    # m_bev * alpha over the chunk's alpha, then the weights.
+    grid, scale = out._parents[:2]
+    assert grid is query.grid_states and out._parents[2:] == weights
+    assert scale._parents == (query.alpha,)
+    assert scale.data.tobytes() == (query.alpha.data * float(grid.data.shape[0])).tobytes()
+    # No per-edge array and no (n, d) state array is on the tape or held by the
+    # backward: only the inputs.
     edges = query.n_nodes * query.k
-    assert all(t.data.shape[:1] != (edges,) for t in _toposort(out))
+    tape = _toposort(out)
+    assert all(t.data.shape[:1] != (edges,) for t in tape)
+    assert [t for t in tape if t.data.shape == out.data.shape] == [out]
     arrays = [c for c in (cell.cell_contents for cell in out._backprop.__closure__)
               if isinstance(c, np.ndarray)]
     assert sorted(map(id, arrays)) == sorted(
         map(id, (query.grid_positions, query.pair_rows, query.edge_dst)))
     # The stage functions it runs give values only.
-    hidden = edge_features(query, params)
-    nodes = update_nodes(query, Tensor(np.ones((query.n_nodes, 4))), params)
-    assert query.states.requires_grad
+    states = query.states
+    hidden = edge_features(query, params, states.data)
+    nodes = update_nodes(query, Tensor(np.ones((query.n_nodes, 4))), params, states.data)
+    assert states.requires_grad
     assert hidden.data.shape == (edges, 4)
     assert not any(t.requires_grad or t._parents for t in (hidden, nodes))
+
+
+def test_edge_focus_update_reads_no_stored_or_derived_states(monkeypatch):
+    """The node gathers and scales the chunk's states itself, once in the forward and once
+    in the backward: neither pass reads ``GraphQuery.states`` or ``states_raw``."""
+    query, u = _toy_query(seed=7)
+    params = _stage_params(4, seed=7)
+    for name in ("states", "states_raw"):
+        monkeypatch.setattr(GraphQuery, name, property(lambda self, name=name: pytest.fail(
+            f"edge_focus_update read GraphQuery.{name}")))
+    sum_all(edge_focus_update(query, params)).backward()
+    assert u.grad is not None and np.abs(u.grad).max() > 0.0
 
 
 def test_edge_focus_update_runs_one_per_edge_product_and_builds_no_edge_mlp_output(monkeypatch):
@@ -452,3 +479,65 @@ def test_edge_focus_update_runs_one_per_edge_product_and_builds_no_edge_mlp_outp
     edge_focus_update(query, params)
     assert score_rows == [query.n_nodes * query.k]
     assert dense_rows and set(dense_rows) == {query.n_nodes}
+
+
+# ----------------------------------------------------------------------------
+# the gather and the scale inside the edge stage's node
+
+
+def _tied_query(d=4, k=3):
+    """A chunk of two queries over a 6x6 grid whose cells come in equal pairs, so the
+    selection weights tie and so do the kNN distances; the grid's features and u require
+    grad."""
+    spec = SceneSpec(6, 6, d, boxes=(), clutter_density=0.5, noise_amplitude=0.2, seed=2)
+    grid, _ = generate_scene(spec)
+    flat = flatten_grid(grid, sinusoidal_encoding(6, 6, d))
+    feats = flat.states.copy()
+    feats[1::2] = feats[::2]
+    features = Tensor(feats, requires_grad=True)
+    u = Tensor(np.random.default_rng(9).standard_normal((2, d)), requires_grad=True)
+    query = init_graph_query(u, features, flat, 0, 0, QuerySetSpec(2, 0.4, k))
+    assert len(np.unique(query.alpha.data)) < query.n_nodes  # tied weights were picked
+    return query, features, u
+
+
+@pytest.mark.parametrize("leaf_alpha", [False, True])
+def test_fused_gather_and_scale_match_the_gather_scale_chain_bit_for_bit(leaf_alpha):
+    """With grid features that require grad, the gradients into the grid, alpha and u, and
+    every weight's, equal those of ``gather_rows``, then ``scale_rows``, then the edge
+    stage as a chain of per-stage nodes (``_per_stage_chain`` reads ``query.states``, which
+    is that gather and scale), byte for byte. With ``alpha`` a leaf its own gradient shows;
+    without, alpha's gradient reaches u."""
+    results = []
+    for stage in (edge_focus_update, _per_stage_chain):
+        query, features, u = _tied_query()
+        leaves = [features, u]
+        if leaf_alpha:
+            query = replace(query, alpha=Tensor(query.alpha.data, requires_grad=True))
+            leaves = [features, query.alpha]
+        results.append(_grads_through(stage, query, leaves, 4, 3))
+    fused, chain = results
+    assert all(g is not None and np.abs(g).max() > 0.0 for g in fused[1:])
+    for got, ref in zip(fused, chain, strict=True):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_derived_states_backprop_into_the_grid_alpha_and_u():
+    """``query.states`` is the gather of the chunk's rows scaled by m_bev * alpha, built
+    anew on each read, and a loss on it backprops into the grid's features, alpha and u."""
+    query, features, u = _tied_query()
+    m, rows = features.data.shape[0], query.pair_rows
+    scale = query.alpha.data * float(m)
+    assert query.states is not query.states
+    assert query.states.data.tobytes() == (features.data[rows] * scale[:, None]).tobytes()
+    sum_all(query.states).backward()
+    assert u.grad is not None and np.abs(u.grad).max() > 0.0
+    # with alpha a leaf, the grid's gradient is the gather's alone, and alpha's is the
+    # scale's, (g * raw).sum(1) times m_bev
+    features.grad = None
+    leaf = replace(query, alpha=Tensor(query.alpha.data, requires_grad=True))
+    sum_all(leaf.states).backward()
+    expected = np.zeros_like(features.data)
+    np.add.at(expected, rows, np.ones_like(features.data[rows]) * scale[:, None])
+    assert features.grad.tobytes() == expected.tobytes()
+    assert leaf.alpha.grad.tobytes() == (features.data[rows].sum(axis=1) * float(m)).tobytes()

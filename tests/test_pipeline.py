@@ -394,8 +394,8 @@ def test_each_split_mlp_is_one_tape_node_per_chunk():
 def test_each_set_map_is_one_infusion_node_over_its_chunks():
     """A set map is one node, the only one that reads the context MLP. Its parents are
     its chunks' updated node states (the edge stages' outputs) in query order, then the
-    summaries and W0, b0, W1, b1. No (Q*n, d) context-MLP output is on the tape: the
-    only (Q*n, d) tensors are each chunk's selected states and edge-stage output."""
+    summaries and W0, b0, W1, b1. No (Q*n, d) context-MLP output and no selected states
+    are on the tape: the only (Q*n, d) tensors are the edge stages' outputs."""
     config = GqnConfig()
     _, flat, _ = toy_inputs(h=16, w=16, d=config.d, seed=0)
     params = init_params(config, flat.m_bev)
@@ -415,7 +415,7 @@ def test_each_set_map_is_one_infusion_node_over_its_chunks():
         first += len(chunks)
     node_shapes = {(chunk.n_nodes, config.d) for chunk in out.queries}
     kept = {id(t) for t in tape if t.data.shape in node_shapes}
-    assert kept == {id(t) for t in stages} | {id(chunk.states) for chunk in out.queries}
+    assert kept == {id(t) for t in stages}
 
 
 def test_every_global_vector_receives_gradient():

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,27 @@ def test_select_tie_breaks_to_lower_bev_index():
     alpha = Tensor(np.array([0.4, 0.4, 0.2]))
     sel = select_nodes(alpha, Tensor(flat.states), flat, 1)
     assert list(_cells(flat, sel)) == [0]
+
+
+@pytest.mark.parametrize("levels", [2, 5, 0], ids=["two-values", "five-values", "distinct"])
+def test_select_matches_a_sort_of_each_whole_row(levels):
+    """Partitioning first gives the rows and the order a lexsort of every cell by
+    (-alpha, BEV index) gives, ties at the n-th weight included."""
+    flat = _flat(h=6, w=6, d=4, seed=3).reordered(np.random.default_rng(0).permutation(36))
+    rng = np.random.default_rng(levels)
+    scores = rng.random((4, 36)) if not levels else rng.integers(0, levels, (4, 36)) / levels
+    for n in (1, 5, 17, 35, 36):
+        sel = select_nodes(Tensor(scores), Tensor(flat.states), flat, n)
+        ref = np.lexsort((np.broadcast_to(flat.bev_indices, scores.shape), -scores),
+                         axis=-1)[:, :n]
+        assert np.array_equal(sel.pair_rows, ref.reshape(-1))
+        assert np.array_equal(sel.alpha.data, np.take_along_axis(scores, ref, 1).reshape(-1))
+
+
+def test_select_rejects_nan_weights():
+    flat = _flat(h=1, w=3, d=4)
+    with pytest.raises(InvalidInputError, match="NaN"):
+        select_nodes(Tensor(np.array([0.5, np.nan, 0.4])), Tensor(flat.states), flat, 2)
 
 
 def test_select_rejects_oversized_n():
@@ -402,16 +425,21 @@ def test_init_graph_query_builds_knn_once_per_chunk(monkeypatch):
     assert calls == [(3, n, 4), (1, n, 4)]
 
 
-def test_chunk_keeps_one_copy_of_its_rows():
-    # states_raw is the data of the gather that states is scaled from, not a second copy
+def test_chunk_keeps_no_copy_of_its_rows():
+    # no field holds a float (Q*n, d) array: the chunk keeps the grid's features and
+    # encodings, shared, and derives its states and positions from its rows
     flat = _flat(h=8, w=8, d=4, seed=7)
     flat = flat.reordered(np.random.default_rng(3).permutation(flat.m_bev))
+    grid = Tensor(flat.states)
     u = Tensor(np.random.default_rng(6).standard_normal((2, 4)), requires_grad=True)
-    chunk = init_graph_query(u, Tensor(flat.states), flat, 0, 0, QuerySetSpec(2, 0.3, 3))
-    assert np.shares_memory(chunk.states_raw, chunk.states._parents[0].data)
+    chunk = init_graph_query(u, grid, flat, 0, 0, QuerySetSpec(2, 0.3, 3))
+    for field in fields(chunk):
+        value = getattr(chunk, field.name)
+        array = value.data if isinstance(value, Tensor) else value
+        if isinstance(array, np.ndarray) and array.dtype.kind == "f":
+            assert array.shape != (chunk.n_nodes, 4), field.name
+    assert chunk.grid_states is grid and chunk.grid_positions is flat.positions
     assert np.array_equal(chunk.states_raw, flat.to_grid_order(flat.states)[_cells(flat, chunk)])
-    # positions are not copied either: the chunk keeps the grid's and its rows
-    assert chunk.grid_positions is flat.positions
     assert np.array_equal(chunk.positions, flat.to_grid_order(flat.positions)[_cells(flat, chunk)])
 
 
