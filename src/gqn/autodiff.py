@@ -35,7 +35,8 @@ contribution to a parent that does not require grad; the small generic ops
 (``mul``, ``matvec_rows``, ``scale_rows`` and the like) skip a constant
 operand's product themselves. The ReLU runs in place as ``np.fmax(out,
 0.0)`` followed by ``out += 0.0``, which gives the bits of a masked copy (NaN
-and -0.0 become +0.0) in two plain passes. Inside ``no_grad()`` nothing is
+and -0.0 become +0.0) in two plain passes; the split edge layer clears -0.0
+per node before its gather and needs only the first. Inside ``no_grad()`` nothing is
 recorded. ``backward`` frees the graph as it goes: once a node has propagated,
 its gradient, parents and closure are dropped, so a graph can be swept once
 and only leaves keep a ``.grad``. A parent's first contribution enters its
@@ -245,6 +246,8 @@ def _relu_inplace(out: Array) -> None:
 
     ``fmax`` returns the other operand for NaN; it may keep -0.0 against 0.0,
     and adding 0.0 turns that -0.0 into +0.0 and leaves every other value as it is.
+    The second pass is needed only where -0.0 can occur: the edge form of
+    ``_split_linear`` clears it per node, before the gather, and takes ``fmax`` alone.
     """
     np.fmax(out, 0.0, out=out)
     out += 0.0
@@ -301,7 +304,10 @@ def _split_linear(a: Array, b: Array, w: Array, bias: Array, rows: Array | None,
       ``(a W_a + b W_b + bias)[rows] - (a W_a)[src]``: the bias is added per
       node, before the gather.
 
-    The bias and the ReLU act in place, as in ``_dense``.
+    The bias and the ReLU act in place, as in ``_dense``. In the edge form the
+    ReLU is one pass over the (n*k, d) output: ``0.0`` is added to the per-node
+    sum before the gather, so no gathered difference is -0.0 and ``np.fmax``
+    alone gives the bits of ``_relu_inplace``.
     """
     d_a = a.shape[1]
     h = a @ w[:d_a]
@@ -309,13 +315,17 @@ def _split_linear(a: Array, b: Array, w: Array, bias: Array, rows: Array | None,
     if k:
         c += h
         c += bias
+        if relu:
+            c += 0.0  # clears -0.0; a rounded difference is -0.0 only if its minuend is
         out = c[rows]
         by_source = out.reshape(a.shape[0], k, w.shape[1])
         by_source -= h[:, None, :]
-    else:
-        out = h
-        out += c if rows is None else c[rows]
-        out += bias
+        if relu:
+            np.fmax(out, 0.0, out=out)
+        return out
+    out = h
+    out += c if rows is None else c[rows]
+    out += bias
     if relu:
         _relu_inplace(out)
     return out
@@ -350,14 +360,17 @@ def _bilinear_scores(x: Array, wq: Array, bq: Array, wk: Array, bk: Array) -> Ar
     ``(x Wq + bq)·(x Wk + bk) = x A xᵀ + x·c + bq·bk`` with ``A = Wq Wkᵀ`` and
     ``c = Wq bk + Wk bq``, the key-query matrix of Cordonnier, Loukas & Jaggi
     ("Multi-Head Attention: Collaborate Instead of Concatenate", 2020): one
-    (rows, d) x (d, d) product instead of two projections.
+    (rows, d) x (d, d) product instead of two projections. The tail is two
+    passes, ``y = x A + c`` in place and ``np.einsum("ij,ij->i", y, x)``; every
+    row's bits are the same inside any slice of rows, so a chunk scores each
+    query as it would alone. (``x·c`` as its own matrix-vector product would
+    not be: OpenBLAS rounds a slice's rows differently from the whole.)
     """
     c = wq @ bk
     c += wk @ bq
     y = x @ (wq @ wk.T)
     y += c
-    y *= x
-    out = y.sum(axis=1)
+    out = np.einsum("ij,ij->i", y, x)
     out += bq @ bk
     return out
 

@@ -218,8 +218,9 @@ def edge_focus_update(query: GraphQuery, params: ParamStore) -> Tensor:
         q_grads = _fold_grads(gwq, gbq, out_w, out_b, wq)
         k_grads = _fold_grads(gwk, gbk, out_w, out_b, wk)
         gh += gx
-        del gx  # the edge layer's gradient masks gh into a new (n*k, d) array: free one first
-        edge_grads = _split_linear_grads(gh, positions, states, w0, rows, k, h)
+        np.copyto(gh, 0.0, where=~(h > 0.0))  # the edge ReLU's mask, in gh's own array
+        del gx, h  # two (n*k, d) arrays the edge layer's gradient does not read
+        edge_grads = _split_linear_grads(gh, positions, states, w0, rows, k, None)
         # the states' gradient adds the node MLP's part, then the edge MLP's, as
         # a chain of one node per stage would; it reaches the scale and the grid
         # as it would through ``scale_rows`` and ``gather_rows``

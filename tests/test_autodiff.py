@@ -224,6 +224,22 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+@pytest.mark.parametrize("width", [1, 8, 64])
+def test_bilinear_scores_of_a_row_do_not_depend_on_the_slice(width):
+    """A chunk scores each query's edges as it would alone: every row's score has
+    the same bits inside any slice of the rows, at any offset and length of at
+    least two. (numpy takes a one-row product as a matrix-vector product, which
+    rounds differently; a query has n * k >= 2 edges.)"""
+    rng = np.random.default_rng(width)
+    x = rng.standard_normal((24, width))
+    weights = [rng.standard_normal((width, width)), rng.standard_normal(width),
+               rng.standard_normal((width, width)), rng.standard_normal(width)]
+    whole = _bilinear_scores(x, *weights)
+    for start in range(6):
+        for stop in range(start + 2, len(x) + 1):
+            assert np.array_equal(_bilinear_scores(x[start:stop], *weights), whole[start:stop])
+
+
 # ``train_bias`` False gives a constant bias, which gets no gradient.
 @pytest.mark.parametrize("train_bias", [False, True])
 @pytest.mark.parametrize("relu", [False, True])

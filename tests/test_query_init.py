@@ -327,6 +327,42 @@ def test_knn_certificate_is_load_bearing():
     _assert_matches_reference(feats, 2)
 
 
+def _reranked_rows(monkeypatch):
+    """The rows ``build_knn_edges`` hands to the explicit re-rank, as they are reranked."""
+    rows = []
+    rerank = query_init._rerank
+
+    def recorded(nodes, own, kept, k):
+        rows.extend(own.tolist())
+        return rerank(nodes, own, kept, k)
+
+    monkeypatch.setattr(query_init, "_rerank", recorded)
+    return rows
+
+
+def test_knn_certificate_checks_every_adjacent_gap(monkeypatch):
+    """One adjacent gap within the margin sends a row to the re-rank, however wide the rest.
+
+    Node 0's candidates, sorted by Gram value, are a near-tied pair (the
+    nodes of the load-bearing case) and a far node, so its first gap lies
+    within the margin and its second is wide.
+    """
+    rng = np.random.default_rng(2)
+    p0 = 1e4 + 1e-2 * rng.standard_normal(2)
+    v = 1e-2 * rng.standard_normal(2)
+    feats = np.array([p0, p0 + v, p0 - v * (1 + 1e-7), p0 + 50.0 * v])
+    reranked = _reranked_rows(monkeypatch)
+    _assert_matches_reference(feats, 3)
+    assert 0 in reranked
+
+
+def test_knn_certifies_a_row_with_one_edge(monkeypatch):
+    """With k = 1 a row whose candidate mask holds one slot has no gap to check."""
+    reranked = _reranked_rows(monkeypatch)
+    _assert_matches_reference(np.array([[0.0], [1.0], [5.0]]), 1)
+    assert reranked == []
+
+
 @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "one_tied_query"])
 @pytest.mark.parametrize("queries,n,d,k", [
     (1, 24, 5, 4), (3, 24, 5, 4), (10, 24, 5, 4),  # one block
