@@ -18,19 +18,18 @@ fixed operand layout.
 A ``Tensor`` wraps an ndarray together with the closure that maps its output
 gradient back onto its parents; graphs are built define-by-run. One MLP layer
 is one tape node: ``linear`` fuses the product, the bias and the ReLU and
-keeps only its output. An MLP whose first layer is split per node has exactly
-two layers and is one tape node for both: ``split_mlp_forward`` keeps its
-inputs and its output, and its backward recomputes the hidden layer (gradient
-checkpointing; Chen et al., "Training Deep Nets with Sublinear Memory Cost",
-2016). The private array helpers (``_split_linear``, ``_dense`` and their
-gradients, ``_split_mlp_grads``, ``_bilinear_scores`` and its gradients,
+keeps only its output. The private array helpers (``_split_linear``, a first
+layer split per node with its ReLU, ``_dense`` and their gradients,
+``_split_mlp_grads``, ``_bilinear_scores`` and its gradients,
 ``_row_softmax``, ``_segment_mix``, ``_cell_scale``, ``_scatter_add``) are
 forward and backward pieces with no tape of their own; the edge stage
 (``edge_focus.edge_focus_update``) composes them into one node per query
 chunk, and context infusion (``deep_context.infuse_context``) into one node
-per query set. The fused nodes (``linear``, ``split_mlp_forward``, the edge
-stage, context infusion) and their gradient helpers return the gradient of
-every parent, a constant's too, and ``backward`` drops each
+per query set. Both keep no hidden layer: their backward recomputes it with
+the forward's calls (gradient checkpointing; Chen et al., "Training Deep
+Nets with Sublinear Memory Cost", 2016). The fused nodes (``linear``, the
+edge stage, context infusion) and their gradient helpers return the gradient
+of every parent, a constant's too, and ``backward`` drops each
 contribution to a parent that does not require grad; the small generic ops
 (``mul``, ``matvec_rows``, ``scale_rows`` and the like) skip a constant
 operand's product themselves. The ReLU runs in place as ``np.fmax(out,
@@ -289,9 +288,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
                  lambda g: _dense_grads(g, x.data, w.data, out if relu else None))
 
 
-def _split_linear(a: Array, b: Array, w: Array, bias: Array, rows: Array | None, k: int,
-                  relu: bool) -> Array:
-    """A first MLP layer over the halves ``[a || b[rows]]``, without the concat.
+def _split_linear(a: Array, b: Array, w: Array, bias: Array, rows: Array | None, k: int) -> Array:
+    """A first MLP layer over the halves ``[a || b[rows]]``, with its ReLU, without the concat.
 
     W_a, the top rows of ``w`` (as many as ``a`` has columns), multiplies ``a``;
     W_b, the rest, multiplies ``b``. Both products are per row of their operand,
@@ -315,19 +313,16 @@ def _split_linear(a: Array, b: Array, w: Array, bias: Array, rows: Array | None,
     if k:
         c += h
         c += bias
-        if relu:
-            c += 0.0  # clears -0.0; a rounded difference is -0.0 only if its minuend is
+        c += 0.0  # clears -0.0; a rounded difference is -0.0 only if its minuend is
         out = c[rows]
         by_source = out.reshape(a.shape[0], k, w.shape[1])
         by_source -= h[:, None, :]
-        if relu:
-            np.fmax(out, 0.0, out=out)
+        np.fmax(out, 0.0, out=out)
         return out
     out = h
     out += c if rows is None else c[rows]
     out += bias
-    if relu:
-        _relu_inplace(out)
+    _relu_inplace(out)
     return out
 
 
@@ -714,10 +709,11 @@ def mlp_forward(spec: MlpSpec, params: ParamStore, name: str, x: Tensor) -> Tens
 
 def _check_split_mlp(name: str, a: Array, b: Array, layers: list[tuple[Array, Array]],
                      rows: Array | None, k: int) -> None:
-    """Raise ``ShapeError`` unless ``split_mlp_forward`` can run these shapes.
+    """Raise ``ShapeError`` unless a split MLP can run these shapes.
 
-    A split MLP has exactly two layers, ``[(W0, b0), (W1, b1)]``; W0's rows
-    are the widths of ``a`` and ``b`` together.
+    A split MLP has exactly two layers, ``[(W0, b0), (W1, b1)]``: the first
+    runs as ``_split_linear(a, b, W0, b0, rows, k)``, the second as ``_dense``
+    without a ReLU. W0's rows are the widths of ``a`` and ``b`` together.
     """
     if len(layers) != 2:
         raise ShapeError(f"split MLP {name!r} needs exactly two layers, got {len(layers)}")
@@ -739,47 +735,15 @@ def _check_split_mlp(name: str, a: Array, b: Array, layers: list[tuple[Array, Ar
 
 
 def _split_mlp_grads(g: Array, a: Array, b: Array, layers: list[tuple[Array, Array]],
-                     rows: Array | None, k: int, hidden: Array) -> tuple:
-    """Gradients of a split MLP for ``(a, b, W0, b0, W1, b1)``.
+                     hidden: Array) -> tuple:
+    """Gradients of a split MLP over ``[a || b]`` for ``(a, b, W0, b0, W1, b1)``.
 
     ``hidden`` is the first layer's output after the ReLU; each layer
     backprops with the expressions of ``linear``.
     """
     (w0, _), (w1, _) = layers
     g, gw1, gb1 = _dense_grads(g, hidden, w1, None)
-    return _split_linear_grads(g, a, b, w0, rows, k, hidden) + (gw1, gb1)
-
-
-def split_mlp_forward(params: ParamStore, name: str, a: Tensor, b: Tensor,
-                      rows=None, k: int = 0) -> Tensor:
-    """Apply the named two-layer MLP to ``[a || b[rows]]`` as one tape node.
-
-    The layers are the stored ones (``ParamStore.layers``), and
-    ``_check_split_mlp`` gates their shapes.
-
-    The first layer runs split per node (``_split_linear``, with the ReLU),
-    the output layer as ``_dense``. The node keeps only its inputs and its
-    output, and its parents are ``(a, b, W0, b0, W1, b1)``. Its backward
-    recomputes the hidden layer with the forward's call, so it carries the
-    same bits, then backprops through both layers with the expressions of
-    ``linear``. The hidden gradient goes on as it is, where a node per layer
-    added 0.0 to it first (mapping -0.0 to +0.0): the sign of a zero there
-    can only change the sign of a zero the backward returns, and every
-    contribution enters its parent as ``contribution + 0.0``, so no gradient
-    bit depends on it.
-    """
-    rows = None if rows is None else np.asarray(rows, dtype=np.intp)
-    layers = params.layers(name)
-    _check_split_mlp(name, a.data, b.data, [(w.data, bias.data) for w, bias in layers], rows, k)
-    (w0, b0), (w1, b1) = layers
-
-    def backprop(g):
-        hidden = _split_linear(a.data, b.data, w0.data, b0.data, rows, k, relu=True)
-        return _split_mlp_grads(g, a.data, b.data, [(w0.data, b0.data), (w1.data, b1.data)],
-                                rows, k, hidden)
-
-    hidden = _split_linear(a.data, b.data, w0.data, b0.data, rows, k, relu=True)
-    return _make(_dense(hidden, w1.data, b1.data, relu=False), (a, b, w0, b0, w1, b1), backprop)
+    return _split_linear_grads(g, a, b, w0, None, 0, hidden) + (gw1, gb1)
 
 
 def register_attention(params: ParamStore, name: str, d: int) -> None:

@@ -235,6 +235,9 @@ def load_settings(config_path: str | None, seed_flag: int | None,
 
     train = config["train"] = _fields(config["train"], {
         "steps": (_int, 200), "learning_rate": (_float, 0.01)}, "config.train")
+    if train["learning_rate"] <= 0.0:
+        raise ConfigError(f"config.train.learning_rate must be positive, got "
+                          f"{train['learning_rate']}")
     return Settings(seed, out_dir, scene_spec, gqn, cost_config, sweep, modes, full_k,
                     train["steps"], train["learning_rate"], config)
 
@@ -439,6 +442,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a scene grid too large to allocate
+        print(f"memory error: {exc}", file=sys.stderr)
         return 2
 
 

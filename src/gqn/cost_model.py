@@ -198,7 +198,7 @@ def _split_layer_flops(d: int, product_rows: int, adds: int) -> int:
 
 def _split_mlp_flops(d: int, product_rows: int, adds: int, rows: int) -> int:
     """A (2d, d, d) MLP whose first layer runs split per node, as
-    ``autodiff.split_mlp_forward`` runs the node MLP: the split layer
+    ``edge_focus.update_nodes`` runs the node MLP: the split layer
     (``_split_layer_flops``), the ReLU on each of the ``rows`` hidden outputs, then
     the dense output layer."""
     return _split_layer_flops(d, product_rows, adds) + rows * d + _linear_flops(rows, d, d)

@@ -109,8 +109,7 @@ def infuse_context(chunks: Sequence[tuple[Array, Tensor, Sequence[int]]], summar
 
     def hidden(i: int) -> Array:
         """Chunk i's hidden layer after the ReLU, the same call in the forward and backward."""
-        return _split_linear(parents[i].data, summaries.data, w0.data, b0.data, node_rows[i], 0,
-                             relu=True)
+        return _split_linear(parents[i].data, summaries.data, w0.data, b0.data, node_rows[i], 0)
 
     def backprop(g):
         g = np.where(scale[:, None] > 0.0, g, 0.0)  # an uncovered cell is a constant zero

@@ -61,8 +61,8 @@ et al., "Training Deep Nets with Sublinear Memory Cost", 2016), then
 backprops through the stages in reverse; the gradients of the output layer,
 q and key chain back through the (d, d) products of the fold, and the
 states' gradient through the scale and the gather. ``edge_features`` (the
-gate and the split hidden layer) and ``update_nodes`` (the node MLP as
-``autodiff.split_mlp_forward`` under ``no_grad``) are forward calls of the
+gate and the split hidden layer) and ``update_nodes`` (the gate, the split
+hidden layer and the output layer of the node MLP) are forward calls of the
 node, which passes them the states it gathered, and return value-only
 tensors; ``edge_attention`` scores any rows under q and key, as the node
 scores h under the composed layers.
@@ -81,7 +81,7 @@ import numpy as np
 from .autodiff import (ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
                        _check_split_mlp, _dense, _dense_grads, _make, _row_softmax,
                        _row_softmax_grad, _segment_mix, _segment_mix_grads, _split_linear,
-                       _split_linear_grads, _split_mlp_grads, no_grad, split_mlp_forward)
+                       _split_linear_grads, _split_mlp_grads)
 from .errors import ContractError, ShapeError
 from .query_init import GraphQuery
 
@@ -135,7 +135,7 @@ def edge_features(query: GraphQuery, params: ParamStore, states: Array) -> Tenso
     positions = query.positions
     layers, rows = _arrays(params.layers("edge_mlp")), np.asarray(query.edge_dst, np.intp)
     _check_split_mlp("edge_mlp", positions, states, layers, rows, query.k)
-    return Tensor(_split_linear(positions, states, *layers[0], rows, query.k, relu=True))
+    return Tensor(_split_linear(positions, states, *layers[0], rows, query.k))
 
 
 def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore) -> Tensor:
@@ -151,8 +151,10 @@ def update_nodes(query: GraphQuery, message: Tensor, params: ParamStore,
                  states: Array) -> Tensor:
     """Updated node states: MLP(message || node state), shape (n_nodes, d); ``states`` as in
     ``edge_features``."""
-    with no_grad():
-        return split_mlp_forward(params, "node_mlp", message, Tensor(states))
+    layers = _arrays(params.layers("node_mlp"))
+    _check_split_mlp("node_mlp", message.data, states, layers, None, 0)
+    return Tensor(_dense(_split_linear(message.data, states, *layers[0], None, 0), *layers[1],
+                         relu=False))
 
 
 def edge_focus_update(query: GraphQuery, params: ParamStore) -> Tensor:
@@ -205,12 +207,11 @@ def edge_focus_update(query: GraphQuery, params: ParamStore) -> Tensor:
         positions = grid_positions[pair_rows]
         raw = grid.data[pair_rows]
         states = raw * scale.data[:, None]
-        h, fold = _split_linear(positions, states, w0, b0, rows, k, relu=True), folded()
+        h, fold = _split_linear(positions, states, w0, b0, rows, k), folded()
         beta, mix, message = mix_and_message(h, fold)
         # the node MLP's hidden layer goes in unnamed, so it is freed with the call
-        node_grads = _split_mlp_grads(
-            g, message, states, node_arrays, None, 0,
-            _split_linear(message, states, *node_arrays[0], None, 0, relu=True))
+        node_grads = _split_mlp_grads(g, message, states, node_arrays,
+                                      _split_linear(message, states, *node_arrays[0], None, 0))
         gmix, gw_out, gb_out = _dense_grads(node_grads[0], mix, out_w, None)
         gh, gbeta = _segment_mix_grads(gmix, h, beta, k)
         gscores = _row_softmax_grad(gbeta.reshape(n, k), beta.reshape(n, k)).reshape(n * k)

@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 
 from gqn import pipeline
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
-                          _cell_scale, _make, _relu_inplace, _scatter_add, _segment_mix,
-                          _segment_mix_grads, _split_linear, _split_linear_grads, _toposort, add,
-                          attn_mix, backward, concat_cols, concat_rows, gather_rows, grad_check,
-                          grad_check_groups, linear, matmul_nt, matvec_rows, max_rows,
-                          mlp_forward, mul, no_grad, register_attention, reshape, row_softmax,
-                          scale_rows, self_attention_layer, split_mlp_forward, sub, sum_all)
+                          _cell_scale, _check_split_mlp, _make, _relu_inplace, _scatter_add,
+                          _segment_mix, _segment_mix_grads, _split_linear, _split_linear_grads,
+                          _toposort, add, attn_mix, backward, concat_cols, concat_rows,
+                          gather_rows, grad_check, grad_check_groups, linear, matmul_nt,
+                          matvec_rows, max_rows, mlp_forward, mul, no_grad, register_attention,
+                          reshape, row_softmax, scale_rows, self_attention_layer, sub, sum_all)
+from gqn.edge_focus import update_nodes
 from gqn.errors import ConfigError, ContractError, InvalidInputError, ShapeError
 from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
+from split_mlp_node import split_mlp_node
 
 
 # ----------------------------------------------------------------------------
@@ -364,7 +366,7 @@ def test_edge_scores_gradients_match_finite_differences():
 
 # ----------------------------------------------------------------------------
 # the split first layer against the concatenated layer it replaces, and the
-# split MLP node against the layer-by-layer chain it fuses
+# split MLP node (split_mlp_node.py) against the layer-by-layer chain it fuses
 
 # Edges grouped by source, two per node; edge 0 -> 1 joins two zero rows.
 _SRC = np.repeat(np.arange(5), 2)
@@ -399,10 +401,35 @@ def _concat_first_layer(mode, a, b, w, bias, rows, relu):
     return linear(concat_cols([left, right]), w, bias, relu)
 
 
+def _split_pre_activation(a, b, w, bias, rows, k):
+    """``_split_linear``'s arithmetic without its ReLU: the layer's pre-activation.
+
+    The edge form also leaves out the 0.0 that ``_split_linear`` adds to the
+    per-node sum before its gather, which only its one-pass ReLU needs.
+    """
+    d_a = a.shape[1]
+    h = a @ w[:d_a]
+    c = b @ w[d_a:]
+    if k:
+        c += h
+        c += bias
+        out = c[rows]
+        by_source = out.reshape(a.shape[0], k, w.shape[1])
+        by_source -= h[:, None, :]
+        return out
+    out = h
+    out += c if rows is None else c[rows]
+    out += bias
+    return out
+
+
 def _split_first_layer(mode, a, b, w, bias, rows, relu):
-    """The split first layer as its own tape node, built from the private helpers."""
+    """The split first layer as its own tape node, built from the private helpers; without
+    ``relu`` its output is the pre-activation and its gradient ``_split_linear_grads``'s
+    unmasked one."""
     k = 2 if mode == "edge" else 0
-    out = _split_linear(a.data, b.data, w.data, bias.data, rows, k, relu)
+    out = (_split_linear if relu else _split_pre_activation)(a.data, b.data, w.data, bias.data,
+                                                             rows, k)
     return _make(out, (a, b, w, bias), lambda g: _split_linear_grads(
         g, a.data, b.data, w.data, rows, k, out if relu else None))
 
@@ -449,22 +476,22 @@ def _mlp_params(widths, seed=0):
 def test_split_linear_keeps_one_tape_node_and_rejects_mismatched_shapes():
     a, b = Tensor(np.ones((5, 3)), requires_grad=True), Tensor(np.ones((5, 4)))
     params = _mlp_params((7, 2, 2))
-    out = split_mlp_forward(params, "net", a, b, _DST, k=2)
+    out = split_mlp_node(params, "net", a, b, _DST, k=2)
     assert out.data.shape == (10, 2)
     assert _toposort(out)[0]._parents == (a, b) + tuple(params[f"net/{p}{i}"]
                                                         for i in range(2) for p in "Wb")
+    layers = [(w.data, bias.data) for w, bias in params.layers("net")]
+    for rows, k in ((_DST, 2), (None, 0)):  # each failing case changes one of these shapes
+        _check_split_mlp("net", a.data, b.data, layers, rows, k)
     with pytest.raises(ShapeError):  # b's width does not fill w
-        split_mlp_forward(params, "net", a, Tensor(np.ones((5, 3))))
+        _check_split_mlp("net", a.data, np.ones((5, 3)), layers, None, 0)
     with pytest.raises(ShapeError):  # one edge index per edge
-        split_mlp_forward(params, "net", a, b, _DST[:-1], k=2)
+        _check_split_mlp("net", a.data, b.data, layers, _DST[:-1], 2)
     with pytest.raises(ShapeError):  # identity rows need equal row counts
-        split_mlp_forward(params, "net", a, Tensor(np.ones((4, 4))))
-    params.register("bad/W0", (7, 2))
-    params.register("bad/b0", (2,))
-    params.register("bad/W1", (3, 2))
-    params.register("bad/b1", (2,))
+        _check_split_mlp("net", a.data, np.ones((4, 4)), layers, None, 0)
+    bad = [(np.ones((7, 2)), np.ones(2)), (np.ones((3, 2)), np.ones(2))]
     with pytest.raises(ShapeError):  # a later layer's rows do not match its input width
-        split_mlp_forward(params, "bad", a, b)
+        _check_split_mlp("bad", a.data, b.data, bad, None, 0)
 
 
 @pytest.mark.parametrize("mode", _SPLIT_MODES)
@@ -490,11 +517,13 @@ _SPLIT_MLP_WIDTHS = (7, 2, 3)
 
 @pytest.mark.parametrize("widths", [(7, 2), (7, 4, 3, 2)], ids=["1-layer", "3-layer"])
 def test_split_mlp_rejects_any_depth_but_two(widths):
-    """A split MLP has exactly two layers; every other stored depth fails at the shape
-    gate, whose other checks these shapes pass."""
-    a, b = Tensor(np.ones((5, 3)), requires_grad=True), Tensor(np.ones((5, 4)))
+    """The node MLP has exactly two layers; every other stored depth fails at
+    ``update_nodes``' shape gate, whose other checks these shapes pass."""
+    params = ParamStore(seed=0)
+    params.register_mlp("node_mlp", MlpSpec(widths))
     with pytest.raises(ShapeError, match="exactly two layers"):
-        split_mlp_forward(_mlp_params(widths), "net", a, b, _DST, k=2)
+        # update_nodes reads no field of the query
+        update_nodes(None, Tensor(np.ones((5, 3))), params, np.ones((5, 4)))
 
 
 def _layer_by_layer(params, name, a, b, rows, k):
@@ -532,7 +561,7 @@ def test_split_mlp_matches_the_layer_by_layer_chain_bit_for_bit(mode, widths, up
     a_data, b_data, _, _, rows = _split_inputs(mode, np.random.default_rng(25))
     k = 2 if mode == "edge" else 0
     results = []
-    for mlp in (split_mlp_forward, _layer_by_layer):
+    for mlp in (split_mlp_node, _layer_by_layer):
         params = _mlp_params(widths, seed=25)
         a, b = Tensor(a_data.copy(), requires_grad=True), Tensor(b_data.copy(), requires_grad=True)
         rows_out = {"edge": 10, "identity": 5}.get(mode, 6)
@@ -554,7 +583,7 @@ def test_split_mlp_matches_the_layer_by_layer_chain_bit_for_bit(mode, widths, up
 def test_split_mlp_is_one_tape_node_that_keeps_only_its_inputs_and_output():
     a, b = Tensor(np.ones((5, 3)), requires_grad=True), Tensor(np.ones((5, 4)), requires_grad=True)
     params = _mlp_params((7, 4, 2))
-    out = split_mlp_forward(params, "net", a, b, _DST, k=2)
+    out = split_mlp_node(params, "net", a, b, _DST, k=2)
     assert [t for t in _toposort(out) if t._backprop is not None] == [out]
     assert out._parents == (a, b) + tuple(params[f"net/{p}{i}"] for i in range(2) for p in "Wb")
     # Its backward holds no array but the edge targets.
@@ -575,7 +604,7 @@ def test_split_mlp_fed_a_constant_summaries_operand_keeps_every_other_gradient(w
     for b_grad in (True, False):
         params = _mlp_params(widths, seed=31)
         a, b = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=b_grad)
-        out = split_mlp_forward(params, "net", a, b, _GATHER)
+        out = split_mlp_node(params, "net", a, b, _GATHER)
         sum_all(mul(out, Tensor(upstream))).backward()
         assert (b.grad is not None) == b_grad
         results.append([_bits(a.grad)] + [_bits(t.grad) for _, t in params.items()])
@@ -594,7 +623,7 @@ def test_split_mlp_gradients_match_finite_differences(mode, widths):
     weights = rng.standard_normal(({"edge": 10, "identity": 5}.get(mode, 6), widths[-1]))
 
     def fn(p):
-        out = split_mlp_forward(p, "net", p["in/a"], p["in/b"], rows, k=2 if mode == "edge" else 0)
+        out = split_mlp_node(p, "net", p["in/a"], p["in/b"], rows, k=2 if mode == "edge" else 0)
         return sum_all(mul(out, Tensor(weights)))
 
     assert grad_check(fn, params, eps=1e-6) <= 1e-8
@@ -641,7 +670,8 @@ def _relu_layer(mode, rng, relu):
     w = tiny(7, 10)
     w[:, 1] = -1e-300
     rows = {"edge": _DST, "identity": None}.get(mode, _GATHER)
-    return Tensor(_split_linear(a, b, w, bias.data, rows, 2 if mode == "edge" else 0, relu))
+    layer = _split_linear if relu else _split_pre_activation
+    return Tensor(layer(a, b, w, bias.data, rows, 2 if mode == "edge" else 0))
 
 
 def _holds_every_special(pre):

@@ -242,8 +242,11 @@ def test_list_valued_key_of_wrong_type_exits_2(tmp_path, capsys, command, path, 
     (("cost", "m_bev_sweep"), [3],
      "config.cost.m_bev_sweep entries must exceed config.cost.full_k"),
     (("cost", "m_bev_sweep"), [1024, 1024], "config.cost.m_bev_sweep must list distinct sizes"),
+    (("train", "learning_rate"), 0, "config.train.learning_rate must be positive, got 0.0"),
+    (("train", "learning_rate"), -1, "config.train.learning_rate must be positive, got -1.0"),
 ], ids=["freq-zero", "freq-one", "freq-negative", "full-k-zero", "full-k-negative",
-        "sweep-empty", "sweep-at-full-k", "sweep-below-full-k", "sweep-repeated"])
+        "sweep-empty", "sweep-at-full-k", "sweep-below-full-k", "sweep-repeated",
+        "learning-rate-zero", "learning-rate-negative"])
 def test_out_of_range_frequency_base_full_k_or_sweep_exits_2(tmp_path, capsys, command, path,
                                                              value, message):
     doc = json.loads(json.dumps(TOY_8x8))
@@ -363,6 +366,18 @@ def test_gradcheck_guards_oversized_grids(tmp_path):
     doc = dict(TOY_8x8, scene={"height": 64, "width": 64})
     cfg = _write(tmp_path, doc)
     assert main(["gradcheck", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "train-demo"])
+def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, command):
+    """A 10^7 x 10^7 grid of d = 8 needs 5.68 PiB, beyond any 47-bit address space, so its
+    allocation fails under every overcommit policy; the error is one line, not a traceback."""
+    doc = dict(TOY_8x8, scene={"height": 10 ** 7, "width": 10 ** 7})
+    cfg = _write(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("memory error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 # ----------------------------------------------------------------------------

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _cell_scale, _make, _scatter_add,
                           _toposort, as_tensor, backward, concat_rows, grad_check, mul,
-                          register_attention, split_mlp_forward, sum_all)
+                          register_attention, sum_all)
 from gqn import pipeline
 from gqn.deep_context import context_exchange, infuse_context, pool_query
 from gqn.errors import ConfigError, ContractError, ShapeError
 from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
+from split_mlp_node import split_mlp_node
 
 
 def _ctx_params(d, seed=0):
@@ -209,7 +210,7 @@ def _scatter_mean_node(contributions, num_cells):
 def _unfolded_infuse_context(chunks, summaries, params, num_cells):
     """Context infusion as it ran before the fold: one split-MLP node per chunk, which
     keeps its (Q*n, d) output, then one mean of those outputs per cell."""
-    mixed = [(np.asarray(cells), split_mlp_forward(
+    mixed = [(np.asarray(cells), split_mlp_node(
         params, "context_mlp", nodes, summaries,
         rows=np.repeat(rows, nodes.data.shape[0] // len(rows))))
         for cells, nodes, rows in chunks]

@@ -8,14 +8,14 @@ from gqn import autodiff, edge_focus
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
                           _make, _segment_mix, _segment_mix_grads, _split_linear,
                           _split_linear_grads, _toposort, concat_cols, gather_rows, grad_check,
-                          linear, mlp_forward, mul, reshape, row_softmax, split_mlp_forward,
-                          sum_all)
+                          linear, mlp_forward, mul, reshape, row_softmax, sum_all)
 from gqn.edge_focus import (_fold, _fold_grads, edge_attention, edge_features, edge_focus_update,
                             update_nodes)
 from gqn.errors import ContractError, ShapeError
 from gqn.pipeline import GqnConfig, init_params
 from gqn.query_init import GraphQuery, QuerySetSpec, build_knn_edges, init_graph_query
 from gqn.scene import SceneSpec, flatten_grid, generate_scene, sinusoidal_encoding
+from split_mlp_node import split_mlp_node
 
 
 def _manual_query(states, positions, k):
@@ -292,7 +292,7 @@ def _hidden_node(query, states, params):
     with the calls the fused node runs."""
     w0, b0 = params["edge_mlp/W0"], params["edge_mlp/b0"]
     rows, k = np.asarray(query.edge_dst, np.intp), query.k
-    h = _split_linear(query.positions, states.data, w0.data, b0.data, rows, k, relu=True)
+    h = _split_linear(query.positions, states.data, w0.data, b0.data, rows, k)
     return _make(h, (states, w0, b0), lambda g: _split_linear_grads(
         g, query.positions, states.data, w0.data, rows, k, h)[1:])
 
@@ -337,7 +337,7 @@ def _per_stage_chain(query, params):
     scores = _score_node(hidden, *folds)
     beta = reshape(row_softmax(reshape(scores, (n, k))), (n * k,))
     message = linear(_mix_node(hidden, beta, k), out_w, out_b)
-    return split_mlp_forward(params, "node_mlp", message, states)
+    return split_mlp_node(params, "node_mlp", message, states)
 
 
 def _rowdot(a, b):

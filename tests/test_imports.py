@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every top-level
-function and public class of the library is referenced somewhere in it."""
+"""Every name a library module imports is used in that module, every top-level
+function and public class of the library is referenced somewhere in it, and no
+private function takes a parameter that every call site fixes to one literal."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,87 @@ def test_unreferenced_function_is_reported():
         "__init__": "from .user import main\n",
     }
     assert _unreferenced(sources) == ["ops._private", "ops.dead"]
+
+
+def _callee(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _is_scalar_literal(node) -> bool:
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return False
+    return value is None or type(value) in (bool, int, float)
+
+
+def _passed(call: ast.Call, i: int, name: str, n_positional: int, defaults: dict):
+    """The node ``call`` passes for parameter ``i`` (called ``name``), its default when it
+    passes none, or None when a ``*`` or ``**`` argument may carry it."""
+    keyword = {kw.arg: kw.value for kw in call.keywords}
+    if name in keyword:
+        return keyword[name]
+    star = next((j for j, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                len(call.args))
+    if i < min(star, n_positional):
+        return call.args[i]
+    if None in keyword or (i < n_positional and star < len(call.args)):
+        return None
+    return defaults.get(name)
+
+
+def _constant_arguments(sources: dict[str, str]) -> list[str]:
+    """Parameters of private top-level functions that every call site in ``sources`` passes
+    as the same bool, None or number literal, a default counting as passed.
+
+    A function mentioned other than as the callee of a call (a table entry, a
+    callback) has call sites this cannot see, and is skipped. String literals
+    do not count: a label that every site passes names the site, not a setting.
+    """
+    defs, calls, escaped = {}, {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defs.update((node.name, (module, node)) for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name.startswith("_"))
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node.func), []).append(node)
+                callees.add(id(node.func))
+        escaped.update(_callee(node) for node in ast.walk(tree) if id(node) not in callees)
+    found = []
+    for name, (module, fn) in defs.items():
+        if name in escaped or name not in calls:
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        defaults = dict(zip([p.arg for p in positional][len(positional) - len(fn.args.defaults):],
+                            fn.args.defaults))
+        defaults.update((p.arg, d) for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults))
+        for i, param in enumerate(positional + fn.args.kwonlyargs):
+            passed = [_passed(call, i, param.arg, len(positional), defaults)
+                      for call in calls[name]]
+            if (all(node is not None and _is_scalar_literal(node) for node in passed)
+                    and len({ast.dump(node) for node in passed}) == 1):
+                found.append(f"{module}.{name}({param.arg})")
+    return sorted(found)
+
+
+def test_no_private_function_takes_a_constant_argument():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _constant_arguments(sources) == []
+
+
+def test_constant_argument_is_reported():
+    sources = {
+        "ops": "def _scale(x, factor, clip=None, *, fast=False):\n    return x\n\n"
+               "def _shift(x, by):\n    return x\n\ndef _label(x, name):\n    return x\n\n"
+               "def _table(x, flag):\n    return x\n\nTABLE = {'t': _table}\n",
+        "user": "from .ops import _label, _scale, _shift, _table\nimport ops\n\n"
+                "def main(x, y, args):\n    _label(x, 'x')\n    _label(y, 'x')\n"
+                "    _table(x, True)\n    _shift(x, 1)\n    _shift(*args)\n"
+                "    return _scale(x, -2.0, fast=True) + ops._scale(y, -2.0, fast=y > 0)\n",
+    }
+    # a string, a callee in a table and an argument a star may carry are not reported
+    assert _constant_arguments(sources) == ["ops._scale(clip)", "ops._scale(factor)"]
