@@ -11,7 +11,7 @@ import numpy as np
 
 from gqn import QuerySetSpec, SceneSpec, demo_boxes, flatten_grid, generate_scene
 from gqn import attention_scores, init_graph_query, sinusoidal_encoding
-from gqn.autodiff import Tensor, sum_all
+from gqn.autodiff import Tensor, gather_rows, scale_rows, sum_all
 
 spec = SceneSpec(10, 10, 8, boxes=demo_boxes(10, 10, 8, 2, seed=1),
                  clutter_density=0.1, noise_amplitude=0.05, seed=1)
@@ -50,6 +50,7 @@ print(f"grid distance along edges: median {np.median(hops):.0f} cells, max {hops
       "(feature-space neighbors need not be spatial neighbors)")
 
 # The selection weighting keeps the global vector trainable: a loss on the
-# selected (scaled) states produces a nonzero gradient on u.
-sum_all(query.states).backward()
+# selected states, gathered from the grid and scaled by m_bev * alpha,
+# produces a nonzero gradient on u.
+sum_all(scale_rows(gather_rows(states, query.pair_rows), query.scale)).backward()
 print(f"|d loss / d u| = {np.linalg.norm(u.grad):.4f}  (nonzero -> node selection is learnable)")

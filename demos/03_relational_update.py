@@ -14,7 +14,7 @@ import numpy as np
 
 from gqn import GqnConfig, QuerySetSpec, SceneSpec, demo_boxes, flatten_grid, generate_scene
 from gqn import init_graph_query, init_params, sinusoidal_encoding
-from gqn.autodiff import Tensor, concat_rows
+from gqn.autodiff import Tensor, concat_rows, gather_rows, scale_rows
 from gqn.deep_context import context_exchange, infuse_context, pool_query
 from gqn.edge_focus import edge_attention, edge_features, edge_focus_update, update_nodes
 
@@ -37,8 +37,9 @@ print(f"{chunk.queries} queries, {n} nodes each, k={chunk.k}, stacked into {chun
 # 1) edge features: one vector per directed edge. Every stage reads its layers
 #    from params, as init_params registered them. edge_features stops at the
 #    edge MLP's hidden layer h; its last layer is linear, f = h W + b.
-# The chunk keeps no states: ``chunk.states`` gathers and scales them on each read.
-node_states = chunk.states.data
+# The chunk keeps no states: its nodes' states are the grid's rows at
+# chunk.pair_rows, scaled by m_bev * alpha (chunk.scale).
+node_states = scale_rows(gather_rows(states, chunk.pair_rows), chunk.scale).data
 hidden = edge_features(chunk, params, node_states)
 out_w, out_b = params["edge_mlp/W1"].data, params["edge_mlp/b1"].data
 feats = Tensor(hidden.data @ out_w + out_b)
@@ -53,7 +54,7 @@ print(f"sharpest node weighting: {per_node.max(1).max():.3f} on one edge "
 
 # 3) node update from the weighted edge sum plus the node's own state
 message = Tensor((beta.data[:, None] * feats.data).reshape(chunk.n_nodes, chunk.k, -1).sum(1))
-updated = update_nodes(chunk, message, params, node_states)
+updated = update_nodes(message, params, node_states)
 print(f"updated node states: {updated.data.shape}")
 # The fused stage never builds f: it scores h under q and key composed with
 # (W, b), and takes the message as (sum of beta * h) W + b, per node.

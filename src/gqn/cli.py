@@ -12,8 +12,7 @@ Schema, with each key's default (all keys optional)::
       "seed": 0,                  # flag --seed > file > 0
       "out_dir": "out",           # flag --out > file > "out"; a non-empty string
       "scene": {"height": 16, "width": 16, "d": <gqn.d>, "boxes": <two demo boxes>,
-                "clutter_density": 0.05, "noise_amplitude": 0.05, "cell_size": 0.5,
-                "seed": <seed>},
+                "clutter_density": 0.05, "noise_amplitude": 0.05, "seed": <seed>},
       "gqn":   {"d": 8, "context_steps": 2, "freq_base": 100.0,
                 "sets": [{"queries": 4, "ratio": 0.1, "k": 2},
                          {"queries": 4, "ratio": 0.2, "k": 3}]},
@@ -194,7 +193,7 @@ def load_settings(config_path: str | None, seed_flag: int | None,
     scene = config["scene"] = _fields(config["scene"], {
         "height": (_int, 16), "width": (_int, 16), "d": (_int, gqn.d), "boxes": (_list, None),
         "clutter_density": (_float, 0.05), "noise_amplitude": (_float, 0.05),
-        "cell_size": (_float, 0.5), "seed": (_seed, seed)}, "config.scene")
+        "seed": (_seed, seed)}, "config.scene")
     height, width, scene_d, scene_seed = (scene[k] for k in ("height", "width", "d", "seed"))
     if height < 1 or width < 1:
         raise ConfigError(f"config.scene grid must be at least 1x1, got {height}x{width}")

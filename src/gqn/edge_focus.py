@@ -127,10 +127,11 @@ def edge_features(query: GraphQuery, params: ParamStore, states: Array) -> Tenso
     state), after the ReLU; shape (n_nodes*k, hidden width). Row e is the edge from node
     e // k to node ``query.edge_dst[e]``.
 
-    ``states`` are the chunk's (n_nodes, d) scaled node states, the data of
-    ``query.states``; the edge stage passes the ones its node gathered. The
-    MLP's second layer is linear; the stage folds it into the scores and the
-    message (see the module docstring), so no per-edge output is built.
+    ``states`` are the chunk's (n_nodes, d) node states: the grid's features at
+    ``query.pair_rows`` scaled by ``query.scale``, as the edge stage's node
+    gathers and scales them. The MLP's second layer is linear; the stage folds
+    it into the scores and the message (see the module docstring), so no
+    per-edge output is built.
     """
     positions = query.positions
     layers, rows = _arrays(params.layers("edge_mlp")), np.asarray(query.edge_dst, np.intp)
@@ -147,8 +148,7 @@ def edge_attention(feats: Tensor, n_nodes: int, k: int, params: ParamStore) -> T
     return Tensor(_edge_weights(feats.data, n_nodes, k, scoring).reshape(n_nodes * k))
 
 
-def update_nodes(query: GraphQuery, message: Tensor, params: ParamStore,
-                 states: Array) -> Tensor:
+def update_nodes(message: Tensor, params: ParamStore, states: Array) -> Tensor:
     """Updated node states: MLP(message || node state), shape (n_nodes, d); ``states`` as in
     ``edge_features``."""
     layers = _arrays(params.layers("node_mlp"))
@@ -196,7 +196,7 @@ def edge_focus_update(query: GraphQuery, params: ParamStore) -> Tensor:
         mix = _segment_mix(h, beta, k)
         return beta, mix, _dense(mix, *_arrays(edge)[-1], relu=False)
 
-    out = update_nodes(query, Tensor(mix_and_message(hidden, folded())[2]), params, states).data
+    out = update_nodes(Tensor(mix_and_message(hidden, folded())[2]), params, states).data
 
     parents = ((grid, scale) + tuple(t for layer in edge for t in layer) + tuple(scoring)
                + tuple(t for layer in node for t in layer))

@@ -22,13 +22,15 @@ runs on chunks of Q queries stacked query-major (see ``GraphQuery``). One
 chunk costs the same tape ops whatever Q is, and its whole edge stage is one
 of them (``edge_focus_update``); its kNN is one build over the stacked
 states. A chunk keeps its nodes' pair rows, selection weights and edge
-targets, and shares the grid's features and encodings: no (Q*n, d) array.
-Its states are gathered for kNN, then again inside the edge stage's node,
-in the forward and in the backward's recompute. Every op of that stage is row-wise or per query, so a chunk's
-outputs and the set maps carry the same bits as one query at a time; only
-gradients summed over rows round differently. The largest arrays a chunk builds are the (n*k, d)
-per-edge temporaries of the edge stage's op (the first layers are split per
-node, so no (n*k, 2d) input exists). None of them is kept on the tape: they
+targets, and shares the grid's features and encodings: it has no (Q*n, d)
+array, stored or derived. ``init_graph_query`` gathers the raw states for
+kNN and keeps none; the edge stage's node gathers and scales them again, in
+the forward and in the backward's recompute. Every op of that stage is
+row-wise or per query, so a chunk's outputs and the set maps carry the same
+bits as one query at a time; only gradients summed over rows round
+differently. The largest arrays a chunk builds are the (n*k, d) per-edge
+temporaries of the edge stage's op (the first layers are split per node, so
+no (n*k, 2d) input exists). None of them is kept on the tape: they
 live inside the op's forward and inside its backward's recompute. Q is capped
 so that one of them stays within ``CHUNK_BYTES``. Larger arrays are mapped
 fresh for each forward. Per

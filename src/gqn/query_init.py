@@ -17,11 +17,11 @@ the flattened grid changes nothing, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, gather_rows, matvec_rows, reshape, row_softmax, scale_rows
+from .autodiff import Tensor, gather_rows, matvec_rows, reshape, row_softmax
 from .errors import ConfigError, InvalidInputError, ShapeError
 from .scene import FlatPairs
 
@@ -65,11 +65,11 @@ class GraphQuery:
     A chunk keeps only what its nodes are rebuilt from: the grid's features
     and positional encodings (references, not copies), its nodes' rows in
     them, their selection weights and the edge targets. No (Q*n, d) array is
-    stored. ``states_raw``, ``states``, ``positions`` and ``edge_src`` are
-    derived on each read; the edge stage (``edge_focus.edge_focus_update``)
-    gathers and scales the states inside its own node instead of reading
-    ``states``. A node's cell is ``flat.bev_indices[pair_rows]``, distinct
-    within each query.
+    stored, and none is derived here: the edge stage
+    (``edge_focus.edge_focus_update``) gathers the nodes' states from
+    ``grid_states`` and scales them by ``scale`` inside its own node.
+    ``positions``, ``scale`` and ``edge_src`` are derived on each read. A
+    node's cell is ``flat.bev_indices[pair_rows]``, distinct within each query.
     """
 
     set_index: int
@@ -101,20 +101,6 @@ class GraphQuery:
         """(Q*n,) each node's state factor m_bev * alpha, as a tape node over ``alpha``."""
         return self.alpha * float(self.grid_states.data.shape[0])
 
-    @property
-    def states_raw(self) -> Array:
-        """(Q*n, d) unscaled features of the nodes, gathered from the grid's; kNN's input."""
-        return self.grid_states.data[self.pair_rows]
-
-    @property
-    def states(self) -> Tensor:
-        """(Q*n, d) node features scaled by m_bev * alpha, gathered and scaled on each read.
-
-        The gather and the scale are tape nodes, so a loss on this tensor
-        backprops into the grid's features and ``alpha``.
-        """
-        return scale_rows(gather_rows(self.grid_states, self.pair_rows), self.scale)
-
 
 def attention_scores(u: Tensor, states: Tensor) -> Tensor:
     """Softmax-normalized compatibility of global vectors with every cell.
@@ -131,23 +117,22 @@ def attention_scores(u: Tensor, states: Tensor) -> Tensor:
     return alpha if u.data.ndim == 2 else reshape(alpha, (m,))
 
 
-def select_nodes(alpha: Tensor, states: Tensor, flat: FlatPairs, n: int) -> GraphQuery:
+def select_nodes(alpha: Tensor, flat: FlatPairs, n: int) -> tuple[Array, Tensor]:
     """Pick the n highest-weight cells of each row of alpha; ties go to the lower BEV index.
 
     ``alpha`` is (m,) for one query or (Q, m) for Q. ``np.partition`` finds
     each row's n-th largest weight; only the cells at or above it, the picks
     and whatever ties the last of them, are sorted by (-alpha, BEV index), so
-    the rows come out in the order a sort of the whole row gives. The chunk
-    keeps the picks' pair rows, their weights (one gather of alpha) and a
-    reference to ``states``; no state is gathered or scaled here. Returns the
-    chunk's nodes as a query without edges (k = 0); ``init_graph_query``
-    numbers it and adds the kNN edges.
+    the rows come out in the order a sort of the whole row gives. Returns the
+    picks query-major as ``(pair_rows, weights)``: their (Q*n,) rows in the
+    grid's pair order and their (Q*n,) weights, one gather of alpha. No state
+    is gathered or scaled here.
     """
     m = alpha.data.shape[-1]
     if not 1 <= n <= m:
         raise ConfigError(f"node count {n} outside [1, {m}]")
-    if states.data.shape[0] != m or len(flat.bev_indices) != m:
-        raise ShapeError("alpha, states and flattened pairs disagree on cell count")
+    if len(flat.bev_indices) != m:
+        raise ShapeError("alpha and flattened pairs disagree on cell count")
     scores = alpha.data.reshape(-1, m)
     queries = scores.shape[0]
     kth = np.partition(scores, m - n, axis=1)[:, m - n]  # each row's n-th largest
@@ -157,18 +142,7 @@ def select_nodes(alpha: Tensor, states: Tensor, flat: FlatPairs, n: int) -> Grap
         raise InvalidInputError("selection weights contain NaN")
     order = np.lexsort((flat.bev_indices[col], -scores[row, col], row))
     pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(n)].reshape(-1)
-    return GraphQuery(
-        set_index=0,
-        query_index=0,
-        n_nodes=queries * n,
-        k=0,
-        grid_states=states,
-        grid_positions=flat.positions,
-        pair_rows=col[pick],
-        alpha=gather_rows(reshape(alpha, (queries * m,)), row[pick] * m + col[pick]),
-        edge_dst=np.empty(0, dtype=np.intp),
-        queries=queries,
-    )
+    return col[pick], gather_rows(reshape(alpha, (queries * m,)), row[pick] * m + col[pick])
 
 
 def build_knn_edges(features: Array, k: int) -> Array:
@@ -342,18 +316,17 @@ def init_graph_query(u: Tensor, states: Tensor, flat: FlatPairs,
     """Initialize a chunk of queries: scores, top-N sampling, one kNN build for the chunk.
 
     ``u`` is one global vector (d,) or the chunk's Q vectors (Q, d); query q
-    of the chunk is query ``query_index + q``. Returns the stacked chunk.
+    of the chunk is query ``query_index + q``. Returns the stacked chunk, built
+    once from ``select_nodes``' picks and their kNN edges.
     """
     n = spec.n_nodes(flat.m_bev)
     if spec.k >= n:
         raise ConfigError(
             f"set {set_index}: k={spec.k} >= n={n} sampled nodes (ratio {spec.ratio} of {flat.m_bev})")
-    nodes = select_nodes(attention_scores(u, states), states, flat, n)
-    return replace(
-        nodes,
-        set_index=set_index,
-        query_index=query_index,
-        k=spec.k,
-        # a transient gather: the chunk keeps the rows, not their features
-        edge_dst=build_knn_edges(nodes.states_raw.reshape(nodes.queries, n, -1), spec.k),
-    )
+    pair_rows, alpha = select_nodes(attention_scores(u, states), flat, n)
+    queries = len(pair_rows) // n
+    # kNN reads a transient gather of the raw features: the chunk keeps the rows
+    edge_dst = build_knn_edges(states.data[pair_rows].reshape(queries, n, -1), spec.k)
+    return GraphQuery(set_index=set_index, query_index=query_index, n_nodes=len(pair_rows),
+                      k=spec.k, grid_states=states, grid_positions=flat.positions,
+                      pair_rows=pair_rows, alpha=alpha, edge_dst=edge_dst, queries=queries)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, InvalidInputError, ShapeError
 
 Array = np.ndarray
 
@@ -46,7 +46,6 @@ class SceneSpec:
     boxes: tuple[ObjectBox, ...] = ()
     clutter_density: float = 0.0
     noise_amplitude: float = 0.0
-    cell_size: float = 0.5  # meters per cell, metadata only
     seed: int = 0
 
     def __post_init__(self):
@@ -76,7 +75,6 @@ class BevGrid:
     width: int
     d: int
     features: Array  # (height*width, d), row-major
-    cell_size: float = 0.5
 
     def __post_init__(self):
         if self.features.shape != (self.height * self.width, self.d):
@@ -149,7 +147,7 @@ def generate_scene(spec: SceneSpec) -> tuple[BevGrid, SceneTruth]:
     if spec.noise_amplitude > 0.0:
         features = features + spec.noise_amplitude * rng.standard_normal((m, d))
 
-    grid = BevGrid(spec.height, spec.width, d, features, spec.cell_size)
+    grid = BevGrid(spec.height, spec.width, d, features)
     truth = SceneTruth((object_ids >= 0).astype(np.float64), object_ids)
     return grid, truth
 
@@ -194,7 +192,12 @@ class FlatPairs:
         return self.states.shape[1]
 
     def reordered(self, perm: Array) -> "FlatPairs":
-        perm = np.asarray(perm, dtype=np.intp)
+        """The pairs in the order ``perm``; raises ``InvalidInputError`` unless ``perm`` is a
+        permutation of range(m_bev), so every cell keeps exactly one pair."""
+        perm = np.asarray(perm)
+        if (perm.dtype.kind not in "iu" or perm.shape != (self.m_bev,)
+                or not np.array_equal(np.sort(perm), np.arange(self.m_bev))):
+            raise InvalidInputError(f"pair order must be a permutation of range({self.m_bev})")
         return FlatPairs(self.states[perm], self.positions[perm], self.bev_indices[perm],
                          self.height, self.width)
 

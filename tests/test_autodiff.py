@@ -18,6 +18,7 @@ from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _b
 from gqn.edge_focus import update_nodes
 from gqn.errors import ConfigError, ContractError, InvalidInputError, ShapeError
 from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
+from chunk_states import node_states
 from split_mlp_node import split_mlp_node
 
 
@@ -522,8 +523,7 @@ def test_split_mlp_rejects_any_depth_but_two(widths):
     params = ParamStore(seed=0)
     params.register_mlp("node_mlp", MlpSpec(widths))
     with pytest.raises(ShapeError, match="exactly two layers"):
-        # update_nodes reads no field of the query
-        update_nodes(None, Tensor(np.ones((5, 3))), params, np.ones((5, 4)))
+        update_nodes(Tensor(np.ones((5, 3))), params, np.ones((5, 4)))
 
 
 def _layer_by_layer(params, name, a, b, rows, k):
@@ -714,16 +714,16 @@ def _config_specs(d):
 def _concat_edge_focus_update(query, params):
     """The edge stage as a chain of per-op nodes, with concatenated first layers and q and
     key projected separately."""
-    mlp, square = _config_specs(query.states.data.shape[1])
+    mlp, square = _config_specs(query.grid_states.data.shape[1])
     rel = Tensor(query.positions[query.edge_dst] - query.positions[query.edge_src])
-    neighbor = gather_rows(query.states, query.edge_dst)
+    neighbor = gather_rows(node_states(query), query.edge_dst)
     feats = mlp_forward(mlp, params, "edge_mlp", concat_cols([rel, neighbor]))
     scores = _rowdot(mlp_forward(square, params, "edge_q", feats),
                      mlp_forward(square, params, "edge_k", feats))
     beta = reshape(row_softmax(reshape(scores, (query.n_nodes, query.k))),
                    (query.n_nodes * query.k,))
     message = _mix_node(feats, beta, query.k)
-    return mlp_forward(mlp, params, "node_mlp", concat_cols([message, query.states]))
+    return mlp_forward(mlp, params, "node_mlp", concat_cols([message, node_states(query)]))
 
 
 def _concat_infuse_context(chunks, summaries, params, num_cells):

@@ -104,8 +104,10 @@ def test_run_malformed_json_exits_2(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
 
 
-def test_run_unknown_key_exits_2(tmp_path):
-    cfg = _write(tmp_path, {"scene": {"height": 8, "width": 8, "wat": 1}})
+@pytest.mark.parametrize("scene", [{"height": 8, "width": 8, "wat": 1}, {"cell_size": 0.5}],
+                         ids=["unknown-key", "cell_size"])
+def test_run_unknown_key_exits_2(tmp_path, scene):
+    cfg = _write(tmp_path, {"scene": scene})
     assert main(["run", "--config", cfg]) == 2
 
 
@@ -329,7 +331,7 @@ def test_run_echoes_the_parsed_config_in_schema_order(tmp_path, monkeypatch):
         '{"center": [3, 3], "extent": [2, 2], "signature": [0.5, -1.0, 0.25, 2.0]}, '
         '{"center": [8, 8], "extent": [3, 3], "signature": [-0.014800834925203787, '
         '-0.1257419760451306, 0.07244907521438626, 0.7131583402770965]}], '
-        '"clutter_density": 0.1, "noise_amplitude": 0.0, "cell_size": 0.5, "seed": 3}, '
+        '"clutter_density": 0.1, "noise_amplitude": 0.0, "seed": 3}, '
         '"gqn": {"d": 4, "context_steps": 1, "freq_base": 100.0, "sets": ['
         '{"queries": 2, "ratio": 0.1, "k": 2}, {"queries": 1, "ratio": 0.3, "k": 3}]}, '
         '"cost": {"m_bev_sweep": [256, 1024], "modes": ["indexed"], "full_k": 10, "d": 16, '
@@ -497,7 +499,6 @@ _DOC = st.fixed_dictionaries({
         "boxes": st.lists(_BOX, max_size=2),
         "clutter_density": st.floats(0.0, 1.0) | st.floats(-0.5, 1.5),
         "noise_amplitude": st.floats(0.0, 1e300),
-        "cell_size": st.floats(-1.0, 2.0),
         "seed": st.integers(-1, 2 ** 64),
     }),
 }, optional={

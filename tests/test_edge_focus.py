@@ -15,6 +15,7 @@ from gqn.errors import ContractError, ShapeError
 from gqn.pipeline import GqnConfig, init_params
 from gqn.query_init import GraphQuery, QuerySetSpec, build_knn_edges, init_graph_query
 from gqn.scene import SceneSpec, flatten_grid, generate_scene, sinusoidal_encoding
+from chunk_states import node_states
 from split_mlp_node import split_mlp_node
 
 
@@ -29,7 +30,7 @@ def _manual_query(states, positions, k):
         grid_states=Tensor(states), grid_positions=positions, pair_rows=np.arange(n),
         alpha=Tensor(np.full(n, 1.0 / n)), edge_dst=build_knn_edges(states, k),
     )
-    assert np.array_equal(query.states.data, states)
+    assert np.array_equal(node_states(query).data, states)
     return query
 
 
@@ -74,7 +75,7 @@ def test_edge_feature_hand_evaluation():
     positions = [[1.0, -1.0], [2.0, -2.0]]
     q = _manual_query(states, positions, 1)
     params = _edge_mlp_params(np.ones((4, 2)))
-    feats = edge_features(q, params, q.states.data)
+    feats = edge_features(q, params, node_states(q).data)
     # edge 0 -> 1 input is [p1 - p0 || x1] = [1, -1, 5, 5] -> 10; edge 1 -> 0 is [-1, 1, 2, 0] -> 2
     np.testing.assert_allclose(feats.data, [[10.0, 10.0], [2.0, 2.0]], atol=1e-12)
 
@@ -83,7 +84,7 @@ def test_edge_feature_zero_relpos_when_positions_coincide():
     q = _manual_query([[1.0, 2.0], [3.0, 4.0]], [[0.5, 0.5], [0.5, 0.5]], 1)
     # weights picking out the relative-position half only
     params = _edge_mlp_params(np.vstack([np.eye(2), np.zeros((2, 2))]))
-    feats = edge_features(q, params, q.states.data)
+    feats = edge_features(q, params, node_states(q).data)
     np.testing.assert_array_equal(feats.data, np.zeros((2, 2)))
 
 
@@ -92,7 +93,7 @@ def test_edge_feature_relpos_antisymmetric():
     # relu(r) and relu(-r) side by side, so their difference is the relative position r
     eye = np.eye(2)
     params = _edge_mlp_params(np.block([[eye, -eye], [np.zeros((2, 4))]]))
-    feats = edge_features(q, params, q.states.data).data
+    feats = edge_features(q, params, node_states(q).data).data
     rel = feats[:, :2] - feats[:, 2:]
     np.testing.assert_allclose(rel[0], -rel[1], atol=1e-15)  # p1-p0 vs p0-p1
     np.testing.assert_allclose(rel[0], [2.0, 4.0], atol=1e-15)
@@ -103,7 +104,7 @@ def test_edge_feature_width_mismatch():
     params = ParamStore(seed=0)
     params.register_mlp("edge_mlp", MlpSpec((6, 2, 2)))
     with pytest.raises(ShapeError):
-        edge_features(q, params, q.states.data)
+        edge_features(q, params, node_states(q).data)
 
 
 def test_edge_features_reject_a_one_layer_edge_mlp():
@@ -125,12 +126,12 @@ def test_edge_features_reject_a_one_layer_edge_mlp():
     for other in (MlpSpec((4, 2)), MlpSpec((4, 2, 2, 2))):
         params = stage_params(other, two)
         with pytest.raises(ShapeError, match="exactly two layers"):
-            edge_features(q, params, q.states.data)
+            edge_features(q, params, node_states(q).data)
         with pytest.raises(ShapeError, match="exactly two layers"):
             edge_focus_update(q, params)
         params = stage_params(two, other)
         with pytest.raises(ShapeError, match="exactly two layers"):
-            update_nodes(q, Tensor(np.ones((2, 2))), params, q.states.data)
+            update_nodes(Tensor(np.ones((2, 2))), params, node_states(q).data)
         with pytest.raises(ShapeError, match="exactly two layers"):
             edge_focus_update(q, params)
 
@@ -223,7 +224,7 @@ def test_update_single_edge_uses_its_feature():
     _passthrough_params(params, "node_mlp", 2, half=0)  # the message half
     for name in ("edge_q", "edge_k"):
         params.register_mlp(name, MlpSpec((2, 2)))
-    hidden = edge_features(q, params, q.states.data).data
+    hidden = edge_features(q, params, node_states(q).data).data
     feats = hidden @ params["edge_mlp/W1"].data + params["edge_mlp/b1"].data
     out = edge_focus_update(q, params)
     np.testing.assert_allclose(out.data, feats, atol=1e-15)
@@ -233,8 +234,9 @@ def test_update_passthrough_of_state_half_with_zero_edges():
     q = _manual_query([[1.0, 2.0], [3.0, 4.0]], np.zeros((2, 2)), 1)
     params = ParamStore(seed=0)
     _passthrough_params(params, "node_mlp", 2, half=1)  # the state half
-    out = update_nodes(q, Tensor(np.zeros((2, 2))), params, q.states.data)
-    np.testing.assert_allclose(out.data, q.states.data, atol=1e-15)
+    states = node_states(q).data
+    out = update_nodes(Tensor(np.zeros((2, 2))), params, states)
+    np.testing.assert_allclose(out.data, states, atol=1e-15)
 
 
 # ----------------------------------------------------------------------------
@@ -259,7 +261,7 @@ def test_composition_invariant_under_slot_relabeling():
         perm = rng.permutation(query.n_nodes)
         relabeled = replace(
             query, pair_rows=query.pair_rows[perm], alpha=Tensor(query.alpha.data[perm]),
-            edge_dst=build_knn_edges(query.states_raw[perm], query.k))
+            edge_dst=build_knn_edges(query.grid_states.data[query.pair_rows[perm]], query.k))
         out = edge_focus_update(relabeled, params).data
         assert np.array_equal(out, base[perm])  # identical multiset, relabeled rows
 
@@ -328,8 +330,8 @@ def _mix_node(t, w, k):
 
 def _per_stage_chain(query, params):
     """One tape node per stage of the folded form, built from the helpers the fused node runs,
-    after the gather and the scale of the chunk's states (``query.states``, read once)."""
-    n, k, states = query.n_nodes, query.k, query.states
+    after the gather and the scale of the chunk's states (``node_states``, built once)."""
+    n, k, states = query.n_nodes, query.k, node_states(query)
     hidden = _hidden_node(query, states, params)
     out_w, out_b = params["edge_mlp/W1"], params["edge_mlp/b1"]
     folds = [_fold_node(out_w, out_b, params[f"{name}/W0"], params[f"{name}/b0"])
@@ -349,7 +351,7 @@ def _unfolded_update(query, params):
     """The edge stage as written before the fold, one plain node per op: the edge MLP's
     output f = h W + b per edge, q and key projected from f, the per-node softmax,
     the message sum of beta * f, then the node MLP over [message || state]."""
-    n, k, states = query.n_nodes, query.k, query.states
+    n, k, states = query.n_nodes, query.k, node_states(query)
     d = states.data.shape[1]
     mlp, square = MlpSpec((2 * d, d, d)), MlpSpec((d, d))
     rel = Tensor(query.positions[query.edge_dst] - query.positions[query.edge_src])
@@ -437,22 +439,22 @@ def test_edge_focus_update_is_one_tape_node_that_keeps_only_its_inputs():
     assert sorted(map(id, arrays)) == sorted(
         map(id, (query.grid_positions, query.pair_rows, query.edge_dst)))
     # The stage functions it runs give values only.
-    states = query.states
+    states = node_states(query)
     hidden = edge_features(query, params, states.data)
-    nodes = update_nodes(query, Tensor(np.ones((query.n_nodes, 4))), params, states.data)
+    nodes = update_nodes(Tensor(np.ones((query.n_nodes, 4))), params, states.data)
     assert states.requires_grad
     assert hidden.data.shape == (edges, 4)
     assert not any(t.requires_grad or t._parents for t in (hidden, nodes))
 
 
-def test_edge_focus_update_reads_no_stored_or_derived_states(monkeypatch):
-    """The node gathers and scales the chunk's states itself, once in the forward and once
-    in the backward: neither pass reads ``GraphQuery.states`` or ``states_raw``."""
+def test_edge_focus_update_reads_no_stored_or_derived_states():
+    """The chunk has no states member, stored or derived: the node gathers and scales the
+    chunk's states itself, once in the forward and once in the backward, and the gradient
+    reaches u through them."""
     query, u = _toy_query(seed=7)
     params = _stage_params(4, seed=7)
     for name in ("states", "states_raw"):
-        monkeypatch.setattr(GraphQuery, name, property(lambda self, name=name: pytest.fail(
-            f"edge_focus_update read GraphQuery.{name}")))
+        assert not hasattr(GraphQuery, name) and not hasattr(query, name)
     sum_all(edge_focus_update(query, params)).backward()
     assert u.grad is not None and np.abs(u.grad).max() > 0.0
 
@@ -505,7 +507,7 @@ def _tied_query(d=4, k=3):
 def test_fused_gather_and_scale_match_the_gather_scale_chain_bit_for_bit(leaf_alpha):
     """With grid features that require grad, the gradients into the grid, alpha and u, and
     every weight's, equal those of ``gather_rows``, then ``scale_rows``, then the edge
-    stage as a chain of per-stage nodes (``_per_stage_chain`` reads ``query.states``, which
+    stage as a chain of per-stage nodes (``_per_stage_chain`` builds ``node_states``, which
     is that gather and scale), byte for byte. With ``alpha`` a leaf its own gradient shows;
     without, alpha's gradient reaches u."""
     results = []
@@ -523,20 +525,20 @@ def test_fused_gather_and_scale_match_the_gather_scale_chain_bit_for_bit(leaf_al
 
 
 def test_derived_states_backprop_into_the_grid_alpha_and_u():
-    """``query.states`` is the gather of the chunk's rows scaled by m_bev * alpha, built
-    anew on each read, and a loss on it backprops into the grid's features, alpha and u."""
+    """``node_states`` is the gather of the chunk's rows scaled by m_bev * alpha, and a loss
+    on it backprops into the grid's features, alpha and u."""
     query, features, u = _tied_query()
     m, rows = features.data.shape[0], query.pair_rows
     scale = query.alpha.data * float(m)
-    assert query.states is not query.states
-    assert query.states.data.tobytes() == (features.data[rows] * scale[:, None]).tobytes()
-    sum_all(query.states).backward()
+    states = node_states(query)
+    assert states.data.tobytes() == (features.data[rows] * scale[:, None]).tobytes()
+    sum_all(states).backward()
     assert u.grad is not None and np.abs(u.grad).max() > 0.0
     # with alpha a leaf, the grid's gradient is the gather's alone, and alpha's is the
     # scale's, (g * raw).sum(1) times m_bev
     features.grad = None
     leaf = replace(query, alpha=Tensor(query.alpha.data, requires_grad=True))
-    sum_all(leaf.states).backward()
+    sum_all(node_states(leaf)).backward()
     expected = np.zeros_like(features.data)
     np.add.at(expected, rows, np.ones_like(features.data[rows]) * scale[:, None])
     assert features.grad.tobytes() == expected.tobytes()

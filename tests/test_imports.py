@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every top-level
-function and public class of the library is referenced somewhere in it, and no
-private function takes a parameter that every call site fixes to one literal."""
+function and public class of the library is referenced somewhere in it, no
+private function takes a parameter that every call site fixes to one literal,
+and no function takes a parameter it never reads."""
 
 import ast
 from pathlib import Path
@@ -106,6 +107,15 @@ def _passed(call: ast.Call, i: int, name: str, n_positional: int, defaults: dict
     return defaults.get(name)
 
 
+def _escaped(trees) -> set:
+    """Names mentioned other than as the callee of a call: a table entry, a callback."""
+    escaped = set()
+    for tree in trees:
+        callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        escaped.update(_callee(node) for node in ast.walk(tree) if id(node) not in callees)
+    return escaped
+
+
 def _constant_arguments(sources: dict[str, str]) -> list[str]:
     """Parameters of private top-level functions that every call site in ``sources`` passes
     as the same bool, None or number literal, a default counting as passed.
@@ -114,18 +124,15 @@ def _constant_arguments(sources: dict[str, str]) -> list[str]:
     callback) has call sites this cannot see, and is skipped. String literals
     do not count: a label that every site passes names the site, not a setting.
     """
-    defs, calls, escaped = {}, {}, set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defs, calls = {}, {}
+    for module, tree in trees.items():
         defs.update((node.name, (module, node)) for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name.startswith("_"))
-        callees = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 calls.setdefault(_callee(node.func), []).append(node)
-                callees.add(id(node.func))
-        escaped.update(_callee(node) for node in ast.walk(tree) if id(node) not in callees)
-    found = []
+    escaped, found = _escaped(trees.values()), []
     for name, (module, fn) in defs.items():
         if name in escaped or name not in calls:
             continue
@@ -159,3 +166,44 @@ def test_constant_argument_is_reported():
     }
     # a string, a callee in a table and an argument a star may carry are not reported
     assert _constant_arguments(sources) == ["ops._scale(clip)", "ops._scale(factor)"]
+
+
+def _ignored_parameters(sources: dict[str, str]) -> list[str]:
+    """Parameters, ``self`` and ``cls`` aside, that their function's body never reads.
+
+    Every function counts, methods and nested functions too, except one
+    mentioned other than as a callee: its signature may be fixed by whoever
+    calls it (a table of parsers, a callback), which this cannot see.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    escaped, found = _escaped(trees.values()), []
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name in escaped:
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            found += [f"{module}.{fn.name}({p.arg})" for p in params
+                      if p.arg not in ("self", "cls") and p.arg not in read]
+    return sorted(found)
+
+
+def test_no_function_ignores_a_parameter():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _ignored_parameters(sources) == []
+
+
+def test_ignored_parameter_is_reported():
+    sources = {
+        "ops": "def scale(x, factor, *args, clip=None, **kw):\n    factor = 2\n    return x\n\n"
+               "def _parse(text, path):\n    return text\n\nTABLE = {'p': _parse}\n\n"
+               "class Box:\n    def area(self, unit):\n        def inner(y):\n"
+               "            return 1\n        return inner(unit)\n",
+        "user": "from .ops import scale\n\ndef main(x):\n    return scale(x, 1), Box().area(x)\n",
+    }
+    # a parameter only assigned is not read; a function in a table is not reported
+    assert _ignored_parameters(sources) == ["ops.inner(y)", "ops.scale(args)", "ops.scale(clip)",
+                                            "ops.scale(factor)", "ops.scale(kw)"]

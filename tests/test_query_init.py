@@ -12,6 +12,7 @@ from gqn.pipeline import GqnConfig, init_params, run_gqn
 from gqn.query_init import (QuerySetSpec, attention_scores, build_knn_edges, init_graph_query,
                             select_nodes)
 from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
+from chunk_states import node_states
 
 
 def _flat(h=6, w=6, d=4, seed=0, noise=0.3):
@@ -69,22 +70,22 @@ def test_scores_sum_to_one_and_differentiable_wrt_u():
 def test_select_all_nodes_when_n_equals_m():
     flat = _flat()
     alpha = attention_scores(Tensor(np.zeros(4)), Tensor(flat.states))
-    sel = select_nodes(alpha, Tensor(flat.states), flat, 36)
-    assert sorted(_cells(flat, sel)) == list(range(36))
+    rows, _ = select_nodes(alpha, flat, 36)
+    assert sorted(flat.bev_indices[rows]) == list(range(36))
 
 
 def test_select_top1():
     flat = _flat(h=1, w=3, d=4)
     alpha = Tensor(np.array([0.1, 0.5, 0.4]))
-    sel = select_nodes(alpha, Tensor(flat.states), flat, 1)
-    assert list(_cells(flat, sel)) == [1]
+    rows, _ = select_nodes(alpha, flat, 1)
+    assert list(flat.bev_indices[rows]) == [1]
 
 
 def test_select_tie_breaks_to_lower_bev_index():
     flat = _flat(h=1, w=3, d=4)
     alpha = Tensor(np.array([0.4, 0.4, 0.2]))
-    sel = select_nodes(alpha, Tensor(flat.states), flat, 1)
-    assert list(_cells(flat, sel)) == [0]
+    rows, _ = select_nodes(alpha, flat, 1)
+    assert list(flat.bev_indices[rows]) == [0]
 
 
 @pytest.mark.parametrize("levels", [2, 5, 0], ids=["two-values", "five-values", "distinct"])
@@ -95,37 +96,38 @@ def test_select_matches_a_sort_of_each_whole_row(levels):
     rng = np.random.default_rng(levels)
     scores = rng.random((4, 36)) if not levels else rng.integers(0, levels, (4, 36)) / levels
     for n in (1, 5, 17, 35, 36):
-        sel = select_nodes(Tensor(scores), Tensor(flat.states), flat, n)
+        rows, weights = select_nodes(Tensor(scores), flat, n)
         ref = np.lexsort((np.broadcast_to(flat.bev_indices, scores.shape), -scores),
                          axis=-1)[:, :n]
-        assert np.array_equal(sel.pair_rows, ref.reshape(-1))
-        assert np.array_equal(sel.alpha.data, np.take_along_axis(scores, ref, 1).reshape(-1))
+        assert np.array_equal(rows, ref.reshape(-1))
+        assert np.array_equal(weights.data, np.take_along_axis(scores, ref, 1).reshape(-1))
 
 
 def test_select_rejects_nan_weights():
     flat = _flat(h=1, w=3, d=4)
     with pytest.raises(InvalidInputError, match="NaN"):
-        select_nodes(Tensor(np.array([0.5, np.nan, 0.4])), Tensor(flat.states), flat, 2)
+        select_nodes(Tensor(np.array([0.5, np.nan, 0.4])), flat, 2)
 
 
 def test_select_rejects_oversized_n():
     flat = _flat()
     alpha = Tensor(np.full(36, 1 / 36))
     with pytest.raises(ConfigError):
-        select_nodes(alpha, Tensor(flat.states), flat, 37)
+        select_nodes(alpha, flat, 37)
 
 
 def test_selected_set_invariant_under_pair_permutation():
     flat = _flat(seed=7)
     u = Tensor(np.random.default_rng(1).standard_normal(4))
-    base = select_nodes(attention_scores(u, Tensor(flat.states)), Tensor(flat.states), flat, 9)
+    base, base_weights = select_nodes(attention_scores(u, Tensor(flat.states)), flat, 9)
     rng = np.random.default_rng(2)
     for _ in range(10):
         shuffled = flat.reordered(rng.permutation(flat.m_bev))
-        sel = select_nodes(attention_scores(u, Tensor(shuffled.states)),
-                           Tensor(shuffled.states), shuffled, 9)
-        assert np.array_equal(_cells(shuffled, sel), _cells(flat, base))
-        assert np.array_equal(sel.states.data, base.states.data)
+        rows, weights = select_nodes(attention_scores(u, Tensor(shuffled.states)), shuffled, 9)
+        assert np.array_equal(shuffled.bev_indices[rows], flat.bev_indices[base])
+        # the same states and weights, so the same scaled states
+        assert np.array_equal(shuffled.states[rows], flat.states[base])
+        assert np.array_equal(weights.data, base_weights.data)
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.3], ids=["ties", "noisy"])
@@ -151,9 +153,9 @@ def test_edge_targets_invariant_under_pair_permutation(noise):
 def test_selection_scaling_carries_gradient_to_u():
     flat = _flat(seed=11)
     u = Tensor(np.random.default_rng(3).standard_normal(4), requires_grad=True)
-    alpha = attention_scores(u, Tensor(flat.states))
-    sel = select_nodes(alpha, Tensor(flat.states), flat, 5)
-    sum_all(sel.states).backward()
+    query = init_graph_query(u, Tensor(flat.states), flat, 0, 0, QuerySetSpec(1, 5 / 36, 1))
+    assert query.n_nodes == 5
+    sum_all(node_states(query)).backward()
     assert np.linalg.norm(u.grad) > 0.0
 
 
@@ -305,7 +307,8 @@ def test_knn_matches_reference_on_reference_forward_states():
         n = chunk.n_nodes // chunk.queries
         edges = n * chunk.k
         for q in range(chunk.queries):
-            ref_src, ref_dst = _knn_reference(chunk.states_raw[q * n:(q + 1) * n], chunk.k)
+            raw = chunk.grid_states.data[chunk.pair_rows[q * n:(q + 1) * n]]
+            ref_src, ref_dst = _knn_reference(raw, chunk.k)
             assert np.array_equal(chunk.edge_src[q * edges:(q + 1) * edges] - q * n, ref_src)
             assert np.array_equal(chunk.edge_dst[q * edges:(q + 1) * edges] - q * n, ref_dst)
 
@@ -435,10 +438,10 @@ def test_init_graph_query_chunk_stacks_single_queries():
     assert (chunk.set_index, chunk.query_index) == (1, 7)
     for q, single in enumerate(singles):
         rows, edges = slice(q * n, (q + 1) * n), slice(q * n * k, (q + 1) * n * k)
-        for field in ("pair_rows", "positions", "states_raw"):
+        for field in ("pair_rows", "positions"):
             assert np.array_equal(getattr(chunk, field)[rows], getattr(single, field))
         assert np.array_equal(chunk.alpha.data[rows], single.alpha.data)
-        assert np.array_equal(chunk.states.data[rows], single.states.data)
+        assert np.array_equal(node_states(chunk).data[rows], node_states(single).data)
         assert np.array_equal(chunk.edge_src[edges], single.edge_src + q * n)
         assert np.array_equal(chunk.edge_dst[edges], single.edge_dst + q * n)
 
@@ -463,7 +466,7 @@ def test_init_graph_query_builds_knn_once_per_chunk(monkeypatch):
 
 def test_chunk_keeps_no_copy_of_its_rows():
     # no field holds a float (Q*n, d) array: the chunk keeps the grid's features and
-    # encodings, shared, and derives its states and positions from its rows
+    # encodings, shared, and derives its positions from its rows
     flat = _flat(h=8, w=8, d=4, seed=7)
     flat = flat.reordered(np.random.default_rng(3).permutation(flat.m_bev))
     grid = Tensor(flat.states)
@@ -475,7 +478,8 @@ def test_chunk_keeps_no_copy_of_its_rows():
         if isinstance(array, np.ndarray) and array.dtype.kind == "f":
             assert array.shape != (chunk.n_nodes, 4), field.name
     assert chunk.grid_states is grid and chunk.grid_positions is flat.positions
-    assert np.array_equal(chunk.states_raw, flat.to_grid_order(flat.states)[_cells(flat, chunk)])
+    assert np.array_equal(grid.data[chunk.pair_rows],
+                          flat.to_grid_order(flat.states)[_cells(flat, chunk)])
     assert np.array_equal(chunk.positions, flat.to_grid_order(flat.positions)[_cells(flat, chunk)])
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gqn.errors import ConfigError, ShapeError
+from gqn.errors import ConfigError, InvalidInputError, ShapeError
 from gqn.scene import (BevGrid, ObjectBox, SceneSpec, demo_boxes, flatten_grid, generate_scene,
                        grid_to_csv, sinusoidal_encoding, unflatten)
 
@@ -137,6 +137,17 @@ def test_flatten_roundtrip_bitexact():
     assert np.array_equal(unflatten(flat).features, grid.features)
     perm = np.random.default_rng(0).permutation(flat.m_bev)
     assert np.array_equal(unflatten(flat.reordered(perm)).features, grid.features)
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 1, 2], [1, 2], [0, 1, 2, 4], [0.0, 1.0, 2.0, 3.0]],
+                         ids=["repeated-cell", "too-short", "out-of-range", "float"])
+def test_reordered_rejects_anything_but_a_permutation(perm):
+    """A repeated cell would leave another cell of ``unflatten`` unwritten (uninitialised
+    memory), a short order would keep fewer pairs than m_bev, and a float order would be
+    truncated to indices; all are rejected."""
+    _, _, flat = _toy_flat(h=2, w=2)
+    with pytest.raises(InvalidInputError, match="permutation"):
+        flat.reordered(perm)
 
 
 def test_pair_k_carries_cell_k():
