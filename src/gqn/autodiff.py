@@ -19,8 +19,8 @@ A ``Tensor`` wraps an ndarray together with the closure that maps its output
 gradient back onto its parents; graphs are built define-by-run. One MLP layer
 is one tape node: ``linear`` fuses the product, the bias and the ReLU and
 keeps only its output. The private array helpers (``_split_linear``, a first
-layer split per node with its ReLU, ``_dense`` and their gradients,
-``_split_mlp_grads``, ``_bilinear_scores`` and its gradients,
+layer split per node with its ReLU, ``_dense`` and their gradients, the ReLU
+mask ``_zero_unless_positive``, ``_bilinear_scores`` and its gradients,
 ``_row_softmax``, ``_segment_mix``, ``_cell_scale``, ``_scatter_add``) are
 forward and backward pieces with no tape of their own; the edge stage
 (``edge_focus.edge_focus_update``) composes them into one node per query
@@ -35,12 +35,18 @@ contribution to a parent that does not require grad; the small generic ops
 operand's product themselves. The ReLU runs in place as ``np.fmax(out,
 0.0)`` followed by ``out += 0.0``, which gives the bits of a masked copy (NaN
 and -0.0 become +0.0) in two plain passes; the split edge layer clears -0.0
-per node before its gather and needs only the first. Inside ``no_grad()`` nothing is
-recorded. ``backward`` frees the graph as it goes: once a node has propagated,
-its gradient, parents and closure are dropped, so a graph can be swept once
-and only leaves keep a ``.grad``. A parent's first contribution enters its
-gradient as ``contribution + 0.0``, a fresh array, and later ones are added to
-it in the order the sweep reaches them. Ops take exact shapes and never
+per node before its gather and needs only the first. Inside ``no_grad()``
+nothing is recorded. ``backward`` frees the graph as it goes: once a node has
+propagated, its gradient, parents and closure are dropped, so a graph can be
+swept once and only leaves keep a ``.grad``. A parent's first contribution
+enters its gradient as ``contribution + 0.0``, a fresh array, and later ones
+are added to it in the order the sweep reaches them, so no other node holds
+the gradient a closure gets. Each ReLU's backward therefore masks in place,
+with ``_zero_unless_positive`` (the bytes of ``np.where(out > 0, g, 0.0)``),
+before the gradient helpers: ``linear`` and infusion mask the gradient they
+get, and the fused nodes' other masks act on arrays they have just made
+(``gh``, ``g @ W1ᵀ``, ``g_mean[cells]``). A change that skips that copy must
+keep each node's gradient unshared. Ops take exact shapes and never
 broadcast: ``add``, ``sub`` and ``mul`` need two equal shapes, and any shape
 that does not fit raises ``ShapeError``. Tensors are treated as immutable once
 created; the sanctioned exceptions are leaf parameters, whose ``data`` may be
@@ -106,8 +112,8 @@ class Tensor:
             for parent, contrib in zip(node._parents, node._backprop(node.grad)):
                 if contrib is None or not parent.requires_grad:
                     continue
-                # contrib may be a view of node.grad, so the first one is copied
-                # (adding 0.0 also maps -0.0 to +0.0, as adding it to zeros did)
+                # contrib may be node.grad or a view of it, so the first one is copied and no
+                # two nodes share a gradient (adding 0.0 also maps -0.0 to +0.0)
                 parent.grad = contrib + 0.0 if parent.grad is None else parent.grad + contrib
             node.grad, node._parents, node._backprop = None, (), None
 
@@ -261,14 +267,21 @@ def _dense(x: Array, w: Array, b: Array, relu: bool) -> Array:
     return out
 
 
-def _dense_grads(g: Array, x: Array, w: Array, out: Array | None) -> tuple:
-    """Gradients of ``_dense`` for ``x``, ``w`` and ``b``.
+def _zero_unless_positive(g: Array, x: Array) -> Array:
+    """Zero ``g`` in place where ``x`` (g's shape, or a (rows, 1) column) is not > 0; return it.
 
-    ``out`` is the layer's output when it applied ReLU, None otherwise; the
-    mask is rebuilt from ``out > 0``.
+    The bytes of ``np.where(x > 0, g, 0.0)``, NaN, ±inf and -0.0 included: ``x > 0`` as
+    int8, negated, is 0 or -1 (all bits set), and ANDed with g's int64 bits it keeps an
+    entry or clears it to +0.0. No float array is made; ``g`` must be the caller's own.
     """
-    if out is not None:
-        g = np.where(out > 0.0, g, 0.0)
+    keep = np.greater(x, 0.0).view(np.int8)
+    np.negative(keep, out=keep)
+    np.bitwise_and(g.view(np.int64), keep, out=g.view(np.int64))
+    return g
+
+
+def _dense_grads(g: Array, x: Array, w: Array) -> tuple:
+    """Gradients of ``_dense`` for ``x``, ``w`` and ``b``; a ReLU's mask is the caller's."""
     return g @ w.T, x.T @ g, g.sum(axis=0)
 
 
@@ -277,15 +290,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
     The bias and the ReLU act in place on the product, so the layer keeps only
     its output. ReLU maps every entry that is not > 0 (-0.0 and NaN included)
-    to +0.0; its backward rebuilds the mask from ``out > 0``.
+    to +0.0; its backward zeroes the gradient where ``out`` is not > 0.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"linear mismatch {x.data.shape} @ {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"linear bias {b.data.shape} vs {w.data.shape[1]} outputs")
     out = _dense(x.data, w.data, b.data, relu)
-    return _make(out, (x, w, b),
-                 lambda g: _dense_grads(g, x.data, w.data, out if relu else None))
+    return _make(out, (x, w, b), lambda g: _dense_grads(
+        _zero_unless_positive(g, out) if relu else g, x.data, w.data))
 
 
 def _split_linear(a: Array, b: Array, w: Array, bias: Array, rows: Array | None, k: int) -> Array:
@@ -326,16 +339,14 @@ def _split_linear(a: Array, b: Array, w: Array, bias: Array, rows: Array | None,
     return out
 
 
-def _split_linear_grads(g: Array, a: Array, b: Array, w: Array, rows: Array | None, k: int,
-                        out: Array | None) -> tuple:
-    """Gradients of ``_split_linear`` for ``a``, ``b``, ``w`` and ``bias``, as ``_dense_grads``.
+def _split_linear_grads(g: Array, a: Array, b: Array, w: Array, rows: Array | None,
+                        k: int) -> tuple:
+    """Gradients of ``_split_linear`` for ``a``, ``b``, ``w`` and ``bias``, from a masked ``g``.
 
     The gathered rows scatter back with one weighted ``np.bincount`` over the
     flat index ``rows * d_out + column``: each entry adds its terms left to
     right from +0.0 in row order, the bits of ``np.add.at`` into zeros.
     """
-    if out is not None:
-        g = np.where(out > 0.0, g, 0.0)
     (n, d_a), (m, d_out) = a.shape, (b.shape[0], w.shape[1])
     if rows is None:
         gc = g
@@ -732,18 +743,6 @@ def _check_split_mlp(name: str, a: Array, b: Array, layers: list[tuple[Array, Ar
                          f"{n} rows of a, {m} of b, k={k}")
     if w1.shape[0] != w0.shape[1] or b1.shape != (w1.shape[1],):
         raise ShapeError(f"split MLP {name!r} layers {w0.shape} then {w1.shape} + {b1.shape}")
-
-
-def _split_mlp_grads(g: Array, a: Array, b: Array, layers: list[tuple[Array, Array]],
-                     hidden: Array) -> tuple:
-    """Gradients of a split MLP over ``[a || b]`` for ``(a, b, W0, b0, W1, b1)``.
-
-    ``hidden`` is the first layer's output after the ReLU; each layer
-    backprops with the expressions of ``linear``.
-    """
-    (w0, _), (w1, _) = layers
-    g, gw1, gb1 = _dense_grads(g, hidden, w1, None)
-    return _split_linear_grads(g, a, b, w0, None, 0, hidden) + (gw1, gb1)
 
 
 def register_attention(params: ParamStore, name: str, d: int) -> None:

@@ -234,6 +234,8 @@ def load_settings(config_path: str | None, seed_flag: int | None,
 
     train = config["train"] = _fields(config["train"], {
         "steps": (_int, 200), "learning_rate": (_float, 0.01)}, "config.train")
+    if train["steps"] < 0:
+        raise ConfigError(f"config.train.steps must be at least 0, got {train['steps']}")
     if train["learning_rate"] <= 0.0:
         raise ConfigError(f"config.train.learning_rate must be positive, got "
                           f"{train['learning_rate']}")

@@ -42,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import (ParamStore, Tensor, _cell_scale, _check_split_mlp, _dense, _make,
-                       _scatter_add, _split_linear, _split_linear_grads, max_rows,
-                       self_attention_layer)
+                       _scatter_add, _split_linear, _split_linear_grads,
+                       _zero_unless_positive, max_rows, self_attention_layer)
 from .errors import ConfigError, ContractError, ShapeError
 
 Array = np.ndarray
@@ -82,9 +82,9 @@ def infuse_context(chunks: Sequence[tuple[Array, Tensor, Sequence[int]]], summar
     per chunk (``_split_linear``), and each chunk's rows are added into their
     cells as soon as they are computed (``_scatter_add``), so each cell adds
     its rows in query order; the output layer runs on the means (see the
-    module docstring). The node keeps its
-    inputs, the (num_cells,) scale and its map; no (Q*n, d) array outlives
-    its chunk, in the forward or in the backward's recompute.
+    module docstring). The node keeps its inputs, the (num_cells,) scale and
+    its map; no (Q*n, d) array outlives its chunk, in the forward or in the
+    backward's recompute.
     """
     if not chunks:
         raise ContractError("a set map needs at least one query chunk")
@@ -112,7 +112,7 @@ def infuse_context(chunks: Sequence[tuple[Array, Tensor, Sequence[int]]], summar
         return _split_linear(parents[i].data, summaries.data, w0.data, b0.data, node_rows[i], 0)
 
     def backprop(g):
-        g = np.where(scale[:, None] > 0.0, g, 0.0)  # an uncovered cell is a constant zero
+        _zero_unless_positive(g, scale[:, None])  # an uncovered cell is a constant zero
         g_mean = g @ w1.data.T
         g_mean *= scale[:, None]
         mean = np.zeros((num_cells, w0.data.shape[1]))
@@ -120,8 +120,9 @@ def infuse_context(chunks: Sequence[tuple[Array, Tensor, Sequence[int]]], summar
         for i, cells in enumerate(node_cells):
             h = hidden(i)
             _scatter_add(mean, cells, h)
-            g_nodes, *rest = _split_linear_grads(g_mean[cells], parents[i].data, summaries.data,
-                                                 w0.data, node_rows[i], 0, h)
+            g_nodes, *rest = _split_linear_grads(_zero_unless_positive(g_mean[cells], h),
+                                                 parents[i].data, summaries.data, w0.data,
+                                                 node_rows[i], 0)
             node_grads.append(g_nodes)
             if sums is None:
                 sums = rest

@@ -81,7 +81,7 @@ import numpy as np
 from .autodiff import (ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
                        _check_split_mlp, _dense, _dense_grads, _make, _row_softmax,
                        _row_softmax_grad, _segment_mix, _segment_mix_grads, _split_linear,
-                       _split_linear_grads, _split_mlp_grads)
+                       _split_linear_grads, _zero_unless_positive)
 from .errors import ContractError, ShapeError
 from .query_init import GraphQuery
 
@@ -209,19 +209,21 @@ def edge_focus_update(query: GraphQuery, params: ParamStore) -> Tensor:
         states = raw * scale.data[:, None]
         h, fold = _split_linear(positions, states, w0, b0, rows, k), folded()
         beta, mix, message = mix_and_message(h, fold)
-        # the node MLP's hidden layer goes in unnamed, so it is freed with the call
-        node_grads = _split_mlp_grads(g, message, states, node_arrays,
-                                      _split_linear(message, states, *node_arrays[0], None, 0))
-        gmix, gw_out, gb_out = _dense_grads(node_grads[0], mix, out_w, None)
+        node_h = _split_linear(message, states, *node_arrays[0], None, 0)
+        g_node_h, gw1, gb1 = _dense_grads(g, node_h, node_arrays[1][0])
+        node_grads = _split_linear_grads(_zero_unless_positive(g_node_h, node_h), message,
+                                         states, node_arrays[0][0], None, 0) + (gw1, gb1)
+        del node_h, g_node_h  # freed before the per-edge gradients are made
+        gmix, gw_out, gb_out = _dense_grads(node_grads[0], mix, out_w)
         gh, gbeta = _segment_mix_grads(gmix, h, beta, k)
         gscores = _row_softmax_grad(gbeta.reshape(n, k), beta.reshape(n, k)).reshape(n * k)
         gx, gwq, gbq, gwk, gbk = _bilinear_score_grads(gscores, h, *fold)
         q_grads = _fold_grads(gwq, gbq, out_w, out_b, wq)
         k_grads = _fold_grads(gwk, gbk, out_w, out_b, wk)
         gh += gx
-        np.copyto(gh, 0.0, where=~(h > 0.0))  # the edge ReLU's mask, in gh's own array
+        _zero_unless_positive(gh, h)
         del gx, h  # two (n*k, d) arrays the edge layer's gradient does not read
-        edge_grads = _split_linear_grads(gh, positions, states, w0, rows, k, None)
+        edge_grads = _split_linear_grads(gh, positions, states, w0, rows, k)
         # the states' gradient adds the node MLP's part, then the edge MLP's, as
         # a chain of one node per stage would; it reaches the scale and the grid
         # as it would through ``scale_rows`` and ``gather_rows``

@@ -164,11 +164,7 @@ def init_params(config: GqnConfig, m_bev: int) -> ParamStore:
 def skip_fuse(states: Tensor, set_maps: Sequence[Tensor], enc: Tensor, params: ParamStore,
               spec: MlpSpec) -> Tensor:
     """Per-cell skip MLP over [input state || set maps || encoding], concatenated once."""
-    parts = [states, *set_maps, enc]
-    width = sum(part.data.shape[1] for part in parts)
-    if spec.widths[0] != width:
-        raise ShapeError(f"skip MLP expects width {spec.widths[0]}, composed input is {width}")
-    return mlp_forward(spec, params, "mlp1", concat_cols(parts))
+    return mlp_forward(spec, params, "mlp1", concat_cols([states, *set_maps, enc]))
 
 
 def fusion_weights(graph_map: Tensor, global_map: Tensor, params: ParamStore,

@@ -91,7 +91,6 @@ class PosEncoding:
     width: int
     d: int
     values: Array  # (height*width, d), all entries in [-1, 1]
-    base: float
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ def sinusoidal_encoding(height: int, width: int, d: int, base: float = 100.0) ->
         phase = pos[:, None] / inv[None, :]
         enc[:, offset:offset + half:2] = np.sin(phase)
         enc[:, offset + 1:offset + half:2] = np.cos(phase)
-    return PosEncoding(height, width, d, enc, base)
+    return PosEncoding(height, width, d, enc)
 
 
 def generate_scene(spec: SceneSpec) -> tuple[BevGrid, SceneTruth]:

@@ -9,7 +9,7 @@ layer-by-layer chain, use this node for the MLP.
 import numpy as np
 
 from gqn.autodiff import (ParamStore, Tensor, _dense, _dense_grads, _make, _split_linear,
-                          _split_linear_grads)
+                          _split_linear_grads, _zero_unless_positive)
 
 
 def split_mlp_node(params: ParamStore, name: str, a: Tensor, b: Tensor, rows=None,
@@ -19,8 +19,9 @@ def split_mlp_node(params: ParamStore, name: str, a: Tensor, b: Tensor, rows=Non
 
     The first layer runs as ``_split_linear`` (with its ReLU), the output layer
     as ``_dense``. The backward recomputes the hidden layer with the forward's
-    call, as the fused nodes do, then composes ``_dense_grads`` and
-    ``_split_linear_grads``; the hidden gradient goes on without adding 0.0.
+    call, as the fused nodes do, then composes ``_dense_grads``, the ReLU's
+    mask (``_zero_unless_positive``) and ``_split_linear_grads``; the hidden
+    gradient goes on without adding 0.0.
     """
     rows = None if rows is None else np.asarray(rows, dtype=np.intp)
     (w0, b0), (w1, b1) = params.layers(name)
@@ -30,8 +31,9 @@ def split_mlp_node(params: ParamStore, name: str, a: Tensor, b: Tensor, rows=Non
 
     def backprop(g):
         h = hidden()
-        g, gw1, gb1 = _dense_grads(g, h, w1.data, None)
-        return _split_linear_grads(g, a.data, b.data, w0.data, rows, k, h) + (gw1, gb1)
+        g, gw1, gb1 = _dense_grads(g, h, w1.data)
+        return (_split_linear_grads(_zero_unless_positive(g, h), a.data, b.data, w0.data, rows, k)
+                + (gw1, gb1))
 
     return _make(_dense(hidden(), w1.data, b1.data, relu=False), (a, b, w0, b0, w1, b1),
                  backprop)

@@ -11,10 +11,11 @@ from gqn import pipeline
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
                           _cell_scale, _check_split_mlp, _make, _relu_inplace, _scatter_add,
                           _segment_mix, _segment_mix_grads, _split_linear, _split_linear_grads,
-                          _toposort, add, attn_mix, backward, concat_cols, concat_rows,
-                          gather_rows, grad_check, grad_check_groups, linear, matmul_nt,
-                          matvec_rows, max_rows, mlp_forward, mul, no_grad, register_attention,
-                          reshape, row_softmax, scale_rows, self_attention_layer, sub, sum_all)
+                          _toposort, _zero_unless_positive, add, attn_mix, backward, concat_cols,
+                          concat_rows, gather_rows, grad_check, grad_check_groups, linear,
+                          matmul_nt, matvec_rows, max_rows, mlp_forward, mul, no_grad,
+                          register_attention, reshape, row_softmax, scale_rows,
+                          self_attention_layer, sub, sum_all)
 from gqn.edge_focus import update_nodes
 from gqn.errors import ConfigError, ContractError, InvalidInputError, ShapeError
 from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
@@ -432,7 +433,7 @@ def _split_first_layer(mode, a, b, w, bias, rows, relu):
     out = (_split_linear if relu else _split_pre_activation)(a.data, b.data, w.data, bias.data,
                                                              rows, k)
     return _make(out, (a, b, w, bias), lambda g: _split_linear_grads(
-        g, a.data, b.data, w.data, rows, k, out if relu else None))
+        _zero_unless_positive(g, out) if relu else g, a.data, b.data, w.data, rows, k))
 
 
 def _assert_close(got, ref, rel):
@@ -704,6 +705,44 @@ def test_relu_maps_every_special_value_like_the_masked_copy_in_every_position(le
         out = pre.copy()
         _relu_inplace(out)
         assert _bits(out) == _bits(_masked_relu(pre))
+
+
+@pytest.mark.parametrize("column", [False, True], ids=["full", "column"])
+def test_zero_unless_positive_matches_np_where_byte_for_byte(column):
+    """Each special value of ``g`` (NaN of either sign, ±inf, ±0.0, subnormals) meets each
+    of ``x``, for a mask of ``g``'s shape and for a broadcast (rows, 1) one."""
+    values = np.concatenate([_RELU_SPECIALS, [1.0, -2.5]])
+    n = len(values)
+    g = np.tile(values, (n, 1))  # g[i, j] = values[j]
+    x = values[:, None] if column else g.T.copy()  # x[i, j] = values[i]
+    x_before = x.copy()
+    out = g.copy()
+    _zero_unless_positive(out, x)
+    with np.errstate(invalid="ignore"):
+        assert _bits(out) == _bits(np.where(x > 0, g, 0.0))
+    assert _bits(x) == _bits(x_before)
+
+
+def test_two_relu_layers_handed_one_gradient_each_mask_their_own():
+    """``add`` hands one gradient array to two ``linear(relu=True)`` parents over one
+    input. Each masks its gradient in place, so this holds only while ``backward`` gives
+    every node a gradient no other node holds."""
+    rng = np.random.default_rng(31)
+    x_data = rng.standard_normal((9, 5))
+    w_data = [rng.standard_normal((5, 4)) for _ in range(2)]
+    b_data = [rng.standard_normal(4) for _ in range(2)]
+    upstream = rng.standard_normal((9, 4))
+    x = Tensor(x_data.copy(), requires_grad=True)
+    ws = [Tensor(w.copy(), requires_grad=True) for w in w_data]
+    bs = [Tensor(b.copy(), requires_grad=True) for b in b_data]
+    outs = [linear(x, w, b, relu=True) for w, b in zip(ws, bs)]
+    sum_all(mul(add(*outs), Tensor(upstream))).backward()
+    masked = [np.where(out.data > 0.0, upstream, 0.0) for out in outs]
+    assert ((outs[0].data > 0.0) != (outs[1].data > 0.0)).any()  # a shared array would show
+    for w, b, g in zip(ws, bs, masked):
+        assert _bits(w.grad) == _bits(x_data.T @ g)
+        assert _bits(b.grad) == _bits(g.sum(axis=0))
+    assert _bits(x.grad) == _bits(masked[0] @ w_data[0].T + 0.0 + masked[1] @ w_data[1].T)
 
 
 def _config_specs(d):
@@ -1122,7 +1161,7 @@ def test_split_linear_grads_scatter_equals_add_at_byte_for_byte(k):
     g[rows == rows[0]] = -0.0  # a row whose every term is -0.0 sums to +0.0
     gc = np.zeros((m, width))
     np.add.at(gc, rows, g)
-    ga, gb, gw, _ = _split_linear_grads(g, a, b, w, rows, k, None)
+    ga, gb, gw, _ = _split_linear_grads(g, a, b, w, rows, k)
     gh = gc - g.reshape(n, k, width).sum(axis=1) if k else g
     assert _bits(gb) == _bits(gc @ w[d_a:].T)
     assert _bits(gw[d_a:]) == _bits(b.T @ gc)

@@ -246,9 +246,10 @@ def test_list_valued_key_of_wrong_type_exits_2(tmp_path, capsys, command, path, 
     (("cost", "m_bev_sweep"), [1024, 1024], "config.cost.m_bev_sweep must list distinct sizes"),
     (("train", "learning_rate"), 0, "config.train.learning_rate must be positive, got 0.0"),
     (("train", "learning_rate"), -1, "config.train.learning_rate must be positive, got -1.0"),
+    (("train", "steps"), -3, "config.train.steps must be at least 0, got -3"),
 ], ids=["freq-zero", "freq-one", "freq-negative", "full-k-zero", "full-k-negative",
         "sweep-empty", "sweep-at-full-k", "sweep-below-full-k", "sweep-repeated",
-        "learning-rate-zero", "learning-rate-negative"])
+        "learning-rate-zero", "learning-rate-negative", "steps-negative"])
 def test_out_of_range_frequency_base_full_k_or_sweep_exits_2(tmp_path, capsys, command, path,
                                                              value, message):
     doc = json.loads(json.dumps(TOY_8x8))

@@ -7,8 +7,9 @@ import pytest
 from gqn import autodiff, edge_focus
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
                           _make, _segment_mix, _segment_mix_grads, _split_linear,
-                          _split_linear_grads, _toposort, concat_cols, gather_rows, grad_check,
-                          linear, mlp_forward, mul, reshape, row_softmax, sum_all)
+                          _split_linear_grads, _toposort, _zero_unless_positive, concat_cols,
+                          gather_rows, grad_check, linear, mlp_forward, mul, reshape,
+                          row_softmax, sum_all)
 from gqn.edge_focus import (_fold, _fold_grads, edge_attention, edge_features, edge_focus_update,
                             update_nodes)
 from gqn.errors import ContractError, ShapeError
@@ -296,7 +297,7 @@ def _hidden_node(query, states, params):
     rows, k = np.asarray(query.edge_dst, np.intp), query.k
     h = _split_linear(query.positions, states.data, w0.data, b0.data, rows, k)
     return _make(h, (states, w0, b0), lambda g: _split_linear_grads(
-        g, query.positions, states.data, w0.data, rows, k, h)[1:])
+        _zero_unless_positive(g, h), query.positions, states.data, w0.data, rows, k)[1:])
 
 
 def _fold_node(out_w, out_b, w, b):

@@ -1,7 +1,7 @@
 """Every name a library module imports is used in that module, every top-level
 function and public class of the library is referenced somewhere in it, no
 private function takes a parameter that every call site fixes to one literal,
-and no function takes a parameter it never reads."""
+no function takes a parameter it never reads, and every dataclass field is read."""
 
 import ast
 from pathlib import Path
@@ -207,3 +207,51 @@ def test_ignored_parameter_is_reported():
     # a parameter only assigned is not read; a function in a table is not reported
     assert _ignored_parameters(sources) == ["ops.inner(y)", "ops.scale(args)", "ops.scale(clip)",
                                             "ops.scale(factor)", "ops.scale(kw)"]
+
+
+ROOT = SRC.parent.parent
+READERS = ("tests", "demos", "tools", "perfbench")  # read the library's fields too
+
+
+def _unread_fields(library: dict[str, str], others: list[str]) -> list[str]:
+    """Fields of the dataclasses of ``library`` that nothing reads.
+
+    A field is read when a module of ``library`` or ``others`` loads it as an
+    attribute (``obj.name``; storing one is not a read), or when a string
+    constant of ``library`` names it, as a ``getattr`` table does. Annotated
+    names in a class that is not a ``@dataclass`` are not fields.
+    """
+    fields, read = [], set()
+    for module, source in library.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    _callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                    for d in node.decorator_list):
+                fields += [(module, node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+        read.update(node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    for source in [*library.values(), *others]:
+        read.update(node.attr for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return sorted(f"{module}.{cls}.{name}" for module, cls, name in fields if name not in read)
+
+
+def test_every_dataclass_field_is_read():
+    library = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    others = [p.read_text() for folder in READERS for p in sorted((ROOT / folder).rglob("*.py"))]
+    assert _unread_fields(library, others) == []
+
+
+def test_unread_field_is_reported():
+    library = {
+        "shapes": "from dataclasses import dataclass\nimport dataclasses\n\n"
+                  "@dataclass(frozen=True)\nclass Box:\n    width: int\n    depth: int\n"
+                  "    label: str\n    tag: str = ''\n\n    @property\n    def area(self):\n"
+                  "        return self.width\n\n@dataclasses.dataclass\nclass Point:\n"
+                  "    x: float\n\nclass Plain:\n    y: float\n\nNAMES = ('label',)\n",
+    }
+    others = ["def grow(box):\n    box.depth = 2\n", "def show(box):\n    return box.tag.upper()\n"]
+    # a store is not a read, a string of the library is, and a plain class has no fields
+    assert _unread_fields(library, others) == ["shapes.Box.depth", "shapes.Point.x"]
