@@ -4,7 +4,8 @@ One query owns a learnable global vector. It scores every cell by dot product
 with the cell's state features, keeps the top-N scorers as nodes, and wires
 each node to its k nearest neighbors in feature space. Selected states are
 weighted by m_bev * alpha so the discrete choice still passes gradients back
-to the global vector.
+to the global vector. The query keeps alpha, not the weighted states: the
+edge stage forms m_bev * alpha and the states itself, and so does this demo.
 """
 
 import numpy as np
@@ -52,5 +53,6 @@ print(f"grid distance along edges: median {np.median(hops):.0f} cells, max {hops
 # The selection weighting keeps the global vector trainable: a loss on the
 # selected states, gathered from the grid and scaled by m_bev * alpha,
 # produces a nonzero gradient on u.
-sum_all(scale_rows(gather_rows(states, query.pair_rows), query.scale)).backward()
+scale = query.alpha * float(flat.m_bev)
+sum_all(scale_rows(gather_rows(states, query.pair_rows), scale)).backward()
 print(f"|d loss / d u| = {np.linalg.norm(u.grad):.4f}  (nonzero -> node selection is learnable)")

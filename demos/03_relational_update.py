@@ -38,8 +38,9 @@ print(f"{chunk.queries} queries, {n} nodes each, k={chunk.k}, stacked into {chun
 #    from params, as init_params registered them. edge_features stops at the
 #    edge MLP's hidden layer h; its last layer is linear, f = h W + b.
 # The chunk keeps no states: its nodes' states are the grid's rows at
-# chunk.pair_rows, scaled by m_bev * alpha (chunk.scale).
-node_states = scale_rows(gather_rows(states, chunk.pair_rows), chunk.scale).data
+# chunk.pair_rows, scaled by m_bev * chunk.alpha, as the fused stage forms them.
+scale = chunk.alpha * float(flat.m_bev)
+node_states = scale_rows(gather_rows(states, chunk.pair_rows), scale).data
 hidden = edge_features(chunk, params, node_states)
 out_w, out_b = params["edge_mlp/W1"].data, params["edge_mlp/b1"].data
 feats = Tensor(hidden.data @ out_w + out_b)

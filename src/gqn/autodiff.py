@@ -10,10 +10,10 @@ node's k edges in the order ``query_init.build_knn_edges`` gives them
 order. Both orders are functions of the pair set, so the pipeline's outputs
 do not depend on how the grid was flattened. Softmax normalizers
 (``row_softmax``) still sum in value-sorted order: the same helper normalizes
-over grid cells, whose order is the caller's pair order. ``_scatter_add``
-adds each cell's rows in row order. Reductions over feature axes
-keep numpy's fixed evaluation order, which is already deterministic for a
-fixed operand layout.
+over grid cells, whose order is the caller's pair order. ``_scatter_add``,
+every scatter of the library, adds each cell's rows in row order. Reductions
+over feature axes keep numpy's fixed evaluation order, which is already
+deterministic for a fixed operand layout.
 
 A ``Tensor`` wraps an ndarray together with the closure that maps its output
 gradient back onto its parents; graphs are built define-by-run. One MLP layer
@@ -258,12 +258,10 @@ def _relu_inplace(out: Array) -> None:
     out += 0.0
 
 
-def _dense(x: Array, w: Array, b: Array, relu: bool) -> Array:
-    """``x @ w``, plus ``b`` in place, then the in-place ReLU if asked."""
+def _dense(x: Array, w: Array, b: Array) -> Array:
+    """``x @ w``, plus ``b`` in place."""
     out = x @ w
     out += b
-    if relu:
-        _relu_inplace(out)
     return out
 
 
@@ -296,7 +294,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
         raise ShapeError(f"linear mismatch {x.data.shape} @ {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"linear bias {b.data.shape} vs {w.data.shape[1]} outputs")
-    out = _dense(x.data, w.data, b.data, relu)
+    out = _dense(x.data, w.data, b.data)
+    if relu:
+        _relu_inplace(out)
     return _make(out, (x, w, b), lambda g: _dense_grads(
         _zero_unless_positive(g, out) if relu else g, x.data, w.data))
 
@@ -459,8 +459,8 @@ def gather_rows(t: Tensor, idx) -> Tensor:
     def backprop(g):
         if not t.requires_grad:
             return (None,)
-        z = np.zeros_like(t.data)
-        np.add.at(z, idx, g)
+        z = np.zeros(t.data.shape)
+        _scatter_add(z, idx, g)
         return (z,)
 
     return _make(t.data[idx], (t,), backprop)
@@ -599,15 +599,15 @@ def _cell_scale(cells: Array, num_cells: int) -> Array:
 
 
 def _scatter_add(acc: Array, cells: Array, rows: Array) -> None:
-    """``np.add.at(acc, cells, rows)`` for an (m, c) ``acc``: row i adds into row ``cells[i]``.
+    """``np.add.at(acc, cells, rows)`` for an (m, c) or (m,) ``acc``: row i adds into ``cells[i]``.
 
     Each entry of ``acc`` adds its terms left to right in row order. The adds
-    run as one 1-D ``np.add.at`` over the flat index ``cells * c + channel``,
-    which gives the same bits as the 2-D call in a fraction of its time.
+    run as one 1-D ``np.add.at`` over the flat index ``cells * c + channel``
+    (c = 1 for a vector): the bits of the 2-D call in a fraction of its time.
     ``acc`` must be C-contiguous, so that the flat view writes into it, and
-    ``cells`` must lie in [0, m); ``_cell_scale`` checks that.
+    ``cells`` must lie in [0, m).
     """
-    width = acc.shape[1]
+    width = math.prod(acc.shape[1:])
     np.add.at(acc.reshape(-1), (cells[:, None] * width + np.arange(width)).ravel(), rows.ravel())
 
 

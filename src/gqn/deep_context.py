@@ -136,6 +136,6 @@ def infuse_context(chunks: Sequence[tuple[Array, Tensor, Sequence[int]]], summar
     for i, cells in enumerate(node_cells):
         _scatter_add(mean, cells, hidden(i))
     mean *= scale[:, None]
-    out = _dense(mean, w1.data, b1.data, relu=False)
+    out = _dense(mean, w1.data, b1.data)
     out[scale == 0.0] = 0.0
     return _make(out, parents, backprop)

@@ -53,19 +53,19 @@ One tape node per chunk: ``edge_focus_update`` gathers the nodes' states
 from the grid's features, scales them by m_bev * alpha, runs the hidden
 features, scores, softmax, weighted sum, message and node MLP as array code
 and records one node that keeps only its inputs (the grid's features and
-positions, the nodes' rows in them, the (n,) scale, edge targets, the
-parameters) and its (n, d) output; no (n, d) state array is kept. Its
-backward gathers the nodes' states and positions again and recomputes every
+positions, the nodes' rows in them, their (n,) weights alpha, edge targets,
+the parameters) and its (n, d) output; no (n, d) state array is kept. Its
+backward gathers and scales the nodes' states again and recomputes every
 per-edge array with the forward's calls, so they carry the same bits (Chen
 et al., "Training Deep Nets with Sublinear Memory Cost", 2016), then
 backprops through the stages in reverse; the gradients of the output layer,
 q and key chain back through the (d, d) products of the fold, and the
-states' gradient through the scale and the gather. ``edge_features`` (the
-gate and the split hidden layer) and ``update_nodes`` (the gate, the split
-hidden layer and the output layer of the node MLP) are forward calls of the
-node, which passes them the states it gathered, and return value-only
-tensors; ``edge_attention`` scores any rows under q and key, as the node
-scores h under the composed layers.
+states' gradient through the scale to alpha and the gather to the grid.
+``edge_features`` (the gate and the split hidden layer) and ``update_nodes``
+(the gate, the split hidden layer and the output layer of the node MLP) are
+forward calls of the node, which passes them the states it gathered, and
+return value-only tensors; ``edge_attention`` scores any rows under q and
+key, as the node scores h under the composed layers.
 
 Pairing the two projections of the same edge yields exactly one weight per
 edge, which is what the weighted aggregation consumes. The natural
@@ -80,8 +80,8 @@ import numpy as np
 
 from .autodiff import (ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
                        _check_split_mlp, _dense, _dense_grads, _make, _row_softmax,
-                       _row_softmax_grad, _segment_mix, _segment_mix_grads, _split_linear,
-                       _split_linear_grads, _zero_unless_positive)
+                       _row_softmax_grad, _scatter_add, _segment_mix, _segment_mix_grads,
+                       _split_linear, _split_linear_grads, _zero_unless_positive)
 from .errors import ContractError, ShapeError
 from .query_init import GraphQuery
 
@@ -128,8 +128,8 @@ def edge_features(query: GraphQuery, params: ParamStore, states: Array) -> Tenso
     e // k to node ``query.edge_dst[e]``.
 
     ``states`` are the chunk's (n_nodes, d) node states: the grid's features at
-    ``query.pair_rows`` scaled by ``query.scale``, as the edge stage's node
-    gathers and scales them. The MLP's second layer is linear; the stage folds
+    ``query.pair_rows`` scaled by m_bev * ``query.alpha``, as the edge stage's
+    node gathers and scales them. The MLP's second layer is linear; the stage folds
     it into the scores and the message (see the module docstring), so no
     per-edge output is built.
     """
@@ -153,8 +153,7 @@ def update_nodes(message: Tensor, params: ParamStore, states: Array) -> Tensor:
     ``edge_features``."""
     layers = _arrays(params.layers("node_mlp"))
     _check_split_mlp("node_mlp", message.data, states, layers, None, 0)
-    return Tensor(_dense(_split_linear(message.data, states, *layers[0], None, 0), *layers[1],
-                         relu=False))
+    return Tensor(_dense(_split_linear(message.data, states, *layers[0], None, 0), *layers[1]))
 
 
 def edge_focus_update(query: GraphQuery, params: ParamStore) -> Tensor:
@@ -162,20 +161,21 @@ def edge_focus_update(query: GraphQuery, params: ParamStore) -> Tensor:
 
     Every step is per edge or per node, so a chunk of stacked queries gives
     each query the rows it would get alone. The node gathers the chunk's
-    states from the grid's features and scales them by ``query.scale``
-    (m_bev * alpha) itself, once in the forward and once in the backward's
-    recompute, so it keeps no (n, d) input. Its parents are the grid's
-    features, the (n,) scale, then the edge MLP's, q's, key's and node MLP's
-    weights and biases; the positions are a constant. The backward returns
-    the gradient of every parent but the grid's features, whose (m, d)
-    gradient it forms only when they require grad, and ``Tensor.backward``
-    drops those of parents that do not require grad. The gather's and the
-    scale's gradients are those of ``autodiff.gather_rows`` and
-    ``autodiff.scale_rows``.
+    states from the grid's features and scales them by m_bev * ``query.alpha``
+    itself, once in the forward and once in the backward's recompute, so it
+    keeps no (n, d) input and no scale node precedes it. Its parents are the
+    grid's features, the (n,) alpha, then the edge MLP's, q's, key's and node
+    MLP's weights and biases; the positions are a constant. The backward
+    returns the gradient of every parent but the grid's features, whose
+    (m, d) gradient it forms only when they require grad, and
+    ``Tensor.backward`` drops those of parents that do not require grad. The
+    gradients reach alpha and the grid as through ``alpha * m_bev``,
+    ``autodiff.scale_rows`` and ``autodiff.gather_rows``.
     """
-    grid, scale, pair_rows = query.grid_states, query.scale, query.pair_rows
+    grid, alpha, pair_rows = query.grid_states, query.alpha, query.pair_rows
+    m_bev = float(grid.data.shape[0])
     states = grid.data[pair_rows]
-    states *= scale.data[:, None]
+    states *= (alpha.data * m_bev)[:, None]
     # gates the edge MLP before q and key are read
     hidden = edge_features(query, params, states).data
 
@@ -194,19 +194,19 @@ def edge_focus_update(query: GraphQuery, params: ParamStore) -> Tensor:
         """The weights, their sum of h per node, and the message ``mix W + b``."""
         beta = _edge_weights(h, n, k, fold).reshape(n * k)
         mix = _segment_mix(h, beta, k)
-        return beta, mix, _dense(mix, *_arrays(edge)[-1], relu=False)
+        return beta, mix, _dense(mix, *_arrays(edge)[-1])
 
     out = update_nodes(Tensor(mix_and_message(hidden, folded())[2]), params, states).data
 
-    parents = ((grid, scale) + tuple(t for layer in edge for t in layer) + tuple(scoring)
+    parents = ((grid, alpha) + tuple(t for layer in edge for t in layer) + tuple(scoring)
                + tuple(t for layer in node for t in layer))
 
     def backprop(g):
         ((w0, b0), (out_w, out_b)), node_arrays = _arrays(edge), _arrays(node)
         wq, _, wk, _ = [t.data for t in scoring]
         positions = grid_positions[pair_rows]
-        raw = grid.data[pair_rows]
-        states = raw * scale.data[:, None]
+        raw, scale = grid.data[pair_rows], alpha.data * m_bev
+        states = raw * scale[:, None]
         h, fold = _split_linear(positions, states, w0, b0, rows, k), folded()
         beta, mix, message = mix_and_message(h, fold)
         node_h = _split_linear(message, states, *node_arrays[0], None, 0)
@@ -225,14 +225,14 @@ def edge_focus_update(query: GraphQuery, params: ParamStore) -> Tensor:
         del gx, h  # two (n*k, d) arrays the edge layer's gradient does not read
         edge_grads = _split_linear_grads(gh, positions, states, w0, rows, k)
         # the states' gradient adds the node MLP's part, then the edge MLP's, as
-        # a chain of one node per stage would; it reaches the scale and the grid
-        # as it would through ``scale_rows`` and ``gather_rows``
+        # a chain of one node per stage would; it reaches alpha and the grid as it
+        # would through ``alpha * m_bev``, ``scale_rows`` and ``gather_rows``
         gstates = node_grads[1] + edge_grads[1]
         ggrid = None
         if grid.requires_grad:
-            ggrid = np.zeros_like(grid.data)
-            np.add.at(ggrid, pair_rows, gstates * scale.data[:, None])
-        return ((ggrid, (gstates * raw).sum(axis=1)) + edge_grads[2:]
+            ggrid = np.zeros(grid.data.shape)
+            _scatter_add(ggrid, pair_rows, gstates * scale[:, None])
+        return ((ggrid, (gstates * raw).sum(axis=1) * m_bev) + edge_grads[2:]
                 + (gw_out + q_grads[0] + k_grads[0], gb_out + q_grads[1] + k_grads[1])
                 + q_grads[2:] + k_grads[2:] + node_grads[2:])
 

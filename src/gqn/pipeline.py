@@ -19,11 +19,12 @@ list yields the same maps, permuted the same way, bit for bit.
 
 Chunk layout: the queries of one set share n and k, so the per-query stage
 runs on chunks of Q queries stacked query-major (see ``GraphQuery``). One
-chunk costs the same tape ops whatever Q is, and its whole edge stage is one
-of them (``edge_focus_update``); its kNN is one build over the stacked
-states. A chunk keeps its nodes' pair rows, selection weights and edge
-targets, and shares the grid's features and encodings: it has no (Q*n, d)
-array, stored or derived. ``init_graph_query`` gathers the raw states for
+chunk costs seven tape ops whatever Q is (its vectors' concat, scores and
+softmax, its picks' reshape and gather, its max-pool and its whole edge stage,
+``edge_focus_update``); its kNN is one build over the stacked states. A
+chunk keeps its nodes' pair rows, selection weights and edge targets, and
+shares the grid's features and encodings: it has no (Q*n, d) array, stored
+or derived. ``init_graph_query`` gathers the raw states for
 kNN and keeps none; the edge stage's node gathers and scales them again, in
 the forward and in the backward's recompute. Every op of that stage is
 row-wise or per query, so a chunk's outputs and the set maps carry the same
@@ -57,7 +58,7 @@ import numpy as np
 
 from .autodiff import (MlpSpec, ParamStore, Tensor, add, as_tensor, backward, column,
                        concat_cols, concat_rows, linear, mean_all, mlp_forward, mul,
-                       register_attention, reshape, row_softmax, scale_rows, sub)
+                       register_attention, row_softmax, scale_rows, sub)
 from .deep_context import context_exchange, infuse_context, pool_query
 from .edge_focus import edge_focus_update
 from .errors import ConfigError, InvalidInputError, ShapeError
@@ -264,10 +265,10 @@ def register_readout(params: ParamStore, d: int) -> None:
 
 
 def mask_loss(flat: FlatPairs, config: GqnConfig, params: ParamStore, mask: Array) -> Tensor:
-    """Mean squared error of the skip-map readout against a per-pair 0/1 mask."""
+    """Mean squared error of the skip map's (m, 1) readout against a per-pair 0/1 (m,) mask."""
     out = run_gqn(flat, config, params)
-    pred = reshape(linear(out.skip_map, params["readout/W"], params["readout/b"]), (flat.m_bev,))
-    err = sub(pred, Tensor(mask))
+    pred = linear(out.skip_map, params["readout/W"], params["readout/b"])
+    err = sub(pred, Tensor(mask[:, None]))
     return mean_all(mul(err, err))
 
 

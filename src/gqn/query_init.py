@@ -67,9 +67,9 @@ class GraphQuery:
     them, their selection weights and the edge targets. No (Q*n, d) array is
     stored, and none is derived here: the edge stage
     (``edge_focus.edge_focus_update``) gathers the nodes' states from
-    ``grid_states`` and scales them by ``scale`` inside its own node.
-    ``positions``, ``scale`` and ``edge_src`` are derived on each read. A
-    node's cell is ``flat.bev_indices[pair_rows]``, distinct within each query.
+    ``grid_states`` and scales them by m_bev * ``alpha`` inside its own node.
+    ``positions`` and ``edge_src`` are derived on each read. A node's cell is
+    ``flat.bev_indices[pair_rows]``, distinct within each query.
     """
 
     set_index: int
@@ -96,25 +96,21 @@ class GraphQuery:
         """(Q*n, d) positional encodings of the nodes, gathered from the grid's."""
         return self.grid_positions[self.pair_rows]
 
-    @property
-    def scale(self) -> Tensor:
-        """(Q*n,) each node's state factor m_bev * alpha, as a tape node over ``alpha``."""
-        return self.alpha * float(self.grid_states.data.shape[0])
-
 
 def attention_scores(u: Tensor, states: Tensor) -> Tensor:
     """Softmax-normalized compatibility of global vectors with every cell.
 
     A (d,) vector gives (m,) scores; (Q, d) rows give (Q, m), row q exactly
-    the scores of ``u[q]`` alone.
+    the scores of ``u[q]`` alone; only a single vector is reshaped to (1, d).
     """
     if states.data.ndim != 2 or states.data.shape[0] == 0:
         raise InvalidInputError("attention_scores needs a non-empty (m, d) grid")
     m, d = states.data.shape
     if u.data.ndim not in (1, 2) or u.data.shape[-1] != d:
         raise ShapeError(f"global vector shape {u.data.shape} vs feature width {d}")
-    alpha = row_softmax(matvec_rows(states, reshape(u, (-1, d))))
-    return alpha if u.data.ndim == 2 else reshape(alpha, (m,))
+    if u.data.ndim == 2:
+        return row_softmax(matvec_rows(states, u))
+    return reshape(row_softmax(matvec_rows(states, reshape(u, (1, d)))), (m,))
 
 
 def select_nodes(alpha: Tensor, flat: FlatPairs, n: int) -> tuple[Array, Tensor]:

@@ -11,5 +11,7 @@ from gqn.autodiff import Tensor, gather_rows, scale_rows
 
 def node_states(query) -> Tensor:
     """(Q*n, d) the chunk's node states: ``gather_rows`` of its rows from the grid's features,
-    then ``scale_rows`` by ``query.scale``, so a loss on them backprops into both."""
-    return scale_rows(gather_rows(query.grid_states, query.pair_rows), query.scale)
+    then ``scale_rows`` by m_bev * ``query.alpha``, so a loss on them backprops into the
+    grid's features and alpha."""
+    scale = query.alpha * float(query.grid_states.data.shape[0])
+    return scale_rows(gather_rows(query.grid_states, query.pair_rows), scale)

@@ -35,5 +35,5 @@ def split_mlp_node(params: ParamStore, name: str, a: Tensor, b: Tensor, rows=Non
         return (_split_linear_grads(_zero_unless_positive(g, h), a.data, b.data, w0.data, rows, k)
                 + (gw1, gb1))
 
-    return _make(_dense(hidden(), w1.data, b1.data, relu=False), (a, b, w0, b0, w1, b1),
+    return _make(_dense(hidden(), w1.data, b1.data), (a, b, w0, b0, w1, b1),
                  backprop)

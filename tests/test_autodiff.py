@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gqn import pipeline
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
                           _cell_scale, _check_split_mlp, _make, _relu_inplace, _scatter_add,
-                          _segment_mix, _segment_mix_grads, _split_linear, _split_linear_grads,
+                          _segment_mix, _split_linear, _split_linear_grads,
                           _toposort, _zero_unless_positive, add, attn_mix, backward, concat_cols,
                           concat_rows, gather_rows, grad_check, grad_check_groups, linear,
                           matmul_nt, matvec_rows, max_rows, mlp_forward, mul, no_grad,
@@ -19,8 +19,8 @@ from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _b
 from gqn.edge_focus import update_nodes
 from gqn.errors import ConfigError, ContractError, InvalidInputError, ShapeError
 from gqn.scene import SceneSpec, demo_boxes, flatten_grid, generate_scene, sinusoidal_encoding
-from chunk_states import node_states
 from split_mlp_node import split_mlp_node
+from unfolded_edge_stage import mix_node, rowdot, unfolded_edge_focus_update
 
 
 # ----------------------------------------------------------------------------
@@ -192,17 +192,6 @@ def _relu_node(t):
     return _make(np.where(mask, t.data, 0.0), (t,), lambda g: (g * mask,))
 
 
-def _rowdot(a, b):
-    """Row-wise dot products of two (rows, cols) tensors as one tape node."""
-
-    def backprop(g):
-        ga = g[:, None] * b.data if a.requires_grad else None
-        gb = g[:, None] * a.data if b.requires_grad else None
-        return ga, gb
-
-    return _make((a.data * b.data).sum(axis=1), (a, b), backprop)
-
-
 def _unfused_linear(x, w, b, relu):
     """The product, the bias and the ReLU as three tape nodes."""
     h = _make(x.data @ w.data, (x, w), lambda g: (g @ w.data.T, x.data.T @ g))
@@ -287,12 +276,6 @@ def _score_node(x, wq, bq, wk, bk):
                  lambda g: _bilinear_score_grads(g, *(t.data for t in parents)))
 
 
-def _mix_node(t, w, k):
-    """The weighted edge sum as one tape node, built from the private helpers."""
-    return _make(_segment_mix(t.data, w.data, k), (t, w),
-                 lambda g: _segment_mix_grads(g, t.data, w.data, k))
-
-
 def _scores_and_mix(score, x0, w0, b0, proj, k):
     """The pipeline's use of edge features: scored per edge and mixed with the weights.
 
@@ -302,7 +285,7 @@ def _scores_and_mix(score, x0, w0, b0, proj, k):
     x = linear(x0, w0, b0, relu=True)
     scores = score(x, *proj)
     beta = reshape(row_softmax(reshape(scores, (x.data.shape[0] // k, k))), (x.data.shape[0],))
-    return scores, _mix_node(x, beta, k)
+    return scores, mix_node(x, beta, k)
 
 
 def test_bilinear_edge_scores_match_the_linear_and_rowdot_chain():
@@ -317,7 +300,7 @@ def test_bilinear_edge_scores_match_the_linear_and_rowdot_chain():
     upstream = rng.standard_normal((4, 6))
 
     def projections(x, wq, bq, wk, bk):
-        return _rowdot(linear(x, wq, bq), linear(x, wk, bk))
+        return rowdot(linear(x, wq, bq), linear(x, wk, bk))
 
     results = []
     for score in (_score_node, projections):
@@ -745,33 +728,14 @@ def test_two_relu_layers_handed_one_gradient_each_mask_their_own():
     assert _bits(x.grad) == _bits(masked[0] @ w_data[0].T + 0.0 + masked[1] @ w_data[1].T)
 
 
-def _config_specs(d):
-    """The fused stages' config shapes: the (2d, d, d) MLPs and the (d, d) q and key."""
-    return MlpSpec((2 * d, d, d)), MlpSpec((d, d))
-
-
-def _concat_edge_focus_update(query, params):
-    """The edge stage as a chain of per-op nodes, with concatenated first layers and q and
-    key projected separately."""
-    mlp, square = _config_specs(query.grid_states.data.shape[1])
-    rel = Tensor(query.positions[query.edge_dst] - query.positions[query.edge_src])
-    neighbor = gather_rows(node_states(query), query.edge_dst)
-    feats = mlp_forward(mlp, params, "edge_mlp", concat_cols([rel, neighbor]))
-    scores = _rowdot(mlp_forward(square, params, "edge_q", feats),
-                     mlp_forward(square, params, "edge_k", feats))
-    beta = reshape(row_softmax(reshape(scores, (query.n_nodes, query.k))),
-                   (query.n_nodes * query.k,))
-    message = _mix_node(feats, beta, query.k)
-    return mlp_forward(mlp, params, "node_mlp", concat_cols([message, node_states(query)]))
-
-
 def _concat_infuse_context(chunks, summaries, params, num_cells):
     """Context infusion with the concatenated first layer and the output layer per node,
     then the per-cell mean of the nodes' outputs as one plain node."""
     mixed = []
     for _, nodes, rows in chunks:
         tiled = gather_rows(summaries, np.repeat(rows, nodes.data.shape[0] // len(rows)))
-        mixed.append(mlp_forward(_config_specs(nodes.data.shape[1])[0], params, "context_mlp",
+        d = nodes.data.shape[1]
+        mixed.append(mlp_forward(MlpSpec((2 * d, d, d)), params, "context_mlp",
                                  concat_cols([nodes, tiled])))
     scale = _cell_scale(np.concatenate([c for c, _, _ in chunks]), num_cells)
     mean = np.zeros((num_cells, mixed[0].data.shape[1]))
@@ -799,7 +763,7 @@ def test_run_gqn_matches_the_concatenated_first_layers(monkeypatch):
 
     maps, grads = maps_and_grads()
     with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "edge_focus_update", _concat_edge_focus_update)
+        patch.setattr(pipeline, "edge_focus_update", unfolded_edge_focus_update)
         patch.setattr(pipeline, "infuse_context", _concat_infuse_context)
         ref_maps, ref_grads = maps_and_grads()
 
@@ -844,7 +808,7 @@ def test_backward_frees_interior_nodes_and_keeps_leaf_gradients():
 
     def loss():
         h = self_attention_layer(mlp_forward(spec, params, "net", Tensor(x)), params, "attn")
-        return sum_all(_rowdot(h, h))
+        return sum_all(rowdot(h, h))
 
     params.zero_grad()
     _sweep_keeping_graph(loss())
@@ -894,7 +858,7 @@ def test_attention_identical_inputs_identical_outputs():
 def test_backward_linear_gradient_is_exact():
     x = np.array([[1.5, -2.0, 0.25]])
     w = Tensor(np.zeros((1, 3)), requires_grad=True)
-    _rowdot(w, Tensor(x)).backward()
+    rowdot(w, Tensor(x)).backward()
     np.testing.assert_array_equal(w.grad, x)
 
 
@@ -958,7 +922,7 @@ def test_grad_check_linear_is_exact():
     c = np.array([[1.0, -2.0, 3.0, 0.5]])
 
     def fn(p):
-        return _rowdot(p["w/a"], Tensor(c))
+        return rowdot(p["w/a"], Tensor(c))
 
     # zero truncation error for a linear map, so probe at the large-eps end
     # where subtractive cancellation is negligible
@@ -1146,6 +1110,22 @@ def test_scatter_mean_equals_add_at_byte_for_byte(width):
     assert _bits(mean) == _bits(ref)
 
 
+@pytest.mark.parametrize("shape", [(9,), (9, 4)])
+def test_gather_rows_backward_equals_add_at_byte_for_byte(shape):
+    """A vector's or a matrix's gathered gradient scatters back through ``_scatter_add`` with
+    the bits of ``np.add.at`` into zeros: repeats add in gather order, -0.0 sums to +0.0."""
+    rng = np.random.default_rng(53)
+    idx = rng.integers(0, shape[0] - 1, 20)  # repeats; the last row is never gathered
+    g = rng.standard_normal((20,) + shape[1:]) * np.exp(rng.uniform(-30.0, 30.0, (20,) + shape[1:]))
+    g[idx == idx[0]] = -0.0
+    g[idx == idx[1]] = np.inf
+    t = Tensor(rng.standard_normal(shape), requires_grad=True)
+    (grad,) = gather_rows(t, idx)._backprop(g)
+    ref = np.zeros(shape)
+    np.add.at(ref, idx, g)
+    assert _bits(grad) == _bits(ref)
+
+
 @pytest.mark.parametrize("k", [0, 3])
 def test_split_linear_grads_scatter_equals_add_at_byte_for_byte(k):
     """The gathered rows' gradient scatters back to b's rows as ``np.add.at`` into zeros
@@ -1263,7 +1243,7 @@ def test_composite_gradient_matches_finite_differences():
         h = matmul_nt(Tensor(x), p["p/W"])
         g = gather_rows(h, np.array([0, 2, 2, 5]))
         s = row_softmax(g)
-        mixed = _mix_node(concat_cols([g, s]), Tensor(mix_w), 2)
+        mixed = mix_node(concat_cols([g, s]), Tensor(mix_w), 2)
         return sum_all(scale_rows(mixed, Tensor(np.array([0.5, 2.0]))))
 
     assert grad_check(fn, params, eps=1e-5) <= 1e-6

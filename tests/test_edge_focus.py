@@ -6,10 +6,9 @@ import pytest
 
 from gqn import autodiff, edge_focus
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
-                          _make, _segment_mix, _segment_mix_grads, _split_linear,
-                          _split_linear_grads, _toposort, _zero_unless_positive, concat_cols,
-                          gather_rows, grad_check, linear, mlp_forward, mul, reshape,
-                          row_softmax, sum_all)
+                          _make, _split_linear, _split_linear_grads, _toposort,
+                          _zero_unless_positive, grad_check, linear, mul, reshape, row_softmax,
+                          sum_all)
 from gqn.edge_focus import (_fold, _fold_grads, edge_attention, edge_features, edge_focus_update,
                             update_nodes)
 from gqn.errors import ContractError, ShapeError
@@ -18,6 +17,7 @@ from gqn.query_init import GraphQuery, QuerySetSpec, build_knn_edges, init_graph
 from gqn.scene import SceneSpec, flatten_grid, generate_scene, sinusoidal_encoding
 from chunk_states import node_states
 from split_mlp_node import split_mlp_node
+from unfolded_edge_stage import mix_node, unfolded_edge_focus_update
 
 
 def _manual_query(states, positions, k):
@@ -324,11 +324,6 @@ def _score_node(x, fold_q, fold_k):
     return _make(_bilinear_scores(*arrays()), parents, backprop)
 
 
-def _mix_node(t, w, k):
-    return _make(_segment_mix(t.data, w.data, k), (t, w),
-                 lambda g: _segment_mix_grads(g, t.data, w.data, k))
-
-
 def _per_stage_chain(query, params):
     """One tape node per stage of the folded form, built from the helpers the fused node runs,
     after the gather and the scale of the chunk's states (``node_states``, built once)."""
@@ -339,30 +334,8 @@ def _per_stage_chain(query, params):
              for name in ("edge_q", "edge_k")]
     scores = _score_node(hidden, *folds)
     beta = reshape(row_softmax(reshape(scores, (n, k))), (n * k,))
-    message = linear(_mix_node(hidden, beta, k), out_w, out_b)
+    message = linear(mix_node(hidden, beta, k), out_w, out_b)
     return split_mlp_node(params, "node_mlp", message, states)
-
-
-def _rowdot(a, b):
-    return _make((a.data * b.data).sum(axis=1), (a, b),
-                 lambda g: (g[:, None] * b.data, g[:, None] * a.data))
-
-
-def _unfolded_update(query, params):
-    """The edge stage as written before the fold, one plain node per op: the edge MLP's
-    output f = h W + b per edge, q and key projected from f, the per-node softmax,
-    the message sum of beta * f, then the node MLP over [message || state]."""
-    n, k, states = query.n_nodes, query.k, node_states(query)
-    d = states.data.shape[1]
-    mlp, square = MlpSpec((2 * d, d, d)), MlpSpec((d, d))
-    rel = Tensor(query.positions[query.edge_dst] - query.positions[query.edge_src])
-    neighbor = gather_rows(states, query.edge_dst)
-    feats = mlp_forward(mlp, params, "edge_mlp", concat_cols([rel, neighbor]))
-    q = mlp_forward(square, params, "edge_q", feats)
-    key = mlp_forward(square, params, "edge_k", feats)
-    beta = reshape(row_softmax(reshape(_rowdot(q, key), (n, k))), (n * k,))
-    message = _mix_node(feats, beta, k)
-    return mlp_forward(mlp, params, "node_mlp", concat_cols([message, states]))
 
 
 def _grads_through(stage, query, leaves, d, k):
@@ -399,7 +372,7 @@ def test_edge_focus_update_matches_the_unfolded_stage(d, k):
     """Folding the edge MLP's output layer into q, key and the message moves the output
     and every gradient by rounding only."""
     fused, unfolded = (_outputs_and_grads(stage, d, k) for stage in (edge_focus_update,
-                                                                      _unfolded_update))
+                                                                      unfolded_edge_focus_update))
     for got, ref in zip(fused, unfolded, strict=True):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -423,12 +396,10 @@ def test_edge_focus_update_is_one_tape_node_that_keeps_only_its_inputs():
     weights = tuple(params[f"{name}/{p}{i}"] for name, layers in
                     (("edge_mlp", 2), ("edge_q", 1), ("edge_k", 1), ("node_mlp", 2))
                     for i in range(layers) for p in "Wb")
-    # The parents are the grid's features, shared with the chunk, the (n,) scale
-    # m_bev * alpha over the chunk's alpha, then the weights.
-    grid, scale = out._parents[:2]
-    assert grid is query.grid_states and out._parents[2:] == weights
-    assert scale._parents == (query.alpha,)
-    assert scale.data.tobytes() == (query.alpha.data * float(grid.data.shape[0])).tobytes()
+    # The parents are the grid's features and the chunk's (n,) alpha, both shared
+    # with the chunk, then the weights: no scale node lies between alpha and the node.
+    grid, alpha = out._parents[:2]
+    assert grid is query.grid_states and alpha is query.alpha and out._parents[2:] == weights
     # No per-edge array and no (n, d) state array is on the tape or held by the
     # backward: only the inputs.
     edges = query.n_nodes * query.k

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every top-level
 function and public class of the library is referenced somewhere in it, no
 private function takes a parameter that every call site fixes to one literal,
-no function takes a parameter it never reads, and every dataclass field is read."""
+no function takes a parameter it never reads, every dataclass field is read,
+and every scatter-add runs through ``autodiff._scatter_add``."""
 
 import ast
 from pathlib import Path
@@ -255,3 +256,42 @@ def test_unread_field_is_reported():
     others = ["def grow(box):\n    box.depth = 2\n", "def show(box):\n    return box.tag.upper()\n"]
     # a store is not a read, a string of the library is, and a plain class has no fields
     assert _unread_fields(library, others) == ["shapes.Box.depth", "shapes.Point.x"]
+
+
+def _add_at_uses(sources: dict[str, str]) -> list[str]:
+    """Uses of ``add.at`` (``np.add.at``, ``numpy.add.at``, an imported ``add``) outside
+    a top-level function named ``_scatter_add``, as ``module.statement:line``.
+
+    ``_scatter_add`` runs the 1-D form over a flat index, which gives the bits
+    of the 2-D call in a fraction of its time; every other scatter goes through it.
+    """
+    found = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            name = getattr(stmt, "name", "<module>")
+            if name == "_scatter_add":
+                continue
+            found += [f"{module}.{name}:{node.lineno}" for node in ast.walk(stmt)
+                      if isinstance(node, ast.Attribute) and node.attr == "at"
+                      and _callee(node.value) == "add"]
+    return sorted(found)
+
+
+def test_every_scatter_add_runs_through_the_helper():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _add_at_uses(sources) == []
+
+
+def test_add_at_outside_the_helper_is_reported():
+    sources = {
+        "ops": "import numpy as np\n\ndef _scatter_add(acc, cells, rows):\n"
+               "    np.add.at(acc.reshape(-1), cells, rows)\n\n"
+               "def gather(z, idx, g):\n    np.add.at(z, idx, g)\n\n"
+               "class Grid:\n    def scatter(self, i, g):\n        scatter = np.add.at\n"
+               "        scatter(self.z, i, g)\n\nnp.add.reduce([1.0])\n",
+        "user": "import numpy\nfrom numpy import add\n\nnumpy.add.at([0.0], [0], 1.0)\n\n"
+                "def grow(z):\n    add.at(z, [0], 1.0)\n",
+    }
+    # the helper's own call and another ufunc method are not reported
+    assert _add_at_uses(sources) == ["ops.Grid:11", "ops.gather:7", "user.<module>:4",
+                                     "user.grow:7"]

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from gqn import pipeline
 from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _toposort, as_tensor, backward,
                           concat_cols, concat_rows, gather_rows, sum_all)
 from gqn.deep_context import context_exchange, infuse_context, pool_query
@@ -320,6 +321,24 @@ def test_tape_size_does_not_grow_with_queries_per_chunk():
         assert len(out.queries) == 2  # one chunk per set
         counts.append(_tape_ops(sum_all(out.fused_map)))
     assert counts[0] == counts[1]
+
+
+def test_each_query_chunk_adds_seven_tape_ops(monkeypatch):
+    """A chunk records the concat of its global vectors, their scores and softmax, the
+    reshape and gather of the picks' weights, its edge stage and its max-pool: seven ops.
+    No reshape sits before the stacked vectors' scores and no scale node before the edge
+    stage."""
+    _, flat, _ = toy_inputs(h=16, w=16, seed=0)
+    cfg = toy_config()
+    params = init_params(cfg, flat.m_bev)
+    counts = []
+    for budget in (pipeline.CHUNK_BYTES, 1):  # one chunk per set, then one per query
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", budget)
+        out = run_gqn(flat, cfg, params, global_map=flat.states)
+        counts.append((len(out.queries), _tape_ops(sum_all(out.fused_map))))
+    (few, ops_few), (many, ops_many) = counts
+    assert (few, many) == (len(cfg.sets), cfg.tau)
+    assert ops_many - ops_few == 7 * (many - few)
 
 
 def _unfused_extra_bytes(layers, rows):
