@@ -4,7 +4,7 @@ The pipeline needs exact, reproducible gradients more than it needs raw
 speed: everything is float64 and every reduction is deterministic.
 Reproducibility comes from a fixed summation order, not from order-independent
 summation. The edge aggregation ``_segment_mix`` and the attention mixing step
-``attn_mix`` add their terms left to right from +0.0 in stored order: a
+``_attn_mix`` add their terms left to right from +0.0 in stored order: a
 node's k edges in the order ``query_init.build_knn_edges`` gives them
 (nearest first, ties to the lower slot), and the tau summaries in query
 order. Both orders are functions of the pair set, so the pipeline's outputs
@@ -21,13 +21,15 @@ is one tape node: ``linear`` fuses the product, the bias and the ReLU and
 keeps only its output. The private array helpers (``_split_linear``, a first
 layer split per node with its ReLU, ``_dense`` and their gradients, the ReLU
 mask ``_zero_unless_positive``, ``_bilinear_scores`` and its gradients,
-``_row_softmax``, ``_segment_mix``, ``_cell_scale``, ``_scatter_add``) are
-forward and backward pieces with no tape of their own; the edge stage
-(``edge_focus.edge_focus_update``) composes them into one node per query
-chunk, and context infusion (``deep_context.infuse_context``) into one node
-per query set. Both keep no hidden layer: their backward recomputes it with
-the forward's calls (gradient checkpointing; Chen et al., "Training Deep
-Nets with Sublinear Memory Cost", 2016). The fused nodes (``linear``, the
+``_row_softmax`` and its gradient, ``_segment_mix``, ``_attn_mix``,
+``_cell_scale``, ``_scatter_add``) are forward and backward pieces with no
+tape of their own. ``self_attention_layer`` composes them into one node per
+context-attention step, the edge stage (``edge_focus.edge_focus_update``)
+into one node per query chunk, and context infusion
+(``deep_context.infuse_context``) into one node per query set. The last two
+keep no hidden layer: their backward recomputes it with the forward's calls
+(gradient checkpointing; Chen et al., "Training Deep Nets with Sublinear
+Memory Cost", 2016). The fused nodes (``linear``, the attention step, the
 edge stage, context infusion) and their gradient helpers return the gradient
 of every parent, a constant's too, and ``backward`` drops each
 contribution to a parent that does not require grad; the small generic ops
@@ -213,19 +215,6 @@ def mul(a, b) -> Tensor:
     return _make(a.data * b.data, (a, b), backprop)
 
 
-def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b.T`` for two (r, d) matrices."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
-        raise ShapeError(f"matmul_nt mismatch {a.data.shape} x {b.data.shape}")
-
-    def backprop(g):
-        ga = g @ b.data if a.requires_grad else None
-        gb = g.T @ a.data if b.requires_grad else None
-        return ga, gb
-
-    return _make(a.data @ b.data.T, (a, b), backprop)
-
-
 def matvec_rows(a: Tensor, xs: Tensor) -> Tensor:
     """Row q of the (Q, m) result is ``a @ xs[q]`` for an (m, d) matrix and (Q, d) rows.
 
@@ -343,16 +332,15 @@ def _split_linear_grads(g: Array, a: Array, b: Array, w: Array, rows: Array | No
                         k: int) -> tuple:
     """Gradients of ``_split_linear`` for ``a``, ``b``, ``w`` and ``bias``, from a masked ``g``.
 
-    The gathered rows scatter back with one weighted ``np.bincount`` over the
-    flat index ``rows * d_out + column``: each entry adds its terms left to
-    right from +0.0 in row order, the bits of ``np.add.at`` into zeros.
+    The gathered rows scatter back into zeros with ``_scatter_add``: each
+    entry adds its terms left to right from +0.0 in row order.
     """
     (n, d_a), (m, d_out) = a.shape, (b.shape[0], w.shape[1])
     if rows is None:
         gc = g
     else:
-        flat = (rows[:, None] * d_out + np.arange(d_out)).ravel()
-        gc = np.bincount(flat, g.ravel(), m * d_out).reshape(m, d_out)
+        gc = np.zeros((m, d_out))
+        _scatter_add(gc, rows, g)
     gh = gc - g.reshape(n, k, d_out).sum(axis=1) if k else g
     gw = np.empty_like(w)
     gw[:d_a] = a.T @ gh
@@ -527,6 +515,20 @@ def _segment_mix_grads(g: Array, t: Array, w: Array, k: int) -> tuple[Array, Arr
     return expanded * w[:, None], (expanded * t).sum(axis=1)
 
 
+def _attn_mix(weights: Array, values: Array) -> Array:
+    """Attention mixing ``weights @ values``, each output row summed in row order of ``values``.
+
+    Row i adds ``weights[i, j] * values[j]`` for j = 0, 1, ... left to right
+    from +0.0, one (rows, d) term at a time, so its bits are a fixed function
+    of the stored order of the set (for one channel too, where a matrix
+    product or numpy's contiguous reductions would sum in another order).
+    """
+    out = np.zeros((weights.shape[0], values.shape[1]))
+    for w_j, v_j in zip(weights.T[:, :, None], values):
+        out += w_j * v_j
+    return out
+
+
 def max_rows(t: Tensor, groups: int = 1) -> Tensor:
     """Columnwise maximum of each of ``groups`` equal blocks of consecutive rows.
 
@@ -563,28 +565,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
                      for piece, p in zip(pieces, parts))
 
     return _make(np.concatenate(blocks, axis=0), tuple(parts), backprop)
-
-
-def attn_mix(weights: Tensor, values: Tensor) -> Tensor:
-    """Attention mixing ``weights @ values``, each output row summed in row order of ``values``.
-
-    Row i adds ``weights[i, j] * values[j]`` for j = 0, 1, ... left to right
-    from +0.0, one (rows, d) term at a time, so its bits are a fixed function
-    of the stored order of the set (for one channel too, where a matrix
-    product or numpy's contiguous reductions would sum in another order).
-    """
-    if weights.data.ndim != 2 or weights.data.shape[1] != values.data.shape[0]:
-        raise ShapeError(f"attn_mix mismatch {weights.data.shape} @ {values.data.shape}")
-    out = np.zeros((weights.data.shape[0], values.data.shape[1]))
-    for w_j, v_j in zip(weights.data.T[:, :, None], values.data):
-        out += w_j * v_j
-
-    def backprop(g):
-        gw = g @ values.data.T if weights.requires_grad else None
-        gv = weights.data.T @ g if values.requires_grad else None
-        return gw, gv
-
-    return _make(out, (weights, values), backprop)
 
 
 def _cell_scale(cells: Array, num_cells: int) -> Array:
@@ -754,22 +734,34 @@ def register_attention(params: ParamStore, name: str, d: int) -> None:
 
 
 def self_attention_layer(x: Tensor, params: ParamStore, name: str) -> Tensor:
-    """Single-head scaled dot-product self-attention with a residual add.
+    """Single-head scaled dot-product self-attention with a residual add, as one tape node.
 
     Operates on a (tau, d) set of vectors, in their stored order. Permuting
-    the rows permutes the output up to rounding: ``attn_mix`` sums each row's
+    the rows permutes the output up to rounding: ``_attn_mix`` sums each row's
     tau terms in the stored order, which the pipeline fixes as query order.
+    The node's parents are ``x`` and the layer's Wq, bq, Wk, bk, Wv and bv; it
+    keeps q, k, v and the attention weights p, and no scores. Its backward adds
+    x's gradient as the residual's, then q's, k's and v's.
     """
-    if x.data.ndim != 2:
-        raise ShapeError(f"self_attention_layer needs (tau, d), got {x.data.shape}")
+    if x.data.ndim != 2 or not len(x.data):
+        raise ShapeError(f"self_attention_layer needs a non-empty (tau, d), got {x.data.shape}")
     d = x.data.shape[1]
-    if params[f"{name}/Wq"].data.shape != (d, d):
+    weights = tuple(params[f"{name}/{p}"] for p in ("Wq", "bq", "Wk", "bk", "Wv", "bv"))
+    if [w.data.shape for w in weights] != [(d, d), (d,)] * 3:
         raise ShapeError(f"attention projections of {name!r} do not match input width {d}")
-    q = linear(x, params[f"{name}/Wq"], params[f"{name}/bq"])
-    k = linear(x, params[f"{name}/Wk"], params[f"{name}/bk"])
-    v = linear(x, params[f"{name}/Wv"], params[f"{name}/bv"])
-    scores = matmul_nt(q, k) * (1.0 / math.sqrt(d))
-    return add(x, attn_mix(row_softmax(scores), v))
+    wq, bq, wk, bk, wv, bv = (w.data for w in weights)
+    q, k, v = _dense(x.data, wq, bq), _dense(x.data, wk, bk), _dense(x.data, wv, bv)
+    scale = 1.0 / math.sqrt(d)
+    p = _row_softmax((q @ k.T) * scale)
+
+    def backprop(g):
+        gs = _row_softmax_grad(g @ v.T, p) * scale
+        gx_q, gwq, gbq = _dense_grads(gs @ k, x.data, wq)
+        gx_k, gwk, gbk = _dense_grads(gs.T @ q, x.data, wk)
+        gx_v, gwv, gbv = _dense_grads(p.T @ g, x.data, wv)
+        return g + gx_q + gx_k + gx_v, gwq, gbq, gwk, gbk, gwv, gbv
+
+    return _make(x.data + _attn_mix(p, v), (x, *weights), backprop)
 
 
 # ----------------------------------------------------------------------------

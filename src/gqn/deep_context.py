@@ -57,8 +57,9 @@ def pool_query(nodes: Tensor, queries: int = 1) -> Tensor:
 def context_exchange(summaries: Tensor, steps: int, params: ParamStore) -> Tensor:
     """Apply ``steps`` shared-weight self-attention layers over (tau, d) summaries.
 
-    The summaries come in query order, and each attention row sums its tau
-    terms in that order (``autodiff.attn_mix``).
+    Each step is one tape node (``autodiff.self_attention_layer``). The
+    summaries come in query order, and each attention row sums its tau terms
+    in that order (``autodiff._attn_mix``).
     """
     if steps < 0:
         raise ConfigError(f"context steps must be >= 0, got {steps}")

@@ -4,16 +4,16 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gqn import pipeline
-from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _bilinear_score_grads, _bilinear_scores,
-                          _cell_scale, _check_split_mlp, _make, _relu_inplace, _scatter_add,
-                          _segment_mix, _split_linear, _split_linear_grads,
-                          _toposort, _zero_unless_positive, add, attn_mix, backward, concat_cols,
+from gqn.autodiff import (MlpSpec, ParamStore, Tensor, _attn_mix, _bilinear_score_grads,
+                          _bilinear_scores, _cell_scale, _check_split_mlp, _make, _relu_inplace,
+                          _scatter_add, _segment_mix, _split_linear, _split_linear_grads,
+                          _toposort, _zero_unless_positive, add, backward, concat_cols,
                           concat_rows, gather_rows, grad_check, grad_check_groups, linear,
-                          matmul_nt, matvec_rows, max_rows, mlp_forward, mul, no_grad,
+                          matvec_rows, max_rows, mlp_forward, mul, no_grad,
                           register_attention, reshape, row_softmax, scale_rows,
                           self_attention_layer, sub, sum_all)
 from gqn.edge_focus import update_nodes
@@ -851,6 +851,47 @@ def test_attention_identical_inputs_identical_outputs():
         np.testing.assert_array_equal(out[i], out[0])
 
 
+def test_attention_layer_is_one_tape_node_that_keeps_q_k_v_and_its_weights():
+    """The layer's parents are x and Wq, bq, Wk, bk, Wv, bv. Of the (tau, tau) arrays it
+    forms it keeps only the attention weights p: not the scores, nor the scaled scores."""
+    tau, d = 5, 4
+    params = _attn_params(d, seed=3)
+    x = Tensor(np.random.default_rng(3).standard_normal((tau, d)), requires_grad=True)
+    out = self_attention_layer(x, params, "ctx_attn")
+    weights = tuple(params[f"ctx_attn/{p}"] for p in ("Wq", "bq", "Wk", "bk", "Wv", "bv"))
+    assert out._parents[0] is x and out._parents[1:] == weights
+    tape = _toposort(out)
+    assert [t for t in tape if t._backprop is not None] == [out]
+    assert not [t for t in tape if t.data.shape == (tau, tau)]
+    kept = [c for c in (cell.cell_contents for cell in out._backprop.__closure__)
+            if isinstance(c, np.ndarray) and not any(c is w.data for w in weights)]
+    assert sorted(a.shape for a in kept) == [(tau, d)] * 3 + [(tau, tau)]
+    wq, bq, wk, bk = (w.data for w in weights[:4])
+    scores = (x.data @ wq + bq) @ (x.data @ wk + bk).T / math.sqrt(d)
+    (p,) = [a for a in kept if a.shape == (tau, tau)]
+    np.testing.assert_allclose(p, row_softmax(Tensor(scores)).data, rtol=1e-12)
+
+
+def test_stacked_attention_layers_match_finite_differences_in_their_input():
+    """Two shared-weight layers, as ``deep_context.context_exchange`` stacks them, with their
+    input registered as a parameter: x's gradient is the residual's plus q's, k's and v's."""
+    tau, d = 5, 4
+    params = _attn_params(d, seed=11)
+    params.register("x/in", (tau, d))
+    rng = np.random.default_rng(11)
+    for b in ("bq", "bk", "bv"):
+        params[f"ctx_attn/{b}"].data[...] = rng.standard_normal(d)
+
+    def fn(p):
+        h = p["x/in"]
+        for _ in range(2):
+            h = self_attention_layer(h, p, "ctx_attn")
+        return sum_all(mul(h, h))
+
+    errs = grad_check_groups(fn, params, eps=1e-5)
+    assert set(errs) == {"ctx_attn", "x"} and max(errs.values()) <= 1e-6
+
+
 # ----------------------------------------------------------------------------
 # backward / grad_check
 
@@ -1214,7 +1255,7 @@ def test_attn_mix_adds_the_rows_of_values_left_to_right(kind, c):
     values = _mix_inputs(kind, 2, c, rng)[0][:13]
     weights = rng.uniform(0.0, 1.0, (7, 13))
     with np.errstate(invalid="ignore"):
-        out = attn_mix(Tensor(weights), Tensor(values)).data
+        out = _attn_mix(weights, values)
         ref = _left_to_right(weights[:, :, None] * values[None, :, :])
     assert _bits(out) == _bits(ref)
 
@@ -1222,7 +1263,7 @@ def test_attn_mix_adds_the_rows_of_values_left_to_right(kind, c):
 def test_attn_mix_matches_plain_matmul():
     rng = np.random.default_rng(2)
     w, v = rng.random((5, 5)), rng.standard_normal((5, 3))
-    out = attn_mix(Tensor(w), Tensor(v)).data
+    out = _attn_mix(w, v)
     np.testing.assert_allclose(out, w @ v, atol=1e-12)
 
 
@@ -1232,7 +1273,7 @@ def test_matvec_shape_error():
 
 
 def test_composite_gradient_matches_finite_differences():
-    # exercise gather/scale/segment/stack/row_softmax/attn_mix in one closure
+    # exercise linear/gather/row_softmax/concat/segment mix/scale in one closure
     rng = np.random.default_rng(7)
     params = ParamStore(seed=7)
     params.register("p/W", (4, 4))
@@ -1240,7 +1281,7 @@ def test_composite_gradient_matches_finite_differences():
     mix_w = rng.random(4)
 
     def fn(p):
-        h = matmul_nt(Tensor(x), p["p/W"])
+        h = linear(Tensor(x), p["p/W"], Tensor(np.zeros(4)))
         g = gather_rows(h, np.array([0, 2, 2, 5]))
         s = row_softmax(g)
         mixed = mix_node(concat_cols([g, s]), Tensor(mix_w), 2)

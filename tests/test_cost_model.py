@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from gqn.cost_model import (compare_full_vs_queries, construction_cost, exact_nodes,

@@ -1,8 +1,8 @@
-"""Every name a library module imports is used in that module, every top-level
-function and public class of the library is referenced somewhere in it, no
-private function takes a parameter that every call site fixes to one literal,
-no function takes a parameter it never reads, every dataclass field is read,
-and every scatter-add runs through ``autodiff._scatter_add``."""
+"""Every name a module of the library, the tests, the demos or the tools imports is
+used in that module, every top-level function and public class of the library is
+referenced somewhere in it, no private function takes a parameter that every call
+site fixes to one literal, no function takes a parameter it never reads, every
+dataclass field is read, and every scatter-add runs through ``autodiff._scatter_add``."""
 
 import ast
 from pathlib import Path
@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gqn"
+ROOT = SRC.parent.parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")  # __init__ re-exports
+IMPORTERS = MODULES + sorted(p for folder in ("tests", "demos", "tools")
+                             for p in (ROOT / folder).glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -31,7 +34,8 @@ def test_modules_are_found():
     assert {"autodiff", "cli", "pipeline"} <= {p.stem for p in MODULES}
 
 
-@pytest.mark.parametrize("module", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("module", IMPORTERS, ids=[
+    p.stem if p.parent == SRC else f"{p.parent.name}/{p.stem}" for p in IMPORTERS])
 def test_module_uses_every_import(module):
     assert _unused_imports(module.read_text()) == []
 
@@ -210,7 +214,6 @@ def test_ignored_parameter_is_reported():
                                             "ops.scale(factor)", "ops.scale(kw)"]
 
 
-ROOT = SRC.parent.parent
 READERS = ("tests", "demos", "tools", "perfbench")  # read the library's fields too
 
 
@@ -258,12 +261,21 @@ def test_unread_field_is_reported():
     assert _unread_fields(library, others) == ["shapes.Box.depth", "shapes.Point.x"]
 
 
-def _add_at_uses(sources: dict[str, str]) -> list[str]:
-    """Uses of ``add.at`` (``np.add.at``, ``numpy.add.at``, an imported ``add``) outside
-    a top-level function named ``_scatter_add``, as ``module.statement:line``.
+def _is_scatter(node) -> bool:
+    """A use of ``add.at`` (``np.add.at``, ``numpy.add.at``, an imported ``add``), or a
+    ``bincount`` call that takes weights."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "at" and _callee(node.value) == "add"
+    return (isinstance(node, ast.Call) and _callee(node.func) == "bincount"
+            and (len(node.args) > 1 or any(kw.arg == "weights" for kw in node.keywords)))
 
-    ``_scatter_add`` runs the 1-D form over a flat index, which gives the bits
-    of the 2-D call in a fraction of its time; every other scatter goes through it.
+
+def _scatter_uses(sources: dict[str, str]) -> list[str]:
+    """Scatter-adds outside a top-level function named ``_scatter_add``, as
+    ``module.statement:line``.
+
+    ``_scatter_add`` runs the 1-D ``add.at`` over a flat index, which gives the
+    bits of the 2-D call in a fraction of its time; every other scatter goes through it.
     """
     found = []
     for module, source in sources.items():
@@ -272,14 +284,13 @@ def _add_at_uses(sources: dict[str, str]) -> list[str]:
             if name == "_scatter_add":
                 continue
             found += [f"{module}.{name}:{node.lineno}" for node in ast.walk(stmt)
-                      if isinstance(node, ast.Attribute) and node.attr == "at"
-                      and _callee(node.value) == "add"]
+                      if _is_scatter(node)]
     return sorted(found)
 
 
 def test_every_scatter_add_runs_through_the_helper():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert _add_at_uses(sources) == []
+    assert _scatter_uses(sources) == []
 
 
 def test_add_at_outside_the_helper_is_reported():
@@ -293,5 +304,17 @@ def test_add_at_outside_the_helper_is_reported():
                 "def grow(z):\n    add.at(z, [0], 1.0)\n",
     }
     # the helper's own call and another ufunc method are not reported
-    assert _add_at_uses(sources) == ["ops.Grid:11", "ops.gather:7", "user.<module>:4",
-                                     "user.grow:7"]
+    assert _scatter_uses(sources) == ["ops.Grid:11", "ops.gather:7", "user.<module>:4",
+                                      "user.grow:7"]
+
+
+def test_weighted_bincount_outside_the_helper_is_reported():
+    sources = {
+        "ops": "import numpy as np\n\n"
+               "def counts(cells):\n    return np.bincount(cells, minlength=4)\n\n"
+               "def scatter(flat, g, m):\n    return np.bincount(flat, g, m)\n\n"
+               "def scatter_kw(flat, g):\n    return np.bincount(flat, weights=g)\n",
+        "user": "from numpy import bincount\n\ntotals = bincount([0, 1], [2.0, 3.0])\n",
+    }
+    # a count without weights is not a scatter
+    assert _scatter_uses(sources) == ["ops.scatter:7", "ops.scatter_kw:10", "user.<module>:3"]

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -339,6 +337,18 @@ def test_each_query_chunk_adds_seven_tape_ops(monkeypatch):
     (few, ops_few), (many, ops_many) = counts
     assert (few, many) == (len(cfg.sets), cfg.tau)
     assert ops_many - ops_few == 7 * (many - few)
+
+
+def test_each_context_step_adds_one_tape_op():
+    """A context-attention step is one node: its projections, scores, softmax, mix and
+    residual add record nothing of their own."""
+    _, flat, _ = toy_inputs(h=16, w=16, seed=0)
+    counts = []
+    for steps in (1, 2):
+        cfg = toy_config(context_steps=steps)
+        out = run_gqn(flat, cfg, init_params(cfg, flat.m_bev), global_map=flat.states)
+        counts.append(_tape_ops(sum_all(out.fused_map)))
+    assert counts[1] - counts[0] == 1
 
 
 def _unfused_extra_bytes(layers, rows):
